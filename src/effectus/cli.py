@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,6 +82,11 @@ def _cmd_check(args) -> int:
         print(f"effectus: unknown law {args.law!r}; one of: "
               f"{', '.join(LAW_STATEMENTS)}", file=sys.stderr)
         return 2
+    if args.cases is not None and args.cases < 1:
+        raise SystemExit(f"effectus: --cases must be at least 1, got {args.cases}")
+    if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+        raise SystemExit("effectus: --tolerance must be finite and non-negative,"
+                         f" got {args.tolerance}")
     seed = _resolve_seed(args)
     bounds = {}
     if args.tolerance is not None:

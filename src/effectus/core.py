@@ -162,11 +162,11 @@ class ChainInstance(ABC):
     name = "?"
     description = ""
     exact = True          # morphism equality is exact, not tolerance-based
-    all_sharp = True      # every predicate is sharp (ceil/floor are identity)
     has_ortho = True      # the fibres carry an orthocomplement
     has_instrument = True # the instance supports instrument combination
     eq_tol = 0.0          # residual accepted as equality
     hom_tol = 0.0         # slack accepted in hom-condition checks
+    extra_laws = ()       # laws checked beyond those every instance gets
 
     # ---- category -------------------------------------------------
 
@@ -326,6 +326,17 @@ class ChainInstance(ABC):
         """Whether arrows between the two carriers exist at all (same
         base field and the like); used by exhaustive sweeps."""
         return True
+
+    def predicts_side_effect_free(self, X, p, tol) -> bool:
+        """Whether measuring p should leave no trace, i.e. whether the
+        instrument with its outcome forgotten is the identity.  True by
+        default, as in the classical and probabilistic instances."""
+        return True
+
+    def subunital_defect(self, f: Arrow) -> float:
+        """How far f maps the unit outside [0, 1]; 0.0 for instances whose
+        arrows are subunital by construction."""
+        return 0.0
 
     def coincidence_residual(self, X, p, q: QuotientResult,
                              c: ComprehensionResult) -> float:

@@ -81,7 +81,6 @@ class _DiscreteBase(ChainInstance):
     predicates, complements, quotient/comprehension carriers."""
 
     exact = True
-    all_sharp = True
     has_ortho = True
     has_instrument = True
 

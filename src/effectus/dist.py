@@ -122,7 +122,6 @@ class DistChain(ChainInstance):
     name = "dist"
     description = "finite sets and rational subdistribution kernels"
     exact = True
-    all_sharp = False
 
     # ---- category ----
 

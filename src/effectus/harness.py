@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from .core import (
     ChainError,
@@ -22,6 +24,7 @@ from .core import (
     truth,
 )
 from .registry import INSTANCES
+from .vn import spectral_norm
 
 DEFAULT_SEED = 20205
 ENUMERATION_CAP = 10 ** 5
@@ -78,27 +81,8 @@ class LawReport:
 # ---------------------------------------------------------------------------
 
 
-def _tol(inst) -> float:
-    return float(inst.eq_tol)
-
-
-def _wit(inst, case, detail, **parts) -> dict:
-    out = {"case": case, "detail": detail}
-    for key, value in parts.items():
-        out[key] = value
-    return out
-
-
-def _ser_obj(inst, X):
-    return inst.object_to_json(X)
-
-
-def _ser_pred(inst, X, p):
-    return inst.pred_to_json(X, p)
-
-
-def _ser_arrow(inst, f):
-    return inst.arrow_to_json(f)
+def _wit(case, detail, **parts) -> dict:
+    return {"case": case, "detail": detail, **parts}
 
 
 def _arrow_key(inst, f) -> str:
@@ -127,7 +111,7 @@ def _case_kleisli(inst, rng, bounds, tol):
     if res <= tol:
         return res, True, None
     return res, False, {"assoc": r1, "id_right": r2, "id_left": r3,
-                        "f": _ser_arrow(inst, f)}
+                        "f": inst.arrow_to_json(f)}
 
 
 def _case_subst(inst, rng, bounds, tol):
@@ -147,7 +131,7 @@ def _case_subst(inst, rng, bounds, tol):
     if res <= tol:
         return res, True, None
     return res, False, {"functoriality": r1, "identity": r2, "unit": r3,
-                        "f": _ser_arrow(inst, f), "g": _ser_arrow(inst, g)}
+                        "f": inst.arrow_to_json(f), "g": inst.arrow_to_json(g)}
 
 
 def _case_truth_falsum(inst, rng, bounds, tol):
@@ -182,100 +166,86 @@ def _case_truth_falsum(inst, rng, bounds, tol):
                         "quotient_transpose_accepts": accepts_q,
                         "comprehension_hom_check": says_c,
                         "comprehension_transpose_accepts": accepts_c,
-                        "f": _ser_arrow(inst, f), "g": _ser_arrow(inst, g),
-                        "p": _ser_pred(inst, X, p)}
+                        "f": inst.arrow_to_json(f), "g": inst.arrow_to_json(g),
+                        "p": inst.pred_to_json(X, p)}
 
 
-def _unique_by_enumeration(inst, domain, codomain, untranspose, tol):
-    """All candidate mediating maps must reach distinct composites."""
-    seen = {}
-    for cand in inst.iter_arrows(domain, codomain):
-        key = _arrow_key(inst, untranspose(cand))
-        if key in seen:
-            return False
-        seen[key] = True
-    return True
+class _Side(NamedTuple):
+    """One direction of the adjunction at a fixed (X, p), its construction
+    built once.  The quotient is left adjoint to falsum: a hom
+    (X, p) -> falsum Y factors through the unit X -> X/p.  The
+    comprehension is right adjoint to truth: a hom truth Y -> (X, p)
+    factors through the counit {X|p} -> X.  `ends(A, Y)` orders the
+    endpoints of an arrow between A, the carrier for mediating maps or X
+    for homs, and the other object Y."""
+
+    carrier: Any
+    ends: Callable
+    hom_objects: Callable  # Y -> the predicated objects a hom joins
+    rand_hom: Callable
+    transpose: Callable
+    untranspose: Callable
 
 
-def _unique_by_perturbation(inst, rng, bounds, g, factored, untranspose, tol):
-    """Perturbed mediating candidates must move the composite."""
+def _side(inst, which, X, p) -> _Side:
+    match which:
+        case "quotient":
+            q = inst.quotient(X, p)
+            return _Side(
+                q.obj, lambda A, Y: (A, Y),
+                lambda Y: (PredObject(X, p), falsum(inst, Y)),
+                lambda rng, Y, b: inst.rand_quotient_hom(rng, X, p, Y, b),
+                lambda f: inst.transpose_quotient(X, p, f),
+                lambda g: inst.compose(g, q.unit))
+        case "comprehension":
+            c = inst.comprehension(X, p)
+            return _Side(
+                c.obj, lambda A, Y: (Y, A),
+                lambda Y: (truth(inst, Y), PredObject(X, p)),
+                lambda rng, Y, b: inst.rand_comprehension_hom(rng, X, p, Y, b),
+                lambda f: inst.transpose_comprehension(X, p, f),
+                lambda g: inst.compose(c.counit, g))
+    raise ValueError(f"unknown adjunction {which!r}")
+
+
+def _unique(inst, rng, bounds, tol, ends, untranspose, g, f):
+    """Distinct mediating maps must reach distinct composites: checked on
+    every candidate when they are few, else on perturbations of g."""
+    count = inst.count_arrows(*ends)
+    if count is not None and count <= bounds.get("case_enum_budget", CASE_ENUM_BUDGET):
+        seen = set()
+        for cand in inst.iter_arrows(*ends):
+            key = _arrow_key(inst, untranspose(cand))
+            if key in seen:
+                return False
+            seen.add(key)
+        return True
     for _ in range(bounds.get("unique_samples", UNIQUE_SAMPLES)):
         other = inst.perturb_arrow(rng, g, bounds)
-        if inst.map_residual(other, g) <= max(tol, 1e-3):
-            continue
-        if inst.map_residual(untranspose(other), factored) <= tol:
+        if (inst.map_residual(other, g) > max(tol, 1e-3)
+                and inst.map_residual(untranspose(other), f) <= tol):
             return False
     return True
 
 
-def _case_quotient_adj(inst, rng, bounds, tol):
+def _case_adjunction(which, inst, rng, bounds, tol):
     X = inst.rand_object(rng, bounds)
     p = inst.rand_pred(rng, X, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
-    f = inst.rand_quotient_hom(rng, X, p, Y, bounds)
-    g = inst.transpose_quotient(X, p, f)
-    back = inst.untranspose_quotient(X, p, g)
-    r1 = inst.map_residual(back, f)
-    qobj = inst.quotient(X, p).obj
-    g0 = inst.rand_arrow(rng, qobj, Y, bounds)
-    f0 = inst.untranspose_quotient(X, p, g0)
-    g0_back = inst.transpose_quotient(X, p, f0)
-    r2 = inst.map_residual(g0_back, g0)
-
-    def untr(cand):
-        return inst.untranspose_quotient(X, p, cand)
-
-    unique = True
-    try:
-        count = inst.count_arrows(qobj, Y)
-    except (AttributeError, TypeError):
-        count = None
-    if count is not None and count <= bounds.get("case_enum_budget", CASE_ENUM_BUDGET):
-        unique = _unique_by_enumeration(inst, qobj, Y, untr, tol)
-    else:
-        unique = _unique_by_perturbation(inst, rng, bounds, g, f, untr, tol)
+    side = _side(inst, which, X, p)
+    f = side.rand_hom(rng, Y, bounds)
+    g = side.transpose(f)
+    r1 = inst.map_residual(side.untranspose(g), f)
+    ends = side.ends(side.carrier, Y)
+    g0 = inst.rand_arrow(rng, *ends, bounds)
+    r2 = inst.map_residual(side.transpose(side.untranspose(g0)), g0)
+    unique = _unique(inst, rng, bounds, tol, ends, side.untranspose, g, f)
     res = max(r1, r2)
-    ok = res <= tol and unique
-    if ok:
+    if res <= tol and unique:
         return res, True, None
     return res, False, {"round_trip_from_hom": r1, "round_trip_from_map": r2,
-                        "unique": unique, "X": _ser_obj(inst, X),
-                        "p": _ser_pred(inst, X, p), "f": _ser_arrow(inst, f)}
-
-
-def _case_comprehension_adj(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    p = inst.rand_pred(rng, X, bounds)
-    Y = inst.rand_object(rng, bounds, like=X)
-    f = inst.rand_comprehension_hom(rng, X, p, Y, bounds)
-    g = inst.transpose_comprehension(X, p, f)
-    back = inst.untranspose_comprehension(X, p, g)
-    r1 = inst.map_residual(back, f)
-    cobj = inst.comprehension(X, p).obj
-    g0 = inst.rand_arrow(rng, Y, cobj, bounds)
-    f0 = inst.untranspose_comprehension(X, p, g0)
-    g0_back = inst.transpose_comprehension(X, p, f0)
-    r2 = inst.map_residual(g0_back, g0)
-
-    def untr(cand):
-        return inst.untranspose_comprehension(X, p, cand)
-
-    unique = True
-    try:
-        count = inst.count_arrows(Y, cobj)
-    except (AttributeError, TypeError):
-        count = None
-    if count is not None and count <= bounds.get("case_enum_budget", CASE_ENUM_BUDGET):
-        unique = _unique_by_enumeration(inst, Y, cobj, untr, tol)
-    else:
-        unique = _unique_by_perturbation(inst, rng, bounds, g, f, untr, tol)
-    res = max(r1, r2)
-    ok = res <= tol and unique
-    if ok:
-        return res, True, None
-    return res, False, {"round_trip_from_hom": r1, "round_trip_from_map": r2,
-                        "unique": unique, "X": _ser_obj(inst, X),
-                        "p": _ser_pred(inst, X, p), "f": _ser_arrow(inst, f)}
+                        "unique": unique, "X": inst.object_to_json(X),
+                        "p": inst.pred_to_json(X, p), "f": inst.arrow_to_json(f)}
 
 
 def _case_factorization(inst, rng, bounds, tol):
@@ -286,9 +256,9 @@ def _case_factorization(inst, rng, bounds, tol):
     res = inst.map_residual(composite, closed)
     if res <= tol:
         return res, True, None
-    return res, False, {"X": _ser_obj(inst, X), "p": _ser_pred(inst, X, p),
-                        "composite": _ser_arrow(inst, composite),
-                        "closed_form": _ser_arrow(inst, closed)}
+    return res, False, {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
+                        "composite": inst.arrow_to_json(composite),
+                        "closed_form": inst.arrow_to_json(closed)}
 
 
 def _case_coincidence(inst, rng, bounds, tol):
@@ -303,7 +273,7 @@ def _case_coincidence(inst, rng, bounds, tol):
         return extra, True, None
     return max(extra, 0.0 if same else 1.0), False, {
         "objects_equal": same, "carrier_residual": extra,
-        "X": _ser_obj(inst, X), "p": _ser_pred(inst, X, p)}
+        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
 
 
 def _case_sharpness(inst, rng, bounds, tol):
@@ -328,7 +298,7 @@ def _case_sharpness(inst, rng, bounds, tol):
     return res, False, {"demorgan": demorgan, "sharp": sharp,
                         "assert_idempotency_residual": idem,
                         "left_composite_residual": left_res,
-                        "X": _ser_obj(inst, X), "p": _ser_pred(inst, X, p)}
+                        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
 
 
 def _case_instrument(inst, rng, bounds, tol):
@@ -338,20 +308,16 @@ def _case_instrument(inst, rng, bounds, tol):
     closed = inst.instrument_closed_form(X, p)
     r1 = inst.map_residual(derived, closed)
     merged, free = side_effect(inst, X, p)
-    if inst.name == "vn":
-        predicted = inst.block_scalar_defect(X, p) <= tol
-        unit_res = inst.subunital_defect(closed)
-    else:
-        predicted = True
-        unit_res = 0.0
+    predicted = inst.predicts_side_effect_free(X, p, tol)
+    unit_res = inst.subunital_defect(closed)
     ok = r1 <= tol and free == predicted and unit_res <= tol
     res = max(r1, unit_res)
     if ok:
         return res, True, None
     return max(res, 1.0 if free != predicted else res), False, {
         "derived_vs_closed": r1, "side_effect_free": free,
-        "predicted_free": predicted, "X": _ser_obj(inst, X),
-        "p": _ser_pred(inst, X, p)}
+        "predicted_free": predicted, "X": inst.object_to_json(X),
+        "p": inst.pred_to_json(X, p)}
 
 
 def _case_cp_sanity(inst, rng, bounds, tol):
@@ -387,7 +353,6 @@ def _case_cp_sanity(inst, rng, bounds, tol):
     dpred = inst.rand_pred(rng, Y, bounds)
     # Cauchy-Schwarz for cP maps, c* d = cd since effects are self-adjoint;
     # cd is generally non-Hermitian, hence the singular-value norm
-    from .vn import spectral_norm
     cd = tuple(cb @ db for cb, db in zip(cpred, dpred))
     cc = tuple(cb @ cb for cb in cpred)
     dd = tuple(db @ db for db in dpred)
@@ -401,7 +366,7 @@ def _case_cp_sanity(inst, rng, bounds, tol):
     return max(worst, cs_residual, 1.0 if bad else 0.0), False, {
         "non_cp_maps": {k: {kk: vv for kk, vv in v.items()} for k, v in bad.items()},
         "cauchy_schwarz_residual": cs_residual,
-        "X": _ser_obj(inst, X), "p": _ser_pred(inst, X, p)}
+        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
 
 
 def _case_ring_decompose(inst, rng, bounds, tol):
@@ -415,15 +380,15 @@ def _case_ring_decompose(inst, rng, bounds, tol):
     if res <= tol:
         return res, True, None
     return res, False, {"split_then_merge": r1, "merge_then_split": r2,
-                        "X": _ser_obj(inst, X), "e": _ser_pred(inst, X, e)}
+                        "X": inst.object_to_json(X), "e": inst.pred_to_json(X, e)}
 
 
 LAW_CASES = {
     "kleisli-laws": _case_kleisli,
     "subst-functor": _case_subst,
     "truth-falsum": _case_truth_falsum,
-    "quotient-adjunction": _case_quotient_adj,
-    "comprehension-adjunction": _case_comprehension_adj,
+    "quotient-adjunction": partial(_case_adjunction, "quotient"),
+    "comprehension-adjunction": partial(_case_adjunction, "comprehension"),
     "factorization": _case_factorization,
     "coincidence": _case_coincidence,
     "sharpness": _case_sharpness,
@@ -492,10 +457,7 @@ def applicable_laws(inst) -> list:
         laws |= {"factorization", "coincidence", "sharpness"}
     if inst.has_instrument:
         laws.add("instrument")
-    if inst.name == "vn":
-        laws.add("cp-sanity")
-    if inst.name == "ring":
-        laws.add("ring-decompose")
+    laws.update(inst.extra_laws)
     return [l for l in LAW_ORDER if l in laws]
 
 
@@ -504,80 +466,39 @@ def applicable_laws(inst) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_quotient(inst, report, X, p, Y, cap, scan_cap):
-    qobj = inst.quotient(X, p).obj
-    n_candidates = inst.count_arrows(qobj, Y)
-    n_all = inst.count_arrows(X, Y)
-    if n_candidates > cap:
+def _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap):
+    side = _side(inst, which, X, p)
+    ends = side.ends(side.carrier, Y)
+    if inst.count_arrows(*ends) > cap:
         return
-    composites = {}
-    ok = True
     detail = None
-    for g in inst.iter_arrows(qobj, Y):
-        f = inst.untranspose_quotient(X, p, g)
+    composites = set()
+    for g in inst.iter_arrows(*ends):
+        f = side.untranspose(g)
         key = _arrow_key(inst, f)
         if key in composites:
-            ok, detail = False, {"second_solution": _ser_arrow(inst, g)}
+            detail = {"second_solution": inst.arrow_to_json(g)}
             break
-        composites[key] = g
-        back = inst.transpose_quotient(X, p, f)
-        if inst.map_residual(back, g) > 0.0:
-            ok, detail = False, {"round_trip": _ser_arrow(inst, g)}
+        composites.add(key)
+        if inst.map_residual(side.transpose(f), g) > 0.0:
+            detail = {"round_trip": inst.arrow_to_json(g)}
             break
-    if ok and n_all <= scan_cap:
-        src_obj, dst_obj = PredObject(X, p), falsum(inst, Y)
+    homs = side.ends(X, Y)
+    if detail is None and inst.count_arrows(*homs) <= scan_cap:
+        src_obj, dst_obj = side.hom_objects(Y)
         n_homs = 0
-        for f in inst.iter_arrows(X, Y):
+        for f in inst.iter_arrows(*homs):
             if hom_check(inst, f, src_obj, dst_obj):
                 n_homs += 1
                 if _arrow_key(inst, f) not in composites:
-                    ok, detail = False, {"unreached_hom": _ser_arrow(inst, f)}
+                    detail = {"unreached_hom": inst.arrow_to_json(f)}
                     break
-        if ok and n_homs != len(composites):
-            ok, detail = False, {"hom_count": n_homs,
-                                 "candidate_count": len(composites)}
+        if detail is None and n_homs != len(composites):
+            detail = {"hom_count": n_homs, "candidate_count": len(composites)}
     if detail is not None:
-        detail.update({"X": _ser_obj(inst, X), "p": _ser_pred(inst, X, p),
-                       "Y": _ser_obj(inst, Y), "which": "quotient"})
-    report.record(0.0 if ok else 1.0, ok, detail)
-
-
-def _exhaustive_comprehension(inst, report, X, p, Y, cap, scan_cap):
-    cobj = inst.comprehension(X, p).obj
-    n_candidates = inst.count_arrows(Y, cobj)
-    n_all = inst.count_arrows(Y, X)
-    if n_candidates > cap:
-        return
-    composites = {}
-    ok = True
-    detail = None
-    for g in inst.iter_arrows(Y, cobj):
-        f = inst.untranspose_comprehension(X, p, g)
-        key = _arrow_key(inst, f)
-        if key in composites:
-            ok, detail = False, {"second_solution": _ser_arrow(inst, g)}
-            break
-        composites[key] = g
-        back = inst.transpose_comprehension(X, p, f)
-        if inst.map_residual(back, g) > 0.0:
-            ok, detail = False, {"round_trip": _ser_arrow(inst, g)}
-            break
-    if ok and n_all <= scan_cap:
-        src_obj, dst_obj = truth(inst, Y), PredObject(X, p)
-        n_homs = 0
-        for f in inst.iter_arrows(Y, X):
-            if hom_check(inst, f, src_obj, dst_obj):
-                n_homs += 1
-                if _arrow_key(inst, f) not in composites:
-                    ok, detail = False, {"unreached_hom": _ser_arrow(inst, f)}
-                    break
-        if ok and n_homs != len(composites):
-            ok, detail = False, {"hom_count": n_homs,
-                                 "candidate_count": len(composites)}
-    if detail is not None:
-        detail.update({"X": _ser_obj(inst, X), "p": _ser_pred(inst, X, p),
-                       "Y": _ser_obj(inst, Y), "which": "comprehension"})
-    report.record(0.0 if ok else 1.0, ok, detail)
+        detail.update({"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
+                       "Y": inst.object_to_json(Y), "which": which})
+    report.record(0.0 if detail is None else 1.0, detail is None, detail)
 
 
 def run_exhaustive_adjunction(inst, which: str, bounds: dict,
@@ -600,13 +521,8 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     for X in objs:
         for p in inst.iter_preds(X):
             for Y in objs:
-                if not inst.comparable_objects(X, Y):
-                    continue
-                if which == "quotient":
-                    _exhaustive_quotient(inst, report, X, p, Y, cap, scan_cap)
-                else:
-                    _exhaustive_comprehension(inst, report, X, p, Y, cap,
-                                              scan_cap)
+                if inst.comparable_objects(X, Y):
+                    _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap)
     return report
 
 
@@ -633,17 +549,15 @@ def run_law(inst, spec: CaseSpec) -> LawReport:
     case_fn = LAW_CASES[spec.law]
     report = LawReport(inst.name, spec.law, spec.seed)
     rng = random.Random(spec.seed)
-    tol = _tol(inst)
+    tol = float(inst.eq_tol)
     for i in range(spec.cases):
         try:
             residual, ok, detail = case_fn(inst, rng, spec.bounds, tol)
         except Exception as exc:  # laws must report, not crash
-            report.record(1.0, False, _wit(inst, i, f"exception: {exc!r}"))
+            report.record(1.0, False, _wit(i, f"exception: {exc!r}"))
             continue
-        witness = None
-        if not ok:
-            witness = _wit(inst, i, "law violated", **(detail or {}))
-        report.record(residual, ok, witness)
+        report.record(residual, ok,
+                      None if ok else _wit(i, "law violated", **(detail or {})))
     return report
 
 
@@ -657,8 +571,8 @@ def gen_case(spec: CaseSpec) -> dict:
     Y = inst.rand_object(rng, spec.bounds, like=X)
     f = inst.rand_quotient_hom(rng, X, p, Y, spec.bounds)
     return {"instance": spec.instance, "seed": spec.seed,
-            "object": _ser_obj(inst, X), "pred": _ser_pred(inst, X, p),
-            "target": _ser_obj(inst, Y), "hom": _ser_arrow(inst, f)}
+            "object": inst.object_to_json(X), "pred": inst.pred_to_json(X, p),
+            "target": inst.object_to_json(Y), "hom": inst.arrow_to_json(f)}
 
 
 def run_suite(specs, instances=None) -> dict:
@@ -673,7 +587,7 @@ def run_suite(specs, instances=None) -> dict:
         inst = registry[spec.instance]
         reports.append(run_law(inst, spec))
     reports.sort(key=lambda r: (r.instance, r.law, r.seed))
-    return {"ok": all(r.failures == 0 for r in reports),
+    return {"ok": all(r.failures == 0 and r.cases > 0 for r in reports),
             "reports": [r.to_jsonable() for r in reports]}
 
 
@@ -705,17 +619,13 @@ def default_suite(seed: int = DEFAULT_SEED, cases: int = None,
         laws = applicable_laws(inst)
         if law:
             laws = [l for l in laws if l == law]
+        n = _DEFAULT_CASES[name] if cases is None else cases
         for i, law_name in enumerate(laws):
-            b = dict(bounds or {})
-            specs.append(CaseSpec(name, law_name, seed + i,
-                                  cases or _DEFAULT_CASES[name], b))
-        if name in _DEFAULT_EXHAUSTIVE and (law is None or law.endswith("-adjunction")):
-            for which in ("quotient", "comprehension"):
-                law_name = f"{which}-adjunction"
-                if law and law_name != law:
-                    continue
-                b = dict(bounds or {})
-                b.update(_DEFAULT_EXHAUSTIVE[name])
-                b["exhaustive"] = True
+            specs.append(CaseSpec(name, law_name, seed + i, n,
+                                  dict(bounds or {})))
+        for which in ("quotient", "comprehension"):
+            law_name = f"{which}-adjunction"
+            if name in _DEFAULT_EXHAUSTIVE and law in (None, law_name):
+                b = dict(bounds or {}, **_DEFAULT_EXHAUSTIVE[name], exhaustive=True)
                 specs.append(CaseSpec(name, law_name, 0, 0, b))
     return specs

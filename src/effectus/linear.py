@@ -147,13 +147,14 @@ def _complement_rows(P: FpSubspace):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _coords_matrix(P: FpSubspace):
     """Matrix of the quotient map: coordinates with respect to the
     complement basis, modulo P.  Shape (dim - rank) x dim.
 
     Cached: the inversion shows up on every substitution along a reused
-    predicate, and subspaces are immutable."""
+    predicate, and subspaces are immutable.  The bound sits above the 61
+    subspaces the acceptance sweeps visit."""
     space = P.space
     p, d = space.p, space.dim
     basis = list(P.rows) + list(_complement_rows(P))
@@ -174,7 +175,6 @@ class FpChain(ChainInstance):
     name = "fp"
     description = "prime-field vector spaces and linear maps"
     exact = True
-    all_sharp = True
     has_ortho = False
     has_instrument = False
 
@@ -395,7 +395,6 @@ class HilbChain(ChainInstance):
     name = "hilb"
     description = "complex inner-product spaces and linear maps"
     exact = False
-    all_sharp = True
     has_ortho = True
     has_instrument = False
     eq_tol = 1e-9

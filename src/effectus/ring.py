@@ -15,6 +15,7 @@ the coincidence of the two carriers is literal object identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -282,13 +283,21 @@ class Decomposition:
     merge: Arrow  # chain R -> pair; underlying (a, b) |-> a + b
 
 
+@lru_cache(maxsize=8192)
+def _hom_tables(Y: FiniteRing, X: FiniteRing) -> tuple:
+    """enumerate_hom_tables(Y, X) as a tuple, cached: samplers, perturbations
+    and exhaustive sweeps ask for the same hom sets over and over.  The
+    bound sits above the 3675 ring pairs the acceptance sweeps visit."""
+    return tuple(enumerate_hom_tables(Y, X))
+
+
 class RingChain(ChainInstance):
     """Products of modular-integer rings with reversed subunital ring maps."""
 
     name = "ring"
     description = "finite commutative rings, arrows opposite to ring maps"
     exact = True
-    all_sharp = True
+    extra_laws = ("ring-decompose",)
 
     # ---- category ----
 
@@ -409,15 +418,6 @@ class RingChain(ChainInstance):
 
     # ---- sampling and enumeration ----
 
-    def __init__(self):
-        self._table_cache = {}
-
-    def _hom_tables(self, Y, X) -> list:
-        key = (Y, X)
-        if key not in self._table_cache:
-            self._table_cache[key] = list(enumerate_hom_tables(Y, X))
-        return self._table_cache[key]
-
     def rand_object(self, rng, bounds, like=None) -> FiniteRing:
         max_order = bounds.get("max_order", 24)
         moduli = []
@@ -435,30 +435,30 @@ class RingChain(ChainInstance):
         return rng.choice(list(idempotents(X)))
 
     def rand_arrow(self, rng, X, Y, bounds) -> Arrow:
-        return Arrow(X, Y, rng.choice(self._hom_tables(Y, X)))
+        return Arrow(X, Y, rng.choice(_hom_tables(Y, X)))
 
     def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
         corner = IdealRing(X, self.ortho(X, p))
-        return Arrow(X, Y, rng.choice(self._hom_tables(Y, corner)))
+        return Arrow(X, Y, rng.choice(_hom_tables(Y, corner)))
 
     def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
         corner = IdealRing(X, p)
-        g = rng.choice(self._hom_tables(corner, Y))
+        g = rng.choice(_hom_tables(corner, Y))
         return Arrow(Y, X, {x: g[X.mul(p, x)] for x in X.elements()})
 
     def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
         # Perturb inside the hom set: arbitrary table tweaks would leave
         # the category entirely.
-        tables = [t for t in self._hom_tables(f.dst, f.src) if t != f.data]
+        tables = [t for t in _hom_tables(f.dst, f.src) if t != f.data]
         if not tables:
             return f
         return Arrow(f.src, f.dst, rng.choice(tables))
 
     def count_arrows(self, X, Y) -> int:
-        return len(self._hom_tables(Y, X))
+        return len(_hom_tables(Y, X))
 
     def iter_arrows(self, X, Y):
-        for table in self._hom_tables(Y, X):
+        for table in _hom_tables(Y, X):
             yield Arrow(X, Y, table)
 
     def iter_objects(self, bounds):

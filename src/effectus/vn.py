@@ -91,16 +91,8 @@ def superop_from_fn(src: MatrixAlgebra, dst: MatrixAlgebra, fn) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def elt_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def elt_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def elt_scale(t, a):
-    return tuple(t * x for x in a)
 
 
 def elt_residual(a, b) -> float:
@@ -186,9 +178,9 @@ class VnChain(ChainInstance):
     name = "vn"
     description = "matrix algebras and completely positive subunital maps"
     exact = False
-    all_sharp = False
     eq_tol = 1e-9
     hom_tol = 1e-6
+    extra_laws = ("cp-sanity",)
 
     # ---- category ----
 
@@ -349,6 +341,9 @@ class VnChain(ChainInstance):
             t = np.trace(b) / n
             worst = max(worst, la.max_abs(b - t * np.eye(n)))
         return worst
+
+    def predicts_side_effect_free(self, X, p, tol) -> bool:
+        return self.block_scalar_defect(X, p) <= tol
 
     # ---- complete positivity ----
 

@@ -53,6 +53,28 @@ def test_check_unknown_law_is_usage_error(capsys):
     assert "unknown law" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cases", ["-3", "0"])
+def test_check_rejects_case_count_below_one(cases, capsys):
+    assert main(["check", "--instance", "sets", f"--cases={cases}"]) == 2
+    captured = capsys.readouterr()
+    assert f"--cases must be at least 1, got {cases}" in captured.err
+    assert "all laws hold" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-9"])
+def test_check_rejects_non_finite_or_negative_tolerance(tol, capsys):
+    assert main(["check", "--instance", "sets", f"--tolerance={tol}"]
+                + FAST) == 2
+    captured = capsys.readouterr()
+    assert "--tolerance must be finite and non-negative" in captured.err
+    assert captured.out == ""
+
+
+def test_check_accepts_zero_tolerance_on_exact_instance():
+    assert main(["check", "--instance", "sets", "--tolerance", "0"]
+                + FAST) == 0
+
+
 # ---------------------------------------------------------------------------
 # check: seed resolution.
 # ---------------------------------------------------------------------------

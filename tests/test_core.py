@@ -273,3 +273,11 @@ def test_registry_names_are_canonical():
 def test_unknown_instance_is_reported():
     with pytest.raises(UnsupportedError, match="nosuch"):
         get_instance("nosuch")
+
+
+def test_process_wide_caches_are_bounded():
+    from effectus.linear import _coords_matrix
+    from effectus.ring import _hom_tables
+
+    for cache in (_coords_matrix, _hom_tables):
+        assert cache.cache_info().maxsize is not None

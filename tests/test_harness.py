@@ -3,7 +3,9 @@ mutation detection, and the default suite's composition."""
 
 import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from effectus import INSTANCES, STAR
@@ -24,6 +26,8 @@ from effectus.harness import (
     run_law,
     run_suite,
 )
+from effectus.ring import RingChain
+from effectus.vn import MatrixAlgebra, VnChain
 
 REPORT_KEYS = {"instance", "law", "cases", "failures", "witnesses",
                "max_residual", "seed"}
@@ -93,6 +97,28 @@ def test_applicable_laws_per_instance():
         base + ortho + ["instrument", "cp-sanity"])
 
 
+class _RenamedVn(VnChain):
+    name = "vn-renamed"
+
+
+class _RenamedRing(RingChain):
+    name = "ring-renamed"
+
+
+def test_instance_declares_its_laws_not_its_name():
+    assert applicable_laws(_RenamedVn()) == applicable_laws(INSTANCES["vn"])
+    assert applicable_laws(_RenamedRing()) == applicable_laws(INSTANCES["ring"])
+
+
+def test_renamed_vn_keeps_side_effect_prediction():
+    inst = _RenamedVn()
+    X = MatrixAlgebra((2,))
+    assert inst.predicts_side_effect_free(X, (0.3 * np.eye(2),), 1e-9)
+    assert not inst.predicts_side_effect_free(X, (np.diag([0.8, 0.3]),), 1e-9)
+    report = run_law(inst, _spec("vn-renamed", "instrument", cases=6))
+    assert report.cases == 6 and report.failures == 0
+
+
 # ---------------------------------------------------------------------------
 # Determinism.
 # ---------------------------------------------------------------------------
@@ -119,6 +145,28 @@ def test_run_suite_orders_reports():
 
 def test_empty_spec_list_is_success():
     assert run_suite([]) == {"ok": True, "reports": []}
+
+
+def test_zero_cases_are_kept_and_never_pass():
+    specs = default_suite(cases=0, instance="sets", law="kleisli-laws")
+    assert [s.cases for s in specs] == [0]
+    result = run_suite(specs + [_spec("sets", "subst-functor", cases=2)])
+    assert [r["cases"] for r in result["reports"]] == [0, 2]
+    assert all(r["failures"] == 0 for r in result["reports"])
+    assert not result["ok"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "check_exact_seed7.json"
+
+
+def test_exact_instances_match_golden_report():
+    """Byte identity of the seeded and exhaustive reports on the exact
+    instances; the float instances are left out because their residuals
+    depend on the LAPACK build."""
+    result = {name: run_suite(default_suite(seed=7, cases=4, instance=name))
+              for name in ("sets", "nondet", "dist", "fp", "ring")}
+    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    assert text == GOLDEN.read_text()
 
 
 def test_gen_case_is_deterministic():
@@ -212,19 +260,35 @@ def test_tolerance_override_leaves_exact_instances_passing():
 # ---------------------------------------------------------------------------
 
 
-class _CorruptDist(DistChain):
-    """transpose_quotient with every kernel weight halved."""
-
-    def transpose_quotient(self, X, p, f):
-        g = super().transpose_quotient(X, p, f)
-        data = {x: SubDist(tuple((a, w / 2) for a, w in d.weights))
-                for x, d in g.data.items()}
-        return Arrow(g.src, g.dst, data)
+def _halve_weights(g):
+    return Arrow(g.src, g.dst,
+                 {x: SubDist(tuple((a, w / 2) for a, w in d.weights))
+                  for x, d in g.data.items()})
 
 
-def test_corrupted_transpose_is_detected():
-    spec = _spec("dist", "quotient-adjunction", cases=20)
-    result = run_suite([spec], instances={"dist": _CorruptDist()})
+def _abort_everywhere(g):
+    return Arrow(g.src, g.dst, {x: STAR for x in g.src})
+
+
+def _corrupt(base, which, damage):
+    """An instance of `base` whose `which` transpose is passed through
+    `damage`; the other direction stays honest."""
+    op = f"transpose_{which}"
+
+    def transpose(self, X, p, f):
+        return damage(getattr(base, op)(self, X, p, f))
+
+    return type(f"Corrupt{base.__name__}", (base,), {op: transpose})()
+
+
+DIRECTIONS = ("quotient", "comprehension")
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_corrupted_transpose_is_detected(which):
+    spec = _spec("dist", f"{which}-adjunction", cases=20)
+    corrupt = _corrupt(DistChain, which, _halve_weights)
+    result = run_suite([spec], instances={"dist": corrupt})
     assert not result["ok"]
     report = result["reports"][0]
     assert report["failures"] >= 1
@@ -236,27 +300,31 @@ def test_corrupted_transpose_is_detected():
     assert report["seed"] == spec.seed
 
 
-class _CorruptSets(SetsChain):
-    """transpose_quotient that sends everything to abort."""
-
-    def transpose_quotient(self, X, p, f):
-        g = super().transpose_quotient(X, p, f)
-        return Arrow(g.src, g.dst, {x: STAR for x in g.src})
-
-
-def test_corrupted_transpose_detected_exhaustively():
-    spec = CaseSpec("sets", "quotient-adjunction", 0, 0,
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_corrupted_transpose_detected_exhaustively(which):
+    spec = CaseSpec("sets", f"{which}-adjunction", 0, 0,
                     {"exhaustive": True, "max_size": 2})
-    result = run_suite([spec], instances={"sets": _CorruptSets()})
+    corrupt = _corrupt(SetsChain, which, _abort_everywhere)
+    result = run_suite([spec], instances={"sets": corrupt})
     assert not result["ok"]
-    honest = CaseSpec("sets", "quotient-adjunction", 0, 0,
-                      {"exhaustive": True, "max_size": 2})
-    assert run_suite([honest])["ok"]
+    assert result["reports"][0]["witnesses"][0]["which"] == which
+    assert run_suite([spec])["ok"]
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_corruption_in_one_direction_leaves_the_other_passing(which):
+    other = next(d for d in DIRECTIONS if d != which)
+    corrupt = _corrupt(SetsChain, which, _abort_everywhere)
+    seeded = _spec("sets", f"{other}-adjunction", cases=10)
+    exhaustive = CaseSpec("sets", f"{other}-adjunction", 0, 0,
+                          {"exhaustive": True, "max_size": 2})
+    assert run_suite([seeded, exhaustive], instances={"sets": corrupt})["ok"]
 
 
 def test_honest_registry_is_untouched_by_override():
     spec = _spec("dist", "quotient-adjunction", cases=10)
-    assert not run_suite([spec], instances={"dist": _CorruptDist()})["ok"]
+    corrupt = _corrupt(DistChain, "quotient", _halve_weights)
+    assert not run_suite([spec], instances={"dist": corrupt})["ok"]
     assert run_suite([spec])["ok"]
 
 

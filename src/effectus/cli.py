@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from .dist import fuzzy
-from .discrete import FiniteSet
+from .kleisli import FiniteSet, fuzzy
 from .harness import (
     DEFAULT_SEED,
     LAW_STATEMENTS,

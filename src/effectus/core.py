@@ -121,40 +121,6 @@ class ComprehensionResult:
     counit: Arrow
 
 
-@dataclass(frozen=True, eq=False)
-class Fibre:
-    """First-class view of the predicate poset over one carrier."""
-
-    instance: "ChainInstance"
-    carrier: Any
-
-    @property
-    def top(self):
-        return self.instance.top(self.carrier)
-
-    @property
-    def bottom(self):
-        return self.instance.bottom(self.carrier)
-
-    def leq(self, p, q) -> bool:
-        return self.instance.pred_leq(self.carrier, p, q)
-
-    def equal(self, p, q) -> bool:
-        return self.instance.preds_equal(self.carrier, p, q)
-
-    def ortho(self, p):
-        return self.instance.ortho(self.carrier, p)
-
-    def ceil(self, p):
-        return self.instance.ceil(self.carrier, p)
-
-    def floor(self, p):
-        return self.instance.floor(self.carrier, p)
-
-    def __iter__(self) -> Iterator:
-        return self.instance.iter_preds(self.carrier)
-
-
 class ChainInstance(ABC):
     """Hook bundle provided by one instance.  All operations are pure and
     all values immutable, so instances are freely shareable."""
@@ -230,9 +196,6 @@ class ChainInstance(ABC):
 
     def is_sharp(self, X, p) -> bool:
         return self.preds_equal(X, p, self.ceil(X, p))
-
-    def fibre(self, X) -> Fibre:
-        return Fibre(self, X)
 
     @abstractmethod
     def subst(self, f: Arrow, q):
@@ -354,6 +317,11 @@ class ChainInstance(ABC):
 
     def arrow_to_json(self, f: Arrow):
         return repr(f.data)
+
+    def arrow_key(self, f: Arrow):
+        """Hashable key telling apart arrows with the same endpoints, for
+        the bijection checks; it holds no reference to f's data."""
+        return repr(self.arrow_to_json(f))
 
 
 # ---- generic operations over an instance ---------------------------

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from .core import UnsupportedError
-from .discrete import NondetChain, SetsChain
-from .dist import DistChain
+from .kleisli import DistChain, NondetChain, SetsChain
 from .linear import FpChain, HilbChain
 from .ring import RingChain
 from .vn import VnChain

@@ -23,8 +23,7 @@ from effectus import (
 )
 from effectus.cli import main
 from effectus.core import Arrow
-from effectus.discrete import FiniteSet, tagged_double
-from effectus.dist import DistChain, SubDist, fuzzy
+from effectus.kleisli import DistChain, FiniteSet, SubDist, fuzzy, tagged_double
 from effectus.harness import (
     CaseSpec,
     default_suite,

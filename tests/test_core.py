@@ -21,8 +21,7 @@ from effectus import (
     truth,
     INSTANCES,
 )
-from effectus.discrete import FiniteSet, SetsChain
-from effectus.dist import DistChain, SubDist, dirac, fuzzy
+from effectus.kleisli import DistChain, FiniteSet, SetsChain, SubDist, dirac, fuzzy
 
 SETS = SetsChain()
 DIST = DistChain()

@@ -14,7 +14,7 @@ from effectus import (
     falsum,
     hom_check,
 )
-from effectus.discrete import FiniteSet, NondetChain, SetsChain, complement
+from effectus.kleisli import FiniteSet, NondetChain, SetsChain, complement
 
 SETS = SetsChain()
 NONDET = NondetChain()

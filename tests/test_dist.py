@@ -13,8 +13,7 @@ from effectus import (
     derive_instrument,
     side_effect,
 )
-from effectus.discrete import FiniteSet
-from effectus.dist import DistChain, FuzzyPred, SubDist, dirac, fuzzy
+from effectus.kleisli import DistChain, FiniteSet, FuzzyPred, SubDist, dirac, fuzzy
 
 DIST = DistChain()
 

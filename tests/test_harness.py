@@ -10,8 +10,7 @@ import pytest
 
 from effectus import INSTANCES, STAR
 from effectus.core import Arrow
-from effectus.discrete import SetsChain
-from effectus.dist import DistChain, SubDist
+from effectus.kleisli import DistChain, SetsChain, SubDist
 from effectus.harness import (
     DEFAULT_SEED,
     LAW_CASES,
@@ -252,6 +251,29 @@ def test_tolerance_override_leaves_exact_instances_passing():
     spec = _spec("dist", "quotient-adjunction", cases=6,
                  bounds={"tolerance": 1e-15})
     assert run_suite([spec])["ok"]
+
+
+class _ScaledDistTranspose(DistChain):
+    """Divides the weights of its quotient transposes by a factor given
+    when the instance is made."""
+
+    def __init__(self, factor=1):
+        self.factor = factor
+
+    def transpose_quotient(self, X, p, f):
+        g = super().transpose_quotient(X, p, f)
+        return Arrow(g.src, g.dst,
+                     {x: SubDist(tuple((a, w / self.factor) for a, w in d.weights))
+                      for x, d in g.data.items()})
+
+
+@pytest.mark.parametrize("bounds", [{}, {"tolerance": 0.0}],
+                         ids=["instance-tolerance", "given-tolerance"])
+def test_tolerance_override_keeps_instance_state(bounds):
+    inst = _ScaledDistTranspose(factor=2)
+    spec = _spec("dist", "quotient-adjunction", cases=10, bounds=bounds)
+    assert run_law(inst, spec).failures > 0
+    assert inst.eq_tol == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     derive_instrument,
     falsum,
     hom_check,
-    kleisli_compose,
     side_effect,
     truth,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "derive_instrument",
     "falsum",
     "hom_check",
-    "kleisli_compose",
     "side_effect",
     "truth",
     "INSTANCES",

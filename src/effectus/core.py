@@ -10,6 +10,10 @@ predicate poset over every object and four pieces of structure:
   * a comprehension construction with its counit arrow, right adjoint
     to truth.
 
+Each construction carries its own transpose (the universal property),
+closed over what building it computed, so a transpose never rebuilds
+the construction it belongs to.
+
 On top of those hooks this module derives assert maps (comprehension
 counit after quotient unit), instruments (both asserts combined into one
 total map), and the side-effect test for a predicate.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 
 class ChainError(Exception):
@@ -107,18 +111,26 @@ class Arrow:
 
 @dataclass(frozen=True, eq=False)
 class QuotientResult:
-    """Quotient object together with its unit arrow X -> X/p."""
+    """Quotient object X/p together with its unit arrow X -> X/p and its
+    universal property: `transpose` sends f: X -> Y collapsing p (a hom
+    (X,p) -> falsum Y) to the mediating arrow X/p -> Y, and raises
+    HomConditionError for any other f."""
 
     obj: Any
     unit: Arrow
+    transpose: Callable[[Arrow], Arrow]
 
 
 @dataclass(frozen=True, eq=False)
 class ComprehensionResult:
-    """Comprehension object together with its counit arrow {X|p} -> X."""
+    """Comprehension object {X|p} together with its counit arrow
+    {X|p} -> X and its universal property: `transpose` sends f: Y -> X
+    landing where p holds (a hom truth Y -> (X,p)) to the mediating arrow
+    Y -> {X|p}, and raises HomConditionError for any other f."""
 
     obj: Any
     counit: Arrow
+    transpose: Callable[[Arrow], Arrow]
 
 
 class ChainInstance(ABC):
@@ -211,15 +223,11 @@ class ChainInstance(ABC):
     def comprehension(self, X, p) -> ComprehensionResult:
         ...
 
-    @abstractmethod
     def transpose_quotient(self, X, p, f: Arrow) -> Arrow:
-        """f: X -> Y collapsing p (a hom (X,p) -> falsum Y) becomes the
-        mediating arrow X/p -> Y.  Raises HomConditionError otherwise."""
+        return self.quotient(X, p).transpose(f)
 
-    @abstractmethod
     def transpose_comprehension(self, X, p, f: Arrow) -> Arrow:
-        """f: Y -> X landing where p holds (a hom truth Y -> (X,p)) becomes
-        the mediating arrow Y -> {X|p}.  Raises HomConditionError otherwise."""
+        return self.comprehension(X, p).transpose(f)
 
     def untranspose_quotient(self, X, p, g: Arrow) -> Arrow:
         q = self.quotient(X, p)
@@ -325,11 +333,6 @@ class ChainInstance(ABC):
 
 
 # ---- generic operations over an instance ---------------------------
-
-
-def kleisli_compose(inst: ChainInstance, g: Arrow, f: Arrow) -> Arrow:
-    """Composition in the instance's category of partial maps."""
-    return inst.compose(g, f)
 
 
 def truth(inst: ChainInstance, X) -> PredObject:

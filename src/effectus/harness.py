@@ -49,6 +49,12 @@ class CaseSpec:
 
 @dataclass
 class LawReport:
+    """One law's verdict.  An exhaustive sweep also names what it left
+    out: `skipped` lists the {"X", "p", "Y"} triples whose candidate space
+    exceeds the enumeration cap, and `scan_skipped` counts the triples
+    that ran without the surjectivity scan, their hom set exceeding the
+    scan cap.  Neither goes into the JSON report."""
+
     instance: str
     law: str
     seed: int
@@ -56,6 +62,8 @@ class LawReport:
     failures: int = 0
     max_residual: float = 0.0
     witnesses: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
+    scan_skipped: int = 0
 
     def record(self, residual: float, ok: bool, witness=None):
         self.cases += 1
@@ -149,14 +157,14 @@ def _case_truth_falsum(inst, rng, bounds, tol):
     p = inst.rand_pred(rng, X, bounds)
     says_q = hom_check(inst, f, PredObject(X, p), falsum(inst, Y))
     try:
-        inst.transpose_quotient(X, p, f)
+        inst.quotient(X, p).transpose(f)
         accepts_q = True
     except ChainError:
         accepts_q = False
     g = inst.rand_arrow(rng, Y, X, bounds)
     says_c = hom_check(inst, g, truth(inst, Y), PredObject(X, p))
     try:
-        inst.transpose_comprehension(X, p, g)
+        inst.comprehension(X, p).transpose(g)
         accepts_c = True
     except ChainError:
         accepts_c = False
@@ -174,12 +182,12 @@ def _case_truth_falsum(inst, rng, bounds, tol):
 
 class _Side(NamedTuple):
     """One direction of the adjunction at a fixed (X, p), its construction
-    built once.  The quotient is left adjoint to falsum: a hom
-    (X, p) -> falsum Y factors through the unit X -> X/p.  The
-    comprehension is right adjoint to truth: a hom truth Y -> (X, p)
-    factors through the counit {X|p} -> X.  `ends(A, Y)` orders the
-    endpoints of an arrow between A, the carrier for mediating maps or X
-    for homs, and the other object Y."""
+    built once; the transpose is the one the construction carries.  The
+    quotient is left adjoint to falsum: a hom (X, p) -> falsum Y factors
+    through the unit X -> X/p.  The comprehension is right adjoint to
+    truth: a hom truth Y -> (X, p) factors through the counit {X|p} -> X.
+    `ends(A, Y)` orders the endpoints of an arrow between A, the carrier
+    for mediating maps or X for homs, and the other object Y."""
 
     carrier: Any
     ends: Callable
@@ -197,16 +205,14 @@ def _side(inst, which, X, p) -> _Side:
                 q.obj, lambda A, Y: (A, Y),
                 lambda Y: (PredObject(X, p), falsum(inst, Y)),
                 lambda rng, Y, b: inst.rand_quotient_hom(rng, X, p, Y, b),
-                lambda f: inst.transpose_quotient(X, p, f),
-                lambda g: inst.compose(g, q.unit))
+                q.transpose, lambda g: inst.compose(g, q.unit))
         case "comprehension":
             c = inst.comprehension(X, p)
             return _Side(
                 c.obj, lambda A, Y: (Y, A),
                 lambda Y: (truth(inst, Y), PredObject(X, p)),
                 lambda rng, Y, b: inst.rand_comprehension_hom(rng, X, p, Y, b),
-                lambda f: inst.transpose_comprehension(X, p, f),
-                lambda g: inst.compose(c.counit, g))
+                c.transpose, lambda g: inst.compose(c.counit, g))
     raise ValueError(f"unknown adjunction {which!r}")
 
 
@@ -329,9 +335,9 @@ def _case_cp_sanity(inst, rng, bounds, tol):
     q = inst.quotient(X, p)
     c = inst.comprehension(X, p)
     fq = inst.rand_quotient_hom(rng, X, p, Y, bounds)
-    gq = inst.transpose_quotient(X, p, fq)
+    gq = q.transpose(fq)
     fc = inst.rand_comprehension_hom(rng, X, p, Y, bounds)
-    gc = inst.transpose_comprehension(X, p, fc)
+    gc = c.transpose(fc)
     canonical = {
         "quotient_unit": q.unit,
         "comprehension_counit": c.counit,
@@ -471,7 +477,10 @@ def applicable_laws(inst) -> list:
 def _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap):
     side = _side(inst, which, X, p)
     ends = side.ends(side.carrier, Y)
+    triple = {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
+              "Y": inst.object_to_json(Y)}
     if inst.count_arrows(*ends) > cap:
+        report.skipped.append(triple)
         return
     detail = None
     composites = set()
@@ -486,7 +495,9 @@ def _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap):
             detail = {"round_trip": inst.arrow_to_json(g)}
             break
     homs = side.ends(X, Y)
-    if detail is None and inst.count_arrows(*homs) <= scan_cap:
+    if detail is None and inst.count_arrows(*homs) > scan_cap:
+        report.scan_skipped += 1
+    elif detail is None:
         src_obj, dst_obj = side.hom_objects(Y)
         n_homs = 0
         for f in inst.iter_arrows(*homs):
@@ -498,8 +509,7 @@ def _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap):
         if detail is None and n_homs != len(composites):
             detail = {"hom_count": n_homs, "candidate_count": len(composites)}
     if detail is not None:
-        detail.update({"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
-                       "Y": inst.object_to_json(Y), "which": which})
+        detail.update(triple, which=which)
     report.record(0.0 if detail is None else 1.0, detail is None, detail)
 
 
@@ -514,7 +524,8 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     candidate space is at most `enumeration_cap`.  The surjectivity
     cross-check additionally re-derives the hom set through the generic
     substitution route, which costs a hom_check per arrow, so it gets
-    the tighter `scan_cap`."""
+    the tighter `scan_cap`.  The report names the triples over either
+    budget in `skipped` and `scan_skipped`."""
     law = f"{which}-adjunction"
     report = LawReport(inst.name, law, seed)
     cap = bounds.get("enumeration_cap", ENUMERATION_CAP)

@@ -249,52 +249,48 @@ class KleisliChain(ChainInstance):
 
     # ---- quotient / comprehension ----
 
-    def _uncertain(self, X, p) -> FiniteSet:
-        """The atoms where p < 1: the quotient carrier."""
-        return FiniteSet(tuple(a for a in X if self._val(p, a) != 1))
-
     def _certain(self, X, p) -> FiniteSet:
         """The atoms where p = 1: the comprehension carrier."""
         return FiniteSet(tuple(a for a in X if self._val(p, a) == 1))
 
     def quotient(self, X, p) -> QuotientResult:
-        """The unit keeps each atom x with weight 1 - p(x) and aborts
-        otherwise."""
-        obj = self._uncertain(X, p)
-        unit = {x: self._scale(self._eta(x), 1 - self._val(p, x)) for x in X}
-        return QuotientResult(obj, Arrow(X, obj, unit))
+        """The carrier is the atoms where p < 1, and the unit keeps each
+        atom x with weight 1 - p(x) and aborts otherwise.  The transpose
+        divides that weight back out: it requires f to put mass at most
+        1 - p(x) on atoms at every x, so atoms where p = 1, outside the
+        carrier, must abort entirely."""
+        keep = {x: 1 - self._val(p, x) for x in X}
+        obj = FiniteSet(tuple(x for x in X if keep[x]))
+
+        def transpose(f: Arrow) -> Arrow:
+            for x in X:
+                if self._mass(f.data[x]) > keep[x]:
+                    raise HomConditionError(f"{self.name}: mass {self._mass(f.data[x])} "
+                                            f"at {x!r} exceeds 1 - p = {keep[x]}")
+            return Arrow(obj, f.dst, {x: f.data[x] if keep[x] == 1
+                                      else self._scale(f.data[x], 1 / keep[x])
+                                      for x in obj})
+
+        unit = {x: self._scale(self._eta(x), keep[x]) for x in X}
+        return QuotientResult(obj, Arrow(X, obj, unit), transpose)
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """A map out of truth lands in p exactly when all its mass sits
-        where p = 1, so the carrier is those atoms and the counit their
-        inclusion."""
+        where p = 1, so the carrier is those atoms, the counit their
+        inclusion, and the transpose the same table with the carrier as
+        target."""
         obj = self._certain(X, p)
-        return ComprehensionResult(obj, Arrow(obj, X, {x: self._eta(x) for x in obj}))
 
-    def transpose_quotient(self, X, p, f: Arrow) -> Arrow:
-        """Divide out the weight the unit sends to *: requires f to put
-        mass at most 1 - p(x) on atoms at every x, so atoms where p = 1,
-        outside the carrier, must abort entirely."""
-        for x in X:
-            keep = 1 - self._val(p, x)
-            if self._mass(f.data[x]) > keep:
-                raise HomConditionError(f"{self.name}: mass {self._mass(f.data[x])} "
-                                        f"at {x!r} exceeds 1 - p = {keep}")
-        obj = self._uncertain(X, p)
-        table = {}
-        for x in obj:
-            keep = 1 - self._val(p, x)
-            table[x] = f.data[x] if keep == 1 else self._scale(f.data[x], 1 / keep)
-        return Arrow(obj, f.dst, table)
+        def transpose(f: Arrow) -> Arrow:
+            for y, d in f.data.items():
+                for x in self._support(d):
+                    if x not in obj:
+                        raise HomConditionError(f"{self.name}: image of {y!r} reaches "
+                                                f"{x!r}, outside the comprehension carrier")
+            return Arrow(f.src, obj, dict(f.data))
 
-    def transpose_comprehension(self, X, p, f: Arrow) -> Arrow:
-        obj = self._certain(X, p)
-        for y, d in f.data.items():
-            for x in self._support(d):
-                if x not in obj:
-                    raise HomConditionError(f"{self.name}: image of {y!r} reaches "
-                                            f"{x!r}, outside the comprehension carrier")
-        return Arrow(f.src, obj, dict(f.data))
+        counit = Arrow(obj, X, {x: self._eta(x) for x in obj})
+        return ComprehensionResult(obj, counit, transpose)
 
     # ---- assert / instrument ----
 

@@ -235,32 +235,34 @@ class FpChain(ChainInstance):
     # ---- quotient / comprehension ----
 
     def quotient(self, X, p: FpSubspace) -> QuotientResult:
+        """Coordinates along the complement basis; a map killing p is
+        determined by its values on that basis."""
         obj = FpSpace(X.p, X.dim - p.rank)
-        return QuotientResult(obj, Arrow(X, obj, _coords_matrix(p)))
+        comp = _complement_rows(p)
+
+        def transpose(f: Arrow) -> Arrow:
+            for row in p.rows:
+                if any(mat_vec(f.data, row, X.p)):
+                    raise HomConditionError(f"fp: {row!r} is not in the kernel")
+            cols = tuple(mat_vec(f.data, v, X.p) for v in comp)
+            mat = tuple(tuple(cols[j][i] for j in range(len(comp)))
+                        for i in range(f.dst.dim))
+            return Arrow(obj, f.dst, mat)
+
+        return QuotientResult(obj, Arrow(X, obj, _coords_matrix(p)), transpose)
 
     def comprehension(self, X, p: FpSubspace) -> ComprehensionResult:
         obj = FpSpace(X.p, p.rank)
         mat = tuple(tuple(p.rows[j][i] for j in range(p.rank))
                     for i in range(X.dim))
-        return ComprehensionResult(obj, Arrow(obj, X, mat))
 
-    def transpose_quotient(self, X, p, f: Arrow) -> Arrow:
-        for row in p.rows:
-            if any(mat_vec(f.data, row, X.p)):
-                raise HomConditionError(f"fp: {row!r} is not in the kernel")
-        comp = _complement_rows(p)
-        cols = tuple(mat_vec(f.data, v, X.p) for v in comp)
-        mat = tuple(tuple(cols[j][i] for j in range(len(comp)))
-                    for i in range(f.dst.dim))
-        return Arrow(FpSpace(X.p, X.dim - p.rank), f.dst, mat)
+        def transpose(f: Arrow) -> Arrow:
+            if any(any(row) for row in mat_mul(_coords_matrix(p), f.data, X.p)):
+                raise HomConditionError("fp: image is not inside the subspace")
+            # Echelon basis coordinates can be read off at the pivot columns.
+            return Arrow(f.src, obj, tuple(f.data[c] for c in p.pivots))
 
-    def transpose_comprehension(self, X, p, f: Arrow) -> Arrow:
-        proj = _coords_matrix(p)
-        if any(any(row) for row in mat_mul(proj, f.data, X.p)):
-            raise HomConditionError("fp: image is not inside the subspace")
-        # Echelon basis coordinates can be read off at the pivot columns.
-        mat = tuple(f.data[c] for c in p.pivots)
-        return Arrow(f.src, FpSpace(X.p, p.rank), mat)
+        return ComprehensionResult(obj, Arrow(obj, X, mat), transpose)
 
     # ---- sampling and enumeration ----
 
@@ -444,25 +446,28 @@ class HilbChain(ChainInstance):
     # ---- quotient / comprehension ----
 
     def quotient(self, X, p: Subspace) -> QuotientResult:
+        """Coordinates along an orthonormal basis w of the orthocomplement;
+        a map killing p factors as f w."""
         w = la.orthonormal_complement(p.basis, X.dim)
         obj = HilbSpace(w.shape[1])
-        return QuotientResult(obj, Arrow(X, obj, la.dagger(w)))
+
+        def transpose(f: Arrow) -> Arrow:
+            if p.rank and la.max_abs(f.data @ p.basis) > self.hom_tol:
+                raise HomConditionError("hilb: subspace is not inside the kernel")
+            return Arrow(obj, f.dst, f.data @ w)
+
+        return QuotientResult(obj, Arrow(X, obj, la.dagger(w)), transpose)
 
     def comprehension(self, X, p: Subspace) -> ComprehensionResult:
         obj = HilbSpace(p.rank)
-        return ComprehensionResult(obj, Arrow(obj, X, p.basis.copy()))
 
-    def transpose_quotient(self, X, p, f: Arrow) -> Arrow:
-        if p.rank and la.max_abs(f.data @ p.basis) > self.hom_tol:
-            raise HomConditionError("hilb: subspace is not inside the kernel")
-        w = la.orthonormal_complement(p.basis, X.dim)
-        return Arrow(HilbSpace(w.shape[1]), f.dst, f.data @ w)
+        def transpose(f: Arrow) -> Arrow:
+            off = np.eye(X.dim, dtype=complex) - p.projector()
+            if la.max_abs(off @ f.data) > self.hom_tol:
+                raise HomConditionError("hilb: image is not inside the subspace")
+            return Arrow(f.src, obj, la.dagger(p.basis) @ f.data)
 
-    def transpose_comprehension(self, X, p, f: Arrow) -> Arrow:
-        off = np.eye(X.dim, dtype=complex) - p.projector()
-        if la.max_abs(off @ f.data) > self.hom_tol:
-            raise HomConditionError("hilb: image is not inside the subspace")
-        return Arrow(f.src, HilbSpace(p.rank), la.dagger(p.basis) @ f.data)
+        return ComprehensionResult(obj, Arrow(obj, X, p.basis.copy()), transpose)
 
     # ---- orthogonal decomposition (the quotient-side structure) ----
 

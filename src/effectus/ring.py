@@ -76,8 +76,8 @@ class ZProductRing(FiniteRing):
         for m in self.moduli:
             if not isinstance(m, int) or m < 2:
                 raise ValidationError(f"modulus {m!r} must be an int >= 2")
-        elts = tuple(sorted(product(*(range(m) for m in self.moduli)), key=atom_key))
-        object.__setattr__(self, "_elts", elts)
+        # product() of ranges is already in atom_key order
+        object.__setattr__(self, "_elts", tuple(product(*(range(m) for m in self.moduli))))
 
     @property
     def zero(self):
@@ -157,9 +157,9 @@ class PairRing(FiniteRing):
     _elts: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        elts = tuple(sorted(product(self.left.elements(), self.right.elements()),
-                            key=atom_key))
-        object.__setattr__(self, "_elts", elts)
+        # the product of two atom_key-sorted factors is atom_key-sorted
+        object.__setattr__(self, "_elts",
+                           tuple(product(self.left.elements(), self.right.elements())))
 
     @property
     def zero(self):
@@ -361,32 +361,36 @@ class RingChain(ChainInstance):
     # ---- quotient / comprehension ----
 
     def quotient(self, X, p) -> QuotientResult:
+        """The corner of the complement; a ring map sending 1 orthogonal
+        to p lands in it and transposes to the same table."""
         obj = IdealRing(X, self.ortho(X, p))
+
+        def transpose(f: Arrow) -> Arrow:
+            img_one = f.data[f.dst.one]
+            if X.mul(p, img_one) != X.zero:
+                raise HomConditionError(
+                    f"ring: image of 1 is {img_one!r}, not orthogonal to {p!r}"
+                )
+            return Arrow(obj, f.dst, dict(f.data))
+
         unit = Arrow(X, obj, {q: q for q in obj.elements()})
-        return QuotientResult(obj, unit)
+        return QuotientResult(obj, unit, transpose)
 
     def comprehension(self, X, p) -> ComprehensionResult:
+        """The corner of p; a ring map giving p and 1 the same image
+        transposes to its restriction to the corner."""
         obj = IdealRing(X, p)
+
+        def transpose(f: Arrow) -> Arrow:
+            img_one = f.data[X.one]
+            if f.data[p] != img_one:
+                raise HomConditionError(
+                    f"ring: {p!r} and 1 have distinct images {f.data[p]!r}, {img_one!r}"
+                )
+            return Arrow(f.src, obj, {c: f.data[c] for c in obj.elements()})
+
         counit = Arrow(obj, X, {x: X.mul(p, x) for x in X.elements()})
-        return ComprehensionResult(obj, counit)
-
-    def transpose_quotient(self, X, p, f: Arrow) -> Arrow:
-        img_one = f.data[f.dst.one]
-        if X.mul(p, img_one) != X.zero:
-            raise HomConditionError(
-                f"ring: image of 1 is {img_one!r}, not orthogonal to {p!r}"
-            )
-        obj = IdealRing(X, self.ortho(X, p))
-        return Arrow(obj, f.dst, dict(f.data))
-
-    def transpose_comprehension(self, X, p, f: Arrow) -> Arrow:
-        img_one = f.data[X.one]
-        if f.data[p] != img_one:
-            raise HomConditionError(
-                f"ring: {p!r} and 1 have distinct images {f.data[p]!r}, {img_one!r}"
-            )
-        obj = IdealRing(X, p)
-        return Arrow(f.src, obj, {c: f.data[c] for c in obj.elements()})
+        return ComprehensionResult(obj, counit, transpose)
 
     # ---- assert / instrument / decomposition ----
 

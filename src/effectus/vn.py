@@ -259,6 +259,9 @@ class VnChain(ChainInstance):
     # ---- quotient / comprehension ----
 
     def quotient(self, X, p) -> QuotientResult:
+        """The corner of the support of s = 1 - p, with unit
+        a -> sqrt(s) a sqrt(s).  A map f with f(1) <= s transposes by
+        conjugating with the pseudoinverse roots and compressing."""
         s = self.ortho(X, p)
         corner = _Corner(X, [la.support_proj(b) for b in s])
         roots = [la.op_sqrt(b) for b in s]
@@ -267,45 +270,42 @@ class VnChain(ChainInstance):
             emb = corner.embed(b)
             return tuple(r @ blk @ r for r, blk in zip(roots, emb))
 
+        def transpose(f: Arrow) -> Arrow:
+            img_one = self.apply(f, f.dst.one())
+            for sb, ub in zip(s, img_one):
+                gap = ((sb - ub) + la.dagger(sb - ub)) / 2
+                w, _ = la.hermitian_eig(gap)
+                if w.size and float(w.min()) < -self.hom_tol:
+                    raise HomConditionError(
+                        f"vn: image of 1 exceeds the complement by {-float(w.min()):.3g}")
+            pinv_roots = [la.op_pinv(r) for r in roots]
+
+            def g_fn(b):
+                a = self.apply(f, b)
+                conj = tuple(r @ blk @ r for r, blk in zip(pinv_roots, a))
+                return corner.compress(conj)
+
+            return self.from_fn(corner.algebra, f.dst, g_fn)
+
         return QuotientResult(corner.algebra,
-                              self.from_fn(X, corner.algebra, unit_fn))
+                              self.from_fn(X, corner.algebra, unit_fn), transpose)
 
     def comprehension(self, X, p) -> ComprehensionResult:
+        """The corner of the eigenvalue-1 projection of p; a map giving p
+        and 1 the same image transposes through the embedding."""
         corner = _Corner(X, [la.unit_proj(b) for b in p])
+
+        def transpose(f: Arrow) -> Arrow:
+            gap = elt_residual(self.apply(f, p), self.apply(f, X.one()))
+            if gap > self.hom_tol:
+                raise HomConditionError(
+                    f"vn: predicate and 1 have images {gap:.3g} apart")
+            return self.from_fn(f.src, corner.algebra,
+                                lambda b: self.apply(f, corner.embed(b)))
+
         return ComprehensionResult(
             corner.algebra,
-            self.from_fn(corner.algebra, X, corner.compress))
-
-    def transpose_quotient(self, X, p, f: Arrow) -> Arrow:
-        s = self.ortho(X, p)
-        img_one = self.apply(f, f.dst.one())
-        for sb, ub in zip(s, img_one):
-            gap = ((sb - ub) + la.dagger(sb - ub)) / 2
-            w, _ = la.hermitian_eig(gap)
-            if w.size and float(w.min()) < -self.hom_tol:
-                raise HomConditionError(
-                    f"vn: image of 1 exceeds the complement by {-float(w.min()):.3g}")
-        corner = _Corner(X, [la.support_proj(b) for b in s])
-        pinv_roots = [la.op_pinv(la.op_sqrt(b)) for b in s]
-
-        def g_fn(b):
-            a = self.apply(f, b)
-            conj = tuple(r @ blk @ r for r, blk in zip(pinv_roots, a))
-            return corner.compress(conj)
-
-        return self.from_fn(corner.algebra, f.dst, g_fn)
-
-    def transpose_comprehension(self, X, p, f: Arrow) -> Arrow:
-        gap = elt_residual(self.apply(f, p), self.apply(f, X.one()))
-        if gap > self.hom_tol:
-            raise HomConditionError(
-                f"vn: predicate and 1 have images {gap:.3g} apart")
-        corner = _Corner(X, [la.unit_proj(b) for b in p])
-
-        def g_fn(b):
-            return self.apply(f, corner.embed(b))
-
-        return self.from_fn(f.src, corner.algebra, g_fn)
+            self.from_fn(corner.algebra, X, corner.compress), transpose)
 
     # ---- assert / instrument / sequential product ----
 

@@ -5,6 +5,7 @@ prints a single verdict line; run with `pytest -s tests/test_acceptance.py`
 to see the lines.  Budgets and tolerances are asserted, not aspirational.
 """
 
+import dataclasses
 import functools
 import json
 import random
@@ -220,6 +221,15 @@ def _seeded_adjunction_reports():
     return run_suite(specs)
 
 
+# The triples whose candidate space exceeds the enumeration cap: |X| = |Y| = 4
+# with p = {} or p = X in nondet, 31**4 candidate maps each.
+SKIPPED_OVER_CAP = {
+    ("nondet", "quotient"): [{"X": [1, 2, 3, 4], "p": [], "Y": [1, 2, 3, 4]}],
+    ("nondet", "comprehension"): [{"X": [1, 2, 3, 4], "p": [1, 2, 3, 4],
+                                   "Y": [1, 2, 3, 4]}],
+}
+
+
 def test_adjunction_round_trips():
     t0 = time.monotonic()
     problems = []
@@ -227,6 +237,8 @@ def test_adjunction_round_trips():
         if report.failures or report.cases == 0:
             problems.append(f"{name} {which}: {report.failures} failures "
                             f"in {report.cases} cases")
+        if report.skipped != SKIPPED_OVER_CAP.get((name, which), []):
+            problems.append(f"{name} {which}: skipped {report.skipped}")
     seeded = _seeded_adjunction_reports()
     for rep in seeded["reports"]:
         if rep["failures"]:
@@ -239,9 +251,15 @@ def test_adjunction_round_trips():
     if elapsed >= 60:
         problems.append(f"took {elapsed:.1f}s, budget 60s")
     total = sum(r.cases for r in _exhaustive_reports().values())
+    skipped = sum(len(r.skipped) for r in _exhaustive_reports().values())
+    unscanned = ", ".join(f"{name} {which} {r.scan_skipped}"
+                          for (name, which), r in _exhaustive_reports().items()
+                          if r.scan_skipped)
     _verdict("adjunction round-trips both directions", not problems,
-             "; ".join(problems) or f"{total} exhaustive triples + "
-             f"500 dist / 200 hilb / 200 vn seeded per direction, {elapsed:.1f}s")
+             "; ".join(problems) or f"{total} exhaustive triples "
+             f"({skipped} over the enumeration cap; without the hom-set scan: "
+             f"{unscanned}) + 500 dist / 200 hilb / 200 vn seeded per "
+             f"direction, {elapsed:.1f}s")
 
 
 def test_mediating_map_uniqueness():
@@ -481,27 +499,43 @@ def test_ring_decomposition():
 # ---------------------------------------------------------------------------
 
 
+# Each corruption overrides a construction and damages the transpose it
+# carries.
+
+
+def _halved(g):
+    data = {x: SubDist(tuple((a, w / 2) for a, w in d.weights))
+            for x, d in g.data.items()}
+    return Arrow(g.src, g.dst, data)
+
+
+def _aborting(g):
+    return Arrow(g.src, g.dst, {x: STAR for x in g.src})
+
+
+def _skewed(g):
+    data = np.array(g.data, dtype=complex)
+    if data.size:
+        data[0, 0] += 0.05
+    return Arrow(g.src, g.dst, data)
+
+
 class _HalvedDistTranspose(DistChain):
-    def transpose_quotient(self, X, p, f):
-        g = super().transpose_quotient(X, p, f)
-        data = {x: SubDist(tuple((a, w / 2) for a, w in d.weights))
-                for x, d in g.data.items()}
-        return Arrow(g.src, g.dst, data)
+    def quotient(self, X, p):
+        q = super().quotient(X, p)
+        return dataclasses.replace(q, transpose=lambda f: _halved(q.transpose(f)))
 
 
 class _AbortingSetsTranspose(type(INSTANCES["sets"])):
-    def transpose_quotient(self, X, p, f):
-        g = super().transpose_quotient(X, p, f)
-        return Arrow(g.src, g.dst, {x: STAR for x in g.src})
+    def quotient(self, X, p):
+        q = super().quotient(X, p)
+        return dataclasses.replace(q, transpose=lambda f: _aborting(q.transpose(f)))
 
 
 class _SkewVnTranspose(VnChain):
-    def transpose_comprehension(self, X, p, f):
-        g = super().transpose_comprehension(X, p, f)
-        data = np.array(g.data, dtype=complex)
-        if data.size:
-            data[0, 0] += 0.05
-        return Arrow(g.src, g.dst, data)
+    def comprehension(self, X, p):
+        c = super().comprehension(X, p)
+        return dataclasses.replace(c, transpose=lambda f: _skewed(c.transpose(f)))
 
 
 def test_cli_contract(tmp_path, monkeypatch, capsys):

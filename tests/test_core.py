@@ -16,11 +16,11 @@ from effectus import (
     falsum,
     get_instance,
     hom_check,
-    kleisli_compose,
     side_effect,
     truth,
     INSTANCES,
 )
+from effectus.core import ChainInstance
 from effectus.kleisli import DistChain, FiniteSet, SetsChain, SubDist, dirac, fuzzy
 
 SETS = SetsChain()
@@ -51,7 +51,7 @@ def test_kleisli_partial_function_composite():
     Z = FiniteSet(("z",))
     f = SETS.arrow(X, Y, {1: "a", 2: STAR})
     g = SETS.arrow(Y, Z, {"a": "z"})
-    gf = kleisli_compose(SETS, g, f)
+    gf = SETS.compose(g, f)
     assert gf.data == {1: "z", 2: STAR}
 
 
@@ -61,7 +61,7 @@ def test_kleisli_subdistribution_composite():
     Z = FiniteSet(("z",))
     f = DIST.arrow(X, Y, {"x": SubDist((("y", Fraction(1, 2)),))})
     g = DIST.arrow(Y, Z, {"y": SubDist((("z", Fraction(1, 3)),))})
-    gf = kleisli_compose(DIST, g, f)
+    gf = DIST.compose(g, f)
     # half the mass reaches y, a third of that reaches z
     assert gf.data["x"].weights == (("z", Fraction(1, 6)),)
     assert gf.data["x"].mass == Fraction(1, 6)
@@ -72,8 +72,8 @@ def test_identity_is_a_unit(name):
     inst = INSTANCES[name]
     for seed in range(8):
         X, Y, _, _, f = sample_case(inst, seed)
-        assert inst.maps_equal(kleisli_compose(inst, inst.identity(Y), f), f)
-        assert inst.maps_equal(kleisli_compose(inst, f, inst.identity(X)), f)
+        assert inst.maps_equal(inst.compose(inst.identity(Y), f), f)
+        assert inst.maps_equal(inst.compose(f, inst.identity(X)), f)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -87,8 +87,8 @@ def test_composition_associates(name):
         f = inst.rand_arrow(rng, X, Y, BOUNDS)
         g = inst.rand_arrow(rng, Y, Z, BOUNDS)
         h = inst.rand_arrow(rng, Z, inst.rand_object(rng, BOUNDS, like=X), BOUNDS)
-        lhs = kleisli_compose(inst, h, kleisli_compose(inst, g, f))
-        rhs = kleisli_compose(inst, kleisli_compose(inst, h, g), f)
+        lhs = inst.compose(h, inst.compose(g, f))
+        rhs = inst.compose(inst.compose(h, g), f)
         assert inst.maps_equal(lhs, rhs)
 
 
@@ -99,7 +99,7 @@ def test_composing_mismatched_endpoints_raises():
     f = SETS.arrow(X, Y, {1: "a"})
     h = SETS.arrow(Z, Z, {"z": "z"})
     with pytest.raises(CompositionError):
-        kleisli_compose(SETS, h, f)
+        SETS.compose(h, f)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_substitution_is_functorial(name):
         f = inst.rand_arrow(rng, X, Y, BOUNDS)
         g = inst.rand_arrow(rng, Y, Z, BOUNDS)
         r = inst.rand_pred(rng, Z, BOUNDS)
-        via_composite = inst.subst(kleisli_compose(inst, g, f), r)
+        via_composite = inst.subst(inst.compose(g, f), r)
         via_stages = inst.subst(f, inst.subst(g, r))
         assert inst.preds_equal(X, via_composite, via_stages)
         p = inst.rand_pred(rng, X, BOUNDS)
@@ -251,7 +251,7 @@ def test_assert_idempotent_on_sharp_predicates(name):
             continue
         hits += 1
         asrt = derive_assert(inst, X, p)
-        assert inst.maps_equal(kleisli_compose(inst, asrt, asrt), asrt)
+        assert inst.maps_equal(inst.compose(asrt, asrt), asrt)
     assert hits > 0
 
 
@@ -267,6 +267,15 @@ def test_registry_names_are_canonical():
     for name, inst in INSTANCES.items():
         assert inst.name == name
         assert get_instance(name) is inst
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_transposes_are_carried_by_the_constructions(name):
+    # an instance writes each transpose once, inside its quotient or
+    # comprehension; the instance-level names are shorthands for those
+    cls = type(INSTANCES[name])
+    assert cls.transpose_quotient is ChainInstance.transpose_quotient
+    assert cls.transpose_comprehension is ChainInstance.transpose_comprehension
 
 
 def test_unknown_instance_is_reported():

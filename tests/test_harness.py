@@ -1,6 +1,7 @@
 """Law-checking engine: report schema, determinism, law coverage,
 mutation detection, and the default suite's composition."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from effectus import INSTANCES, STAR
 from effectus.core import Arrow
-from effectus.kleisli import DistChain, SetsChain, SubDist
+from effectus.kleisli import DistChain, NondetChain, SetsChain, SubDist
 from effectus.harness import (
     DEFAULT_SEED,
     LAW_CASES,
@@ -22,6 +23,7 @@ from effectus.harness import (
     applicable_laws,
     default_suite,
     gen_case,
+    run_exhaustive_adjunction,
     run_law,
     run_suite,
 )
@@ -230,6 +232,42 @@ def test_exhaustive_adjunction_specs_pass():
         assert r["cases"] > 0
 
 
+def _triples(inst, bounds):
+    objs = list(inst.iter_objects(bounds))
+    return [(X, p, Y) for X in objs for p in inst.iter_preds(X) for Y in objs
+            if inst.comparable_objects(X, Y)]
+
+
+@pytest.mark.parametrize("which", ("quotient", "comprehension"))
+def test_exhaustive_sweep_names_what_it_skips(which):
+    bounds = {"max_size": 2, "enumeration_cap": 5}
+    report = run_exhaustive_adjunction(INSTANCES["sets"], which, bounds)
+    assert report.cases > 0 and report.skipped
+    assert report.cases + len(report.skipped) == len(_triples(INSTANCES["sets"], bounds))
+    for triple in report.skipped:
+        assert set(triple) == {"X", "p", "Y"}
+    # the scan cap never exceeds the enumeration cap
+    assert 0 < report.scan_skipped <= report.cases
+    assert set(report.to_jsonable()) == REPORT_KEYS
+
+
+class _CountingNondet(NondetChain):
+    def __init__(self):
+        self.certain_calls = 0
+
+    def _certain(self, X, p):
+        self.certain_calls += 1
+        return super()._certain(X, p)
+
+
+def test_comprehension_transposes_do_not_rebuild_the_carrier():
+    inst = _CountingNondet()
+    bounds = {"max_size": 2}
+    report = run_exhaustive_adjunction(inst, "comprehension", bounds)
+    assert report.failures == 0 and report.cases > 0
+    assert inst.certain_calls == len(_triples(inst, bounds))
+
+
 # ---------------------------------------------------------------------------
 # Tolerance handling.
 # ---------------------------------------------------------------------------
@@ -260,11 +298,16 @@ class _ScaledDistTranspose(DistChain):
     def __init__(self, factor=1):
         self.factor = factor
 
-    def transpose_quotient(self, X, p, f):
-        g = super().transpose_quotient(X, p, f)
-        return Arrow(g.src, g.dst,
-                     {x: SubDist(tuple((a, w / self.factor) for a, w in d.weights))
-                      for x, d in g.data.items()})
+    def quotient(self, X, p):
+        q = super().quotient(X, p)
+
+        def transpose(f):
+            g = q.transpose(f)
+            return Arrow(g.src, g.dst,
+                         {x: SubDist(tuple((a, w / self.factor) for a, w in d.weights))
+                          for x, d in g.data.items()})
+
+        return dataclasses.replace(q, transpose=transpose)
 
 
 @pytest.mark.parametrize("bounds", [{}, {"tolerance": 0.0}],
@@ -293,14 +336,14 @@ def _abort_everywhere(g):
 
 
 def _corrupt(base, which, damage):
-    """An instance of `base` whose `which` transpose is passed through
-    `damage`; the other direction stays honest."""
-    op = f"transpose_{which}"
+    """An instance of `base` whose `which` construction carries a transpose
+    passed through `damage`; the other direction stays honest."""
 
-    def transpose(self, X, p, f):
-        return damage(getattr(base, op)(self, X, p, f))
+    def construct(self, X, p):
+        r = getattr(base, which)(self, X, p)
+        return dataclasses.replace(r, transpose=lambda f: damage(r.transpose(f)))
 
-    return type(f"Corrupt{base.__name__}", (base,), {op: transpose})()
+    return type(f"Corrupt{base.__name__}", (base,), {which: construct})()
 
 
 DIRECTIONS = ("quotient", "comprehension")
@@ -352,8 +395,11 @@ def test_honest_registry_is_untouched_by_override():
 
 def test_crashing_law_is_reported_not_raised():
     class Exploding(DistChain):
-        def transpose_quotient(self, X, p, f):
-            raise RuntimeError("boom")
+        def quotient(self, X, p):
+            def boom(f):
+                raise RuntimeError("boom")
+
+            return dataclasses.replace(super().quotient(X, p), transpose=boom)
 
     spec = _spec("dist", "quotient-adjunction", cases=3)
     result = run_suite([spec], instances={"dist": Exploding()})

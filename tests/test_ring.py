@@ -14,6 +14,7 @@ from effectus import (
     side_effect,
     truth,
 )
+from effectus.core import atom_key
 from effectus.ring import (
     IdealRing,
     PairRing,
@@ -316,6 +317,21 @@ def test_rings_up_to_bounds_and_order():
     moduli = {R.moduli for R in rings}
     assert (2, 2, 3) in moduli and (12,) in moduli and () in moduli
     assert all(t == tuple(sorted(t)) for t in moduli)
+
+
+def test_elements_are_listed_in_atom_key_order():
+    # the FiniteRing protocol: products list their elements sorted without
+    # a sort of their own, because their factors already are
+    checked = 0
+    for R in rings_up_to(16):
+        rings = [R, PairRing(R, R)]
+        for e in idempotents(R):
+            corner, rest = IdealRing(R, e), IdealRing(R, R.sub(R.one, e))
+            rings += [corner, PairRing(corner, rest)]
+        for S in rings:
+            assert list(S.elements()) == sorted(S.elements(), key=atom_key)
+            checked += 1
+    assert checked > 200
 
 
 def test_json_shapes():

@@ -1,7 +1,8 @@
 """Hermitian linear algebra kernels, cross-checked against numpy.linalg.
 
-The package's own eigensolver is a cyclic Jacobi sweep; numpy's eigh is
-used here purely as an independent oracle.
+The package's eigensolver wraps numpy's eigh with fixed phases and a
+fixed column order; these tests check that contract, and the spectral
+functions built on it, against numpy.linalg.
 """
 
 import math

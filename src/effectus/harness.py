@@ -49,12 +49,6 @@ class CaseSpec:
 
 @dataclass
 class LawReport:
-    """One law's verdict.  An exhaustive sweep also names what it left
-    out: `skipped` lists the {"X", "p", "Y"} triples whose candidate space
-    exceeds the enumeration cap, and `scan_skipped` counts the triples
-    that ran without the surjectivity scan, their hom set exceeding the
-    scan cap.  Neither goes into the JSON report."""
-
     instance: str
     law: str
     seed: int
@@ -62,6 +56,9 @@ class LawReport:
     failures: int = 0
     max_residual: float = 0.0
     witnesses: list = field(default_factory=list)
+    # What an exhaustive sweep left out, kept out of the JSON report: the
+    # {"X", "p", "Y"} triples over the enumeration cap, and the number of
+    # triples run without the hom-set scan, being over the scan cap.
     skipped: list = field(default_factory=list)
     scan_skipped: int = 0
 

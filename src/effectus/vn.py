@@ -265,10 +265,8 @@ class VnChain(ChainInstance):
         s = self.ortho(X, p)
         corner = _Corner(X, [la.support_proj(b) for b in s])
         roots = [la.op_sqrt(b) for b in s]
-
-        def unit_fn(b):
-            emb = corner.embed(b)
-            return tuple(r @ blk @ r for r, blk in zip(roots, emb))
+        unit = self.from_fn(X, corner.algebra, lambda b: tuple(
+            r @ a @ r for r, a in zip(roots, corner.embed(b))))
 
         def transpose(f: Arrow) -> Arrow:
             img_one = self.apply(f, f.dst.one())
@@ -279,16 +277,10 @@ class VnChain(ChainInstance):
                     raise HomConditionError(
                         f"vn: image of 1 exceeds the complement by {-float(w.min()):.3g}")
             pinv_roots = [la.op_pinv(r) for r in roots]
+            return self.from_fn(corner.algebra, f.dst, lambda b: corner.compress(
+                tuple(r @ a @ r for r, a in zip(pinv_roots, self.apply(f, b)))))
 
-            def g_fn(b):
-                a = self.apply(f, b)
-                conj = tuple(r @ blk @ r for r, blk in zip(pinv_roots, a))
-                return corner.compress(conj)
-
-            return self.from_fn(corner.algebra, f.dst, g_fn)
-
-        return QuotientResult(corner.algebra,
-                              self.from_fn(X, corner.algebra, unit_fn), transpose)
+        return QuotientResult(corner.algebra, unit, transpose)
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """The corner of the eigenvalue-1 projection of p; a map giving p
@@ -303,9 +295,8 @@ class VnChain(ChainInstance):
             return self.from_fn(f.src, corner.algebra,
                                 lambda b: self.apply(f, corner.embed(b)))
 
-        return ComprehensionResult(
-            corner.algebra,
-            self.from_fn(corner.algebra, X, corner.compress), transpose)
+        counit = self.from_fn(corner.algebra, X, corner.compress)
+        return ComprehensionResult(corner.algebra, counit, transpose)
 
     # ---- assert / instrument / sequential product ----
 

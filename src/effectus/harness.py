@@ -61,6 +61,7 @@ class LawReport:
     # triples run without the hom-set scan, being over the scan cap.
     skipped: list = field(default_factory=list)
     scan_skipped: int = 0
+    errors: int = 0  # cases that raised, also among the failures; not in JSON
 
     def record(self, residual: float, ok: bool, witness=None):
         self.cases += 1
@@ -564,6 +565,7 @@ def run_law(inst, spec: CaseSpec) -> LawReport:
         try:
             residual, ok, detail = case_fn(inst, rng, spec.bounds, tol)
         except Exception as exc:  # laws must report, not crash
+            report.errors += 1
             report.record(1.0, False, _wit(i, f"exception: {exc!r}"))
             continue
         report.record(residual, ok,

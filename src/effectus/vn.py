@@ -13,6 +13,7 @@ maps compose with everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,6 +92,23 @@ def superop_from_fn(src: MatrixAlgebra, dst: MatrixAlgebra, fn) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _offsets(A: MatrixAlgebra) -> list:
+    return list(accumulate((n * n for n in A.block_dims), initial=0))
+
+
+def kraus_superop(src: MatrixAlgebra, dst: MatrixAlgebra, terms) -> np.ndarray:
+    """Matrix of the element map b -> (sum of K b_j K^dagger over the terms
+    (i, j, K))_i, as a chain arrow src -> dst stores it.  vec is a
+    row-major reshape, so vec(K b K^dagger) = (K kron conj K) vec(b)."""
+    rows, cols = _offsets(src), _offsets(dst)
+    out = np.zeros((src.vdim, dst.vdim), dtype=complex)
+    for i, j, K in terms:
+        m, n = K.shape
+        out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] += (
+            K[:, None, :, None] * K.conj()[None, :, None, :]).reshape(m * m, n * n)
+    return out
+
+
 def elt_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -108,8 +126,8 @@ def check_effect(A: MatrixAlgebra, p, tol: float = 1e-9) -> None:
             raise ValidationError(f"block shape {b.shape} != ({n}, {n})")
         if not la.is_hermitian(b, tol):
             raise ValidationError("effect block is not Hermitian")
-        w, _ = la.hermitian_eig(b)
-        if w.size and (float(w.min()) < -tol or float(w.max()) > 1 + tol):
+        w = la.hermitian_eigvals(b)
+        if w.size and (float(w[-1]) < -tol or float(w[0]) > 1 + tol):
             raise ValidationError(f"spectrum {w} leaves [0, 1]")
 
 
@@ -117,7 +135,7 @@ def op_norm(elt) -> float:
     """Largest eigenvalue magnitude over the blocks of a Hermitian element."""
     worst = 0.0
     for b in elt:
-        w, _ = la.hermitian_eig(b)
+        w = la.hermitian_eigvals(b)
         if w.size:
             worst = max(worst, float(abs(w).max()))
     return worst
@@ -131,44 +149,32 @@ def spectral_norm(elt) -> float:
         m = np.asarray(b, dtype=complex)
         if not m.size:
             continue
-        w, _ = la.hermitian_eig(m.conj().T @ m)
+        w = la.hermitian_eigvals(m.conj().T @ m)
         if w.size:
-            worst = max(worst, float(np.sqrt(max(w.max(), 0.0))))
+            worst = max(worst, float(np.sqrt(max(w[0], 0.0))))
     return worst
 
 
 class _Corner:
     """A corner pAp presented as its own algebra plus the embedding data."""
 
-    __slots__ = ("algebra", "isoms", "parent")
+    __slots__ = ("algebra", "isoms")
 
     def __init__(self, parent: MatrixAlgebra, proj_blocks):
         isoms = []
-        dims = []
         for i, pr in enumerate(proj_blocks):
             V = la.gram_schmidt_columns(pr)
-            w, _ = la.hermitian_eig(pr)
-            eig_rank = int((w > 0.5).sum())
+            eig_rank = int((la.hermitian_eigvals(pr) > 0.5).sum())
             if V.shape[1] != eig_rank:
                 raise ValidationError("corner rank disagreement")
             if V.shape[1]:
                 isoms.append((i, V))
-                dims.append(V.shape[1])
-        self.parent = parent
         self.isoms = tuple(isoms)
-        if tuple(dims) == parent.block_dims and len(dims) == len(parent.block_dims):
+        dims = tuple(V.shape[1] for _, V in isoms)
+        if dims == parent.block_dims:
             self.algebra = parent
         else:
-            self.algebra = MatrixAlgebra(tuple(dims), (parent, self.isoms))
-
-    def compress(self, a) -> tuple:
-        return tuple(la.dagger(V) @ a[i] @ V for i, V in self.isoms)
-
-    def embed(self, b) -> tuple:
-        out = [np.zeros((n, n), dtype=complex) for n in self.parent.block_dims]
-        for (i, V), blk in zip(self.isoms, b):
-            out[i] = V @ blk @ la.dagger(V)
-        return tuple(out)
+            self.algebra = MatrixAlgebra(dims, (parent, self.isoms))
 
 
 class VnChain(ChainInstance):
@@ -236,8 +242,8 @@ class VnChain(ChainInstance):
 
     def pred_leq(self, X, p, q) -> bool:
         for pb, qb in zip(p, q):
-            w, _ = la.hermitian_eig(((qb - pb) + la.dagger(qb - pb)) / 2)
-            if w.size and float(w.min()) < -self.eq_tol:
+            w = la.hermitian_eigvals(((qb - pb) + la.dagger(qb - pb)) / 2)
+            if w.size and float(w[-1]) < -self.eq_tol:
                 return False
         return True
 
@@ -261,24 +267,26 @@ class VnChain(ChainInstance):
     def quotient(self, X, p) -> QuotientResult:
         """The corner of the support of s = 1 - p, with unit
         a -> sqrt(s) a sqrt(s).  A map f with f(1) <= s transposes by
-        conjugating with the pseudoinverse roots and compressing."""
+        conjugating with the pseudoinverse roots and compressing.  All
+        three come from one spectrum per block of s."""
         s = self.ortho(X, p)
-        corner = _Corner(X, [la.support_proj(b) for b in s])
-        roots = [la.op_sqrt(b) for b in s]
-        unit = self.from_fn(X, corner.algebra, lambda b: tuple(
-            r @ a @ r for r, a in zip(roots, corner.embed(b))))
+        specs = [la.hermitian_eig(b) for b in s]
+        corner = _Corner(X, [la.support_proj(b, e) for b, e in zip(s, specs)])
+        roots = [la.op_sqrt(b, e) for b, e in zip(s, specs)]
+        unit = Arrow(X, corner.algebra, kraus_superop(X, corner.algebra, [
+            (i, c, roots[i] @ V) for c, (i, V) in enumerate(corner.isoms)]))
 
         def transpose(f: Arrow) -> Arrow:
             img_one = self.apply(f, f.dst.one())
             for sb, ub in zip(s, img_one):
-                gap = ((sb - ub) + la.dagger(sb - ub)) / 2
-                w, _ = la.hermitian_eig(gap)
-                if w.size and float(w.min()) < -self.hom_tol:
+                w = la.hermitian_eigvals(((sb - ub) + la.dagger(sb - ub)) / 2)
+                if w.size and float(w[-1]) < -self.hom_tol:
                     raise HomConditionError(
-                        f"vn: image of 1 exceeds the complement by {-float(w.min()):.3g}")
-            pinv_roots = [la.op_pinv(r) for r in roots]
-            return self.from_fn(corner.algebra, f.dst, lambda b: corner.compress(
-                tuple(r @ a @ r for r, a in zip(pinv_roots, self.apply(f, b)))))
+                        f"vn: image of 1 exceeds the complement by {-float(w[-1]):.3g}")
+            compress = kraus_superop(corner.algebra, X, [
+                (c, i, la.dagger(V) @ la.op_pinv(roots[i], la.sqrt_spectrum(specs[i])))
+                for c, (i, V) in enumerate(corner.isoms)])
+            return Arrow(corner.algebra, f.dst, compress @ f.data)
 
         return QuotientResult(corner.algebra, unit, transpose)
 
@@ -286,24 +294,25 @@ class VnChain(ChainInstance):
         """The corner of the eigenvalue-1 projection of p; a map giving p
         and 1 the same image transposes through the embedding."""
         corner = _Corner(X, [la.unit_proj(b) for b in p])
+        embed = kraus_superop(X, corner.algebra, [
+            (i, c, V) for c, (i, V) in enumerate(corner.isoms)])
 
         def transpose(f: Arrow) -> Arrow:
             gap = elt_residual(self.apply(f, p), self.apply(f, X.one()))
             if gap > self.hom_tol:
                 raise HomConditionError(
                     f"vn: predicate and 1 have images {gap:.3g} apart")
-            return self.from_fn(f.src, corner.algebra,
-                                lambda b: self.apply(f, corner.embed(b)))
+            return Arrow(f.src, corner.algebra, f.data @ embed)
 
-        counit = self.from_fn(corner.algebra, X, corner.compress)
+        # Compression is the adjoint of the embedding, superoperators included.
+        counit = Arrow(corner.algebra, X, la.dagger(embed))
         return ComprehensionResult(corner.algebra, counit, transpose)
 
     # ---- assert / instrument / sequential product ----
 
     def assert_closed_form(self, X, p) -> Arrow:
-        roots = [la.op_sqrt(b) for b in p]
-        return self.from_fn(
-            X, X, lambda a: tuple(r @ blk @ r for r, blk in zip(roots, a)))
+        return Arrow(X, X, kraus_superop(
+            X, X, [(i, i, la.op_sqrt(b)) for i, b in enumerate(p)]))
 
     def instrument_closed_form(self, X, p) -> Arrow:
         return self.instrument_combine(
@@ -343,25 +352,20 @@ class VnChain(ChainInstance):
         (ok, report) where the report carries the most negative eigenvalue
         and the (src block, dst block) pair it came from."""
         X, Y = f.src, f.dst
+        rows, cols = _offsets(X), _offsets(Y)
         worst = None
         for j, n in enumerate(Y.block_dims):
-            units = {}
-            for k in range(n):
-                for l in range(n):
-                    e = Y.zero_elt()
-                    e[j][k, l] = 1.0
-                    units[k, l] = self.apply(f, e)
             for i, m in enumerate(X.block_dims):
-                choi = np.zeros((n * m, n * m), dtype=complex)
-                for k in range(n):
-                    for l in range(n):
-                        choi[k * m:(k + 1) * m, l * m:(l + 1) * m] = units[k, l][i]
+                # choi[(k, a), (l, b)] is entry (a, b) of block i of the
+                # image of the matrix unit E_kl in block j
+                blk = f.data[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
+                choi = blk.reshape(m, m, n, n).transpose(2, 0, 3, 1).reshape(n * m, n * m)
                 defect = la.max_abs(choi - la.dagger(choi))
                 if defect > tol:
                     return False, {"src_block": i, "dst_block": j,
                                    "min_eig": None, "herm_defect": defect}
-                w, _ = la.hermitian_eig((choi + la.dagger(choi)) / 2)
-                low = float(w.min()) if w.size else 0.0
+                w = la.hermitian_eigvals((choi + la.dagger(choi)) / 2)
+                low = float(w[-1]) if w.size else 0.0
                 if worst is None or low < worst[0]:
                     worst = (low, i, j)
         if worst is None:
@@ -374,9 +378,8 @@ class VnChain(ChainInstance):
         u = self.apply(f, f.dst.one())
         worst = 0.0
         for b in u:
-            w, _ = la.hermitian_eig((b + la.dagger(b)) / 2)
-            if w.size:
-                worst = max(worst, float(w.max()) - 1.0, -float(w.min()))
+            w = la.hermitian_eigvals((b + la.dagger(b)) / 2)
+            worst = max(worst, float(w[0]) - 1.0, -float(w[-1]))
         return max(worst, 0.0)
 
     # ---- sampling ----
@@ -409,31 +412,18 @@ class VnChain(ChainInstance):
             else:
                 g = self._rand_complex(rng, n, n)
                 a = la.dagger(g) @ g
-                w, _ = la.hermitian_eig(a)
-                lam = float(w.max()) if w.size else 0.0
+                lam = float(la.hermitian_eigvals(a)[0])
                 t = rng.random()
                 b = a * (t / lam) if lam > 1e-12 else np.zeros((n, n), complex)
                 blocks.append((b + la.dagger(b)) / 2)
         return tuple(blocks)
 
     def rand_arrow(self, rng, X, Y, bounds=None) -> Arrow:
-        kraus = {}
-        for i, m in enumerate(X.block_dims):
-            for j, n in enumerate(Y.block_dims):
-                kraus[i, j] = [self._rand_complex(rng, m, n)
-                               for _ in range(rng.randint(0, 2))]
-
-        def fn(b):
-            out = []
-            for i, m in enumerate(X.block_dims):
-                acc = np.zeros((m, m), dtype=complex)
-                for j in range(len(Y.block_dims)):
-                    for kk in kraus[i, j]:
-                        acc = acc + kk @ b[j] @ la.dagger(kk)
-                out.append(acc)
-            return tuple(out)
-
-        s = superop_from_fn(X, Y, fn)
+        terms = [(i, j, self._rand_complex(rng, m, n))
+                 for i, m in enumerate(X.block_dims)
+                 for j, n in enumerate(Y.block_dims)
+                 for _ in range(rng.randint(0, 2))]
+        s = kraus_superop(X, Y, terms)
         f = Arrow(X, Y, s)
         lam = op_norm(self.apply(f, Y.one()))
         if lam > 1e-12:

@@ -4,12 +4,11 @@ orthonormalization.
 
 Eigenvectors come from numpy.linalg.eigh and are given fixed phases and a
 fixed order, and nothing pivots on floating-point noise, so results are
-reproducible for a given LAPACK build.
+reproducible for a given LAPACK build.  op_sqrt, op_pinv and support_proj
+also take a spectrum already computed, so one block is decomposed once.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,8 +42,37 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (v[idx].conjugate() / abs(v[idx]))
 
 
+def _phases(V: np.ndarray) -> np.ndarray:
+    """The factors _phase_fix rotates by, for all columns of V at once; the
+    columns have unit norm.  One vector is cheaper through _phase_fix."""
+    if not V.size:
+        return np.ones(V.shape[1], dtype=complex)
+    mags = abs(V)
+    top = mags.max(axis=0)
+    idx = (mags >= top - 1e-12 * np.maximum(top, 1.0)).argmax(axis=0)
+    pivot = V[idx, np.arange(V.shape[1])]
+    # hypot and division by a complex modulus round as numpy's scalar abs
+    # and division do, so each column gets _phase_fix's bits.
+    return pivot.conj() / np.hypot(pivot.real, pivot.imag).astype(complex)
+
+
 def _vec_key(v: np.ndarray):
     return tuple((round(float(x.real), 9), round(float(x.imag), 9)) for x in v)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"square matrix required, got shape {a.shape}")
+    if not is_hermitian(a):
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    return (a + dagger(a)) / 2
+
+
+def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, descending, of a Hermitian matrix: numpy.linalg.eigvalsh
+    on its Hermitian part, for checks that need no eigenvectors."""
+    return np.linalg.eigvalsh(_hermitian_part(a))[::-1]
 
 
 def hermitian_eig(a: np.ndarray):
@@ -54,61 +82,60 @@ def hermitian_eig(a: np.ndarray):
     Returns (eigenvalues descending, unitary of eigenvector columns); the
     column phases are fixed and ties in the eigenvalues are broken by a
     lexicographic key on the vectors, so the output is deterministic."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"square matrix required, got shape {a.shape}")
-    if not is_hermitian(a):
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    n = a.shape[0]
-    vals, V = np.linalg.eigh((a + dagger(a)) / 2)
-    cols = []
-    for i in range(n):
-        v = _phase_fix(V[:, i])
-        cols.append(((-round(float(vals[i]), 9),) + (_vec_key(v),), vals[i], v))
-    cols.sort(key=lambda t: t[0])
-    w = np.array([t[1] for t in cols])
-    U = (np.column_stack([t[2] for t in cols]) if cols
-         else np.zeros((n, 0), dtype=complex))
-    return w, U
+    vals, V = np.linalg.eigh(_hermitian_part(a))
+    V = V * _phases(V)
+    keys = [-round(float(x), 9) for x in vals]
+    if len(set(keys)) == len(keys):
+        # eigh returns ascending eigenvalues, so distinct keys need no sort
+        return vals[::-1], V[:, ::-1]
+    order = sorted(range(len(keys)), key=lambda i: (keys[i], _vec_key(V[:, i])))
+    return vals[order], V[:, order]
 
 
-def _spectral_map(a: np.ndarray, fn) -> np.ndarray:
-    w, U = hermitian_eig(a)
-    return U @ np.diag([fn(float(x)) for x in w]).astype(complex) @ dagger(U)
+def _from_spectrum(U: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    m = (U * vals) @ dagger(U)
+    return (m + dagger(m)) / 2
 
 
-def op_sqrt(p: np.ndarray) -> np.ndarray:
-    """Positive square root of a positive-semidefinite matrix; eigenvalues
-    below 0 must stay above -1e-9 and are clamped.
+def sqrt_spectrum(spec):
+    """Spectrum of the positive square root, from the spectrum of a
+    positive-semidefinite matrix; eigenvalues below 0 must stay above -1e-9
+    and are clamped.
 
     Eigenvalues inside the rank cutoff are flushed to exactly zero rather
     than square-rooted: sqrt would amplify 1e-15 noise to 3e-8, pushing
     composite constructions past the working tolerance, while flushing
     keeps the square within 1e-9 of the input and keeps supports aligned
     with support_proj and op_pinv."""
-    w, U = hermitian_eig(p)
+    w, U = spec
     if w.size and float(w.min()) < -HERM_TOL:
         raise ValidationError(f"negative spectrum {float(w.min())} beyond tolerance")
-    vals = [math.sqrt(float(x)) if float(x) > RANK_CUTOFF else 0.0 for x in w]
-    root = U @ np.diag(vals).astype(complex) @ dagger(U)
-    return (root + dagger(root)) / 2
+    return np.where(w > RANK_CUTOFF, np.sqrt(np.maximum(w, 0.0)), 0.0), U
 
 
-def op_pinv(a: np.ndarray) -> np.ndarray:
+def op_sqrt(p: np.ndarray, spec=None) -> np.ndarray:
+    """Positive square root of a positive-semidefinite matrix."""
+    w, U = sqrt_spectrum(hermitian_eig(p) if spec is None else spec)
+    return _from_spectrum(U, w)
+
+
+def op_pinv(a: np.ndarray, spec=None) -> np.ndarray:
     """Spectral pseudoinverse: eigenvalues below the rank cutoff become 0."""
-    return _spectral_map(a, lambda x: 1.0 / x if abs(x) > RANK_CUTOFF else 0.0)
+    w, U = hermitian_eig(a) if spec is None else spec
+    big = abs(w) > RANK_CUTOFF
+    return _from_spectrum(U, np.where(big, 1.0 / np.where(big, w, 1.0), 0.0))
 
 
-def support_proj(a: np.ndarray) -> np.ndarray:
+def support_proj(a: np.ndarray, spec=None) -> np.ndarray:
     """Projection onto the span of eigenvectors with eigenvalue > cutoff."""
-    pr = _spectral_map(a, lambda x: 1.0 if x > RANK_CUTOFF else 0.0)
-    return (pr + dagger(pr)) / 2
+    w, U = hermitian_eig(a) if spec is None else spec
+    return _from_spectrum(U, (w > RANK_CUTOFF).astype(float))
 
 
 def unit_proj(a: np.ndarray) -> np.ndarray:
     """Projection onto the eigenspaces with eigenvalue within 1e-9 of 1."""
-    pr = _spectral_map(a, lambda x: 1.0 if abs(x - 1.0) <= HERM_TOL else 0.0)
-    return (pr + dagger(pr)) / 2
+    w, U = hermitian_eig(a)
+    return _from_spectrum(U, (abs(w - 1.0) <= HERM_TOL).astype(float))
 
 
 def gram_schmidt_columns(m: np.ndarray, threshold: float = GS_THRESHOLD) -> np.ndarray:

@@ -363,6 +363,9 @@ def test_corrupted_transpose_is_detected(which):
     assert witness["detail"] == "law violated"
     assert {"case", "X", "p", "f"} <= set(witness)
     assert report["seed"] == spec.seed
+    # a law violation is not an error
+    law_report = run_law(corrupt, spec)
+    assert law_report.failures >= 1 and law_report.errors == 0
 
 
 @pytest.mark.parametrize("which", DIRECTIONS)
@@ -406,6 +409,10 @@ def test_crashing_law_is_reported_not_raised():
     report = result["reports"][0]
     assert report["failures"] == 3
     assert "exception" in report["witnesses"][0]["detail"]
+    # crashes are counted apart from law violations, outside the JSON
+    law_report = run_law(Exploding(), spec)
+    assert law_report.errors == law_report.failures == 3
+    assert set(law_report.to_jsonable()) == REPORT_KEYS
 
 
 # ---------------------------------------------------------------------------

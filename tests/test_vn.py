@@ -23,10 +23,13 @@ from effectus.vn import (
     basis_elements,
     check_effect,
     elt_residual,
+    kraus_superop,
     op_norm,
+    superop_from_fn,
     unvec,
     vec,
 )
+from effectus import vnlinalg as la
 
 VN = VnChain()
 
@@ -334,6 +337,12 @@ def test_cp_check_rejects_the_transpose_map():
     assert report["min_eig"] == pytest.approx(-1.0, abs=1e-9)
     ok2, report2 = VN.cp_check(VN.identity(M2))
     assert ok2 and report2["min_eig"] >= -1e-9
+    # the Choi blocks sit where the transpose is, across blocks of two sizes
+    half = VN.from_fn(M2_M1, M2_M1, lambda a: (a[0].T, a[1]))
+    ok3, report3 = VN.cp_check(half)
+    assert not ok3
+    assert (report3["src_block"], report3["dst_block"]) == (0, 0)
+    assert report3["min_eig"] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_random_kraus_maps_are_cp_and_subunital():
@@ -374,3 +383,111 @@ def test_json_shapes():
     p = elt(np.diag([1.0, 0.0]))
     assert VN.pred_to_json(M2, p) == [[[[1.0, 0.0], [0.0, 0.0]],
                                        [[0.0, 0.0], [0.0, 0.0]]]]
+
+
+# ---------------------------------------------------------------------------
+# Superoperators from Kronecker products, and eigendecompositions per
+# construction.
+# ---------------------------------------------------------------------------
+
+
+def rand_matrix(rng, rows, cols):
+    return np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                      for _ in range(cols)] for _ in range(rows)])
+
+
+def rotated_effect(rng, eigenvalues):
+    u, _ = np.linalg.qr(rand_matrix(rng, len(eigenvalues), len(eigenvalues)))
+    e = u @ np.diag(eigenvalues) @ u.conj().T
+    return (e + e.conj().T) / 2
+
+
+def corner_effects(rng):
+    """Non-scalar effects on M2 (+) M3 and M1 (+) M2 whose quotient and
+    comprehension corners are proper and, on M1 (+) M2, drop a block."""
+    return [
+        (MatrixAlgebra((2, 3)), (rotated_effect(rng, [1.0, 0.0]),
+                                 rotated_effect(rng, [1.0, 0.4, 0.0]))),
+        (MatrixAlgebra((1, 2)), (np.eye(1, dtype=complex),
+                                 rotated_effect(rng, [0.3, 0.0]))),
+    ]
+
+
+def kraus_fn(src, terms):
+    def fn(b):
+        out = [np.zeros((n, n), dtype=complex) for n in src.block_dims]
+        for i, j, K in terms:
+            out[i] = out[i] + K @ b[j] @ K.conj().T
+        return tuple(out)
+    return fn
+
+
+def embed(X, corner, b):
+    out = list(X.zero_elt())
+    for (i, V), blk in zip(corner.corner[1], b):
+        out[i] = V @ blk @ V.conj().T
+    return tuple(out)
+
+
+def compress(corner, a):
+    return tuple(V.conj().T @ a[i] @ V for i, V in corner.corner[1])
+
+
+def conjugate(roots, a):
+    return tuple(r @ b @ r for r, b in zip(roots, a))
+
+
+def test_kronecker_superoperators_equal_the_generic_path():
+    rng = random.Random(43)
+    for X, p in corner_effects(rng):
+        Y = MatrixAlgebra((2,))
+        # a random Kraus map, with zero, one and two terms per block pair
+        terms = [(i, j, rand_matrix(rng, m, n))
+                 for i, m in enumerate(X.block_dims)
+                 for j, n in enumerate(Y.block_dims)
+                 for _ in range(rng.randint(0, 2))]
+        assert la.max_abs(kraus_superop(X, Y, terms)
+                          - superop_from_fn(X, Y, kraus_fn(X, terms))) <= 1e-12
+
+        roots = [la.op_sqrt(b) for b in p]
+        closed = superop_from_fn(X, X, lambda a: conjugate(roots, a))
+        assert la.max_abs(VN.assert_closed_form(X, p).data - closed) <= 1e-12
+
+        q = VN.quotient(X, p)
+        roots = [la.op_sqrt(b) for b in VN.ortho(X, p)]
+        unit = superop_from_fn(
+            X, q.obj, lambda b: conjugate(roots, embed(X, q.obj, b)))
+        assert la.max_abs(q.unit.data - unit) <= 1e-12
+        f = VN.rand_quotient_hom(rng, X, p, Y)
+        pinv_roots = [la.op_pinv(r) for r in roots]
+        transpose = superop_from_fn(q.obj, Y, lambda b: compress(
+            q.obj, conjugate(pinv_roots, VN.apply(f, b))))
+        assert la.max_abs(q.transpose(f).data - transpose) <= 1e-12
+
+        c = VN.comprehension(X, p)
+        counit = superop_from_fn(c.obj, X, lambda a: compress(c.obj, a))
+        assert la.max_abs(c.counit.data - counit) <= 1e-12
+        h = VN.rand_comprehension_hom(rng, X, p, Y)
+        transpose = superop_from_fn(
+            Y, c.obj, lambda b: VN.apply(h, embed(X, c.obj, b)))
+        assert la.max_abs(c.transpose(h).data - transpose) <= 1e-12
+
+
+def test_one_eigendecomposition_per_block(monkeypatch):
+    rng = random.Random(47)
+    X, p = corner_effects(rng)[0]
+    Y = MatrixAlgebra((2,))
+    f = VN.rand_quotient_hom(rng, X, p, Y)
+    calls = []
+    eig = la.hermitian_eig
+    monkeypatch.setattr(la, "hermitian_eig", lambda a: calls.append(a) or eig(a))
+
+    def count(thunk):
+        calls.clear()
+        result = thunk()
+        return len(calls), result
+
+    n, q = count(lambda: VN.quotient(X, p))
+    assert n == 2  # one per block of 1 - p
+    assert count(lambda: q.transpose(f))[0] == 0
+    assert count(lambda: VN.comprehension(X, p))[0] == 2

@@ -14,8 +14,10 @@ import pytest
 from effectus import ValidationError
 from effectus.vnlinalg import (
     dagger,
+    _vec_key,
     gram_schmidt_columns,
     hermitian_eig,
+    hermitian_eigvals,
     is_hermitian,
     kernel_basis,
     max_abs,
@@ -102,6 +104,57 @@ def test_eig_input_validation():
         hermitian_eig(np.zeros((2, 3)))
     assert is_hermitian(np.eye(3))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def loop_eig(a):
+    """hermitian_eig's post-processing written column by column: each
+    eigenvector's largest entry made real positive, then the columns sorted
+    by (-eigenvalue rounded to 9 places, rounded entries)."""
+    a = np.asarray(a, dtype=complex)
+    vals, V = np.linalg.eigh((a + dagger(a)) / 2)
+    cols = []
+    for i in range(len(vals)):
+        v = V[:, i]
+        mags = abs(v)
+        top = mags.max()
+        idx = int(np.nonzero(mags >= top - 1e-12 * max(top, 1.0))[0][0])
+        v = v * (v[idx].conjugate() / abs(v[idx]))
+        cols.append(((-round(float(vals[i]), 9), _vec_key(v)), vals[i], v))
+    cols.sort(key=lambda t: t[0])
+    return (np.array([t[1] for t in cols]),
+            np.column_stack([t[2] for t in cols]))
+
+
+def test_eig_tie_order_follows_the_vector_key():
+    rng = random.Random(7)
+    u, _ = np.linalg.qr(np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                   for _ in range(3)] for _ in range(3)]))
+    rank2 = u[:, :2] @ dagger(u[:, :2])
+    for a in (np.eye(3), rank2, rand_hermitian(rng, 4)):
+        w, U = hermitian_eig(a)
+        ref_w, ref_U = loop_eig(a)
+        assert np.array_equal(w, ref_w) and np.array_equal(U, ref_U)
+    w, U = hermitian_eig(np.eye(3))
+    assert np.array_equal(U, np.eye(3)[:, ::-1])  # e2 < e1 < e0 by key
+    w, U = hermitian_eig(rank2)
+    assert np.allclose(w, (1.0, 1.0, 0.0), atol=1e-12)
+    assert _vec_key(U[:, 0]) < _vec_key(U[:, 1])
+
+
+def test_eigvals_match_numpy():
+    rng = random.Random(139)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        scale = rng.choice((0.1, 1.0, 10.0, 100.0))
+        a = rand_hermitian(rng, n, scale=scale).reshape(n, n)
+        w = hermitian_eigvals(a)
+        oracle = np.sort(np.linalg.eigvalsh(a))[::-1]
+        assert w.shape == (n,)
+        assert np.max(np.abs(w - oracle), initial=0.0) <= 1e-12 * max(1.0, scale)
+    with pytest.raises(ValidationError):
+        hermitian_eigvals(np.zeros((2, 3)))
+    with pytest.raises(ValidationError):
+        hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

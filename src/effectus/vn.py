@@ -271,10 +271,11 @@ class VnChain(ChainInstance):
         three come from one spectrum per block of s."""
         s = self.ortho(X, p)
         specs = [la.hermitian_eig(b) for b in s]
-        corner = _Corner(X, [la.support_proj(b, e) for b, e in zip(s, specs)])
-        roots = [la.op_sqrt(b, e) for b, e in zip(s, specs)]
+        corner = _Corner(X, [la.from_spectrum(la.support_spectrum(e)) for e in specs])
+        root_specs = [la.sqrt_spectrum(e) for e in specs]
         unit = Arrow(X, corner.algebra, kraus_superop(X, corner.algebra, [
-            (i, c, roots[i] @ V) for c, (i, V) in enumerate(corner.isoms)]))
+            (i, c, la.from_spectrum(root_specs[i]) @ V)
+            for c, (i, V) in enumerate(corner.isoms)]))
 
         def transpose(f: Arrow) -> Arrow:
             img_one = self.apply(f, f.dst.one())
@@ -284,7 +285,7 @@ class VnChain(ChainInstance):
                     raise HomConditionError(
                         f"vn: image of 1 exceeds the complement by {-float(w[-1]):.3g}")
             compress = kraus_superop(corner.algebra, X, [
-                (c, i, la.dagger(V) @ la.op_pinv(roots[i], la.sqrt_spectrum(specs[i])))
+                (c, i, la.dagger(V) @ la.from_spectrum(la.pinv_spectrum(root_specs[i])))
                 for c, (i, V) in enumerate(corner.isoms)])
             return Arrow(corner.algebra, f.dst, compress @ f.data)
 

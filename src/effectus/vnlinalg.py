@@ -4,8 +4,9 @@ orthonormalization.
 
 Eigenvectors come from numpy.linalg.eigh and are given fixed phases and a
 fixed order, and nothing pivots on floating-point noise, so results are
-reproducible for a given LAPACK build.  op_sqrt, op_pinv and support_proj
-also take a spectrum already computed, so one block is decomposed once.
+reproducible for a given LAPACK build.  The *_spectrum functions map one
+spectrum (w, U) to another, and from_spectrum assembles the matrix, so a
+block decomposed once yields its root, pseudoinverse and support.
 """
 
 from __future__ import annotations
@@ -31,28 +32,16 @@ def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
     return max_abs(a - dagger(a)) <= tol
 
 
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude entry is real positive;
-    ties go to the lowest index."""
-    mags = abs(v)
-    top = mags.max() if v.size else 0.0
-    if top < 1e-300:
-        return v
-    idx = int(np.nonzero(mags >= top - 1e-12 * max(top, 1.0))[0][0])
-    return v * (v[idx].conjugate() / abs(v[idx]))
-
-
 def _phases(V: np.ndarray) -> np.ndarray:
-    """The factors _phase_fix rotates by, for all columns of V at once; the
-    columns have unit norm.  One vector is cheaper through _phase_fix."""
+    """Per column of V, the unit factor that makes the column's
+    largest-magnitude entry real positive; ties go to the lowest index."""
     if not V.size:
         return np.ones(V.shape[1], dtype=complex)
     mags = abs(V)
     top = mags.max(axis=0)
     idx = (mags >= top - 1e-12 * np.maximum(top, 1.0)).argmax(axis=0)
     pivot = V[idx, np.arange(V.shape[1])]
-    # hypot and division by a complex modulus round as numpy's scalar abs
-    # and division do, so each column gets _phase_fix's bits.
+    # a complex divided by its hypot rounds as the scalar x.conj() / abs(x)
     return pivot.conj() / np.hypot(pivot.real, pivot.imag).astype(complex)
 
 
@@ -84,16 +73,15 @@ def hermitian_eig(a: np.ndarray):
     lexicographic key on the vectors, so the output is deterministic."""
     vals, V = np.linalg.eigh(_hermitian_part(a))
     V = V * _phases(V)
-    keys = [-round(float(x), 9) for x in vals]
-    if len(set(keys)) == len(keys):
-        # eigh returns ascending eigenvalues, so distinct keys need no sort
-        return vals[::-1], V[:, ::-1]
-    order = sorted(range(len(keys)), key=lambda i: (keys[i], _vec_key(V[:, i])))
+    keys = [(-round(float(x), 9), _vec_key(V[:, i])) for i, x in enumerate(vals)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     return vals[order], V[:, order]
 
 
-def _from_spectrum(U: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    m = (U * vals) @ dagger(U)
+def from_spectrum(spec) -> np.ndarray:
+    """The Hermitian matrix U diag(w) U^dagger of a spectrum (w, U)."""
+    w, U = spec
+    m = (U * w) @ dagger(U)
     return (m + dagger(m)) / 2
 
 
@@ -113,29 +101,39 @@ def sqrt_spectrum(spec):
     return np.where(w > RANK_CUTOFF, np.sqrt(np.maximum(w, 0.0)), 0.0), U
 
 
-def op_sqrt(p: np.ndarray, spec=None) -> np.ndarray:
-    """Positive square root of a positive-semidefinite matrix."""
-    w, U = sqrt_spectrum(hermitian_eig(p) if spec is None else spec)
-    return _from_spectrum(U, w)
-
-
-def op_pinv(a: np.ndarray, spec=None) -> np.ndarray:
-    """Spectral pseudoinverse: eigenvalues below the rank cutoff become 0."""
-    w, U = hermitian_eig(a) if spec is None else spec
+def pinv_spectrum(spec):
+    """Spectrum of the pseudoinverse: eigenvalues inside the rank cutoff
+    become 0, the others their reciprocals."""
+    w, U = spec
     big = abs(w) > RANK_CUTOFF
-    return _from_spectrum(U, np.where(big, 1.0 / np.where(big, w, 1.0), 0.0))
+    return np.where(big, 1.0 / np.where(big, w, 1.0), 0.0), U
 
 
-def support_proj(a: np.ndarray, spec=None) -> np.ndarray:
+def support_spectrum(spec):
+    """Spectrum of the projection onto eigenvalues above the rank cutoff."""
+    w, U = spec
+    return (w > RANK_CUTOFF).astype(float), U
+
+
+def op_sqrt(p: np.ndarray) -> np.ndarray:
+    """Positive square root of a positive-semidefinite matrix."""
+    return from_spectrum(sqrt_spectrum(hermitian_eig(p)))
+
+
+def op_pinv(a: np.ndarray) -> np.ndarray:
+    """Spectral pseudoinverse: eigenvalues below the rank cutoff become 0."""
+    return from_spectrum(pinv_spectrum(hermitian_eig(a)))
+
+
+def support_proj(a: np.ndarray) -> np.ndarray:
     """Projection onto the span of eigenvectors with eigenvalue > cutoff."""
-    w, U = hermitian_eig(a) if spec is None else spec
-    return _from_spectrum(U, (w > RANK_CUTOFF).astype(float))
+    return from_spectrum(support_spectrum(hermitian_eig(a)))
 
 
 def unit_proj(a: np.ndarray) -> np.ndarray:
     """Projection onto the eigenspaces with eigenvalue within 1e-9 of 1."""
     w, U = hermitian_eig(a)
-    return _from_spectrum(U, (abs(w - 1.0) <= HERM_TOL).astype(float))
+    return from_spectrum(((abs(w - 1.0) <= HERM_TOL).astype(float), U))
 
 
 def gram_schmidt_columns(m: np.ndarray, threshold: float = GS_THRESHOLD) -> np.ndarray:
@@ -155,7 +153,8 @@ def gram_schmidt_columns(m: np.ndarray, threshold: float = GS_THRESHOLD) -> np.n
                 v = v - b * (b.conj() @ v)
         norm = float(np.sqrt((abs(v) ** 2).sum()))
         if norm > threshold:
-            basis.append(_phase_fix(v / norm))
+            v = v / norm
+            basis.append(v * _phases(v[:, None])[0])
     if not basis:
         return np.zeros((m.shape[0], 0), dtype=complex)
     return np.column_stack(basis)

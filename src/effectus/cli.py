@@ -124,12 +124,10 @@ def _demo_sets(out) -> None:
     c = inst.comprehension(X, p)
     out.append(f"  quotient carrier X/P = {q.obj}   (P collapses to *)")
     out.append(f"  comprehension carrier {{X|P}} = {c.obj}")
-    asrt = inst.assert_closed_form(X, p)
-    out.append("  assert_P: " + ", ".join(
-        f"{x} -> {asrt.data[x]}" for x in X))
-    instr = derive_instrument(inst, X, p)
-    out.append("  instrument: " + ", ".join(
-        f"{x} -> {instr.data[x]}" for x in X))
+    asrt = inst.table(inst.assert_closed_form(X, p))
+    out.append("  assert_P: " + ", ".join(f"{x} -> {asrt[x]}" for x in X))
+    instr = inst.table(derive_instrument(inst, X, p))
+    out.append("  instrument: " + ", ".join(f"{x} -> {instr[x]}" for x in X))
     _, free = side_effect(inst, X, p)
     out.append(f"  side-effect free: {free}")
 
@@ -142,9 +140,8 @@ def _demo_dist(out) -> None:
     out.append("dist: X = {x, y}, fuzzy predicate p(x) = 1/2, p(y) = 1")
     out.append(f"  comprehension carrier (p = 1): {inst.comprehension(X, p).obj}")
     out.append(f"  quotient carrier (p < 1): {inst.quotient(X, p).obj}")
-    asrt = inst.assert_closed_form(X, p)
-    out.append("  assert_p: " + ", ".join(
-        f"{x} -> {asrt.data[x]}" for x in X))
+    asrt = inst.table(inst.assert_closed_form(X, p))
+    out.append("  assert_p: " + ", ".join(f"{x} -> {asrt[x]}" for x in X))
     _, free = side_effect(inst, X, p)
     out.append(f"  side-effect free: {free}")
 

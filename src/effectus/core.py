@@ -328,7 +328,8 @@ class ChainInstance(ABC):
 
     def arrow_key(self, f: Arrow):
         """Hashable key telling apart arrows with the same endpoints, for
-        the bijection checks; it holds no reference to f's data."""
+        the bijection checks; it holds no reference to f or to mutable
+        data."""
         return repr(self.arrow_to_json(f))
 
 

@@ -14,6 +14,16 @@ predicate), so one construction serves all three.  The quotient of p
 keeps each atom x with weight 1 - p(x) (carrier: the atoms where p < 1)
 and the comprehension restricts to the atoms where p = 1; for subsets the
 quotient of P literally is the comprehension of its complement.
+
+Arrows are stored densely, as a tuple with one image per source atom in
+the source's order.  An image is encoded over the positions of Y's atoms:
+
+  * ``sets``: an int position, -1 for *,
+  * ``nondet``: an int bitmask over Y + 1, with * as bit |Y|,
+  * ``dist``: a tuple of |Y| Fractions, the mass on * being 1 - their sum.
+
+`KleisliChain.arrow` encodes atom tables and `KleisliChain.table` decodes
+them; nothing outside this module reads the encoding.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import add, le, sub
 
 from .core import (
     STAR,
@@ -58,6 +69,15 @@ class FiniteSet:
             raise ValidationError("the marker * cannot be an atom")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index", dict(zip(atoms, range(len(atoms)))))
+
+    def select(self, positions) -> FiniteSet:
+        """The atoms at the given increasing positions: already sorted and
+        distinct, so neither sorted nor checked again."""
+        sub = object.__new__(FiniteSet)
+        atoms = tuple(self.atoms[i] for i in positions)
+        object.__setattr__(sub, "atoms", atoms)
+        object.__setattr__(sub, "_index", dict(zip(atoms, range(len(atoms)))))
+        return sub
 
     def __contains__(self, a) -> bool:
         return a in self._index
@@ -112,12 +132,6 @@ class SubDist:
             raise ValidationError(f"total mass {total} exceeds 1")
         object.__setattr__(self, "weights", pairs)
 
-    def weight(self, a) -> Fraction:
-        for b, w in self.weights:
-            if b == a:
-                return w
-        return ZERO
-
     @property
     def mass(self) -> Fraction:
         return sum((w for _, w in self.weights), ZERO)
@@ -170,88 +184,126 @@ def fuzzy(X: FiniteSet, mapping) -> FuzzyPred:
 # ---- the construction -----------------------------------------------
 
 
+def _bits(mask: int) -> tuple:
+    """Positions of the set bits of mask, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# _bits of every mask of up to 8 bits: a nondet image over up to 7 atoms
+_SMALL_BITS = [_bits(mask) for mask in range(1 << 8)]
+
+
+def _replace(t: tuple, i: int, v) -> tuple:
+    return t[:i] + (v,) + t[i + 1:]
+
+
 class KleisliChain(ChainInstance):
     """Finite sets with the Kleisli arrows of a monad T on X + 1: a table
     maps each atom of the source to an image in T(target + 1).
 
+    Arrows are dense: the data is a tuple holding one image per source
+    atom, in the source's order, and an image is encoded over the n
+    positions of the target's atoms, with a monad-specific code for *.
+    `arrow` is the one encoder from atom tables and `table` the one
+    decoder back to them.
+
     Every chain operation is written once here.  A subclass supplies T's
-    images d, e: `_eta(a)` (a for certain), `_bind(d, k)` (Kleisli
-    extension, k maps atoms to images), `_scale(d, w)` (mass times w, the
-    rest aborting), `_plus(d, e)` (disjoint sum), `_expect(d, q)` (value of
-    q under d, abort counting 1), `_mass(d)` (weight not on *), `_support(d)`,
-    `_distance(d, e)`, `_as_image(x, d)` (checked image of x), `_images(Y)`
-    (all images, None if infinitely many), `_rand_image(rng, bounds, atoms,
-    cap)` (mass at most cap) and `_image_to_json(d)`; and its predicates:
-    `_val(p, a)` (value of p at a) and `_pred(X, value)`."""
+    encoded images d, e: `_eta(j, n)` (position j for certain),
+    `_abort(n)`, `_bind(d, k)` (Kleisli extension; k holds one image per
+    position of d's target and the abort image last, for *), `_scale(d,
+    w, n)` (mass times w, the rest aborting), `_plus(d, e, n)` (disjoint
+    sum), `_mass(d, n)` (weight not on *), `_distance(d, e)`,
+    `_restriction(kept, n)` (re-indexes an image onto the positions
+    `kept`, None when it reaches outside them), `_images(n)` (all images,
+    None if infinitely many), `_rand_image(rng, bounds, n, positions,
+    cap)` (support in `positions`, mass at most cap); the boundary
+    `_as_image(x, d)` (checked atom image of x), `_encode(d, Y)`,
+    `_decode(d, Y)` and `_image_to_json(d, Y)`; and its predicates:
+    `_vals(X, p)` (the value of p per position of X), `_pred(X, values)`
+    and `_expectation(Y, q)` (image -> value of q under it, abort
+    counting 1)."""
 
     exact = True
     has_ortho = True
     has_instrument = True
 
-    # ---- category ----
+    # ---- the encoding boundary ----
 
     def arrow(self, X: FiniteSet, Y: FiniteSet, table: dict) -> Arrow:
         if set(table) != set(X.atoms):
             raise ValidationError("table keys must be exactly the source atoms")
-        table = {x: self._as_image(x, d) for x, d in table.items()}
-        for x, d in table.items():
-            for y in self._support(d):
-                if y not in Y:
-                    raise ValidationError(f"value {y!r} for {x!r} not in target")
-        return Arrow(X, Y, table)
+        data = []
+        for x in X:
+            d = self._as_image(x, table[x])
+            try:
+                data.append(self._encode(d, Y))
+            except KeyError as exc:
+                raise ValidationError(
+                    f"value {exc.args[0]!r} for {x!r} not in target") from None
+        return Arrow(X, Y, tuple(data))
+
+    def table(self, f: Arrow) -> dict:
+        """The atom table of f: each source atom's image, an atom or STAR
+        (sets), a frozenset (nondet) or a SubDist (dist)."""
+        return {x: self._decode(d, f.dst) for x, d in zip(f.src, f.data)}
+
+    # ---- category ----
 
     def identity(self, X: FiniteSet) -> Arrow:
-        return Arrow(X, X, {a: self._eta(a) for a in X})
+        n = len(X)
+        return Arrow(X, X, tuple(self._eta(i, n) for i in range(n)))
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         self.check_composable(g, f)
-        bind, k = self._bind, g.data
-        return Arrow(f.src, g.dst, {x: bind(d, k) for x, d in f.data.items()})
+        bind, k = self._bind, g.data + (self._abort(len(g.dst)),)
+        return Arrow(f.src, g.dst, tuple(bind(d, k) for d in f.data))
 
     def map_residual(self, f: Arrow, g: Arrow) -> float:
-        if f.src != g.src or f.dst != g.dst:
+        if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
             return 1.0
         if f.data == g.data:
             return 0.0
-        return float(max(self._distance(f.data[x], g.data[x]) for x in f.src))
+        return float(max(map(self._distance, f.data, g.data)))
 
     def objects_equal(self, A, B) -> bool:
-        return A == B
+        return A is B or A == B
+
+    def arrow_key(self, f: Arrow):
+        return f.data
 
     # ---- fibre and substitution ----
 
     def top(self, X):
-        return self._pred(X, lambda a: ONE)
+        return self._pred(X, [ONE] * len(X))
 
     def bottom(self, X):
-        return self._pred(X, lambda a: ZERO)
+        return self._pred(X, [ZERO] * len(X))
 
     def pred_leq(self, X, p, q) -> bool:
-        val = self._val
-        return all(val(p, a) <= val(q, a) for a in X)
+        return all(map(le, self._vals(X, p), self._vals(X, q)))
 
     def pred_residual(self, X, p, q) -> float:
-        val = self._val
-        return float(max((abs(val(p, a) - val(q, a)) for a in X), default=0))
+        return float(max(map(abs, map(sub, self._vals(X, p), self._vals(X, q))),
+                         default=0))
 
     def ortho(self, X, p):
-        return self._pred(X, lambda a: 1 - self._val(p, a))
+        return self._pred(X, [1 - v for v in self._vals(X, p)])
 
     def ceil(self, X, p):
-        return self._pred(X, lambda a: ONE if self._val(p, a) > 0 else ZERO)
+        return self._pred(X, [ONE if v > 0 else ZERO for v in self._vals(X, p)])
 
     def floor(self, X, p):
-        return self._pred(X, lambda a: ONE if self._val(p, a) == 1 else ZERO)
+        return self._pred(X, [ONE if v == 1 else ZERO for v in self._vals(X, p)])
 
     def subst(self, f: Arrow, q):
-        expect, data = self._expect, f.data
-        return self._pred(f.src, lambda x: expect(data[x], q))
+        return self._pred(f.src, list(map(self._expectation(f.dst, q), f.data)))
 
     # ---- quotient / comprehension ----
 
-    def _certain(self, X, p) -> FiniteSet:
-        """The atoms where p = 1: the comprehension carrier."""
-        return FiniteSet(tuple(a for a in X if self._val(p, a) == 1))
+    def _certain(self, X, p) -> list:
+        """The positions of the atoms where p = 1: the comprehension
+        carrier."""
+        return [i for i, v in enumerate(self._vals(X, p)) if v == 1]
 
     def quotient(self, X, p) -> QuotientResult:
         """The carrier is the atoms where p < 1, and the unit keeps each
@@ -259,92 +311,109 @@ class KleisliChain(ChainInstance):
         divides that weight back out: it requires f to put mass at most
         1 - p(x) on atoms at every x, so atoms where p = 1, outside the
         carrier, must abort entirely."""
-        keep = {x: 1 - self._val(p, x) for x in X}
-        obj = FiniteSet(tuple(x for x in X if keep[x]))
+        keep = [1 - v for v in self._vals(X, p)]
+        kept = [i for i, w in enumerate(keep) if w]
+        obj = X.select(kept)
+        m = len(obj)
+        unit = [self._abort(m)] * len(X)
+        for j, i in enumerate(kept):
+            unit[i] = self._scale(self._eta(j, m), keep[i], m)
+        # no image has mass over 1, so only these positions can fail
+        capped = [i for i, w in enumerate(keep) if w != 1]
 
         def transpose(f: Arrow) -> Arrow:
-            for x in X:
-                if self._mass(f.data[x]) > keep[x]:
-                    raise HomConditionError(f"{self.name}: mass {self._mass(f.data[x])} "
-                                            f"at {x!r} exceeds 1 - p = {keep[x]}")
-            return Arrow(obj, f.dst, {x: f.data[x] if keep[x] == 1
-                                      else self._scale(f.data[x], 1 / keep[x])
-                                      for x in obj})
+            n, data = len(f.dst), f.data
+            for i in capped:
+                if self._mass(data[i], n) > keep[i]:
+                    raise HomConditionError(f"{self.name}: mass {self._mass(data[i], n)} "
+                                            f"at {X.atoms[i]!r} exceeds 1 - p = {keep[i]}")
+            return Arrow(obj, f.dst, tuple(data[i] if keep[i] == 1
+                                           else self._scale(data[i], 1 / keep[i], n)
+                                           for i in kept))
 
-        unit = {x: self._scale(self._eta(x), keep[x]) for x in X}
-        return QuotientResult(obj, Arrow(X, obj, unit), transpose)
+        return QuotientResult(obj, Arrow(X, obj, tuple(unit)), transpose)
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """A map out of truth lands in p exactly when all its mass sits
         where p = 1, so the carrier is those atoms, the counit their
-        inclusion, and the transpose the same table with the carrier as
-        target."""
-        obj = self._certain(X, p)
+        inclusion, and the transpose the same images re-indexed onto the
+        carrier."""
+        n = len(X)
+        kept = self._certain(X, p)
+        obj = X.select(kept)
+        restrict = self._restriction(kept, n)
 
         def transpose(f: Arrow) -> Arrow:
-            for y, d in f.data.items():
-                for x in self._support(d):
-                    if x not in obj:
-                        raise HomConditionError(f"{self.name}: image of {y!r} reaches "
-                                                f"{x!r}, outside the comprehension carrier")
-            return Arrow(f.src, obj, dict(f.data))
+            data = tuple(map(restrict, f.data))
+            if None in data:
+                y = f.src.atoms[data.index(None)]
+                raise HomConditionError(f"{self.name}: image of {y!r} reaches "
+                                        f"outside the comprehension carrier {obj!r}")
+            return Arrow(f.src, obj, data)
 
-        counit = Arrow(obj, X, {x: self._eta(x) for x in obj})
+        counit = Arrow(obj, X, tuple(self._eta(i, n) for i in kept))
         return ComprehensionResult(obj, counit, transpose)
 
     # ---- assert / instrument ----
+    # tagged_double(X) lists every (1, x) before any (2, x), both in X's
+    # order, so (1, x) sits at x's position i and (2, x) at len(X) + i.
 
     def assert_closed_form(self, X, p) -> Arrow:
-        return Arrow(X, X, {x: self._scale(self._eta(x), self._val(p, x)) for x in X})
+        n = len(X)
+        return Arrow(X, X, tuple(self._scale(self._eta(i, n), v, n)
+                                 for i, v in enumerate(self._vals(X, p))))
 
     def instrument_closed_form(self, X, p) -> Arrow:
-        table = {}
-        for x in X:
-            v = self._val(p, x)
-            table[x] = self._plus(self._scale(self._eta((1, x)), v),
-                                  self._scale(self._eta((2, x)), 1 - v))
-        return Arrow(X, tagged_double(X), table)
+        n, eta, scale = len(X), self._eta, self._scale
+        dd = 2 * n
+        return Arrow(X, tagged_double(X), tuple(
+            self._plus(scale(eta(i, dd), v, dd), scale(eta(n + i, dd), 1 - v, dd), dd)
+            for i, v in enumerate(self._vals(X, p))))
 
     def instrument_combine(self, X, branch_pass: Arrow, branch_fail: Arrow) -> Arrow:
-        first = {a: self._eta((1, a)) for a in X}
-        second = {a: self._eta((2, a)) for a in X}
-        table = {x: self._plus(self._bind(branch_pass.data[x], first),
-                               self._bind(branch_fail.data[x], second))
-                 for x in X}
-        return Arrow(X, tagged_double(X), table)
+        n, bind = len(X), self._bind
+        dd = 2 * n
+        first = tuple(self._eta(i, dd) for i in range(n)) + (self._abort(dd),)
+        second = tuple(self._eta(n + i, dd) for i in range(n)) + (self._abort(dd),)
+        return Arrow(X, tagged_double(X), tuple(
+            self._plus(bind(d, first), bind(e, second), dd)
+            for d, e in zip(branch_pass.data, branch_fail.data)))
 
     def codiagonal(self, X) -> Arrow:
-        dd = tagged_double(X)
-        return Arrow(dd, X, {a: self._eta(a[1]) for a in dd})
+        n = len(X)
+        return Arrow(tagged_double(X), X, tuple(self._eta(j % n, n) for j in range(2 * n)))
 
     # ---- sampling and enumeration ----
 
     def rand_arrow(self, rng, X, Y, bounds) -> Arrow:
-        return Arrow(X, Y, {x: self._rand_image(rng, bounds, Y.atoms, ONE) for x in X})
+        n = len(Y)
+        return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), ONE)
+                                 for _ in X))
 
     def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
         """Built with mass at most 1 - p(x), so the hom condition holds by
         construction."""
-        return Arrow(X, Y, {x: self._rand_image(rng, bounds, Y.atoms, 1 - self._val(p, x))
-                            for x in X})
+        n = len(Y)
+        return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), 1 - v)
+                                 for v in self._vals(X, p)))
 
     def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        atoms = self._certain(X, p).atoms
-        return Arrow(Y, X, {y: self._rand_image(rng, bounds, atoms, ONE) for y in Y})
+        kept = self._certain(X, p)
+        return Arrow(Y, X, tuple(self._rand_image(rng, bounds, len(X), kept, ONE)
+                                 for _ in Y))
 
-    def _images(self, Y):
+    def _images(self, n):
         return None
 
     def count_arrows(self, X, Y):
-        images = self._images(Y)
+        images = self._images(len(Y))
         return None if images is None else len(images) ** len(X)
 
     def iter_arrows(self, X, Y):
-        images = self._images(Y)
+        images = self._images(len(Y))
         if images is None:
             return super().iter_arrows(X, Y)
-        return (Arrow(X, Y, dict(zip(X.atoms, choice)))
-                for choice in product(images, repeat=len(X)))
+        return (Arrow(X, Y, data) for data in product(images, repeat=len(X)))
 
     # ---- serialization ----
 
@@ -352,29 +421,31 @@ class KleisliChain(ChainInstance):
         return [atom_to_json(a) for a in X]
 
     def arrow_to_json(self, f: Arrow):
-        return [[atom_to_json(x), self._image_to_json(f.data[x])] for x in f.src]
+        Y = f.dst
+        return [[atom_to_json(x), self._image_to_json(d, Y)]
+                for x, d in zip(f.src, f.data)]
 
 
 class _SubsetChain(KleisliChain):
     """The two possibilistic instances: subsets as predicates and images
     weighted 0 (abort) or 1, with the samplers both share."""
 
-    def _scale(self, d, w):
-        return d if w else self._abort
+    def _scale(self, d, w, n):
+        return d if w else self._abort(n)
 
-    def _mass(self, d) -> int:
-        return int(d != self._abort)
+    def _mass(self, d, n) -> int:
+        return int(d != self._abort(n))
 
     def _distance(self, d, e) -> int:
         return int(d != e)
 
-    def _val(self, p: FiniteSet, a) -> bool:
-        return a in p
+    def _vals(self, X: FiniteSet, p: FiniteSet) -> list:
+        return [a in p for a in X]
 
-    def _pred(self, X: FiniteSet, value) -> FiniteSet:
-        return FiniteSet(tuple(a for a in X if value(a)))
+    def _pred(self, X: FiniteSet, values) -> FiniteSet:
+        return X.select([i for i, v in enumerate(values) if v])
 
-    def _certain(self, X, p: FiniteSet) -> FiniteSet:
+    def _certain(self, X, p: FiniteSet) -> list:
         for a in p:
             if a not in X:
                 raise ValidationError(f"atom {a!r} not in carrier {X!r}")
@@ -407,64 +478,112 @@ class _SubsetChain(KleisliChain):
 
 class SetsChain(_SubsetChain):
     """Finite sets with partial functions (the lift monad): a table maps
-    each atom of the source to an atom of the target or to the marker *."""
+    each atom of the source to an atom of the target or to the marker *.
+    An image is the target position, -1 for *."""
 
     name = "sets"
     description = "finite sets and partial functions"
-    _abort = STAR
+
+    def _abort(self, n) -> int:
+        return -1
+
+    def _eta(self, j, n) -> int:
+        return j
+
+    def _bind(self, y, k) -> int:
+        return k[y]  # k[-1] is the abort image
+
+    def _plus(self, y, z, n) -> int:
+        return z if y < 0 else y
+
+    def _expectation(self, Y, q: FiniteSet):
+        holds = [y in q for y in Y] + [True]  # index -1: * counts 1
+        return holds.__getitem__
+
+    def _restriction(self, kept, n):
+        pos = [None] * n + [-1]
+        for j, i in enumerate(kept):
+            pos[i] = j
+        return pos.__getitem__
+
+    def _images(self, n):
+        return [*range(n), -1]
+
+    def _rand_image(self, rng, bounds, n, positions, cap) -> int:
+        return rng.choice([*positions, -1]) if cap else -1
 
     def _as_image(self, x, y):
         return y
 
-    def _eta(self, a):
-        return a
+    def _encode(self, y, Y: FiniteSet) -> int:
+        return -1 if y is STAR else Y._index[y]
 
-    def _bind(self, y, k):
-        return STAR if y is STAR else k[y]
+    def _decode(self, y, Y: FiniteSet):
+        return STAR if y < 0 else Y.atoms[y]
 
-    def _plus(self, y, z):
-        return z if y is STAR else y
-
-    def _expect(self, y, q: FiniteSet) -> bool:
-        return y is STAR or y in q
-
-    def _support(self, y):
-        return () if y is STAR else (y,)
-
-    def _images(self, Y):
-        return list(Y.atoms) + [STAR]
-
-    def _rand_image(self, rng, bounds, atoms, cap):
-        return rng.choice(list(atoms) + [STAR]) if cap else STAR
-
-    def _image_to_json(self, y):
-        return atom_to_json(y)
-
-    def arrow_key(self, f: Arrow) -> int:
-        """The images as the digits of one int, base |Y| + 1: an atom's
-        position in Y, or |Y| for *."""
-        pos = {**f.dst._index, STAR: len(f.dst)}
-        key = 0
-        for x in f.src.atoms:
-            key = key * len(pos) + pos[f.data[x]]
-        return key
+    def _image_to_json(self, y, Y: FiniteSet):
+        return atom_to_json(self._decode(y, Y))
 
     def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
         if len(f.src) == 0 or len(f.dst) == 0:
             return f
-        x = rng.choice(f.src.atoms)
-        opts = [y for y in list(f.dst.atoms) + [STAR] if y != f.data[x]]
-        return Arrow(f.src, f.dst, {**f.data, x: rng.choice(opts)})
+        i = rng.choice(range(len(f.src)))
+        opts = [j for j in self._images(len(f.dst)) if j != f.data[i]]
+        return Arrow(f.src, f.dst, _replace(f.data, i, rng.choice(opts)))
 
 
 class NondetChain(_SubsetChain):
     """Finite sets with non-deterministic maps (the non-empty powerset
     monad): each atom goes to a non-empty set of target atoms and/or the
-    marker *."""
+    marker *.  An image is a bitmask over the target positions, with *
+    as bit n."""
 
     name = "nondet"
     description = "finite sets and non-empty-valued multimaps"
-    _abort = frozenset({STAR})
+
+    def _abort(self, n) -> int:
+        return 1 << n
+
+    def _eta(self, j, n) -> int:
+        return 1 << j
+
+    def _bind(self, s, k) -> int:
+        out = 0
+        for i in _SMALL_BITS[s] if s < len(_SMALL_BITS) else _bits(s):
+            out |= k[i]
+        return out
+
+    def _plus(self, s, t, n) -> int:
+        star = 1 << n
+        return (s | t) & (star - 1) or star
+
+    def _expectation(self, Y, q: FiniteSet):
+        inside = sum(1 << i for i, y in enumerate(Y) if y in q) | 1 << len(Y)
+        return lambda s: not s & ~inside
+
+    def _restriction(self, kept, n):
+        outside, bits = (1 << n) - 1, [0] * n + [1 << len(kept)]
+        for j, i in enumerate(kept):
+            bits[i] = 1 << j
+            outside ^= 1 << i
+
+        def restrict(s):
+            return None if s & outside else self._bind(s, bits)
+
+        if 1 << (n + 1) > len(_SMALL_BITS):
+            return restrict
+        # a small carrier: tabulate every mask over X + 1 once
+        return [restrict(s) for s in range(1 << (n + 1))].__getitem__
+
+    def _images(self, n):
+        return range(1, 1 << (n + 1))
+
+    def _rand_image(self, rng, bounds, n, positions, cap) -> int:
+        if not cap:
+            return 1 << n
+        opts = [*positions, n]
+        picked = [o for o in opts if rng.random() < 0.4] or [rng.choice(opts)]
+        return sum(1 << o for o in picked)
 
     def _as_image(self, x, s) -> frozenset:
         s = frozenset(s)
@@ -472,133 +591,122 @@ class NondetChain(_SubsetChain):
             raise ValidationError(f"image of {x!r} must be a non-empty frozenset")
         return s
 
-    def _eta(self, a) -> frozenset:
-        return frozenset({a})
+    def _encode(self, s: frozenset, Y: FiniteSet) -> int:
+        return sum(1 << (len(Y) if y is STAR else Y._index[y]) for y in s)
 
-    def _bind(self, s, k) -> frozenset:
-        out = set()
-        for y in s:
-            if y is STAR:
-                out.add(STAR)
-            else:
-                out |= k[y]
-        return frozenset(out)
+    def _atoms(self, s, Y: FiniteSet) -> list:
+        return [STAR if i == len(Y) else Y.atoms[i] for i in _bits(s)]
 
-    def _plus(self, s, t) -> frozenset:
-        return (s | t) - self._abort or self._abort
+    def _decode(self, s, Y: FiniteSet) -> frozenset:
+        return frozenset(self._atoms(s, Y))
 
-    def _expect(self, s, q: FiniteSet) -> bool:
-        return all(y is STAR or y in q for y in s)
-
-    def _support(self, s):
-        return s - self._abort
-
-    def _images(self, Y):
-        opts = list(Y.atoms) + [STAR]
-        return [frozenset(o for i, o in enumerate(opts) if mask >> i & 1)
-                for mask in range(1, 1 << len(opts))]
-
-    def _rand_image(self, rng, bounds, atoms, cap) -> frozenset:
-        if not cap:
-            return self._abort
-        opts = list(atoms) + [STAR]
-        return frozenset({o for o in opts if rng.random() < 0.4} or {rng.choice(opts)})
-
-    def _image_to_json(self, s):
-        return [atom_to_json(y) for y in sorted(s, key=atom_key)]
-
-    def arrow_key(self, f: Arrow) -> int:
-        """Each image as a bitmask over Y + 1 (* the top bit), the masks
-        packed into one int."""
-        pos = {**f.dst._index, STAR: len(f.dst)}
-        key = 0
-        for x in f.src.atoms:
-            key <<= len(pos)
-            for y in f.data[x]:
-                key |= 1 << pos[y]
-        return key
+    def _image_to_json(self, s, Y: FiniteSet):
+        return [atom_to_json(y) for y in self._atoms(s, Y)]
 
     def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
         if len(f.src) == 0:
             return f
-        x = rng.choice(f.src.atoms)
+        i = rng.choice(range(len(f.src)))
+        n = len(f.dst)
         for _ in range(64):
-            s = self._rand_image(rng, bounds, f.dst.atoms, ONE)
-            if s != f.data[x]:
-                return Arrow(f.src, f.dst, {**f.data, x: s})
+            s = self._rand_image(rng, bounds, n, range(n), ONE)
+            if s != f.data[i]:
+                return Arrow(f.src, f.dst, _replace(f.data, i, s))
         return f
 
 
 class DistChain(KleisliChain):
     """Finite sets with subdistribution kernels, exact over the rationals:
-    an arrow X -> Y maps each atom of X to a SubDist on Y.  Predicates are
-    fuzzy: a rational in [0, 1] per atom."""
+    an arrow X -> Y maps each atom of X to a SubDist on Y, stored as the
+    tuple of its |Y| weights.  Predicates are fuzzy: a rational in [0, 1]
+    per atom."""
 
     name = "dist"
     description = "finite sets and rational subdistribution kernels"
 
-    def _val(self, p: FuzzyPred, a) -> Fraction:
-        return p.value(a)
+    def _vals(self, X, p: FuzzyPred) -> list:
+        table = dict(p.table)
+        try:
+            return [table[a] for a in X]
+        except KeyError as exc:
+            raise ValidationError(
+                f"atom {exc.args[0]!r} not in predicate table") from None
 
-    def _pred(self, X, value) -> FuzzyPred:
-        return fuzzy(X, value)
+    def _pred(self, X, values) -> FuzzyPred:
+        return FuzzyPred(tuple(zip(X.atoms, values)))
 
-    def _as_image(self, x, d) -> SubDist:
-        if not isinstance(d, SubDist):
-            raise ValidationError(f"image of {x!r} must be a SubDist")
-        return d
+    def _abort(self, n) -> tuple:
+        return (ZERO,) * n
 
-    def _eta(self, a) -> SubDist:
-        return dirac(a)
+    def _eta(self, j, n) -> tuple:
+        return (ZERO,) * j + (ONE,) + (ZERO,) * (n - j - 1)
 
-    def _bind(self, d, k) -> SubDist:
-        acc: dict = {}
-        for y, w in d.weights:
-            for z, v in k[y].weights:
-                acc[z] = acc.get(z, ZERO) + w * v
-        return SubDist(tuple(acc.items()))
+    def _bind(self, d, k) -> tuple:
+        out = k[-1]
+        for w, row in zip(d, k):
+            if w:
+                out = tuple(a + w * v if v else a for a, v in zip(out, row))
+        return out
 
-    def _scale(self, d, w) -> SubDist:
-        return SubDist(tuple((y, v * w) for y, v in d.weights))
+    def _scale(self, d, w, n) -> tuple:
+        return tuple(v * w for v in d)
 
-    def _plus(self, d, e) -> SubDist:
-        return SubDist(d.weights + e.weights)
+    def _plus(self, d, e, n) -> tuple:
+        return tuple(map(add, d, e))
 
-    def _expect(self, d, q: FuzzyPred) -> Fraction:
-        return sum((w * q.value(y) for y, w in d.weights), ZERO) + d.star_weight
+    def _expectation(self, Y, q: FuzzyPred):
+        # sum of w * q(y), plus the mass 1 - sum of w on *
+        miss = [1 - v for v in self._vals(Y, q)]
+        return lambda d: ONE - sum((w * m for w, m in zip(d, miss) if w), ZERO)
 
-    def _mass(self, d) -> Fraction:
-        return d.mass
-
-    def _support(self, d):
-        return [y for y, _ in d.weights]
+    def _mass(self, d, n) -> Fraction:
+        return sum(d, ZERO)
 
     def _distance(self, d, e) -> Fraction:
-        atoms = {a for a, _ in d.weights} | {a for a, _ in e.weights}
-        return max((abs(d.weight(a) - e.weight(a)) for a in atoms), default=ZERO)
+        return max(map(abs, map(sub, d, e)), default=ZERO)
+
+    def _restriction(self, kept, n):
+        outside = sorted(set(range(n)).difference(kept))
+        return lambda d: (None if any(d[i] for i in outside)
+                          else tuple(d[i] for i in kept))
 
     def _rand_frac(self, rng, bounds, lo=ZERO, hi=ONE) -> Fraction:
         den = rng.randint(1, bounds.get("max_den", 16))
         num = rng.randint(0, den)
         return lo + (hi - lo) * Fraction(num, den)
 
-    def _rand_image(self, rng, bounds, atoms, cap) -> SubDist:
+    def _rand_image(self, rng, bounds, n, positions, cap) -> tuple:
         # One common denominator keeps every kernel weight's denominator
         # within the requested bound even after splitting the budget.
         den = rng.randint(1, bounds.get("max_den", 16))
         units = int(cap * den)  # floor: never exceeds the cap
-        pairs = []
-        for a in atoms:
+        row = [ZERO] * n
+        for j in positions:
             k = rng.randint(0, units)
             if k:
-                pairs.append((a, Fraction(k, den)))
+                row[j] = Fraction(k, den)
                 units -= k
-        return SubDist(tuple(pairs))
+        return tuple(row)
 
-    def _image_to_json(self, d):
-        row = [[atom_to_json(y), frac_to_json(w)] for y, w in d.weights]
-        if d.star_weight:
-            row.append(["*", frac_to_json(d.star_weight)])
+    def _as_image(self, x, d) -> SubDist:
+        if not isinstance(d, SubDist):
+            raise ValidationError(f"image of {x!r} must be a SubDist")
+        return d
+
+    def _encode(self, d: SubDist, Y: FiniteSet) -> tuple:
+        row = [ZERO] * len(Y)
+        for y, w in d.weights:
+            row[Y._index[y]] = w
+        return tuple(row)
+
+    def _decode(self, d, Y: FiniteSet) -> SubDist:
+        return SubDist(tuple((y, w) for y, w in zip(Y.atoms, d) if w))
+
+    def _image_to_json(self, d, Y: FiniteSet):
+        row = [[atom_to_json(y), frac_to_json(w)] for y, w in zip(Y.atoms, d) if w]
+        star = ONE - sum(d, ZERO)
+        if star:
+            row.append(["*", frac_to_json(star)])
         return row
 
     # ---- samplers whose draws differ from the finite-set instances ----
@@ -615,19 +723,18 @@ class DistChain(KleisliChain):
         """Move a nonzero amount of mass at one input between an atom and *."""
         if not (len(f.src) and len(f.dst)):
             return f
-        x = rng.choice(f.src.atoms)
-        d = f.data[x]
-        y = rng.choice(f.dst.atoms)
-        w = d.weight(y)
-        room = d.star_weight
+        i = rng.choice(range(len(f.src)))
+        d = f.data[i]
+        j = rng.choice(range(len(f.dst)))
+        w = d[j]
+        room = ONE - sum(d, ZERO)
         if room > 0 and (w == 0 or rng.random() < 0.5):
             new_w = w + (self._rand_frac(rng, bounds, ZERO, room) or room)
         elif w > 0:
             new_w = w - (self._rand_frac(rng, bounds, ZERO, w) or w)
         else:
             return f
-        pairs = tuple((a, v) for a, v in d.weights if a != y) + ((y, new_w),)
-        return Arrow(f.src, f.dst, {**f.data, x: SubDist(pairs)})
+        return Arrow(f.src, f.dst, _replace(f.data, i, _replace(d, j, new_w)))
 
     def pred_to_json(self, X, p: FuzzyPred):
         return [[atom_to_json(a), frac_to_json(v)] for a, v in p.table]

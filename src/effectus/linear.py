@@ -9,6 +9,7 @@ the complex numbers), so carrier equality is a real object-level question.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -103,7 +104,8 @@ class FpSpace:
     dim: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % k == 0 for k in range(2, self.p)):
+        p = self.p
+        if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
             raise ValidationError(f"modulus {self.p} is not prime")
         if self.dim < 0:
             raise ValidationError("dimension must be a natural number")

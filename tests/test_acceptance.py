@@ -86,9 +86,9 @@ def test_closed_form_reproduction():
     # canned: three-point set with a two-point subset
     X = FiniteSet((1, 2, 3))
     P = FiniteSet((1, 2))
-    if SETS.assert_closed_form(X, P).data != {1: 1, 2: 2, 3: STAR}:
+    if SETS.table(SETS.assert_closed_form(X, P)) != {1: 1, 2: 2, 3: STAR}:
         problems.append("sets assert table")
-    if SETS.instrument_closed_form(X, P).data != {
+    if SETS.table(SETS.instrument_closed_form(X, P)) != {
             1: (1, 1), 2: (1, 2), 3: (2, 3)}:
         problems.append("sets instrument table")
 
@@ -98,12 +98,12 @@ def test_closed_form_reproduction():
         Ps = SETS.rand_pred(rng, Xs, {})
         instr = SETS.instrument_closed_form(Xs, Ps)
         want = {x: ((1, x) if x in Ps else (2, x)) for x in Xs}
-        if instr.data != want or instr.dst != tagged_double(Xs):
+        if SETS.table(instr) != want or instr.dst != tagged_double(Xs):
             problems.append(f"sets instrument {Xs}")
         if not SETS.maps_equal(derive_instrument(SETS, Xs, Ps), instr):
             problems.append(f"sets derived instrument {Xs}")
         asrt = SETS.assert_closed_form(Xs, Ps)
-        if asrt.data != {x: (x if x in Ps else STAR) for x in Xs}:
+        if SETS.table(asrt) != {x: (x if x in Ps else STAR) for x in Xs}:
             problems.append(f"sets assert {Xs}")
         if not SETS.maps_equal(derive_assert(SETS, Xs, Ps), asrt):
             problems.append(f"sets derived assert {Xs}")
@@ -112,9 +112,9 @@ def test_closed_form_reproduction():
     Xd = FiniteSet(("x", "y"))
     pd = fuzzy(Xd, {"x": HALF, "y": ONE})
     instr = DIST.instrument_closed_form(Xd, pd)
-    if instr.data["x"] != SubDist((((1, "x"), HALF), ((2, "x"), HALF))):
+    if DIST.table(instr)["x"] != SubDist((((1, "x"), HALF), ((2, "x"), HALF))):
         problems.append("dist canned instrument at x")
-    if instr.data["y"] != SubDist((((1, "y"), ONE),)):
+    if DIST.table(instr)["y"] != SubDist((((1, "y"), ONE),)):
         problems.append("dist canned instrument at y")
 
     for _ in range(200):
@@ -124,11 +124,11 @@ def test_closed_form_reproduction():
         for x in Xr:
             v = pr.value(x)
             want = SubDist((((1, x), v), ((2, x), 1 - v)))
-            if instr.data[x] != want:
+            if DIST.table(instr)[x] != want:
                 problems.append(f"dist instrument at {x!r}")
         asrt = DIST.assert_closed_form(Xr, pr)
         for x in Xr:
-            if asrt.data[x] != SubDist(((x, pr.value(x)),)):
+            if DIST.table(asrt)[x] != SubDist(((x, pr.value(x)),)):
                 problems.append(f"dist assert at {x!r}")
         if not DIST.maps_equal(derive_instrument(DIST, Xr, pr), instr):
             problems.append("dist derived instrument")
@@ -505,12 +505,12 @@ def test_ring_decomposition():
 
 def _halved(g):
     data = {x: SubDist(tuple((a, w / 2) for a, w in d.weights))
-            for x, d in g.data.items()}
-    return Arrow(g.src, g.dst, data)
+            for x, d in DIST.table(g).items()}
+    return DIST.arrow(g.src, g.dst, data)
 
 
 def _aborting(g):
-    return Arrow(g.src, g.dst, {x: STAR for x in g.src})
+    return SETS.arrow(g.src, g.dst, {x: STAR for x in g.src})
 
 
 def _skewed(g):

@@ -231,6 +231,13 @@ def test_demo_sets_section(capsys):
     assert "ring:" not in out
 
 
+@pytest.mark.parametrize("scenario", ["sets", "dist"])
+def test_demo_text_matches_golden(scenario, capsys):
+    assert main(["demo", scenario]) == 0
+    golden = Path(__file__).resolve().parent / "data" / f"demo_{scenario}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_demo_ring_decomposition(capsys):
     assert main(["demo", "ring"]) == 0
     out = capsys.readouterr().out

@@ -93,22 +93,22 @@ def test_quotient_drops_the_predicate():
     X = FiniteSet((1, 2, 3))
     q = SETS.quotient(X, FiniteSet((1,)))
     assert q.obj == FiniteSet((2, 3))
-    assert q.unit.data == {1: STAR, 2: 2, 3: 3}
+    assert SETS.table(q.unit) == {1: STAR, 2: 2, 3: 3}
 
 
 def test_quotient_edges():
     X = FiniteSet((1, 2))
-    assert SETS.quotient(X, FiniteSet(())).unit.data == {1: 1, 2: 2}
+    assert SETS.table(SETS.quotient(X, FiniteSet(())).unit) == {1: 1, 2: 2}
     full = SETS.quotient(X, X)
     assert full.obj == FiniteSet(())
-    assert full.unit.data == {1: STAR, 2: STAR}
+    assert SETS.table(full.unit) == {1: STAR, 2: STAR}
 
 
 def test_comprehension_is_inclusion():
     X = FiniteSet((1, 2))
     c = SETS.comprehension(X, FiniteSet((1,)))
     assert c.obj == FiniteSet((1,))
-    assert c.counit.data == {1: 1}
+    assert SETS.table(c.counit) == {1: 1}
 
 
 def test_comprehension_factorization_is_restriction():
@@ -116,7 +116,7 @@ def test_comprehension_factorization_is_restriction():
     Z = FiniteSet(("z",))
     f = SETS.arrow(Z, X, {"z": 1})
     g = SETS.transpose_comprehension(X, FiniteSet((1,)), f)
-    assert g.data == {"z": 1}
+    assert SETS.table(g) == {"z": 1}
     c = SETS.comprehension(X, FiniteSet((1,)))
     assert SETS.maps_equal(SETS.compose(c.counit, g), f)
 
@@ -140,7 +140,7 @@ def test_nondet_quotient_transpose_restricts():
     P = FiniteSet((1,))
     f = NONDET.arrow(X, Y, {1: frozenset({STAR}), 2: frozenset({"a"})})
     g = NONDET.transpose_quotient(X, P, f)
-    assert g.data == {2: frozenset({"a"})}
+    assert NONDET.table(g) == {2: frozenset({"a"})}
     back = NONDET.untranspose_quotient(X, P, g)
     assert NONDET.maps_equal(back, f)
 
@@ -152,7 +152,7 @@ def test_nondet_untranspose_extends_by_star():
     carrier = NONDET.quotient(X, P).obj
     g = NONDET.arrow(carrier, Y, {2: frozenset({"a", "b"})})
     f = NONDET.untranspose_quotient(X, P, g)
-    assert f.data == {1: frozenset({STAR}), 2: frozenset({"a", "b"})}
+    assert NONDET.table(f) == {1: frozenset({STAR}), 2: frozenset({"a", "b"})}
 
 
 def test_nondet_transpose_demands_pure_abort_on_the_predicate():
@@ -208,9 +208,9 @@ def test_instrument_is_total():
     X = FiniteSet((1, 2, 3))
     P = FiniteSet((2,))
     instr = derive_instrument(SETS, X, P)
-    assert STAR not in instr.data.values()
+    assert STAR not in SETS.table(instr).values()
     ninstr = derive_instrument(NONDET, X, P)
-    for image in ninstr.data.values():
+    for image in NONDET.table(ninstr).values():
         assert STAR not in image
 
 

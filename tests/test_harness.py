@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from effectus import INSTANCES, STAR
-from effectus.core import Arrow
+from effectus.core import atom_key
 from effectus.kleisli import DistChain, NondetChain, SetsChain, SubDist
 from effectus.harness import (
     DEFAULT_SEED,
@@ -29,6 +29,8 @@ from effectus.harness import (
 )
 from effectus.ring import RingChain
 from effectus.vn import MatrixAlgebra, VnChain
+
+SETS, NONDET, DIST = SetsChain(), NondetChain(), DistChain()
 
 REPORT_KEYS = {"instance", "law", "cases", "failures", "witnesses",
                "max_residual", "seed"}
@@ -303,9 +305,9 @@ class _ScaledDistTranspose(DistChain):
 
         def transpose(f):
             g = q.transpose(f)
-            return Arrow(g.src, g.dst,
-                         {x: SubDist(tuple((a, w / self.factor) for a, w in d.weights))
-                          for x, d in g.data.items()})
+            return self.arrow(g.src, g.dst,
+                              {x: SubDist(tuple((a, w / self.factor) for a, w in d.weights))
+                               for x, d in self.table(g).items()})
 
         return dataclasses.replace(q, transpose=transpose)
 
@@ -326,13 +328,13 @@ def test_tolerance_override_keeps_instance_state(bounds):
 
 
 def _halve_weights(g):
-    return Arrow(g.src, g.dst,
-                 {x: SubDist(tuple((a, w / 2) for a, w in d.weights))
-                  for x, d in g.data.items()})
+    return DIST.arrow(g.src, g.dst,
+                      {x: SubDist(tuple((a, w / 2) for a, w in d.weights))
+                       for x, d in DIST.table(g).items()})
 
 
 def _abort_everywhere(g):
-    return Arrow(g.src, g.dst, {x: STAR for x in g.src})
+    return SETS.arrow(g.src, g.dst, {x: STAR for x in g.src})
 
 
 def _corrupt(base, which, damage):
@@ -387,6 +389,35 @@ def test_corruption_in_one_direction_leaves_the_other_passing(which):
     exhaustive = CaseSpec("sets", f"{other}-adjunction", 0, 0,
                           {"exhaustive": True, "max_size": 2})
     assert run_suite([seeded, exhaustive], instances={"sets": corrupt})["ok"]
+
+
+def _star_to_first(g):
+    return SETS.arrow(g.src, g.dst, {x: g.dst.atoms[0] if y is STAR and len(g.dst) else y
+                                     for x, y in SETS.table(g).items()})
+
+
+def _drop_last(g):
+    return NONDET.arrow(g.src, g.dst, {x: d - {max(d, key=atom_key)} if len(d) > 1 else d
+                                       for x, d in NONDET.table(g).items()})
+
+
+EXHAUSTIVE_GOLDEN = GOLDEN.with_name("exhaustive_corrupt_witnesses.json")
+
+
+def test_exhaustive_witnesses_match_golden():
+    """Byte identity of the witnesses of exhaustive sweeps over corrupted
+    transposes, which fail on candidates past the first: this pins the
+    order `iter_arrows` enumerates in and the witness serialization."""
+    reports = []
+    for name, base, damage in (("sets", SetsChain, _star_to_first),
+                               ("nondet", NondetChain, _drop_last)):
+        for which in DIRECTIONS:
+            spec = CaseSpec(name, f"{which}-adjunction", 0, 0,
+                            {"exhaustive": True, "max_size": 2})
+            corrupt = _corrupt(base, which, damage)
+            reports += run_suite([spec], instances={name: corrupt})["reports"]
+    text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
+    assert text == EXHAUSTIVE_GOLDEN.read_text()
 
 
 def test_honest_registry_is_untouched_by_override():

@@ -1,15 +1,17 @@
 """One Kleisli construction over three monads: a partial function is also
 a non-deterministic map and a Dirac kernel, and the three instances must
-agree on it.  Also what the construction refuses, and the packed arrow
-keys of the enumerable instances."""
+agree on it.  Also what the construction refuses, the encoding boundary
+`arrow`/`table`, and the arrow keys of the enumerable instances."""
 
 import random
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from effectus import STAR, UnsupportedError, ValidationError
+from effectus import STAR, HomConditionError, UnsupportedError, ValidationError
 from effectus.core import Arrow
 from effectus.kleisli import (
     DistChain,
@@ -35,8 +37,8 @@ EMBEDDINGS = {
 }
 
 
-def _embed(image, f: Arrow) -> Arrow:
-    return Arrow(f.src, f.dst, {x: image(y) for x, y in f.data.items()})
+def _embed(inst, image, f: Arrow) -> Arrow:
+    return inst.arrow(f.src, f.dst, {x: image(y) for x, y in SETS.table(f).items()})
 
 
 def _sample(seed):
@@ -54,7 +56,7 @@ def _sample(seed):
 @pytest.mark.parametrize("name", sorted(EMBEDDINGS))
 def test_partial_functions_agree_across_monads(name):
     inst, image, pred = EMBEDDINGS[name]
-    e = partial(_embed, image)
+    e = partial(_embed, inst, image)
 
     def same(sets_arrow, other):
         return inst.maps_equal(e(sets_arrow), other)
@@ -90,11 +92,99 @@ def test_dist_is_not_enumerable():
 @pytest.mark.parametrize("inst", [SETS, NONDET], ids=["sets", "nondet"])
 def test_subset_predicate_outside_the_carrier_is_rejected(inst):
     X, P = FiniteSet((1, 2)), FiniteSet((1, 3))
-    f = inst.arrow(FiniteSet(("y",)), X, {"y": inst.identity(X).data[1]})
+    f = inst.arrow(FiniteSet(("y",)), X, {"y": inst.table(inst.identity(X))[1]})
     with pytest.raises(ValidationError):
         inst.comprehension(X, P)
     with pytest.raises(ValidationError):
         inst.transpose_comprehension(X, P, f)
+
+
+def test_wide_nondet_carriers():
+    """Images over more than seven atoms are re-indexed and bound bit by
+    bit rather than through the tables kept for small carriers."""
+    X = FiniteSet(tuple(range(9)))
+    P = FiniteSet((0, 2, 3, 8))
+    rng = random.Random(3)
+    Y = FiniteSet(("y", "z"))
+    c = NONDET.comprehension(X, P)
+    for _ in range(20):
+        f = NONDET.rand_comprehension_hom(rng, X, P, Y, BOUNDS)
+        g = c.transpose(f)
+        assert all(image <= frozenset(P) | {STAR} for image in NONDET.table(f).values())
+        assert NONDET.table(g) == NONDET.table(f)
+        assert NONDET.maps_equal(NONDET.compose(c.counit, g), f)
+        assert NONDET.maps_equal(NONDET.compose(NONDET.identity(X), f), f)
+    outside = NONDET.arrow(Y, X, {"y": frozenset({0, 1}), "z": frozenset({STAR})})
+    with pytest.raises(HomConditionError):
+        c.transpose(outside)
+
+
+# ---------------------------------------------------------------------------
+# The encoding boundary: `arrow` encodes atom tables, `table` decodes them.
+# ---------------------------------------------------------------------------
+
+MONADS = {"sets": SETS, "nondet": NONDET, "dist": DIST}
+ATOMS = (1, 2, 3, "a", "b", (1, "a"))
+OUTSIDE = "zz"  # never an atom of a sampled carrier
+
+
+def _carriers(min_size=0):
+    return st.lists(st.sampled_from(ATOMS), unique=True, min_size=min_size,
+                    max_size=4).map(lambda xs: FiniteSet(tuple(xs)))
+
+
+@st.composite
+def _subdist(draw, Y):
+    units = draw(st.lists(st.integers(0, 3), min_size=len(Y), max_size=len(Y)))
+    den = sum(units) + draw(st.integers(0, 3)) or 1
+    return SubDist(tuple((y, Fraction(k, den)) for y, k in zip(Y, units)))
+
+
+def _images(name, Y):
+    opts = list(Y.atoms) + [STAR]
+    if name == "sets":
+        return st.sampled_from(opts)
+    if name == "nondet":
+        return st.frozensets(st.sampled_from(opts), min_size=1)
+    return _subdist(Y)
+
+
+@st.composite
+def _atom_tables(draw, name, min_size=0):
+    X, Y = draw(_carriers(min_size)), draw(_carriers())
+    return X, Y, {x: draw(_images(name, Y)) for x in X}
+
+
+@pytest.mark.parametrize("name", sorted(MONADS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_decodes_what_arrow_encodes(name, data):
+    inst = MONADS[name]
+    X, Y, table = data.draw(_atom_tables(name))
+    assert inst.table(inst.arrow(X, Y, table)) == table
+
+
+OUTSIDE_IMAGE = {"sets": OUTSIDE, "nondet": frozenset({OUTSIDE, STAR}),
+                 "dist": SubDist(((OUTSIDE, Fraction(1, 2)),))}
+# images of the wrong shape, beyond those naming an atom outside the target
+MALFORMED = [("nondet", frozenset()), ("dist", (Fraction(1),)),
+             ("dist", {1: Fraction(1)}), ("dist", STAR)]
+
+
+@pytest.mark.parametrize("name", sorted(MONADS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_arrow_rejects_tables_it_cannot_encode(name, data):
+    inst = MONADS[name]
+    X, Y, table = data.draw(_atom_tables(name, min_size=1))
+    x = data.draw(st.sampled_from(X.atoms))
+    bad = [{a: d for a, d in table.items() if a != x},  # a missing key
+           {**table, OUTSIDE: table[x]},  # an extra key
+           {**table, x: OUTSIDE_IMAGE[name]}]  # an image outside Y
+    bad += [{**table, x: image} for n, image in MALFORMED if n == name]
+    for t in bad:
+        with pytest.raises(ValidationError):
+            inst.arrow(X, Y, t)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +198,9 @@ SMALL = [FiniteSet(()), FiniteSet((1,)), FiniteSet((1, 2)), FiniteSet((1, "b", "
 def test_arrow_keys_tell_arrows_apart(inst):
     for X in SMALL[:3]:
         for Y in SMALL:
-            keys = [inst.arrow_key(f) for f in inst.iter_arrows(X, Y)]
-            assert all(isinstance(k, int) for k in keys)
+            arrows = list(inst.iter_arrows(X, Y))
+            keys = [inst.arrow_key(f) for f in arrows]
+            assert all(k == f.data for k, f in zip(keys, arrows))
             assert len(set(keys)) == len(keys) == inst.count_arrows(X, Y)
 
 
@@ -123,6 +214,6 @@ def test_equal_arrows_share_a_key(inst):
         key = inst.arrow_key(f)
         assert inst.arrow_key(inst.compose(inst.identity(Y), f)) == key
         assert inst.arrow_key(inst.compose(f, inst.identity(X))) == key
-        shuffled = list(f.data.items())
+        shuffled = list(inst.table(f).items())
         rng.shuffle(shuffled)
         assert inst.arrow_key(inst.arrow(X, Y, dict(shuffled))) == key

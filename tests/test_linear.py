@@ -111,6 +111,21 @@ def test_subspace_validation_requires_reduced_echelon():
         FpSpace(4, 1)
 
 
+def test_fp_modulus_primality_matches_trial_division():
+    for p in range(-2, 500):
+        if p >= 2 and all(p % k for k in range(2, p)):
+            assert FpSpace(p, 1).p == p
+        else:
+            with pytest.raises(ValidationError):
+                FpSpace(p, 1)
+
+
+def test_fp_space_accepts_a_large_prime():
+    assert FpSpace(2_147_483_647, 1).p == 2_147_483_647
+    with pytest.raises(ValidationError):
+        FpSpace(2_147_483_649, 1)  # 3 * 715827883
+
+
 # ---------------------------------------------------------------------------
 # F_p chain structure.
 # ---------------------------------------------------------------------------

@@ -73,11 +73,11 @@ class FiniteSet:
     def select(self, positions) -> FiniteSet:
         """The atoms at the given increasing positions: already sorted and
         distinct, so neither sorted nor checked again."""
-        sub = object.__new__(FiniteSet)
+        part = object.__new__(FiniteSet)
         atoms = tuple(self.atoms[i] for i in positions)
-        object.__setattr__(sub, "atoms", atoms)
-        object.__setattr__(sub, "_index", dict(zip(atoms, range(len(atoms)))))
-        return sub
+        object.__setattr__(part, "atoms", atoms)
+        object.__setattr__(part, "_index", dict(zip(atoms, range(len(atoms)))))
+        return part
 
     def __contains__(self, a) -> bool:
         return a in self._index
@@ -201,14 +201,9 @@ class KleisliChain(ChainInstance):
     """Finite sets with the Kleisli arrows of a monad T on X + 1: a table
     maps each atom of the source to an image in T(target + 1).
 
-    Arrows are dense: the data is a tuple holding one image per source
-    atom, in the source's order, and an image is encoded over the n
-    positions of the target's atoms, with a monad-specific code for *.
-    `arrow` is the one encoder from atom tables and `table` the one
-    decoder back to them.
-
-    Every chain operation is written once here.  A subclass supplies T's
-    encoded images d, e: `_eta(j, n)` (position j for certain),
+    Every chain operation is written once here, on arrows stored as the
+    module docstring describes.  A subclass supplies T's images d, e,
+    encoded over n target positions: `_eta(j, n)` (position j for certain),
     `_abort(n)`, `_bind(d, k)` (Kleisli extension; k holds one image per
     position of d's target and the abort image last, for *), `_scale(d,
     w, n)` (mass times w, the rest aborting), `_plus(d, e, n)` (disjoint

@@ -70,15 +70,6 @@ class FiniteSet:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index", dict(zip(atoms, range(len(atoms)))))
 
-    def select(self, positions) -> FiniteSet:
-        """The atoms at the given increasing positions: already sorted and
-        distinct, so neither sorted nor checked again."""
-        part = object.__new__(FiniteSet)
-        atoms = tuple(self.atoms[i] for i in positions)
-        object.__setattr__(part, "atoms", atoms)
-        object.__setattr__(part, "_index", dict(zip(atoms, range(len(atoms)))))
-        return part
-
     def __contains__(self, a) -> bool:
         return a in self._index
 
@@ -184,13 +175,12 @@ def fuzzy(X: FiniteSet, mapping) -> FuzzyPred:
 # ---- the construction -----------------------------------------------
 
 
-def _bits(mask: int) -> tuple:
+def _bits(mask: int):
     """Positions of the set bits of mask, lowest first."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-# _bits of every mask of up to 8 bits: a nondet image over up to 7 atoms
-_SMALL_BITS = [_bits(mask) for mask in range(1 << 8)]
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _replace(t: tuple, i: int, v) -> tuple:
@@ -207,11 +197,12 @@ class KleisliChain(ChainInstance):
     `_abort(n)`, `_bind(d, k)` (Kleisli extension; k holds one image per
     position of d's target and the abort image last, for *), `_scale(d,
     w, n)` (mass times w, the rest aborting), `_plus(d, e, n)` (disjoint
-    sum), `_mass(d, n)` (weight not on *), `_distance(d, e)`,
-    `_restriction(kept, n)` (re-indexes an image onto the positions
-    `kept`, None when it reaches outside them), `_images(n)` (all images,
-    None if infinitely many), `_rand_image(rng, bounds, n, positions,
-    cap)` (support in `positions`, mass at most cap); the boundary
+    sum), `_mass(d, n)` (weight not on *), `_support(d, n)` (the
+    positions other than * where d puts weight, lowest first),
+    `_distance(d, e)`, `_restriction(kept, n)` (re-indexes an image onto
+    the positions `kept`, None when it reaches outside them), `_images(n)`
+    (all images, None if infinitely many), `_rand_image(rng, bounds, n,
+    positions, cap)` (support in `positions`, mass at most cap); the boundary
     `_as_image(x, d)` (checked atom image of x), `_encode(d, Y)`,
     `_decode(d, Y)` and `_image_to_json(d, Y)`; and its predicates:
     `_vals(X, p)` (the value of p per position of X), `_pred(X, values)`
@@ -308,7 +299,7 @@ class KleisliChain(ChainInstance):
         carrier, must abort entirely."""
         keep = [1 - v for v in self._vals(X, p)]
         kept = [i for i, w in enumerate(keep) if w]
-        obj = X.select(kept)
+        obj = FiniteSet(tuple(X.atoms[i] for i in kept))
         m = len(obj)
         unit = [self._abort(m)] * len(X)
         for j, i in enumerate(kept):
@@ -335,15 +326,16 @@ class KleisliChain(ChainInstance):
         carrier."""
         n = len(X)
         kept = self._certain(X, p)
-        obj = X.select(kept)
+        obj = FiniteSet(tuple(X.atoms[i] for i in kept))
         restrict = self._restriction(kept, n)
 
         def transpose(f: Arrow) -> Arrow:
             data = tuple(map(restrict, f.data))
             if None in data:
-                y = f.src.atoms[data.index(None)]
-                raise HomConditionError(f"{self.name}: image of {y!r} reaches "
-                                        f"outside the comprehension carrier {obj!r}")
+                j = data.index(None)
+                x = X.atoms[next(i for i in self._support(f.data[j], n) if i not in kept)]
+                raise HomConditionError(f"{self.name}: image of {f.src.atoms[j]!r} reaches "
+                                        f"{x!r}, outside the comprehension carrier")
             return Arrow(f.src, obj, data)
 
         counit = Arrow(obj, X, tuple(self._eta(i, n) for i in kept))
@@ -438,7 +430,7 @@ class _SubsetChain(KleisliChain):
         return [a in p for a in X]
 
     def _pred(self, X: FiniteSet, values) -> FiniteSet:
-        return X.select([i for i, v in enumerate(values) if v])
+        return FiniteSet(tuple(a for a, v in zip(X.atoms, values) if v))
 
     def _certain(self, X, p: FiniteSet) -> list:
         for a in p:
@@ -490,6 +482,9 @@ class SetsChain(_SubsetChain):
 
     def _plus(self, y, z, n) -> int:
         return z if y < 0 else y
+
+    def _support(self, y, n) -> tuple:
+        return () if y < 0 else (y,)
 
     def _expectation(self, Y, q: FiniteSet):
         holds = [y in q for y in Y] + [True]  # index -1: * counts 1
@@ -544,13 +539,18 @@ class NondetChain(_SubsetChain):
 
     def _bind(self, s, k) -> int:
         out = 0
-        for i in _SMALL_BITS[s] if s < len(_SMALL_BITS) else _bits(s):
-            out |= k[i]
+        while s:
+            low = s & -s
+            out |= k[low.bit_length() - 1]
+            s ^= low
         return out
 
     def _plus(self, s, t, n) -> int:
         star = 1 << n
         return (s | t) & (star - 1) or star
+
+    def _support(self, s, n):
+        return _bits(s & ~(1 << n))
 
     def _expectation(self, Y, q: FiniteSet):
         inside = sum(1 << i for i, y in enumerate(Y) if y in q) | 1 << len(Y)
@@ -562,13 +562,7 @@ class NondetChain(_SubsetChain):
             bits[i] = 1 << j
             outside ^= 1 << i
 
-        def restrict(s):
-            return None if s & outside else self._bind(s, bits)
-
-        if 1 << (n + 1) > len(_SMALL_BITS):
-            return restrict
-        # a small carrier: tabulate every mask over X + 1 once
-        return [restrict(s) for s in range(1 << (n + 1))].__getitem__
+        return lambda s: None if s & outside else self._bind(s, bits)
 
     def _images(self, n):
         return range(1, 1 << (n + 1))
@@ -656,6 +650,9 @@ class DistChain(KleisliChain):
 
     def _mass(self, d, n) -> Fraction:
         return sum(d, ZERO)
+
+    def _support(self, d, n) -> list:
+        return [i for i, w in enumerate(d) if w]
 
     def _distance(self, d, e) -> Fraction:
         return max(map(abs, map(sub, d, e)), default=ZERO)

@@ -100,8 +100,7 @@ def test_subset_predicate_outside_the_carrier_is_rejected(inst):
 
 
 def test_wide_nondet_carriers():
-    """Images over more than seven atoms are re-indexed and bound bit by
-    bit rather than through the tables kept for small carriers."""
+    """Masks over a nine-atom carrier re-index and bind like small ones."""
     X = FiniteSet(tuple(range(9)))
     P = FiniteSet((0, 2, 3, 8))
     rng = random.Random(3)
@@ -117,6 +116,20 @@ def test_wide_nondet_carriers():
     outside = NONDET.arrow(Y, X, {"y": frozenset({0, 1}), "z": frozenset({STAR})})
     with pytest.raises(HomConditionError):
         c.transpose(outside)
+
+
+@pytest.mark.parametrize("inst, image", [
+    (SETS, 3),
+    (NONDET, frozenset({1, 2, 3, STAR})),
+    (DIST, SubDist(((1, Fraction(1, 4)), (2, Fraction(1, 4)), (3, Fraction(1, 4))))),
+], ids=["sets", "nondet", "dist"])
+def test_comprehension_transpose_names_the_atom_outside_the_carrier(inst, image):
+    X = FiniteSet((1, 2, 3))
+    p = FiniteSet((1,)) if inst is not DIST else fuzzy(X, {1: 1, 2: Fraction(1, 2), 3: 0})
+    f = inst.arrow(FiniteSet(("x", "y")), X, {"x": inst.table(inst.identity(X))[1], "y": image})
+    outside = 3 if inst is SETS else 2
+    with pytest.raises(HomConditionError, match=f"image of 'y' reaches {outside}, outside"):
+        inst.comprehension(X, p).transpose(f)
 
 
 # ---------------------------------------------------------------------------

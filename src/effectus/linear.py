@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 import numpy as np
 
@@ -34,6 +35,14 @@ from . import vnlinalg as la
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
+
+
+def _check_residues(row, p: int) -> None:
+    # bools are ints to Python but ambiguous as field elements, as in
+    # core.atom_key
+    for x in row:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < p:
+            raise ValidationError(f"entry {x!r} not a reduced residue")
 
 
 def rref(rows, width: int, p: int):
@@ -59,6 +68,28 @@ def rref(rows, width: int, p: int):
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def echelon_pivots(rows, width: int, p: int) -> tuple:
+    """Pivot columns of rows that are already a reduced row echelon form
+    over F_p, checked without eliminating: every row has the given width
+    and reduced-residue entries, leads with a 1 strictly right of the row
+    above, and its pivot column is zero in every other row."""
+    pivots = []
+    for row in rows:
+        if len(row) != width:
+            raise ValidationError(f"basis row {row!r} must have width {width}")
+        _check_residues(row, p)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            raise ValidationError("basis rows must be a reduced echelon form")
+        pivots.append(lead)
+    # rows below a pivot lead further right, so only the rows above can
+    # be nonzero in its column
+    for i, c in enumerate(pivots):
+        if any(rows[j][c] for j in range(i)):
+            raise ValidationError("basis rows must be a reduced echelon form")
+    return tuple(pivots)
+
+
 def mat_mul(a, b, p: int, width: int | None = None):
     """Product of F_p matrices given as row tuples.
 
@@ -67,33 +98,37 @@ def mat_mul(a, b, p: int, width: int | None = None):
     """
     if a and b:
         assert len(a[0]) == len(b)
-    if b:
-        width = len(b[0])
-    elif width is None:
-        width = 0
-    rows = []
-    for i in range(len(a)):
-        rows.append(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % p
-                          for j in range(width)))
-    return tuple(rows)
+    if not b:
+        return tuple((0,) * (width or 0) for _ in a)
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
 
 
 def mat_vec(a, v, p: int):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) % p for row in a)
+    return tuple(sum(map(mul, row, v)) % p for row in a)
 
 
 def fp_kernel(mat, width: int, p: int):
-    """RREF basis of the null space of an F_p matrix."""
-    red, pivots = rref(mat, width, p)
-    free = [c for c in range(width) if c not in pivots]
+    """RREF basis of the null space of an F_p matrix.
+
+    Eliminating on the reversed columns makes each null vector lead with
+    a 1 at its own free column, with its other entries at pivot columns
+    further right: the basis comes out already reduced."""
+    red, pivots = rref([row[::-1] for row in mat], width, p)
+    last = width - 1
     basis = []
-    for c in free:
+    for c in range(width):
+        free = last - c
+        if free in pivots:
+            continue
         v = [0] * width
         v[c] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][c]) % p
+            if pc > free:
+                break
+            v[last - pc] = (-red[r][free]) % p
         basis.append(tuple(v))
-    return rref(basis, width, p)[0]
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -122,10 +157,8 @@ class FpSubspace:
     rows: tuple
 
     def __post_init__(self):
-        red, pivots = rref(self.rows, self.space.dim, self.space.p)
-        if len(red) != len(self.rows) or red != tuple(tuple(r) for r in self.rows):
-            raise ValidationError("basis rows must be a reduced echelon form")
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "pivots", echelon_pivots(
+            self.rows, self.space.dim, self.space.p))
 
     @property
     def rank(self) -> int:
@@ -186,9 +219,7 @@ class FpChain(ChainInstance):
         if len(mat) != Y.dim or any(len(r) != X.dim for r in mat):
             raise ValidationError(f"matrix shape must be {Y.dim} x {X.dim}")
         for row in mat:
-            for x in row:
-                if not isinstance(x, int) or not 0 <= x < X.p:
-                    raise ValidationError(f"entry {x!r} not a reduced residue")
+            _check_residues(row, X.p)
 
     def arrow(self, X, Y, mat) -> Arrow:
         mat = tuple(tuple(r) for r in mat)
@@ -212,6 +243,17 @@ class FpChain(ChainInstance):
     def objects_equal(self, A, B) -> bool:
         return A == B
 
+    def arrow_key(self, f: Arrow):
+        """The entries read as base-p digits, row by row: the arrow's
+        position in iter_arrows order.  The bijection checks keep a key
+        per candidate, and an int is smaller than the rows it encodes."""
+        p = f.src.p
+        key = 0
+        for row in f.data:
+            for x in row:
+                key = key * p + x
+        return key
+
     # ---- fibre ----
 
     def top(self, X: FpSpace) -> FpSubspace:
@@ -223,8 +265,18 @@ class FpChain(ChainInstance):
         return FpSubspace(X, ())
 
     def pred_leq(self, X, p: FpSubspace, q: FpSubspace) -> bool:
-        joined = rref(q.rows + p.rows, X.dim, X.p)[0]
-        return joined == q.rows
+        """Each row of p reduced against q's echelon rows must vanish; q's
+        rows are zero at each other's pivots, so the multiples are read
+        off p's row at q's pivot columns."""
+        echelon = tuple(zip(q.pivots, q.rows))
+        for v in p.rows:
+            rest = v
+            for c, row in echelon:
+                if v[c]:
+                    rest = tuple(x - v[c] * y for x, y in zip(rest, row))
+            if any(x % X.p for x in rest):
+                return False
+        return True
 
     def pred_residual(self, X, p, q) -> float:
         return 0.0 if p.rows == q.rows else 1.0

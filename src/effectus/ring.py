@@ -334,6 +334,9 @@ class RingChain(ChainInstance):
     def objects_equal(self, A, B) -> bool:
         return A == B
 
+    def arrow_key(self, f: Arrow):
+        return tuple(f.data[y] for y in f.dst.elements())
+
     # ---- fibre: idempotents ----
 
     def top(self, X):

@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from effectus import linear
 from effectus import (
     HomConditionError,
     PredObject,
@@ -21,6 +24,8 @@ from effectus.linear import (
     HilbChain,
     HilbSpace,
     Subspace,
+    _coords_matrix,
+    echelon_pivots,
     fp_kernel,
     fp_span,
     mat_mul,
@@ -102,13 +107,126 @@ def test_mat_mul_through_zero_dimensional_spaces():
                                           comp.data)) == 0.0
 
 
-def test_subspace_validation_requires_reduced_echelon():
+# ---------------------------------------------------------------------------
+# The F_p routines that avoid eliminating, against elimination-based
+# references, for p in {2, 3, 5, 7} and dimensions 0-5.
+# ---------------------------------------------------------------------------
+
+PRIMES = (2, 3, 5, 7)
+
+
+def residue_rows(p, d):
+    return st.lists(st.tuples(*[st.integers(0, p - 1)] * d), max_size=6).map(tuple)
+
+
+@st.composite
+def fp_matrices(draw):
+    """(p, width, rows): up to six rows of residues."""
+    p = draw(st.sampled_from(PRIMES))
+    d = draw(st.integers(0, 5))
+    return p, d, draw(residue_rows(p, d))
+
+
+def identity_rows(d):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
+def reference_kernel(mat, d, p):
+    """The free-column null basis of an elimination, reduced again."""
+    red, pivots = rref(mat, d, p)
+    basis = []
+    for c in range(d):
+        if c not in pivots:
+            v = [0] * d
+            v[c] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = (-red[r][c]) % p
+            basis.append(tuple(v))
+    return rref(basis, d, p)[0]
+
+
+@given(fp_matrices())
+@example((3, 4, ()))                     # rank 0: the kernel is everything
+@example((5, 4, ((0,) * 4,) * 3))        # rank 0 with zero rows
+@example((7, 5, identity_rows(5)))       # full rank: the kernel is 0
+@example((2, 0, ((),)))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_the_reduced_free_column_basis(m):
+    p, d, mat = m
+    assert fp_kernel(mat, d, p) == reference_kernel(mat, d, p)
+
+
+@st.composite
+def fp_subspace_pairs(draw):
+    p, d, a = draw(fp_matrices())
+    b = draw(residue_rows(p, d))
+    return p, d, rref(a, d, p)[0], rref(b, d, p)[0]
+
+
+@given(fp_subspace_pairs())
+@example((2, 3, (), identity_rows(3)))
+@example((5, 3, identity_rows(3), ()))
+@example((3, 2, identity_rows(2), identity_rows(2)))
+@example((7, 0, (), ()))
+@settings(max_examples=200, deadline=None)
+def test_pred_leq_matches_eliminating_the_join(pair):
+    p, d, prows, qrows = pair
+    X = FpSpace(p, d)
+    P, Q = FpSubspace(X, prows), FpSubspace(X, qrows)
+    assert FP.pred_leq(X, P, Q) == (rref(qrows + prows, d, p)[0] == qrows)
+
+
+@st.composite
+def echelon_candidates(draw):
+    """Residue rows of the right width: raw matrices, which are rarely
+    reduced, echelon forms, and echelon forms with one entry redrawn."""
+    p, d, rows = draw(fp_matrices())
+    if draw(st.booleans()):
+        rows = rref(rows, d, p)[0]
+        if rows and d and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, d - 1))
+            bumped = list(rows[i])
+            bumped[j] = draw(st.integers(0, p - 1))
+            rows = rows[:i] + (tuple(bumped),) + rows[i + 1:]
+    return p, d, rows
+
+
+@given(echelon_candidates())
+@example((2, 3, ()))
+@example((3, 4, identity_rows(4)))
+@example((5, 3, ((0, 0, 0),)))
+@example((7, 0, ((),)))
+@settings(max_examples=300, deadline=None)
+def test_echelon_check_matches_elimination(m):
+    p, d, rows = m
+    red, pivots = rref(rows, d, p)
+    try:
+        accepted = echelon_pivots(rows, d, p)
+    except ValidationError:
+        accepted = None
+    assert (accepted is not None) == (red == rows)
+    if accepted is not None:
+        assert accepted == pivots
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, 0, 0),),    # too wide
+    ((1,),),         # too narrow
+    ((True, 0),),    # bools are not residues
+    ((1, False),),
+    ((1.0, 0),),     # nor are floats
+], ids=["wide", "narrow", "bool", "bool-zero", "float"])
+def test_subspace_rows_must_be_int_residues_of_the_right_width(rows):
     with pytest.raises(ValidationError):
-        FpSubspace(F3_2, ((2, 0),))
+        FpSubspace(F2_2, rows)
+
+
+@pytest.mark.parametrize("mat", [((True, 0), (0, 1)), ((1, 0), (0, 1.0))],
+                         ids=["bool", "float"])
+def test_arrow_entries_must_be_int_residues(mat):
     with pytest.raises(ValidationError):
-        FpSubspace(F2_2, ((1, 0), (1, 1)))
-    with pytest.raises(ValidationError):
-        FpSpace(4, 1)
+        FP.arrow(F2_2, F2_2, mat)
 
 
 def test_fp_modulus_primality_matches_trial_division():
@@ -227,6 +345,52 @@ def test_count_and_iter_arrows_agree():
     arrows = list(FP.iter_arrows(X, Y))
     assert len(arrows) == FP.count_arrows(X, Y) == 4
     assert len({a.data for a in arrows}) == 4
+
+
+def test_arrow_keys_tell_arrows_apart():
+    for p in (2, 3):
+        for dx, dy in itertools.product(range(3), repeat=2):
+            X, Y = FpSpace(p, dx), FpSpace(p, dy)
+            keys = [FP.arrow_key(f) for f in FP.iter_arrows(X, Y)]
+            assert keys == list(range(FP.count_arrows(X, Y)))
+
+
+def test_equal_arrows_share_a_key():
+    rng = random.Random(5)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5))
+        X, Y = FpSpace(p, rng.randint(0, 3)), FpSpace(p, rng.randint(0, 3))
+        f = FP.rand_arrow(rng, X, Y, {})
+        key = FP.arrow_key(f)
+        assert FP.arrow_key(FP.compose(FP.identity(Y), f)) == key
+        assert FP.arrow_key(FP.compose(f, FP.identity(X))) == key
+        assert FP.arrow_key(FP.arrow(X, Y, [list(r) for r in f.data])) == key
+
+
+def test_one_elimination_per_substitution(monkeypatch):
+    rng = random.Random(41)
+    calls = []
+    real = linear.rref
+    monkeypatch.setattr(linear, "rref", lambda *a: calls.append(a) or real(*a))
+
+    def count(thunk):
+        calls.clear()
+        result = thunk()
+        return len(calls), result
+
+    for _ in range(30):
+        p = rng.choice((2, 3, 5))
+        X, Y = FpSpace(p, rng.randint(0, 4)), FpSpace(p, rng.randint(0, 4))
+        f = FP.rand_arrow(rng, X, Y, {})
+        q = FP.rand_pred(rng, Y, {})
+        P = FP.rand_pred(rng, X, {})
+        _coords_matrix(q)  # cached per subspace, built once for many arrows
+        n, pre = count(lambda: FP.subst(f, q))
+        assert n == 1
+        assert count(lambda: FP.pred_leq(X, P, pre))[0] == 0
+        assert count(lambda: FpSubspace(X, pre.rows))[0] == 0
+        src, dst = PredObject(X, P), PredObject(Y, q)
+        assert count(lambda: hom_check(FP, f, src, dst))[0] == 1
 
 
 def test_iter_preds_counts_subspaces():

@@ -287,6 +287,35 @@ def test_every_enumerated_table_validates():
 
 
 # ---------------------------------------------------------------------------
+# Arrow keys.
+# ---------------------------------------------------------------------------
+
+KEY_RINGS = rings_up_to(6) + [IdealRing(Z6, (3,)), PairRing(Z2, Z2xZ3)]
+
+
+def test_arrow_keys_tell_arrows_apart():
+    pairs = 0
+    for X, Y in itertools.product(KEY_RINGS, repeat=2):
+        arrows = list(RING.iter_arrows(X, Y))
+        keys = [RING.arrow_key(f) for f in arrows]
+        assert all(k == tuple(f.data[y] for y in Y.elements())
+                   for k, f in zip(keys, arrows))
+        assert len(set(keys)) == len(keys) == RING.count_arrows(X, Y)
+        pairs += bool(arrows)
+    assert pairs > 50
+
+
+def test_equal_arrows_share_a_key():
+    for X, Y in itertools.product(KEY_RINGS, repeat=2):
+        for f in RING.iter_arrows(X, Y):
+            key = RING.arrow_key(f)
+            assert RING.arrow_key(RING.compose(RING.identity(Y), f)) == key
+            assert RING.arrow_key(RING.compose(f, RING.identity(X))) == key
+            reordered = dict(reversed(list(f.data.items())))
+            assert RING.arrow_key(RING.arrow(X, Y, reordered)) == key
+
+
+# ---------------------------------------------------------------------------
 # Canonical form and serialization.
 # ---------------------------------------------------------------------------
 

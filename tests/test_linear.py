@@ -210,6 +210,15 @@ def test_echelon_check_matches_elimination(m):
         assert accepted == pivots
 
 
+def test_subspace_validation_requires_reduced_echelon():
+    with pytest.raises(ValidationError):
+        FpSubspace(F3_2, ((2, 0),))
+    with pytest.raises(ValidationError):
+        FpSubspace(F2_2, ((1, 0), (1, 1)))
+    with pytest.raises(ValidationError):
+        FpSpace(4, 1)
+
+
 @pytest.mark.parametrize("rows", [
     ((1, 0, 0),),    # too wide
     ((1,),),         # too narrow

@@ -118,7 +118,7 @@ def _cmd_check(args) -> int:
 def _demo_sets(out) -> None:
     inst = INSTANCES["sets"]
     X = FiniteSet((1, 2, 3))
-    p = FiniteSet((1, 2))
+    p = inst.pred(X, (1, 2))
     out.append("sets: X = {1, 2, 3}, predicate P = {1, 2}")
     q = inst.quotient(X, p)
     c = inst.comprehension(X, p)

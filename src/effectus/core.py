@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 
 class ChainError(Exception):
@@ -100,13 +100,18 @@ class PredObject:
     pred: Any
 
 
-@dataclass(frozen=True, eq=False)
-class Arrow:
-    """A chain-category arrow.  ``data`` is instance-specific."""
+class Arrow(NamedTuple):
+    """A chain-category arrow.  ``data`` is instance-specific.  Arrows
+    compare and hash by identity, as the instances' `maps_equal` and
+    `arrow_key` are what tell them apart."""
 
     src: Any
     dst: Any
     data: Any
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,11 @@ keeps each atom x with weight 1 - p(x) (carrier: the atoms where p < 1)
 and the comprehension restricts to the atoms where p = 1; for subsets the
 quotient of P literally is the comprehension of its complement.
 
+A predicate over X is stored densely too, as a tuple with one value per
+atom of X in X's order: a bool for ``sets`` and ``nondet``, a Fraction
+in [0, 1] for ``dist``.  Substitution along f is then the expectation of
+q under each image of f, with * counting 1.
+
 Arrows are stored densely, as a tuple with one image per source atom in
 the source's order.  An image is encoded over the positions of Y's atoms:
 
@@ -23,7 +28,9 @@ the source's order.  An image is encoded over the positions of Y's atoms:
   * ``dist``: a tuple of |Y| Fractions, the mass on * being 1 - their sum.
 
 `KleisliChain.arrow` encodes atom tables and `KleisliChain.table` decodes
-them; nothing outside this module reads the encoding.
+them, as `KleisliChain.pred` encodes predicates (a collection of atoms,
+or for ``dist`` a mapping atom -> value) and `KleisliChain.pred_table`
+decodes them; nothing outside this module reads the encodings.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import add, le, sub
+from numbers import Rational
+from operator import add, le, not_, sub
 
 from .core import (
     STAR,
@@ -83,10 +91,6 @@ class FiniteSet:
         return "{" + ", ".join(repr(a) for a in self.atoms) + "}"
 
 
-def complement(X: FiniteSet, P: FiniteSet) -> FiniteSet:
-    return FiniteSet(tuple(a for a in X if a not in P))
-
-
 def tagged_double(X: FiniteSet) -> FiniteSet:
     """X + X with outcome tags: (1, x) for the first summand, (2, x) for
     the second."""
@@ -94,8 +98,10 @@ def tagged_double(X: FiniteSet) -> FiniteSet:
 
 
 def _frac(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ValidationError("weights must be rationals, not bools")
+    # bools are ints to Python but ambiguous as weights, as in
+    # core.atom_key; floats and strings would convert inexactly
+    if isinstance(v, bool) or not isinstance(v, Rational):
+        raise ValidationError(f"value {v!r} is not a rational")
     return Fraction(v)
 
 
@@ -111,9 +117,12 @@ class SubDist:
     weights: tuple  # sorted ((atom, Fraction), ...), strictly positive
 
     def __post_init__(self):
-        pairs = [(a, _frac(w)) for a, w in self.weights]
-        pairs = tuple(sorted(((a, w) for a, w in pairs if w != 0),
-                             key=lambda aw: atom_key(aw[0])))
+        pairs = sorted(((a, _frac(w)) for a, w in self.weights),
+                       key=lambda aw: atom_key(aw[0]))
+        for (a, _), (b, _) in zip(pairs, pairs[1:]):
+            if a == b:
+                raise ValidationError(f"repeated atom {a!r}")
+        pairs = tuple((a, w) for a, w in pairs if w != 0)
         total = ZERO
         for a, w in pairs:
             if w < 0:
@@ -143,33 +152,21 @@ def dirac(a) -> SubDist:
     return SubDist(((a, ONE),))
 
 
-@dataclass(frozen=True)
-class FuzzyPred:
-    """Total table atom -> rational in [0, 1]."""
-
-    table: tuple  # sorted ((atom, Fraction), ...), one entry per carrier atom
-
-    def __post_init__(self):
-        pairs = tuple(sorted(((a, _frac(v)) for a, v in self.table),
-                             key=lambda av: atom_key(av[0])))
-        for a, v in pairs:
-            if not (0 <= v <= 1):
-                raise ValidationError(f"predicate value {v} at {a!r} outside [0, 1]")
-        object.__setattr__(self, "table", pairs)
-
-    def value(self, a) -> Fraction:
-        for b, v in self.table:
-            if b == a:
-                return v
-        raise ValidationError(f"atom {a!r} not in predicate table")
-
-    def __repr__(self):
-        return "{" + ", ".join(f"{a!r}: {v}" for a, v in self.table) + "}"
+def fuzzy(X: FiniteSet, mapping) -> tuple:
+    """The dist predicate with value mapping[a] at each atom a of X: a
+    rational in [0, 1], one for every atom and none for anything else."""
+    if set(mapping) != set(X.atoms):
+        raise ValidationError("predicate keys must be exactly the carrier atoms")
+    values = tuple(_frac(mapping[a]) for a in X)
+    for a, v in zip(X, values):
+        if not 0 <= v <= 1:
+            raise ValidationError(f"predicate value {v} at {a!r} outside [0, 1]")
+    return values
 
 
-def fuzzy(X: FiniteSet, mapping) -> FuzzyPred:
-    get = mapping.get if hasattr(mapping, "get") else mapping
-    return FuzzyPred(tuple((a, get(a)) for a in X))
+def _check_pred(X: FiniteSet, p) -> None:
+    if not isinstance(p, tuple) or len(p) != len(X.atoms):
+        raise ValidationError(f"a predicate over {X!r} is a tuple of {len(X)} values")
 
 
 # ---- the construction -----------------------------------------------
@@ -204,10 +201,10 @@ class KleisliChain(ChainInstance):
     (all images, None if infinitely many), `_rand_image(rng, bounds, n,
     positions, cap)` (support in `positions`, mass at most cap); the boundary
     `_as_image(x, d)` (checked atom image of x), `_encode(d, Y)`,
-    `_decode(d, Y)` and `_image_to_json(d, Y)`; and its predicates:
-    `_vals(X, p)` (the value of p per position of X), `_pred(X, values)`
-    and `_expectation(Y, q)` (image -> value of q under it, abort
-    counting 1)."""
+    `_decode(d, Y)` and `_image_to_json(d, Y)`; and its predicate values:
+    `_true` and `_false`, `_not(v)` (1 - v) and `_expectation(Y, q)`
+    (image -> value of q under it, abort counting 1), with the boundary
+    `pred(X, spec)` and `pred_table(X, p)`."""
 
     exact = True
     has_ortho = True
@@ -232,6 +229,16 @@ class KleisliChain(ChainInstance):
         """The atom table of f: each source atom's image, an atom or STAR
         (sets), a frozenset (nondet) or a SubDist (dist)."""
         return {x: self._decode(d, f.dst) for x, d in zip(f.src, f.data)}
+
+    def pred(self, X: FiniteSet, spec) -> tuple:
+        """The predicate over X given by spec: the atoms where it holds
+        (sets, nondet) or a mapping atom -> value (dist)."""
+        raise NotImplementedError
+
+    def pred_table(self, X: FiniteSet, p):
+        """What `pred` encoded: a FiniteSet (sets, nondet) or a dict
+        atom -> Fraction (dist)."""
+        raise NotImplementedError
 
     # ---- category ----
 
@@ -259,37 +266,45 @@ class KleisliChain(ChainInstance):
 
     # ---- fibre and substitution ----
 
-    def top(self, X):
-        return self._pred(X, [ONE] * len(X))
+    def top(self, X) -> tuple:
+        return (self._true,) * len(X)
 
-    def bottom(self, X):
-        return self._pred(X, [ZERO] * len(X))
+    def bottom(self, X) -> tuple:
+        return (self._false,) * len(X)
 
     def pred_leq(self, X, p, q) -> bool:
-        return all(map(le, self._vals(X, p), self._vals(X, q)))
+        _check_pred(X, p)
+        _check_pred(X, q)
+        return all(map(le, p, q))
 
     def pred_residual(self, X, p, q) -> float:
-        return float(max(map(abs, map(sub, self._vals(X, p), self._vals(X, q))),
-                         default=0))
+        _check_pred(X, p)
+        _check_pred(X, q)
+        return float(max(map(abs, map(sub, p, q)), default=0))
 
-    def ortho(self, X, p):
-        return self._pred(X, [1 - v for v in self._vals(X, p)])
+    def ortho(self, X, p) -> tuple:
+        _check_pred(X, p)
+        return tuple(map(self._not, p))
 
-    def ceil(self, X, p):
-        return self._pred(X, [ONE if v > 0 else ZERO for v in self._vals(X, p)])
+    def ceil(self, X, p) -> tuple:
+        _check_pred(X, p)
+        return tuple(self._true if v else self._false for v in p)
 
-    def floor(self, X, p):
-        return self._pred(X, [ONE if v == 1 else ZERO for v in self._vals(X, p)])
+    def floor(self, X, p) -> tuple:
+        _check_pred(X, p)
+        return tuple(self._true if v == 1 else self._false for v in p)
 
-    def subst(self, f: Arrow, q):
-        return self._pred(f.src, list(map(self._expectation(f.dst, q), f.data)))
+    def subst(self, f: Arrow, q) -> tuple:
+        _check_pred(f.dst, q)
+        return tuple(map(self._expectation(f.dst, q), f.data))
 
     # ---- quotient / comprehension ----
 
     def _certain(self, X, p) -> list:
         """The positions of the atoms where p = 1: the comprehension
         carrier."""
-        return [i for i, v in enumerate(self._vals(X, p)) if v == 1]
+        _check_pred(X, p)
+        return [i for i, v in enumerate(p) if v == 1]
 
     def quotient(self, X, p) -> QuotientResult:
         """The carrier is the atoms where p < 1, and the unit keeps each
@@ -297,7 +312,8 @@ class KleisliChain(ChainInstance):
         divides that weight back out: it requires f to put mass at most
         1 - p(x) on atoms at every x, so atoms where p = 1, outside the
         carrier, must abort entirely."""
-        keep = [1 - v for v in self._vals(X, p)]
+        _check_pred(X, p)
+        keep = [1 - v for v in p]
         kept = [i for i, w in enumerate(keep) if w]
         obj = FiniteSet(tuple(X.atoms[i] for i in kept))
         m = len(obj)
@@ -346,16 +362,18 @@ class KleisliChain(ChainInstance):
     # order, so (1, x) sits at x's position i and (2, x) at len(X) + i.
 
     def assert_closed_form(self, X, p) -> Arrow:
+        _check_pred(X, p)
         n = len(X)
         return Arrow(X, X, tuple(self._scale(self._eta(i, n), v, n)
-                                 for i, v in enumerate(self._vals(X, p))))
+                                 for i, v in enumerate(p)))
 
     def instrument_closed_form(self, X, p) -> Arrow:
+        _check_pred(X, p)
         n, eta, scale = len(X), self._eta, self._scale
         dd = 2 * n
         return Arrow(X, tagged_double(X), tuple(
             self._plus(scale(eta(i, dd), v, dd), scale(eta(n + i, dd), 1 - v, dd), dd)
-            for i, v in enumerate(self._vals(X, p))))
+            for i, v in enumerate(p)))
 
     def instrument_combine(self, X, branch_pass: Arrow, branch_fail: Arrow) -> Arrow:
         n, bind = len(X), self._bind
@@ -380,9 +398,10 @@ class KleisliChain(ChainInstance):
     def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
         """Built with mass at most 1 - p(x), so the hom condition holds by
         construction."""
+        _check_pred(X, p)
         n = len(Y)
         return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), 1 - v)
-                                 for v in self._vals(X, p)))
+                                 for v in p))
 
     def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
         kept = self._certain(X, p)
@@ -426,17 +445,19 @@ class _SubsetChain(KleisliChain):
     def _distance(self, d, e) -> int:
         return int(d != e)
 
-    def _vals(self, X: FiniteSet, p: FiniteSet) -> list:
-        return [a in p for a in X]
+    _true, _false = True, False
+    _not = staticmethod(not_)
 
-    def _pred(self, X: FiniteSet, values) -> FiniteSet:
-        return FiniteSet(tuple(a for a, v in zip(X.atoms, values) if v))
-
-    def _certain(self, X, p: FiniteSet) -> list:
-        for a in p:
+    def pred(self, X: FiniteSet, atoms) -> tuple:
+        atoms = set(atoms)
+        for a in atoms:
             if a not in X:
                 raise ValidationError(f"atom {a!r} not in carrier {X!r}")
-        return super()._certain(X, p)
+        return tuple(a in atoms for a in X)
+
+    def pred_table(self, X: FiniteSet, p) -> FiniteSet:
+        _check_pred(X, p)
+        return FiniteSet(tuple(a for a, v in zip(X.atoms, p) if v))
 
     def rand_object(self, rng, bounds, like=None) -> FiniteSet:
         n = rng.randint(0, bounds.get("max_size", 4))
@@ -447,20 +468,22 @@ class _SubsetChain(KleisliChain):
         base = rng.randint(0, 20)
         return FiniteSet(tuple(letters[(base + i) % 26] + str((base + i) // 26) for i in range(n)))
 
-    def rand_pred(self, rng, X: FiniteSet, bounds) -> FiniteSet:
-        return FiniteSet(tuple(a for a in X if rng.random() < 0.5))
+    def rand_pred(self, rng, X: FiniteSet, bounds) -> tuple:
+        return tuple(rng.random() < 0.5 for _ in X)
 
     def iter_preds(self, X: FiniteSet):
-        for mask in range(1 << len(X)):
-            yield FiniteSet(tuple(a for i, a in enumerate(X) if mask >> i & 1))
+        n = len(X)
+        for mask in range(1 << n):
+            yield tuple(bool(mask >> i & 1) for i in range(n))
 
     def iter_objects(self, bounds):
         for n in range(bounds.get("max_size", 3) + 1):
             yield FiniteSet(tuple(range(1, n + 1)))
         yield FiniteSet(("a", "b"))
 
-    def pred_to_json(self, X, p: FiniteSet):
-        return [atom_to_json(a) for a in p]
+    def pred_to_json(self, X, p):
+        _check_pred(X, p)
+        return [atom_to_json(a) for a, v in zip(X, p) if v]
 
 
 class SetsChain(_SubsetChain):
@@ -486,9 +509,8 @@ class SetsChain(_SubsetChain):
     def _support(self, y, n) -> tuple:
         return () if y < 0 else (y,)
 
-    def _expectation(self, Y, q: FiniteSet):
-        holds = [y in q for y in Y] + [True]  # index -1: * counts 1
-        return holds.__getitem__
+    def _expectation(self, Y, q: tuple):
+        return (q + (True,)).__getitem__  # index -1: * counts 1
 
     def _restriction(self, kept, n):
         pos = [None] * n + [-1]
@@ -552,8 +574,8 @@ class NondetChain(_SubsetChain):
     def _support(self, s, n):
         return _bits(s & ~(1 << n))
 
-    def _expectation(self, Y, q: FiniteSet):
-        inside = sum(1 << i for i, y in enumerate(Y) if y in q) | 1 << len(Y)
+    def _expectation(self, Y, q: tuple):
+        inside = sum(1 << i for i, v in enumerate(q) if v) | 1 << len(Y)
         return lambda s: not s & ~inside
 
     def _restriction(self, kept, n):
@@ -613,16 +635,15 @@ class DistChain(KleisliChain):
     name = "dist"
     description = "finite sets and rational subdistribution kernels"
 
-    def _vals(self, X, p: FuzzyPred) -> list:
-        table = dict(p.table)
-        try:
-            return [table[a] for a in X]
-        except KeyError as exc:
-            raise ValidationError(
-                f"atom {exc.args[0]!r} not in predicate table") from None
+    _true, _false = ONE, ZERO
+    _not = staticmethod(ONE.__sub__)
 
-    def _pred(self, X, values) -> FuzzyPred:
-        return FuzzyPred(tuple(zip(X.atoms, values)))
+    def pred(self, X: FiniteSet, mapping) -> tuple:
+        return fuzzy(X, mapping)
+
+    def pred_table(self, X: FiniteSet, p) -> dict:
+        _check_pred(X, p)
+        return dict(zip(X.atoms, p))
 
     def _abort(self, n) -> tuple:
         return (ZERO,) * n
@@ -643,9 +664,9 @@ class DistChain(KleisliChain):
     def _plus(self, d, e, n) -> tuple:
         return tuple(map(add, d, e))
 
-    def _expectation(self, Y, q: FuzzyPred):
+    def _expectation(self, Y, q: tuple):
         # sum of w * q(y), plus the mass 1 - sum of w on *
-        miss = [1 - v for v in self._vals(Y, q)]
+        miss = [1 - v for v in q]
         return lambda d: ONE - sum((w * m for w, m in zip(d, miss) if w), ZERO)
 
     def _mass(self, d, n) -> Fraction:
@@ -708,8 +729,8 @@ class DistChain(KleisliChain):
         base = rng.randint(0, 20)
         return FiniteSet(tuple(range(base, base + n)))
 
-    def rand_pred(self, rng, X, bounds) -> FuzzyPred:
-        return fuzzy(X, lambda a: self._rand_frac(rng, bounds))
+    def rand_pred(self, rng, X, bounds) -> tuple:
+        return tuple(self._rand_frac(rng, bounds) for _ in X)
 
     def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
         """Move a nonzero amount of mass at one input between an atom and *."""
@@ -728,5 +749,6 @@ class DistChain(KleisliChain):
             return f
         return Arrow(f.src, f.dst, _replace(f.data, i, _replace(d, j, new_w)))
 
-    def pred_to_json(self, X, p: FuzzyPred):
-        return [[atom_to_json(a), frac_to_json(v)] for a, v in p.table]
+    def pred_to_json(self, X, p):
+        _check_pred(X, p)
+        return [[atom_to_json(a), frac_to_json(v)] for a, v in zip(X, p)]

@@ -232,21 +232,16 @@ def enumerate_hom_tables(Y: FiniteRing, X: FiniteRing):
     one per factor; the map sends a residue tuple to sum_j c_j * y_j."""
     nf, to_nf, _ = canonical_iso(Y)
     idems = idempotents(X)
-    one = X.one
+    # (c_0, ..., c_j) with what of the unit they leave, extended one
+    # factor at a time in the order of idems, so the assignments come out
+    # in lexicographic order
+    partial = [((), X.one)]
+    for n_j in nf.moduli:
+        partial = [(chosen + (c,), X.sub(remaining, c))
+                   for chosen, remaining in partial for c in idems
+                   if X.mul(c, remaining) == c and X.nmul(n_j, c) == X.zero]
 
-    def assign(j, remaining, chosen):
-        if j == len(nf.moduli):
-            yield tuple(chosen)
-            return
-        n_j = nf.moduli[j]
-        for c in idems:
-            if X.mul(c, remaining) != c:
-                continue
-            if X.nmul(n_j, c) != X.zero:
-                continue
-            yield from assign(j + 1, X.sub(remaining, c), chosen + [c])
-
-    for cs in assign(0, one, []):
+    for cs, _ in partial:
         table = {}
         for y in Y.elements():
             t = to_nf[y]
@@ -260,17 +255,12 @@ def enumerate_hom_tables(Y: FiniteRing, X: FiniteRing):
 def rings_up_to(max_order: int):
     """All products of Z_m (canonical non-decreasing moduli) of order at
     most max_order, the zero ring included."""
-    out = [()]
-
-    def extend(prefix, prod, low):
-        m = low
-        while prod * m <= max_order:
-            cur = prefix + (m,)
-            out.append(cur)
-            extend(cur, prod * m, m)
-            m += 1
-
-    extend((), 1, 2)
+    out, todo = [], [((), 1)]
+    while todo:
+        moduli, order = todo.pop()
+        out.append(moduli)
+        low = moduli[-1] if moduli else 2
+        todo += [(moduli + (m,), order * m) for m in range(low, max_order // order + 1)]
     return [ZProductRing(t) for t in sorted(out)]
 
 

@@ -85,7 +85,7 @@ def test_closed_form_reproduction():
 
     # canned: three-point set with a two-point subset
     X = FiniteSet((1, 2, 3))
-    P = FiniteSet((1, 2))
+    P = SETS.pred(X, (1, 2))
     if SETS.table(SETS.assert_closed_form(X, P)) != {1: 1, 2: 2, 3: STAR}:
         problems.append("sets assert table")
     if SETS.table(SETS.instrument_closed_form(X, P)) != {
@@ -96,14 +96,15 @@ def test_closed_form_reproduction():
     for _ in range(200):
         Xs = SETS.rand_object(rng, {"max_size": 5})
         Ps = SETS.rand_pred(rng, Xs, {})
+        Ts = SETS.pred_table(Xs, Ps)
         instr = SETS.instrument_closed_form(Xs, Ps)
-        want = {x: ((1, x) if x in Ps else (2, x)) for x in Xs}
+        want = {x: ((1, x) if x in Ts else (2, x)) for x in Xs}
         if SETS.table(instr) != want or instr.dst != tagged_double(Xs):
             problems.append(f"sets instrument {Xs}")
         if not SETS.maps_equal(derive_instrument(SETS, Xs, Ps), instr):
             problems.append(f"sets derived instrument {Xs}")
         asrt = SETS.assert_closed_form(Xs, Ps)
-        if SETS.table(asrt) != {x: (x if x in Ps else STAR) for x in Xs}:
+        if SETS.table(asrt) != {x: (x if x in Ts else STAR) for x in Xs}:
             problems.append(f"sets assert {Xs}")
         if not SETS.maps_equal(derive_assert(SETS, Xs, Ps), asrt):
             problems.append(f"sets derived assert {Xs}")
@@ -122,13 +123,13 @@ def test_closed_form_reproduction():
         pr = DIST.rand_pred(rng, Xr, {"max_den": 12})
         instr = DIST.instrument_closed_form(Xr, pr)
         for x in Xr:
-            v = pr.value(x)
+            v = DIST.pred_table(Xr, pr)[x]
             want = SubDist((((1, x), v), ((2, x), 1 - v)))
             if DIST.table(instr)[x] != want:
                 problems.append(f"dist instrument at {x!r}")
         asrt = DIST.assert_closed_form(Xr, pr)
         for x in Xr:
-            if DIST.table(asrt)[x] != SubDist(((x, pr.value(x)),)):
+            if DIST.table(asrt)[x] != SubDist(((x, DIST.pred_table(Xr, pr)[x]),)):
                 problems.append(f"dist assert at {x!r}")
         if not DIST.maps_equal(derive_instrument(DIST, Xr, pr), instr):
             problems.append("dist derived instrument")
@@ -230,6 +231,12 @@ SKIPPED_OVER_CAP = {
 }
 
 
+# The triples each exhaustive sweep runs at the acceptance bounds, the
+# same in both directions; an enumerator that yields fewer predicates or
+# objects shows here.
+EXHAUSTIVE_CASES = {"sets": 210, "nondet": 209, "ring": 1617, "fp": 244}
+
+
 def test_adjunction_round_trips():
     t0 = time.monotonic()
     problems = []
@@ -237,6 +244,9 @@ def test_adjunction_round_trips():
         if report.failures or report.cases == 0:
             problems.append(f"{name} {which}: {report.failures} failures "
                             f"in {report.cases} cases")
+        if report.cases != EXHAUSTIVE_CASES[name]:
+            problems.append(f"{name} {which}: {report.cases} cases, "
+                            f"expected {EXHAUSTIVE_CASES[name]}")
         if report.skipped != SKIPPED_OVER_CAP.get((name, which), []):
             problems.append(f"{name} {which}: skipped {report.skipped}")
     seeded = _seeded_adjunction_reports()

@@ -109,16 +109,16 @@ def test_composing_mismatched_endpoints_raises():
 
 def test_truth_falsum_on_sets():
     X = FiniteSet((1, 2))
-    assert truth(SETS, X).pred == FiniteSet((1, 2))
-    assert falsum(SETS, X).pred == FiniteSet(())
+    assert SETS.pred_table(X, truth(SETS, X).pred) == FiniteSet((1, 2))
+    assert SETS.pred_table(X, falsum(SETS, X).pred) == FiniteSet(())
 
 
 def test_hom_check_partial_function():
     X = FiniteSet((1, 2))
     Y = FiniteSet(("a",))
     f = SETS.arrow(X, Y, {1: "a", 2: STAR})
-    src = PredObject(X, FiniteSet((1,)))
-    dst = PredObject(Y, FiniteSet(("a",)))
+    src = PredObject(X, SETS.pred(X, (1,)))
+    dst = PredObject(Y, SETS.pred(Y, ("a",)))
     assert hom_check(SETS, f, src, dst)
 
 
@@ -183,7 +183,7 @@ def test_substitution_is_functorial(name):
 
 def test_assert_on_partial_functions():
     X = FiniteSet((1, 2, 3))
-    P = FiniteSet((1, 2))
+    P = SETS.pred(X, (1, 2))
     asrt = derive_assert(SETS, X, P)
     assert SETS.table(asrt) == {1: 1, 2: 2, 3: STAR}
 
@@ -197,7 +197,7 @@ def test_assert_on_subdistributions():
 
 def test_instrument_tags_both_branches():
     X = FiniteSet((1, 2))
-    P = FiniteSet((1,))
+    P = SETS.pred(X, (1,))
     instr = derive_instrument(SETS, X, P)
     assert SETS.table(instr) == {1: (1, 1), 2: (2, 2)}
 

@@ -14,7 +14,7 @@ from effectus import (
     falsum,
     hom_check,
 )
-from effectus.kleisli import FiniteSet, NondetChain, SetsChain, complement
+from effectus.kleisli import FiniteSet, NondetChain, SetsChain
 
 SETS = SetsChain()
 NONDET = NondetChain()
@@ -32,7 +32,7 @@ def finite_sets(max_size=4):
 def set_with_pred(draw, max_size=4):
     X = draw(finite_sets(max_size))
     chosen = draw(st.lists(st.sampled_from(tuple(X) or (1,)), unique=True))
-    P = FiniteSet(tuple(a for a in chosen if a in X))
+    P = SETS.pred(X, [a for a in chosen if a in X])
     return X, P
 
 
@@ -51,10 +51,10 @@ def test_subst_is_preimage_with_abort():
     X = FiniteSet((1, 2, 3))
     Y = FiniteSet(("a", "b"))
     f = SETS.arrow(X, Y, {1: "a", 2: STAR, 3: "b"})
-    assert SETS.subst(f, FiniteSet(("a",))) == FiniteSet((1, 2))
-    assert SETS.subst(f, Y) == X
+    assert SETS.pred_table(X, SETS.subst(f, SETS.pred(Y, ("a",)))) == FiniteSet((1, 2))
+    assert SETS.pred_table(X, SETS.subst(f, SETS.pred(Y, Y))) == X
     total = SETS.arrow(X, Y, {1: "a", 2: "b", 3: "a"})
-    assert SETS.subst(total, FiniteSet(())) == FiniteSet(())
+    assert SETS.pred_table(X, SETS.subst(total, SETS.pred(Y, ()))) == FiniteSet(())
 
 
 @given(set_with_pred(), finite_sets(), st.randoms(use_true_random=False))
@@ -67,7 +67,7 @@ def test_subst_matches_pointwise_oracle(case, Y, rnd):
     expected = FiniteSet(
         tuple(x for x in X if table[x] is STAR or table[x] in Q)
     )
-    assert SETS.subst(f, Q) == expected
+    assert SETS.pred_table(X, SETS.subst(f, SETS.pred(Y, Q))) == expected
 
 
 def test_nondet_subst_quantifies_over_proper_values():
@@ -78,10 +78,10 @@ def test_nondet_subst_quantifies_over_proper_values():
         2: frozenset({"b"}),
     })
     # star never obstructs: only proper values must satisfy Q
-    assert NONDET.subst(f, FiniteSet(("a",))) == FiniteSet((1,))
-    assert NONDET.subst(f, Y) == X
+    assert NONDET.pred_table(X, NONDET.subst(f, NONDET.pred(Y, ("a",)))) == FiniteSet((1,))
+    assert NONDET.pred_table(X, NONDET.subst(f, NONDET.pred(Y, Y))) == X
     all_star = NONDET.arrow(X, Y, {1: frozenset({STAR}), 2: frozenset({STAR})})
-    assert NONDET.subst(all_star, FiniteSet(())) == X
+    assert NONDET.pred_table(X, NONDET.subst(all_star, NONDET.pred(Y, ()))) == X
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +91,22 @@ def test_nondet_subst_quantifies_over_proper_values():
 
 def test_quotient_drops_the_predicate():
     X = FiniteSet((1, 2, 3))
-    q = SETS.quotient(X, FiniteSet((1,)))
+    q = SETS.quotient(X, SETS.pred(X, (1,)))
     assert q.obj == FiniteSet((2, 3))
     assert SETS.table(q.unit) == {1: STAR, 2: 2, 3: 3}
 
 
 def test_quotient_edges():
     X = FiniteSet((1, 2))
-    assert SETS.table(SETS.quotient(X, FiniteSet(())).unit) == {1: 1, 2: 2}
-    full = SETS.quotient(X, X)
+    assert SETS.table(SETS.quotient(X, SETS.pred(X, ())).unit) == {1: 1, 2: 2}
+    full = SETS.quotient(X, SETS.pred(X, X))
     assert full.obj == FiniteSet(())
     assert SETS.table(full.unit) == {1: STAR, 2: STAR}
 
 
 def test_comprehension_is_inclusion():
     X = FiniteSet((1, 2))
-    c = SETS.comprehension(X, FiniteSet((1,)))
+    c = SETS.comprehension(X, SETS.pred(X, (1,)))
     assert c.obj == FiniteSet((1,))
     assert SETS.table(c.counit) == {1: 1}
 
@@ -115,9 +115,9 @@ def test_comprehension_factorization_is_restriction():
     X = FiniteSet((1, 2))
     Z = FiniteSet(("z",))
     f = SETS.arrow(Z, X, {"z": 1})
-    g = SETS.transpose_comprehension(X, FiniteSet((1,)), f)
+    g = SETS.transpose_comprehension(X, SETS.pred(X, (1,)), f)
     assert SETS.table(g) == {"z": 1}
-    c = SETS.comprehension(X, FiniteSet((1,)))
+    c = SETS.comprehension(X, SETS.pred(X, (1,)))
     assert SETS.maps_equal(SETS.compose(c.counit, g), f)
 
 
@@ -125,8 +125,9 @@ def test_comprehension_factorization_is_restriction():
 @settings(max_examples=60, deadline=None)
 def test_quotient_of_pred_is_comprehension_of_complement(case):
     X, P = case
-    assert SETS.quotient(X, P).obj == SETS.comprehension(X, complement(X, P)).obj
-    assert NONDET.quotient(X, P).obj == NONDET.comprehension(X, complement(X, P)).obj
+    complement = SETS.pred(X, [a for a in X if a not in SETS.pred_table(X, P)])
+    assert SETS.quotient(X, P).obj == SETS.comprehension(X, complement).obj
+    assert NONDET.quotient(X, P).obj == NONDET.comprehension(X, complement).obj
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_quotient_of_pred_is_comprehension_of_complement(case):
 def test_nondet_quotient_transpose_restricts():
     X = FiniteSet((1, 2))
     Y = FiniteSet(("a",))
-    P = FiniteSet((1,))
+    P = NONDET.pred(X, (1,))
     f = NONDET.arrow(X, Y, {1: frozenset({STAR}), 2: frozenset({"a"})})
     g = NONDET.transpose_quotient(X, P, f)
     assert NONDET.table(g) == {2: frozenset({"a"})}
@@ -148,7 +149,7 @@ def test_nondet_quotient_transpose_restricts():
 def test_nondet_untranspose_extends_by_star():
     X = FiniteSet((1, 2))
     Y = FiniteSet(("a", "b"))
-    P = FiniteSet((1,))
+    P = NONDET.pred(X, (1,))
     carrier = NONDET.quotient(X, P).obj
     g = NONDET.arrow(carrier, Y, {2: frozenset({"a", "b"})})
     f = NONDET.untranspose_quotient(X, P, g)
@@ -161,7 +162,7 @@ def test_nondet_transpose_demands_pure_abort_on_the_predicate():
     Y = FiniteSet(("a",))
     f = NONDET.arrow(X, Y, {1: frozenset({"a", STAR}), 2: frozenset({"a"})})
     with pytest.raises(HomConditionError):
-        NONDET.transpose_quotient(X, FiniteSet((1,)), f)
+        NONDET.transpose_quotient(X, NONDET.pred(X, (1,)), f)
 
 
 def test_sets_transpose_rejects_non_homs():
@@ -169,7 +170,7 @@ def test_sets_transpose_rejects_non_homs():
     Y = FiniteSet(("a",))
     f = SETS.arrow(X, Y, {1: "a", 2: "a"})
     with pytest.raises(HomConditionError):
-        SETS.transpose_quotient(X, FiniteSet((1,)), f)
+        SETS.transpose_quotient(X, SETS.pred(X, (1,)), f)
 
 
 @pytest.mark.parametrize("inst", [SETS, NONDET], ids=["sets", "nondet"])
@@ -206,7 +207,7 @@ def test_derived_instrument_matches_closed_form(inst):
 
 def test_instrument_is_total():
     X = FiniteSet((1, 2, 3))
-    P = FiniteSet((2,))
+    P = SETS.pred(X, (2,))
     instr = derive_instrument(SETS, X, P)
     assert STAR not in SETS.table(instr).values()
     ninstr = derive_instrument(NONDET, X, P)

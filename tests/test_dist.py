@@ -13,7 +13,7 @@ from effectus import (
     derive_instrument,
     side_effect,
 )
-from effectus.kleisli import DistChain, FiniteSet, FuzzyPred, SubDist, dirac, fuzzy
+from effectus.kleisli import DistChain, FiniteSet, SubDist, dirac, fuzzy
 
 DIST = DistChain()
 
@@ -63,10 +63,10 @@ def test_subst_weights_by_kernel_and_abort():
     f = DIST.arrow(X, Y, {"x": SubDist((("y", HALF),))})
     q = fuzzy(Y, {"y": THIRD})
     # half reaches y at value 1/3, the aborted half counts in full
-    assert DIST.subst(f, q).value("x") == HALF * THIRD + HALF
-    assert DIST.subst(f, DIST.top(Y)).value("x") == 1
+    assert DIST.pred_table(X, DIST.subst(f, q))["x"] == HALF * THIRD + HALF
+    assert DIST.pred_table(X, DIST.subst(f, DIST.top(Y)))["x"] == 1
     total = DIST.arrow(X, Y, {"x": dirac("y")})
-    assert DIST.subst(total, DIST.bottom(Y)).value("x") == 0
+    assert DIST.pred_table(X, DIST.subst(total, DIST.bottom(Y)))["x"] == 0
 
 
 @given(space_with_pred())
@@ -88,9 +88,9 @@ def test_floor_and_ceil_are_de_morgan_duals(case):
 def test_sharpening_canned_values():
     X = fs("x", "y")
     p = fuzzy(X, {"x": HALF, "y": Fraction(1)})
-    assert DIST.floor(X, p).value("x") == 0
-    assert DIST.floor(X, p).value("y") == 1
-    assert DIST.ceil(X, p).value("x") == 1
+    assert DIST.pred_table(X, DIST.floor(X, p))["x"] == 0
+    assert DIST.pred_table(X, DIST.floor(X, p))["y"] == 1
+    assert DIST.pred_table(X, DIST.ceil(X, p))["x"] == 1
     sharp = fuzzy(X, {"x": Fraction(1), "y": Fraction(0)})
     assert DIST.preds_equal(X, DIST.floor(X, sharp), sharp)
     assert DIST.preds_equal(X, DIST.ceil(X, sharp), sharp)
@@ -102,9 +102,10 @@ def test_sharpening_canned_values():
 def test_pred_order_is_pointwise(case, other):
     X, p = case
     _, _ = other
-    q = fuzzy(X, {a: min(Fraction(1), p.value(a) + Fraction(1, 7)) for a in X})
+    values = DIST.pred_table(X, p)
+    q = fuzzy(X, {a: min(Fraction(1), values[a] + Fraction(1, 7)) for a in X})
     assert DIST.pred_leq(X, p, q)
-    if any(p.value(a) > 0 for a in X):
+    if any(values[a] > 0 for a in X):
         assert not DIST.pred_leq(X, q, p) or DIST.preds_equal(X, p, q)
 
 
@@ -234,7 +235,7 @@ def test_instrument_outputs_total_distributions(case):
     for x in X:
         d = DIST.table(instr)[x]
         assert d.mass == 1
-        assert dict(d.weights).get((1, x), Fraction(0)) == p.value(x)
+        assert dict(d.weights).get((1, x), Fraction(0)) == DIST.pred_table(X, p)[x]
 
 
 @given(space_with_pred())
@@ -266,7 +267,7 @@ def test_all_arithmetic_is_rational():
     for d in DIST.table(instr).values():
         for _, w in d.weights:
             assert isinstance(w, Fraction)
-    assert isinstance(DIST.subst(instr, DIST.top(instr.dst)).value("x"), Fraction)
+    assert isinstance(DIST.pred_table(X, DIST.subst(instr, DIST.top(instr.dst)))["x"], Fraction)
 
 
 def test_subdist_validation():
@@ -278,6 +279,55 @@ def test_subdist_validation():
         SubDist((("y", HALF), ("z", Fraction(2, 3))))
     with pytest.raises(ValidationError):
         fuzzy(fs("x"), {"x": Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize("mapping", [
+    {},  # no value at all
+    {"x": 1, "y": 0, "z": 1},  # z is not an atom of X
+    {"x": 0.1, "y": 1},  # a float converts inexactly
+    {"x": True, "y": 0},  # a bool is ambiguous
+    {"x": "1/2", "y": 0},  # so is a string
+], ids=["empty", "extra-atom", "float", "bool", "string"])
+def test_fuzzy_rejects_what_is_not_a_rational_per_atom(mapping):
+    from effectus import ValidationError
+
+    with pytest.raises(ValidationError):
+        fuzzy(fs("x", "y"), mapping)
+
+
+@pytest.mark.parametrize("weights", [
+    (("y", HALF), ("y", HALF)),  # would keep half the mass
+    (("y", HALF), ("y", Fraction(0))),
+    (("y", 0.5),),
+], ids=["repeated-atom", "repeated-atom-zero-weight", "float-weight"])
+def test_subdist_rejects_repeated_atoms_and_inexact_weights(weights):
+    from effectus import ValidationError
+
+    with pytest.raises(ValidationError):
+        SubDist(weights)
+
+
+def test_predicates_of_the_wrong_length_are_rejected():
+    from effectus import ValidationError
+
+    X = fs("x", "y")
+    short = fuzzy(fs("x"), {"x": HALF})
+    for use in (lambda: DIST.pred_leq(X, short, DIST.top(X)),
+                lambda: DIST.ortho(X, short),
+                lambda: DIST.quotient(X, short),
+                lambda: DIST.comprehension(X, short),
+                lambda: DIST.subst(DIST.identity(X), short),
+                lambda: DIST.pred_to_json(X, short)):
+        with pytest.raises(ValidationError):
+            use()
+
+
+def test_predicates_decode_to_what_they_encode():
+    X = fs("x", "y")
+    mapping = {"x": HALF, "y": Fraction(0)}
+    p = DIST.pred(X, mapping)
+    assert p == fuzzy(X, mapping) == (HALF, Fraction(0))
+    assert DIST.pred_table(X, p) == mapping
 
 
 def test_json_uses_num_den_strings():

@@ -391,6 +391,54 @@ def test_corruption_in_one_direction_leaves_the_other_passing(which):
     assert run_suite([seeded, exhaustive], instances={"sets": corrupt})["ok"]
 
 
+# The predicate layer of the Kleisli instances: one corruption of
+# substitution and one of the order, each caught by its own law.
+
+KLEISLI = {"sets": SetsChain, "nondet": NondetChain, "dist": DistChain}
+
+
+class _TruthToFalsum:
+    """Substitutes falsum for truth along every arrow out of a non-empty
+    carrier."""
+
+    def subst(self, f, q):
+        if len(f.src) and q == self.top(f.dst):
+            return self.bottom(f.src)
+        return super().subst(f, q)
+
+
+class _EverythingBelow:
+    """Orders every predicate below every other."""
+
+    def pred_leq(self, X, p, q):
+        return True
+
+
+def _truth_to_falsum_witnessed(w):
+    return w["unit"] == 1.0 and {"f", "g"} <= set(w)
+
+
+def _hom_check_disagrees(w):
+    return (w["quotient_hom_check"] != w["quotient_transpose_accepts"]
+            or w["comprehension_hom_check"] != w["comprehension_transpose_accepts"])
+
+
+@pytest.mark.parametrize("corruption, law, witnessed", [
+    (_TruthToFalsum, "subst-functor", _truth_to_falsum_witnessed),
+    (_EverythingBelow, "truth-falsum", _hom_check_disagrees),
+], ids=["subst-truth-to-falsum", "pred-leq-always"])
+@pytest.mark.parametrize("name", sorted(KLEISLI))
+def test_corrupted_predicate_layer_is_detected(name, corruption, law, witnessed):
+    base = KLEISLI[name]
+    corrupt = type(f"{corruption.__name__}{base.__name__}", (corruption, base), {})()
+    spec = _spec(name, law, cases=20)
+    report = run_law(corrupt, spec)
+    assert report.failures >= 1 and report.errors == 0
+    assert report.witnesses[0]["detail"] == "law violated"
+    assert witnessed(report.witnesses[0])
+    assert run_law(base(), spec).failures == 0
+
+
 def _star_to_first(g):
     return SETS.arrow(g.src, g.dst, {x: g.dst.atoms[0] if y is STAR and len(g.dst) else y
                                      for x, y in SETS.table(g).items()})

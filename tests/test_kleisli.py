@@ -31,9 +31,10 @@ BOUNDS = {"max_size": 3}
 
 # instance, image of an atom or *, predicate of a subset P of X
 EMBEDDINGS = {
-    "nondet": (NONDET, lambda y: frozenset({y}), lambda X, P: P),
+    "nondet": (NONDET, lambda y: frozenset({y}),
+               lambda X, P: NONDET.pred(X, SETS.pred_table(X, P))),
     "dist": (DIST, lambda y: SubDist(()) if y is STAR else dirac(y),
-             lambda X, P: fuzzy(X, lambda a: Fraction(a in P))),
+             lambda X, P: fuzzy(X, {a: Fraction(a in SETS.pred_table(X, P)) for a in X})),
 }
 
 
@@ -91,8 +92,11 @@ def test_dist_is_not_enumerable():
 
 @pytest.mark.parametrize("inst", [SETS, NONDET], ids=["sets", "nondet"])
 def test_subset_predicate_outside_the_carrier_is_rejected(inst):
-    X, P = FiniteSet((1, 2)), FiniteSet((1, 3))
+    X = FiniteSet((1, 2))
     f = inst.arrow(FiniteSet(("y",)), X, {"y": inst.table(inst.identity(X))[1]})
+    with pytest.raises(ValidationError):
+        inst.pred(X, (1, 3))
+    P = inst.pred(FiniteSet((1, 2, 3)), (1, 3))  # over a wider carrier
     with pytest.raises(ValidationError):
         inst.comprehension(X, P)
     with pytest.raises(ValidationError):
@@ -102,14 +106,15 @@ def test_subset_predicate_outside_the_carrier_is_rejected(inst):
 def test_wide_nondet_carriers():
     """Masks over a nine-atom carrier re-index and bind like small ones."""
     X = FiniteSet(tuple(range(9)))
-    P = FiniteSet((0, 2, 3, 8))
+    P = NONDET.pred(X, (0, 2, 3, 8))
     rng = random.Random(3)
     Y = FiniteSet(("y", "z"))
     c = NONDET.comprehension(X, P)
     for _ in range(20):
         f = NONDET.rand_comprehension_hom(rng, X, P, Y, BOUNDS)
         g = c.transpose(f)
-        assert all(image <= frozenset(P) | {STAR} for image in NONDET.table(f).values())
+        assert all(image <= frozenset(NONDET.pred_table(X, P)) | {STAR}
+                   for image in NONDET.table(f).values())
         assert NONDET.table(g) == NONDET.table(f)
         assert NONDET.maps_equal(NONDET.compose(c.counit, g), f)
         assert NONDET.maps_equal(NONDET.compose(NONDET.identity(X), f), f)
@@ -125,7 +130,7 @@ def test_wide_nondet_carriers():
 ], ids=["sets", "nondet", "dist"])
 def test_comprehension_transpose_names_the_atom_outside_the_carrier(inst, image):
     X = FiniteSet((1, 2, 3))
-    p = FiniteSet((1,)) if inst is not DIST else fuzzy(X, {1: 1, 2: Fraction(1, 2), 3: 0})
+    p = inst.pred(X, (1,)) if inst is not DIST else fuzzy(X, {1: 1, 2: Fraction(1, 2), 3: 0})
     f = inst.arrow(FiniteSet(("x", "y")), X, {"x": inst.table(inst.identity(X))[1], "y": image})
     outside = 3 if inst is SETS else 2
     with pytest.raises(HomConditionError, match=f"image of 'y' reaches {outside}, outside"):
@@ -182,6 +187,18 @@ OUTSIDE_IMAGE = {"sets": OUTSIDE, "nondet": frozenset({OUTSIDE, STAR}),
 # images of the wrong shape, beyond those naming an atom outside the target
 MALFORMED = [("nondet", frozenset()), ("dist", (Fraction(1),)),
              ("dist", {1: Fraction(1)}), ("dist", STAR)]
+
+
+@pytest.mark.parametrize("inst", [SETS, NONDET], ids=["sets", "nondet"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pred_table_decodes_what_pred_encodes(inst, data):
+    X = data.draw(_carriers())
+    P = FiniteSet(tuple(data.draw(st.sets(st.sampled_from(X.atoms or (1,)))) & set(X.atoms)))
+    p = inst.pred(X, P)
+    assert p == tuple(a in P for a in X)
+    assert inst.pred_table(X, p) == P
+    assert inst.pred_to_json(X, p) == inst.object_to_json(P)
 
 
 @pytest.mark.parametrize("name", sorted(MONADS))

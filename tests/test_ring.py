@@ -1,5 +1,6 @@
 """Commutative-ring chain: idempotents, corners, CRT decomposition."""
 
+import gc
 import itertools
 
 import pytest
@@ -346,6 +347,23 @@ def test_rings_up_to_bounds_and_order():
     moduli = {R.moduli for R in rings}
     assert (2, 2, 3) in moduli and (12,) in moduli and () in moduli
     assert all(t == tuple(sorted(t)) for t in moduli)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: list(enumerate_hom_tables(Z2xZ3, Z2xZ2)),
+    lambda: rings_up_to(12),
+], ids=["enumerate_hom_tables", "rings_up_to"])
+def test_enumerations_leave_no_reference_cycles(build):
+    """Nothing the enumerations allocate waits for the cycle collector."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert build()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_elements_are_listed_in_atom_key_order():

@@ -204,7 +204,8 @@ class KleisliChain(ChainInstance):
     `_decode(d, Y)` and `_image_to_json(d, Y)`; and its predicate values:
     `_true` and `_false`, `_not(v)` (1 - v) and `_expectation(Y, q)`
     (image -> value of q under it, abort counting 1), with the boundary
-    `pred(X, spec)` and `pred_table(X, p)`."""
+    `pred(X, spec)` (the atoms where the predicate holds, or for dist a
+    mapping atom -> value) and its decoder `pred_table(X, p)`."""
 
     exact = True
     has_ortho = True
@@ -229,16 +230,6 @@ class KleisliChain(ChainInstance):
         """The atom table of f: each source atom's image, an atom or STAR
         (sets), a frozenset (nondet) or a SubDist (dist)."""
         return {x: self._decode(d, f.dst) for x, d in zip(f.src, f.data)}
-
-    def pred(self, X: FiniteSet, spec) -> tuple:
-        """The predicate over X given by spec: the atoms where it holds
-        (sets, nondet) or a mapping atom -> value (dist)."""
-        raise NotImplementedError
-
-    def pred_table(self, X: FiniteSet, p):
-        """What `pred` encoded: a FiniteSet (sets, nondet) or a dict
-        atom -> Fraction (dist)."""
-        raise NotImplementedError
 
     # ---- category ----
 
@@ -449,6 +440,7 @@ class _SubsetChain(KleisliChain):
     _not = staticmethod(not_)
 
     def pred(self, X: FiniteSet, atoms) -> tuple:
+        """The subset of X made of `atoms`."""
         atoms = set(atoms)
         for a in atoms:
             if a not in X:

@@ -232,9 +232,9 @@ def enumerate_hom_tables(Y: FiniteRing, X: FiniteRing):
     one per factor; the map sends a residue tuple to sum_j c_j * y_j."""
     nf, to_nf, _ = canonical_iso(Y)
     idems = idempotents(X)
-    # (c_0, ..., c_j) with what of the unit they leave, extended one
-    # factor at a time in the order of idems, so the assignments come out
-    # in lexicographic order
+    # partial assignments (c_0, ..., c_j), each with the part of the unit
+    # it leaves free, extended one factor at a time in the order of idems,
+    # which keeps them in lexicographic order
     partial = [((), X.one)]
     for n_j in nf.moduli:
         partial = [(chosen + (c,), X.sub(remaining, c))

@@ -234,14 +234,6 @@ class ChainInstance(ABC):
     def transpose_comprehension(self, X, p, f: Arrow) -> Arrow:
         return self.comprehension(X, p).transpose(f)
 
-    def untranspose_quotient(self, X, p, g: Arrow) -> Arrow:
-        q = self.quotient(X, p)
-        return self.compose(g, q.unit)
-
-    def untranspose_comprehension(self, X, p, g: Arrow) -> Arrow:
-        c = self.comprehension(X, p)
-        return self.compose(c.counit, g)
-
     # ---- instrument support ---------------------------------------
 
     def instrument_combine(self, X, branch_pass: Arrow, branch_fail: Arrow) -> Arrow:
@@ -333,9 +325,10 @@ class ChainInstance(ABC):
 
     def arrow_key(self, f: Arrow):
         """Hashable key telling apart arrows with the same endpoints, for
-        the bijection checks; it holds no reference to f or to mutable
-        data."""
-        return repr(self.arrow_to_json(f))
+        the uniqueness check over a small enumerated hom-set; it holds no
+        reference to f or to mutable data.  The default suits instances
+        whose arrow data is an immutable, hashable value."""
+        return f.data
 
 
 # ---- generic operations over an instance ---------------------------

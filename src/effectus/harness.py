@@ -218,7 +218,7 @@ def _unique(inst, rng, bounds, tol, ends, untranspose, g, f):
     """Distinct mediating maps must reach distinct composites: checked on
     every candidate when they are few, else on perturbations of g."""
     count = inst.count_arrows(*ends)
-    if count is not None and count <= bounds.get("case_enum_budget", CASE_ENUM_BUDGET):
+    if count is not None and count <= CASE_ENUM_BUDGET:
         seen = set()
         for cand in inst.iter_arrows(*ends):
             key = _arrow_key(inst, untranspose(cand))
@@ -472,28 +472,28 @@ def applicable_laws(inst) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap):
+def _returns(inst, a, there, back) -> bool:
+    # Whether back(there(a)) is a again; a ChainError on the way is a no.
+    try:
+        return inst.map_residual(back(there(a)), a) == 0.0
+    except ChainError:
+        return False
+
+
+def _exhaustive_triple(inst, which, report, X, p, Y, triple, cap):
     side = _side(inst, which, X, p)
     ends = side.ends(side.carrier, Y)
-    triple = {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
-              "Y": inst.object_to_json(Y)}
-    if inst.count_arrows(*ends) > cap:
+    n_maps = inst.count_arrows(*ends)
+    if n_maps > cap:
         report.skipped.append(triple)
         return
     detail = None
-    composites = set()
     for g in inst.iter_arrows(*ends):
-        f = side.untranspose(g)
-        key = _arrow_key(inst, f)
-        if key in composites:
-            detail = {"second_solution": inst.arrow_to_json(g)}
-            break
-        composites.add(key)
-        if inst.map_residual(side.transpose(f), g) > 0.0:
+        if not _returns(inst, g, side.untranspose, side.transpose):
             detail = {"round_trip": inst.arrow_to_json(g)}
             break
     homs = side.ends(X, Y)
-    if detail is None and inst.count_arrows(*homs) > scan_cap:
+    if detail is None and inst.count_arrows(*homs) > min(cap, SCAN_CAP):
         report.scan_skipped += 1
     elif detail is None:
         src_obj, dst_obj = side.hom_objects(Y)
@@ -501,11 +501,11 @@ def _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap):
         for f in inst.iter_arrows(*homs):
             if hom_check(inst, f, src_obj, dst_obj):
                 n_homs += 1
-                if _arrow_key(inst, f) not in composites:
+                if not _returns(inst, f, side.transpose, side.untranspose):
                     detail = {"unreached_hom": inst.arrow_to_json(f)}
                     break
-        if detail is None and n_homs != len(composites):
-            detail = {"hom_count": n_homs, "candidate_count": len(composites)}
+        if detail is None and n_homs != n_maps:
+            detail = {"hom_count": n_homs, "candidate_count": n_maps}
     if detail is not None:
         detail.update(triple, which=which)
     report.record(0.0 if detail is None else 1.0, detail is None, detail)
@@ -514,26 +514,33 @@ def _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap):
 def run_exhaustive_adjunction(inst, which: str, bounds: dict,
                               seed: int = 0) -> LawReport:
     """Sweep every (object, predicate, object) triple the instance can
-    enumerate within bounds, checking the full bijection of the chosen
-    adjunction wherever the enumeration cap allows.
+    enumerate within bounds, proving the hom-set bijection of the chosen
+    adjunction by two round trips and a count.  Every mediating-map
+    candidate g has transpose(untranspose(g)) == g, so untranspose is
+    injective; every hom f has untranspose(transpose(f)) == f, so it is
+    reached; and the homs are as many as the candidates.  A ChainError
+    on the way fails the round trip.  Any other exception counts in
+    `errors`, with a witness naming the triple.
 
-    Two budgets apply per triple.  The candidate sweep (round-trips plus
-    injectivity over every mediating-map candidate) runs while the
-    candidate space is at most `enumeration_cap`.  The surjectivity
-    cross-check additionally re-derives the hom set through the generic
-    substitution route, which costs a hom_check per arrow, so it gets
-    the tighter `scan_cap`.  The report names the triples over either
-    budget in `skipped` and `scan_skipped`."""
-    law = f"{which}-adjunction"
-    report = LawReport(inst.name, law, seed)
+    The candidate loop runs while the candidates number at most
+    `enumeration_cap`, and the hom scan, a hom_check per arrow, while
+    the homs number at most SCAN_CAP.  `skipped` names the triples over
+    the first budget and `scan_skipped` counts those over the second."""
+    report = LawReport(inst.name, f"{which}-adjunction", seed)
     cap = bounds.get("enumeration_cap", ENUMERATION_CAP)
-    scan_cap = min(cap, bounds.get("scan_cap", SCAN_CAP))
     objs = list(inst.iter_objects(bounds))
     for X in objs:
         for p in inst.iter_preds(X):
-            for Y in objs:
-                if inst.comparable_objects(X, Y):
-                    _exhaustive_triple(inst, which, report, X, p, Y, cap, scan_cap)
+            for Y in filter(partial(inst.comparable_objects, X), objs):
+                triple = {"X": inst.object_to_json(X),
+                          "p": inst.pred_to_json(X, p),
+                          "Y": inst.object_to_json(Y)}
+                try:
+                    _exhaustive_triple(inst, which, report, X, p, Y, triple, cap)
+                except Exception as exc:  # sweeps must report, not crash
+                    report.errors += 1
+                    report.record(1.0, False, {"detail": f"exception: {exc!r}",
+                                               **triple, "which": which})
     return report
 
 

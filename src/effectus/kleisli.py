@@ -252,9 +252,6 @@ class KleisliChain(ChainInstance):
     def objects_equal(self, A, B) -> bool:
         return A is B or A == B
 
-    def arrow_key(self, f: Arrow):
-        return f.data
-
     # ---- fibre and substitution ----
 
     def top(self, X) -> tuple:

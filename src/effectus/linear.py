@@ -245,8 +245,9 @@ class FpChain(ChainInstance):
 
     def arrow_key(self, f: Arrow):
         """The entries read as base-p digits, row by row: the arrow's
-        position in iter_arrows order.  The bijection checks keep a key
-        per candidate, and an int is smaller than the rows it encodes."""
+        position in iter_arrows order.  The seeded uniqueness check keeps
+        a key per enumerated candidate, and an int is smaller than the
+        rows it encodes."""
         p = f.src.p
         key = 0
         for row in f.data:

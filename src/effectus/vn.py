@@ -197,9 +197,6 @@ class VnChain(ChainInstance):
                 f"superoperator shape {superop.shape} != ({X.vdim}, {Y.vdim})")
         return Arrow(X, Y, superop)
 
-    def from_fn(self, X, Y, fn) -> Arrow:
-        return Arrow(X, Y, superop_from_fn(X, Y, fn))
-
     def apply(self, f: Arrow, elt) -> tuple:
         return unvec(f.src, f.data @ vec(f.dst, elt))
 

@@ -34,7 +34,7 @@ from effectus.harness import (
 )
 from effectus.registry import INSTANCES as REGISTRY
 from effectus.ring import IdealRing, ZProductRing, canonical_moduli, idempotents, rings_up_to
-from effectus.vn import MatrixAlgebra, VnChain, spectral_norm
+from effectus.vn import MatrixAlgebra, VnChain, spectral_norm, superop_from_fn
 
 SETS = INSTANCES["sets"]
 DIST = INSTANCES["dist"]
@@ -293,14 +293,14 @@ def test_mediating_map_uniqueness():
             f = inst.rand_quotient_hom(rng, X, p, Y, {})
             g = inst.transpose_quotient(X, p, f)
             tol = float(inst.eq_tol)
-            if inst.map_residual(inst.untranspose_quotient(X, p, g), f) > tol:
+            unit = inst.quotient(X, p).unit
+            if inst.map_residual(inst.compose(g, unit), f) > tol:
                 problems.append(f"{name} case {i}: defining equation")
                 break
             other = inst.perturb_arrow(rng, g, {})
             if inst.map_residual(other, g) <= max(tol, 1e-3):
                 continue
-            if inst.map_residual(inst.untranspose_quotient(X, p, other),
-                                 f) <= tol:
+            if inst.map_residual(inst.compose(other, unit), f) <= tol:
                 problems.append(f"{name} case {i}: second mediating map")
                 break
     _verdict("mediating-map uniqueness", not problems,
@@ -395,7 +395,7 @@ def test_operator_algebra_sanity():
 
     # the transpose map is the classic non-CP witness
     M2 = MatrixAlgebra((2,))
-    t = VN.from_fn(M2, M2, lambda a: (a[0].T,))
+    t = VN.arrow(M2, M2, superop_from_fn(M2, M2, lambda a: (a[0].T,)))
     ok, info = VN.cp_check(t)
     if ok:
         problems.append("transpose map accepted as CP")

@@ -142,7 +142,7 @@ def test_nondet_quotient_transpose_restricts():
     f = NONDET.arrow(X, Y, {1: frozenset({STAR}), 2: frozenset({"a"})})
     g = NONDET.transpose_quotient(X, P, f)
     assert NONDET.table(g) == {2: frozenset({"a"})}
-    back = NONDET.untranspose_quotient(X, P, g)
+    back = NONDET.compose(g, NONDET.quotient(X, P).unit)
     assert NONDET.maps_equal(back, f)
 
 
@@ -152,7 +152,7 @@ def test_nondet_untranspose_extends_by_star():
     P = NONDET.pred(X, (1,))
     carrier = NONDET.quotient(X, P).obj
     g = NONDET.arrow(carrier, Y, {2: frozenset({"a", "b"})})
-    f = NONDET.untranspose_quotient(X, P, g)
+    f = NONDET.compose(g, NONDET.quotient(X, P).unit)
     assert NONDET.table(f) == {1: frozenset({STAR}), 2: frozenset({"a", "b"})}
 
 
@@ -183,10 +183,11 @@ def test_transpose_round_trips_on_sampled_homs(inst):
         p = inst.rand_pred(rng, X, bounds)
         f = inst.rand_quotient_hom(rng, X, p, Y, bounds)
         g = inst.transpose_quotient(X, p, f)
-        assert inst.maps_equal(inst.untranspose_quotient(X, p, g), f)
+        assert inst.maps_equal(inst.compose(g, inst.quotient(X, p).unit), f)
         h = inst.rand_comprehension_hom(rng, X, p, Y, bounds)
         k = inst.transpose_comprehension(X, p, h)
-        assert inst.maps_equal(inst.untranspose_comprehension(X, p, k), h)
+        counit = inst.comprehension(X, p).counit
+        assert inst.maps_equal(inst.compose(counit, k), h)
 
 
 # ---------------------------------------------------------------------------

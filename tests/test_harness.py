@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from effectus import INSTANCES, STAR
-from effectus.core import atom_key
+from effectus.core import HomConditionError, atom_key
 from effectus.kleisli import DistChain, NondetChain, SetsChain, SubDist
 from effectus.harness import (
     DEFAULT_SEED,
@@ -381,6 +381,18 @@ def test_corrupted_transpose_detected_exhaustively(which):
     assert run_suite([spec])["ok"]
 
 
+def _refuse(g):
+    raise HomConditionError("refused")
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_refusing_transpose_fails_its_round_trip(which):
+    corrupt = _corrupt(SetsChain, which, _refuse)
+    report = run_exhaustive_adjunction(corrupt, which, {"max_size": 2})
+    assert report.cases == report.failures == 44 and report.errors == 0
+    assert {"round_trip", "X", "p", "Y", "which"} == set(report.witnesses[0])
+
+
 @pytest.mark.parametrize("which", DIRECTIONS)
 def test_corruption_in_one_direction_leaves_the_other_passing(which):
     other = next(d for d in DIRECTIONS if d != which)
@@ -414,6 +426,13 @@ class _EverythingBelow:
         return True
 
 
+class _NothingBelow:
+    """Orders no predicate below any other."""
+
+    def pred_leq(self, X, p, q):
+        return False
+
+
 def _truth_to_falsum_witnessed(w):
     return w["unit"] == 1.0 and {"f", "g"} <= set(w)
 
@@ -437,6 +456,27 @@ def test_corrupted_predicate_layer_is_detected(name, corruption, law, witnessed)
     assert report.witnesses[0]["detail"] == "law violated"
     assert witnessed(report.witnesses[0])
     assert run_law(base(), spec).failures == 0
+
+
+# The hom scan of an exhaustive sweep re-derives the homs through
+# hom_check, so a corrupted order breaks the bijection from the hom side:
+# a hom that no candidate reaches, or fewer homs than candidates.
+@pytest.mark.parametrize("corruption, which, failures, first", [
+    (_EverythingBelow, "quotient", 21,
+     {"X": [1], "p": [1], "Y": [1], "unreached_hom": [[1, 1]]}),
+    (_EverythingBelow, "comprehension", 21,
+     {"X": [1], "p": [], "Y": [1], "unreached_hom": [[1, 1]]}),
+    (_NothingBelow, "quotient", 44,
+     {"X": [], "p": [], "Y": [], "hom_count": 0, "candidate_count": 1}),
+    (_NothingBelow, "comprehension", 44,
+     {"X": [], "p": [], "Y": [], "hom_count": 0, "candidate_count": 1}),
+], ids=["everything-below-quotient", "everything-below-comprehension",
+        "nothing-below-quotient", "nothing-below-comprehension"])
+def test_hom_scan_catches_a_corrupted_order(corruption, which, failures, first):
+    corrupt = type(f"{corruption.__name__}Sets", (corruption, SetsChain), {})()
+    report = run_exhaustive_adjunction(corrupt, which, {"max_size": 2})
+    assert (report.cases, report.failures, report.errors) == (44, failures, 0)
+    assert json.loads(json.dumps(report.witnesses[0])) == dict(first, which=which)
 
 
 def _star_to_first(g):
@@ -475,23 +515,29 @@ def test_honest_registry_is_untouched_by_override():
     assert run_suite([spec])["ok"]
 
 
+def _boom(g):
+    raise RuntimeError("boom")
+
+
 def test_crashing_law_is_reported_not_raised():
-    class Exploding(DistChain):
-        def quotient(self, X, p):
-            def boom(f):
-                raise RuntimeError("boom")
-
-            return dataclasses.replace(super().quotient(X, p), transpose=boom)
-
-    spec = _spec("dist", "quotient-adjunction", cases=3)
-    result = run_suite([spec], instances={"dist": Exploding()})
-    report = result["reports"][0]
-    assert report["failures"] == 3
-    assert "exception" in report["witnesses"][0]["detail"]
-    # crashes are counted apart from law violations, outside the JSON
-    law_report = run_law(Exploding(), spec)
-    assert law_report.errors == law_report.failures == 3
-    assert set(law_report.to_jsonable()) == REPORT_KEYS
+    seeded = _spec("dist", "quotient-adjunction", cases=3)
+    exhaustive = CaseSpec("sets", "quotient-adjunction", 0, 0,
+                          {"exhaustive": True, "max_size": 2})
+    # a seeded witness names its case, an exhaustive one its triple
+    for spec, base, cases, names in (
+            (seeded, DistChain, 3, {"case"}),
+            (exhaustive, SetsChain, 44, {"X", "p", "Y", "which"})):
+        exploding = _corrupt(base, "quotient", _boom)
+        result = run_suite([spec], instances={spec.instance: exploding})
+        report = result["reports"][0]
+        assert report["cases"] == report["failures"] == cases
+        witness = report["witnesses"][0]
+        assert witness["detail"] == "exception: RuntimeError('boom')"
+        assert names <= set(witness)
+        # crashes are counted apart from law violations, outside the JSON
+        law_report = run_law(exploding, spec)
+        assert law_report.errors == law_report.failures == cases
+        assert set(law_report.to_jsonable()) == REPORT_KEYS
 
 
 # ---------------------------------------------------------------------------

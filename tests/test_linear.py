@@ -337,7 +337,7 @@ def test_round_trip_through_full_rank_predicate():
     f = FP.rand_quotient_hom(rng, X, P, Y, {})
     assert f.data == ((0, 0), (0, 0))
     g = FP.transpose_quotient(X, P, f)
-    assert FP.map_residual(FP.untranspose_quotient(X, P, g), f) == 0.0
+    assert FP.map_residual(FP.compose(g, FP.quotient(X, P).unit), f) == 0.0
     assert hom_check(FP, f, PredObject(X, P), falsum(FP, Y))
 
 
@@ -495,11 +495,11 @@ def test_hilb_transposes_round_trip():
         f = HILB.rand_quotient_hom(rng, X, p, Y, {})
         g = HILB.transpose_quotient(X, p, f)
         worst = max(worst, HILB.map_residual(
-            HILB.untranspose_quotient(X, p, g), f))
+            HILB.compose(g, HILB.quotient(X, p).unit), f))
         h = HILB.rand_comprehension_hom(rng, X, p, Y, {})
         k = HILB.transpose_comprehension(X, p, h)
         worst = max(worst, HILB.map_residual(
-            HILB.untranspose_comprehension(X, p, k), h))
+            HILB.compose(HILB.comprehension(X, p).counit, k), h))
     assert worst <= 1e-9
 
 

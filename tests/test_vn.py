@@ -74,7 +74,8 @@ def test_vec_unvec_round_trip():
 def test_from_fn_is_the_linear_extension():
     rng = random.Random(3)
     u = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
-    f = VN.from_fn(M2, M2, lambda a: (u @ a[0] @ u.conj().T,))
+    f = VN.arrow(M2, M2, superop_from_fn(
+        M2, M2, lambda a: (u @ a[0] @ u.conj().T,)))
     for _ in range(20):
         a = elt([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
                  for _ in range(2)])
@@ -82,8 +83,8 @@ def test_from_fn_is_the_linear_extension():
 
 
 def test_compose_runs_element_maps_in_reverse():
-    f = VN.from_fn(M2, M2, lambda a: (a[0] * 0.5,))
-    g = VN.from_fn(M2, M2, lambda a: (a[0].T,))
+    f = VN.arrow(M2, M2, superop_from_fn(M2, M2, lambda a: (a[0] * 0.5,)))
+    g = VN.arrow(M2, M2, superop_from_fn(M2, M2, lambda a: (a[0].T,)))
     h = VN.compose(g, f)
     a = elt([[1, 2], [3, 4]])
     assert elt_residual(VN.apply(h, a), VN.apply(f, VN.apply(g, a))) <= 1e-12
@@ -130,10 +131,12 @@ def test_floor_ortho_de_morgan():
 
 def test_subst_canned():
     u = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
-    conj = VN.from_fn(M2, M2, lambda a: (u @ a[0] @ u.conj().T,))
+    conj = VN.arrow(M2, M2, superop_from_fn(
+        M2, M2, lambda a: (u @ a[0] @ u.conj().T,)))
     got = VN.subst(conj, elt(np.diag([1.0, 0.0])))
     assert elt_residual(got, elt(np.full((2, 2), 0.5))) <= 1e-12
-    depol = VN.from_fn(M2, M2, lambda a: (np.trace(a[0]) / 2 * np.eye(2),))
+    depol = VN.arrow(M2, M2, superop_from_fn(
+        M2, M2, lambda a: (np.trace(a[0]) / 2 * np.eye(2),)))
     got = VN.subst(depol, elt(np.diag([1.0, 0.0])))
     assert elt_residual(got, elt(np.eye(2) * 0.5)) <= 1e-12
     assert elt_residual(VN.subst(depol, M2.one()), M2.one()) <= 1e-12
@@ -228,11 +231,11 @@ def test_transpose_round_trips():
         f = VN.rand_quotient_hom(rng, X, p, Y)
         g = VN.transpose_quotient(X, p, f)
         worst = max(worst, VN.map_residual(
-            VN.untranspose_quotient(X, p, g), f))
+            VN.compose(g, VN.quotient(X, p).unit), f))
         h = VN.rand_comprehension_hom(rng, X, p, Y)
         k = VN.transpose_comprehension(X, p, h)
         worst = max(worst, VN.map_residual(
-            VN.untranspose_comprehension(X, p, k), h))
+            VN.compose(VN.comprehension(X, p).counit, k), h))
     assert worst <= 1e-9
 
 
@@ -331,14 +334,15 @@ def test_seq_product_canned():
 
 
 def test_cp_check_rejects_the_transpose_map():
-    t = VN.from_fn(M2, M2, lambda a: (a[0].T,))
+    t = VN.arrow(M2, M2, superop_from_fn(M2, M2, lambda a: (a[0].T,)))
     ok, report = VN.cp_check(t)
     assert not ok
     assert report["min_eig"] == pytest.approx(-1.0, abs=1e-9)
     ok2, report2 = VN.cp_check(VN.identity(M2))
     assert ok2 and report2["min_eig"] >= -1e-9
     # the Choi blocks sit where the transpose is, across blocks of two sizes
-    half = VN.from_fn(M2_M1, M2_M1, lambda a: (a[0].T, a[1]))
+    half = VN.arrow(M2_M1, M2_M1, superop_from_fn(
+        M2_M1, M2_M1, lambda a: (a[0].T, a[1])))
     ok3, report3 = VN.cp_check(half)
     assert not ok3
     assert (report3["src_block"], report3["dst_block"]) == (0, 0)

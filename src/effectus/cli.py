@@ -81,6 +81,12 @@ def _cmd_check(args) -> int:
         print(f"effectus: unknown law {args.law!r}; one of: "
               f"{', '.join(LAW_STATEMENTS)}", file=sys.stderr)
         return 2
+    if args.instance is not None and args.law is not None:
+        laws = applicable_laws(INSTANCES[args.instance])
+        if args.law not in laws:
+            print(f"effectus: law {args.law!r} does not apply to instance "
+                  f"{args.instance!r}; one of: {', '.join(laws)}", file=sys.stderr)
+            return 2
     if args.cases is not None and args.cases < 1:
         raise SystemExit(f"effectus: --cases must be at least 1, got {args.cases}")
     if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
@@ -126,9 +132,10 @@ def _demo_sets(out) -> None:
     out.append(f"  comprehension carrier {{X|P}} = {c.obj}")
     asrt = inst.table(inst.assert_closed_form(X, p))
     out.append("  assert_P: " + ", ".join(f"{x} -> {asrt[x]}" for x in X))
-    instr = inst.table(derive_instrument(inst, X, p))
-    out.append("  instrument: " + ", ".join(f"{x} -> {instr[x]}" for x in X))
-    _, free = side_effect(inst, X, p)
+    instr = derive_instrument(inst, X, p)
+    table = inst.table(instr)
+    out.append("  instrument: " + ", ".join(f"{x} -> {table[x]}" for x in X))
+    _, free = side_effect(inst, instr)
     out.append(f"  side-effect free: {free}")
 
 
@@ -142,7 +149,7 @@ def _demo_dist(out) -> None:
     out.append(f"  quotient carrier (p < 1): {inst.quotient(X, p).obj}")
     asrt = inst.table(inst.assert_closed_form(X, p))
     out.append("  assert_p: " + ", ".join(f"{x} -> {asrt[x]}" for x in X))
-    _, free = side_effect(inst, X, p)
+    _, free = side_effect(inst, derive_instrument(inst, X, p))
     out.append(f"  side-effect free: {free}")
 
 
@@ -179,16 +186,16 @@ def _demo_vn(out) -> None:
     out.append("  assert_p on [[1,1],[1,1]]: "
                f"[[{res[0, 0].real:.4f}, {res[0, 1].real:.4f}], "
                f"[{res[1, 0].real:.4f}, {res[1, 1].real:.4f}]]")
-    _, free = side_effect(inst, X, p)
+    _, free = side_effect(inst, derive_instrument(inst, X, p))
     out.append(f"  side-effect free for diag(1, 1/2): {free}")
     theta = 0.7
     u = np.array([[np.cos(theta), -np.sin(theta)],
                   [np.sin(theta), np.cos(theta)]], dtype=complex)
     rotated = (u @ np.diag([0.8, 0.3]).astype(complex) @ u.conj().T,)
-    _, free_rot = side_effect(inst, X, rotated)
+    _, free_rot = side_effect(inst, derive_instrument(inst, X, rotated))
     out.append(f"  side-effect free for a rotated unsharp effect: {free_rot}")
     scalar = (0.3 * np.eye(2, dtype=complex),)
-    _, free_scalar = side_effect(inst, X, scalar)
+    _, free_scalar = side_effect(inst, derive_instrument(inst, X, scalar))
     out.append(f"  side-effect free for the scalar effect 0.3*I: {free_scalar}")
 
 

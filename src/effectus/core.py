@@ -375,9 +375,10 @@ def derive_instrument(inst: ChainInstance, X, p) -> Arrow:
     return inst.instrument_combine(X, branch_pass, branch_fail)
 
 
-def side_effect(inst: ChainInstance, X, p) -> tuple[Arrow, bool]:
-    """The instrument with its outcome tag forgotten, and whether that
-    equals the identity (measurement left no trace)."""
-    instr = derive_instrument(inst, X, p)
+def side_effect(inst: ChainInstance, instr: Arrow) -> tuple[Arrow, bool]:
+    """The instrument `instr` on X = instr.src with its outcome tag
+    forgotten, and whether that equals the identity on X (measurement
+    left no trace)."""
+    X = instr.src
     merged = inst.compose(inst.codiagonal(X), instr)
     return merged, inst.maps_equal(merged, inst.identity(X))

@@ -313,7 +313,7 @@ def _case_instrument(inst, rng, bounds, tol):
     derived = derive_instrument(inst, X, p)
     closed = inst.instrument_closed_form(X, p)
     r1 = inst.map_residual(derived, closed)
-    merged, free = side_effect(inst, X, p)
+    merged, free = side_effect(inst, derived)
     predicted = inst.predicts_side_effect_free(X, p, tol)
     unit_res = inst.subunital_defect(closed)
     ok = r1 <= tol and free == predicted and unit_res <= tol
@@ -480,8 +480,7 @@ def _returns(inst, a, there, back) -> bool:
         return False
 
 
-def _exhaustive_triple(inst, which, report, X, p, Y, triple, cap):
-    side = _side(inst, which, X, p)
+def _exhaustive_triple(inst, side, which, report, X, Y, triple, cap):
     ends = side.ends(side.carrier, Y)
     n_maps = inst.count_arrows(*ends)
     if n_maps > cap:
@@ -520,7 +519,9 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     injective; every hom f has untranspose(transpose(f)) == f, so it is
     reached; and the homs are as many as the candidates.  A ChainError
     on the way fails the round trip.  Any other exception counts in
-    `errors`, with a witness naming the triple.
+    `errors`, with a witness naming the triple.  Each (X, p) builds its
+    construction once, at its first triple, for every Y; a build that
+    raises is tried again, and fails, at each of its triples.
 
     The candidate loop runs while the candidates number at most
     `enumeration_cap`, and the hom scan, a hom_check per arrow, while
@@ -531,12 +532,15 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     objs = list(inst.iter_objects(bounds))
     for X in objs:
         for p in inst.iter_preds(X):
+            side = None
             for Y in filter(partial(inst.comparable_objects, X), objs):
                 triple = {"X": inst.object_to_json(X),
                           "p": inst.pred_to_json(X, p),
                           "Y": inst.object_to_json(Y)}
                 try:
-                    _exhaustive_triple(inst, which, report, X, p, Y, triple, cap)
+                    if side is None:
+                        side = _side(inst, which, X, p)
+                    _exhaustive_triple(inst, side, which, report, X, Y, triple, cap)
                 except Exception as exc:  # sweeps must report, not crash
                     report.errors += 1
                     report.record(1.0, False, {"detail": f"exception: {exc!r}",

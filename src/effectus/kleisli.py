@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from numbers import Rational
 from operator import add, le, not_, sub
 
@@ -234,13 +234,13 @@ class KleisliChain(ChainInstance):
     # ---- category ----
 
     def identity(self, X: FiniteSet) -> Arrow:
-        n = len(X)
+        n = len(X.atoms)
         return Arrow(X, X, tuple(self._eta(i, n) for i in range(n)))
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         self.check_composable(g, f)
-        bind, k = self._bind, g.data + (self._abort(len(g.dst)),)
-        return Arrow(f.src, g.dst, tuple(bind(d, k) for d in f.data))
+        k = g.data + (self._abort(len(g.dst.atoms)),)
+        return Arrow(f.src, g.dst, tuple(map(self._bind, f.data, repeat(k))))
 
     def map_residual(self, f: Arrow, g: Arrow) -> float:
         if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
@@ -255,10 +255,10 @@ class KleisliChain(ChainInstance):
     # ---- fibre and substitution ----
 
     def top(self, X) -> tuple:
-        return (self._true,) * len(X)
+        return (self._true,) * len(X.atoms)
 
     def bottom(self, X) -> tuple:
-        return (self._false,) * len(X)
+        return (self._false,) * len(X.atoms)
 
     def pred_leq(self, X, p, q) -> bool:
         _check_pred(X, p)
@@ -312,7 +312,7 @@ class KleisliChain(ChainInstance):
         capped = [i for i, w in enumerate(keep) if w != 1]
 
         def transpose(f: Arrow) -> Arrow:
-            n, data = len(f.dst), f.data
+            n, data = len(f.dst.atoms), f.data
             for i in capped:
                 if self._mass(data[i], n) > keep[i]:
                     raise HomConditionError(f"{self.name}: mass {self._mass(data[i], n)} "
@@ -328,7 +328,7 @@ class KleisliChain(ChainInstance):
         where p = 1, so the carrier is those atoms, the counit their
         inclusion, and the transpose the same images re-indexed onto the
         carrier."""
-        n = len(X)
+        n = len(X.atoms)
         kept = self._certain(X, p)
         obj = FiniteSet(tuple(X.atoms[i] for i in kept))
         restrict = self._restriction(kept, n)
@@ -564,16 +564,28 @@ class NondetChain(_SubsetChain):
         return _bits(s & ~(1 << n))
 
     def _expectation(self, Y, q: tuple):
-        inside = sum(1 << i for i, v in enumerate(q) if v) | 1 << len(Y)
+        inside = sum(1 << i for i, v in enumerate(q) if v) | 1 << len(Y.atoms)
         return lambda s: not s & ~inside
 
     def _restriction(self, kept, n):
-        outside, bits = (1 << n) - 1, [0] * n + [1 << len(kept)]
-        for j, i in enumerate(kept):
-            bits[i] = 1 << j
-            outside ^= 1 << i
+        # The bit of a kept position i moves down to its carrier position
+        # j, and * from bit n to bit len(kept): the bits sharing a shift
+        # i - j move together, under one mask.
+        runs = {}
+        for j, i in enumerate([*kept, n]):
+            runs[i - j] = runs.get(i - j, 0) | 1 << i
+        outside = (1 << n + 1) - 1 - sum(runs.values())
+        runs = tuple(runs.items())
 
-        return lambda s: None if s & outside else self._bind(s, bits)
+        def restrict(s):
+            if s & outside:
+                return None
+            out = 0
+            for shift, mask in runs:
+                out |= (s & mask) >> shift
+            return out
+
+        return restrict
 
     def _images(self, n):
         return range(1, 1 << (n + 1))

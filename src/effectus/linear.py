@@ -203,6 +203,18 @@ def _coords_matrix(P: FpSubspace):
     return inv[P.rank:]
 
 
+@lru_cache(maxsize=4096)
+def _preimage(space: FpSpace, comp) -> FpSubspace:
+    """The kernel of `comp`, a matrix with `space` as its source.
+
+    Cached: substitution eliminates on the composite of the predicate's
+    quotient map with the arrow, and the exhaustive sweeps meet the same
+    composites again and again (2,310 distinct ones in 72,038
+    substitutions at the acceptance bounds).  The bound sits above that
+    count."""
+    return FpSubspace(space, fp_kernel(comp, space.dim, space.p))
+
+
 class FpChain(ChainInstance):
     """Vector spaces over a prime field with total linear maps; arrows
     store the matrix (rows x columns = target dim x source dim)."""
@@ -283,9 +295,7 @@ class FpChain(ChainInstance):
         return 0.0 if p.rows == q.rows else 1.0
 
     def subst(self, f: Arrow, q: FpSubspace) -> FpSubspace:
-        proj = _coords_matrix(q)
-        comp = mat_mul(proj, f.data, f.src.p)
-        return FpSubspace(f.src, fp_kernel(comp, f.src.dim, f.src.p))
+        return _preimage(f.src, mat_mul(_coords_matrix(q), f.data, f.src.p))
 
     # ---- quotient / comprehension ----
 
@@ -311,8 +321,10 @@ class FpChain(ChainInstance):
         mat = tuple(tuple(p.rows[j][i] for j in range(p.rank))
                     for i in range(X.dim))
 
+        proj = _coords_matrix(p)
+
         def transpose(f: Arrow) -> Arrow:
-            if any(any(row) for row in mat_mul(_coords_matrix(p), f.data, X.p)):
+            if any(any(row) for row in mat_mul(proj, f.data, X.p)):
                 raise HomConditionError("fp: image is not inside the subspace")
             # Echelon basis coordinates can be read off at the pivot columns.
             return Arrow(f.src, obj, tuple(f.data[c] for c in p.pivots))

@@ -447,7 +447,7 @@ def test_probabilistic_measurement_is_side_effect_free():
     for i in range(500):
         X = DIST.rand_object(rng, {"max_size": 5})
         p = DIST.rand_pred(rng, X, {"max_den": 16})
-        merged, free = side_effect(DIST, X, p)
+        merged, free = side_effect(DIST, derive_instrument(DIST, X, p))
         if not free:
             problems.append(f"case {i}: reported side effects")
             break

@@ -53,6 +53,17 @@ def test_check_unknown_law_is_usage_error(capsys):
     assert "unknown law" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("instance,law", [("fp", "instrument"),
+                                          ("sets", "cp-sanity")])
+def test_check_law_foreign_to_the_instance_is_usage_error(instance, law, capsys):
+    # such a run has no cases, so it must not read as all laws holding
+    assert main(["check", "--instance", instance, "--law", law]) == 2
+    captured = capsys.readouterr()
+    assert "all laws hold" not in captured.out
+    assert f"does not apply to instance {instance!r}" in captured.err
+    assert "kleisli-laws" in captured.err and law not in captured.err.split("one of:")[1]
+
+
 @pytest.mark.parametrize("cases", ["-3", "0"])
 def test_check_rejects_case_count_below_one(cases, capsys):
     assert main(["check", "--instance", "sets", f"--cases={cases}"]) == 2

@@ -220,7 +220,7 @@ def test_classical_measurement_is_side_effect_free(name):
         rng = random.Random(5000 + seed)
         X = inst.rand_object(rng, BOUNDS)
         p = inst.rand_pred(rng, X, BOUNDS)
-        _, free = side_effect(inst, X, p)
+        _, free = side_effect(inst, derive_instrument(inst, X, p))
         assert free
 
 
@@ -232,10 +232,10 @@ def test_quantum_measurement_leaves_a_trace():
     A = MatrixAlgebra((2,))
     # unsharp and non-scalar: a quarter of identity-plus-flip
     p = (0.25 * np.array([[1, 1], [1, 1]], dtype=complex),)
-    _, free = side_effect(vn, A, p)
+    _, free = side_effect(vn, derive_instrument(vn, A, p))
     assert not free
     scalar = (0.3 * np.eye(2, dtype=complex),)
-    _, free = side_effect(vn, A, scalar)
+    _, free = side_effect(vn, derive_instrument(vn, A, scalar))
     assert free
 
 

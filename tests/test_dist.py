@@ -243,7 +243,7 @@ def test_instrument_outputs_total_distributions(case):
 @settings(max_examples=80, deadline=None)
 def test_measurement_is_side_effect_free(case):
     X, p = case
-    merged, free = side_effect(DIST, X, p)
+    merged, free = side_effect(DIST, derive_instrument(DIST, X, p))
     assert free
     assert DIST.maps_equal(merged, DIST.identity(X))
 

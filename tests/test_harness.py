@@ -254,20 +254,39 @@ def test_exhaustive_sweep_names_what_it_skips(which):
 
 
 class _CountingNondet(NondetChain):
+    """Counts the quotients built, and the comprehension carriers through
+    `_certain`."""
+
     def __init__(self):
-        self.certain_calls = 0
+        self.built = {"quotient": 0, "comprehension": 0}
+
+    def quotient(self, X, p):
+        self.built["quotient"] += 1
+        return super().quotient(X, p)
 
     def _certain(self, X, p):
-        self.certain_calls += 1
+        self.built["comprehension"] += 1
         return super()._certain(X, p)
 
 
-def test_comprehension_transposes_do_not_rebuild_the_carrier():
+def _constructions_built(which):
     inst = _CountingNondet()
     bounds = {"max_size": 2}
-    report = run_exhaustive_adjunction(inst, "comprehension", bounds)
+    report = run_exhaustive_adjunction(inst, which, bounds)
     assert report.failures == 0 and report.cases > 0
-    assert inst.certain_calls == len(_triples(inst, bounds))
+    pairs = {(X, p) for X, p, _ in _triples(inst, bounds)}
+    assert len(pairs) < report.cases
+    return inst.built[which], len(pairs)
+
+
+def test_comprehension_transposes_do_not_rebuild_the_carrier():
+    built, pairs = _constructions_built("comprehension")
+    assert built == pairs
+
+
+def test_quotient_sweep_builds_one_quotient_per_pair():
+    built, pairs = _constructions_built("quotient")
+    assert built == pairs
 
 
 # ---------------------------------------------------------------------------

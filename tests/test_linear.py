@@ -376,6 +376,29 @@ def test_equal_arrows_share_a_key():
         assert FP.arrow_key(FP.arrow(X, Y, [list(r) for r in f.data])) == key
 
 
+@st.composite
+def fp_substitutions(draw):
+    """(f, q): an arrow F_p^m -> F_p^n and a subspace q of its target,
+    for p in {2, 3, 5, 7} and m, n in 0-4."""
+    p = draw(st.sampled_from(PRIMES))
+    X, Y = FpSpace(p, draw(st.integers(0, 4))), FpSpace(p, draw(st.integers(0, 4)))
+    mat = draw(st.tuples(*[st.tuples(*[st.integers(0, p - 1)] * X.dim)] * Y.dim))
+    return FP.arrow(X, Y, mat), fp_span(Y, draw(residue_rows(p, Y.dim)))
+
+
+@given(fp_substitutions())
+@settings(max_examples=200, deadline=None)
+def test_cached_preimage_matches_a_fresh_kernel(case):
+    f, q = case
+    X = f.src
+    comp = mat_mul(_coords_matrix(q), f.data, X.p)
+    fresh = FpSubspace(X, fp_kernel(comp, X.dim, X.p))
+    pre = FP.subst(f, q)
+    assert (pre.rows, pre.pivots) == (fresh.rows, fresh.pivots)
+    assert FP.subst(f, q) is pre
+    assert linear._preimage.cache_info().maxsize is not None
+
+
 def test_one_elimination_per_substitution(monkeypatch):
     rng = random.Random(41)
     calls = []
@@ -383,6 +406,8 @@ def test_one_elimination_per_substitution(monkeypatch):
     monkeypatch.setattr(linear, "rref", lambda *a: calls.append(a) or real(*a))
 
     def count(thunk):
+        # a fresh composite, not one a cached preimage already answers
+        linear._preimage.cache_clear()
         calls.clear()
         result = thunk()
         return len(calls), result
@@ -396,6 +421,8 @@ def test_one_elimination_per_substitution(monkeypatch):
         _coords_matrix(q)  # cached per subspace, built once for many arrows
         n, pre = count(lambda: FP.subst(f, q))
         assert n == 1
+        calls.clear()
+        assert FP.subst(f, q) is pre and not calls
         assert count(lambda: FP.pred_leq(X, P, pre))[0] == 0
         assert count(lambda: FpSubspace(X, pre.rows))[0] == 0
         src, dst = PredObject(X, P), PredObject(Y, q)

@@ -256,7 +256,7 @@ def test_derived_instrument_matches_closed_form():
 
 def test_measurement_is_side_effect_free():
     for e in idempotents(Z12):
-        merged, free = side_effect(RING, Z12, e)
+        merged, free = side_effect(RING, derive_instrument(RING, Z12, e))
         assert free
         assert merged.data == RING.identity(Z12).data
 

@@ -305,12 +305,12 @@ def test_instrument_unital_and_cp():
 
 def test_side_effect_freeness_is_block_scalarity():
     scalar = elt(np.eye(2) * 0.3)
-    merged, free = side_effect(VN, M2, scalar)
+    merged, free = side_effect(VN, derive_instrument(VN, M2, scalar))
     assert free
     assert VN.map_residual(merged, VN.identity(M2)) <= 1e-9
     assert VN.block_scalar_defect(M2, scalar) <= 1e-12
     skew = elt(np.diag([1.0, 0.0]))
-    merged2, free2 = side_effect(VN, M2, skew)
+    merged2, free2 = side_effect(VN, derive_instrument(VN, M2, skew))
     assert not free2
     assert VN.block_scalar_defect(M2, skew) == pytest.approx(0.5)
 

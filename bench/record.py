@@ -6,14 +6,16 @@ Run from anywhere; the checkout is the directory above this file.  For
 each workload that BENCHMARK.json declares, `perfbench/run.py` runs on
 seed 1 three times untraced (`--trace 0`), for the end-to-end metrics,
 then once traced (`--trace 1`), for the per-layer metrics.  Then the
-Tier-1 test command runs once.  The file written at the root of the
-checkout holds:
+Tier-1 test command runs three times.  The file written at the root of
+the checkout holds:
 
 * `commit`: `git describe --always --dirty` of the checkout, if any;
 * `machine`: what `perfbench/run.py` reports (nproc, Python, numpy, BLAS);
 * per workload, the verdict `digest`, each end-to-end metric's `runs`
   with their `median` and quartiles, and the traced `layers`;
-* `tier1`: the command, its wall time and its pass and fail counts.
+* `tier1`: the command, the wall time of each run with their `median`
+  and quartiles, and each run's pass and fail counts, exit code and
+  closing summary line, in run order.
 
 Nothing under `perfbench/` is changed.  The exit code is 0 only when
 every run passed its correctness gate, every run of a workload gave the
@@ -35,6 +37,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 UNTRACED_RUNS = 3
+TIER1_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -81,17 +84,23 @@ def record_tier1() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p)
-    t0 = perf_counter()
-    done = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True,
-                          text=True, check=False)
-    wall = perf_counter() - t0
-    tail = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", tail)}
-    return {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
-            "wall_s": wall, "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0) + counts.get("error", 0)
-            + counts.get("errors", 0),
-            "exit_code": done.returncode, "summary": tail}
+    out = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
+           "passed": [], "failed": [], "exit_code": [], "summary": []}
+    walls = []
+    for _ in range(TIER1_RUNS):
+        t0 = perf_counter()
+        done = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True,
+                              text=True, check=False)
+        walls.append(perf_counter() - t0)
+        tail = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+        counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", tail)}
+        out["passed"].append(counts.get("passed", 0))
+        out["failed"].append(counts.get("failed", 0) + counts.get("error", 0)
+                             + counts.get("errors", 0))
+        out["exit_code"].append(done.returncode)
+        out["summary"].append(tail)
+    out["wall_s"] = summary(walls)
+    return out
 
 
 def commit() -> str | None:
@@ -119,7 +128,7 @@ def main(argv=None) -> int:
         ok &= fine
     print("record: tier-1", file=sys.stderr, flush=True)
     out["tier1"] = record_tier1()
-    ok &= out["tier1"]["exit_code"] == 0 and out["tier1"]["failed"] == 0
+    ok &= not any(out["tier1"]["exit_code"]) and not any(out["tier1"]["failed"])
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"record: wrote {path.name}", file=sys.stderr)

@@ -64,8 +64,7 @@ def _cmd_explain(args) -> int:
     laws = [args.law] if args.law else list(LAW_STATEMENTS)
     for law in laws:
         if law not in LAW_STATEMENTS:
-            print(f"effectus: unknown law {law!r}", file=sys.stderr)
-            return 2
+            raise SystemExit(f"effectus: unknown law {law!r}")
     for law in laws:
         print(f"{law}:")
         print(f"  {LAW_STATEMENTS[law]}")
@@ -74,19 +73,16 @@ def _cmd_explain(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.instance is not None and args.instance not in INSTANCES:
-        print(f"effectus: unknown instance {args.instance!r}; one of: "
-              f"{', '.join(INSTANCES)}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"effectus: unknown instance {args.instance!r}; one of: "
+                         f"{', '.join(INSTANCES)}")
     if args.law is not None and args.law not in LAW_STATEMENTS:
-        print(f"effectus: unknown law {args.law!r}; one of: "
-              f"{', '.join(LAW_STATEMENTS)}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"effectus: unknown law {args.law!r}; one of: "
+                         f"{', '.join(LAW_STATEMENTS)}")
     if args.instance is not None and args.law is not None:
         laws = applicable_laws(INSTANCES[args.instance])
         if args.law not in laws:
-            print(f"effectus: law {args.law!r} does not apply to instance "
-                  f"{args.instance!r}; one of: {', '.join(laws)}", file=sys.stderr)
-            return 2
+            raise SystemExit(f"effectus: law {args.law!r} does not apply to instance "
+                             f"{args.instance!r}; one of: {', '.join(laws)}")
     if args.cases is not None and args.cases < 1:
         raise SystemExit(f"effectus: --cases must be at least 1, got {args.cases}")
     if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
@@ -166,9 +162,9 @@ def _demo_ring(out) -> None:
                f"canonical moduli {canonical_moduli(corner_c)}")
     out.append("  so e splits Z6 into Z2 x Z3")
     dec = inst.decompose(X, e)
-    out.append(f"  decompose(5) = {dec.split.data[(5,)]}  (in eR x (1-e)R)")
+    out.append(f"  decompose(5) = {inst.table(dec.split)[(5,)]}  (in eR x (1-e)R)")
     instr = inst.instrument_closed_form(X, e)
-    out.append(f"  instrument(1, 5) = {instr.data[((1,), (5,))]}")
+    out.append(f"  instrument(1, 5) = {inst.table(instr)[((1,), (5,))]}")
 
 
 def _demo_vn(out) -> None:
@@ -209,9 +205,8 @@ _DEMOS = {
 
 def _cmd_demo(args) -> int:
     if args.scenario is not None and args.scenario not in _DEMOS:
-        print(f"effectus: unknown demo scenario {args.scenario!r}; one of: "
-              f"{', '.join(_DEMOS)}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"effectus: unknown demo scenario {args.scenario!r}; one of: "
+                         f"{', '.join(_DEMOS)}")
     sections = ([_DEMOS[args.scenario]] if args.scenario
                 else list(_DEMOS.values()))
     out = []

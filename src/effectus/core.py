@@ -102,8 +102,8 @@ class PredObject:
 
 class Arrow(NamedTuple):
     """A chain-category arrow.  ``data`` is instance-specific.  Arrows
-    compare and hash by identity, as the instances' `maps_equal` and
-    `arrow_key` are what tell them apart."""
+    compare and hash by identity, as the instances' `maps_equal` is what
+    tells them apart."""
 
     src: Any
     dst: Any
@@ -138,18 +138,26 @@ class ComprehensionResult:
     transpose: Callable[[Arrow], Arrow]
 
 
+# The laws every instance satisfies, and those of fibres with an
+# orthocomplement; the harness states and checks each by name.
+CHAIN_LAWS = ("kleisli-laws", "subst-functor", "truth-falsum",
+              "quotient-adjunction", "comprehension-adjunction")
+ORTHO_LAWS = ("factorization", "coincidence", "sharpness")
+
+
 class ChainInstance(ABC):
     """Hook bundle provided by one instance.  All operations are pure and
     all values immutable, so instances are freely shareable."""
 
     name = "?"
     description = ""
-    exact = True          # morphism equality is exact, not tolerance-based
-    has_ortho = True      # the fibres carry an orthocomplement
-    has_instrument = True # the instance supports instrument combination
     eq_tol = 0.0          # residual accepted as equality
-    hom_tol = 0.0         # slack accepted in hom-condition checks
-    extra_laws = ()       # laws checked beyond those every instance gets
+    laws = CHAIN_LAWS + ORTHO_LAWS + ("instrument",)  # the laws it carries
+
+    @property
+    def exact(self) -> bool:
+        """Whether morphism equality is exact, not tolerance-based."""
+        return self.eq_tol == 0
 
     # ---- category -------------------------------------------------
 
@@ -161,13 +169,14 @@ class ChainInstance(ABC):
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         """g after f; raises CompositionError if f.dst != g.src."""
 
-    @abstractmethod
     def map_residual(self, f: Arrow, g: Arrow) -> float:
-        """Worst deviation between two parallel arrows (0.0 when equal)."""
+        """Worst deviation between two parallel arrows (0.0 when equal);
+        by default 0.0 or 1.0, for data compared exactly."""
+        same = f.src == g.src and f.dst == g.dst and f.data == g.data
+        return 0.0 if same else 1.0
 
-    @abstractmethod
     def objects_equal(self, A, B) -> bool:
-        ...
+        return A == B
 
     def maps_equal(self, f: Arrow, g: Arrow) -> bool:
         if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
@@ -323,13 +332,6 @@ class ChainInstance(ABC):
     def arrow_to_json(self, f: Arrow):
         return repr(f.data)
 
-    def arrow_key(self, f: Arrow):
-        """Hashable key telling apart arrows with the same endpoints, for
-        the uniqueness check over a small enumerated hom-set; it holds no
-        reference to f or to mutable data.  The default suits instances
-        whose arrow data is an immutable, hashable value."""
-        return f.data
-
 
 # ---- generic operations over an instance ---------------------------
 
@@ -355,8 +357,6 @@ def hom_check(inst: ChainInstance, f: Arrow, src: PredObject, dst: PredObject) -
 def derive_assert(inst: ChainInstance, X, p) -> Arrow:
     """Assert map for p: quotient-collapse the complement, then embed the
     support back.  Requires the two middle objects to coincide."""
-    if not inst.has_ortho:
-        raise UnsupportedError(f"{inst.name}: assert needs an orthocomplement")
     q = inst.quotient(X, inst.ortho(X, p))
     c = inst.comprehension(X, inst.ceil(X, p))
     if not inst.objects_equal(q.obj, c.obj):

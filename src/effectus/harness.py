@@ -93,8 +93,9 @@ def _wit(case, detail, **parts) -> dict:
 
 
 def _arrow_key(inst, f):
-    # The one call site of the instance hook, so keys made can be counted.
-    return inst.arrow_key(f)
+    # The arrow data of an enumerable instance is a hashable canonical
+    # value; one call site, so keys made can be counted.
+    return f.data
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +458,7 @@ LAW_STATEMENTS = {
 
 
 def applicable_laws(inst) -> list:
-    laws = {"kleisli-laws", "subst-functor", "truth-falsum",
-            "quotient-adjunction", "comprehension-adjunction"}
-    if inst.has_ortho:
-        laws |= {"factorization", "coincidence", "sharpness"}
-    if inst.has_instrument:
-        laws.add("instrument")
-    laws.update(inst.extra_laws)
-    return [l for l in LAW_ORDER if l in laws]
+    return [l for l in LAW_ORDER if l in inst.laws]
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +642,7 @@ def default_suite(seed: int = DEFAULT_SEED, cases: int = None,
                                   dict(bounds or {})))
         for which in ("quotient", "comprehension"):
             law_name = f"{which}-adjunction"
-            if name in _DEFAULT_EXHAUSTIVE and law in (None, law_name):
+            if name in _DEFAULT_EXHAUSTIVE and law_name in laws:
                 b = dict(bounds or {}, **_DEFAULT_EXHAUSTIVE[name], exhaustive=True)
                 specs.append(CaseSpec(name, law_name, 0, 0, b))
     return specs

@@ -200,16 +200,12 @@ class KleisliChain(ChainInstance):
     the positions `kept`, None when it reaches outside them), `_images(n)`
     (all images, None if infinitely many), `_rand_image(rng, bounds, n,
     positions, cap)` (support in `positions`, mass at most cap); the boundary
-    `_as_image(x, d)` (checked atom image of x), `_encode(d, Y)`,
+    `_encode(x, image, Y)` (x's atom image, checked and encoded),
     `_decode(d, Y)` and `_image_to_json(d, Y)`; and its predicate values:
     `_true` and `_false`, `_not(v)` (1 - v) and `_expectation(Y, q)`
     (image -> value of q under it, abort counting 1), with the boundary
     `pred(X, spec)` (the atoms where the predicate holds, or for dist a
     mapping atom -> value) and its decoder `pred_table(X, p)`."""
-
-    exact = True
-    has_ortho = True
-    has_instrument = True
 
     # ---- the encoding boundary ----
 
@@ -218,9 +214,8 @@ class KleisliChain(ChainInstance):
             raise ValidationError("table keys must be exactly the source atoms")
         data = []
         for x in X:
-            d = self._as_image(x, table[x])
             try:
-                data.append(self._encode(d, Y))
+                data.append(self._encode(x, table[x], Y))
             except KeyError as exc:
                 raise ValidationError(
                     f"value {exc.args[0]!r} for {x!r} not in target") from None
@@ -513,10 +508,7 @@ class SetsChain(_SubsetChain):
     def _rand_image(self, rng, bounds, n, positions, cap) -> int:
         return rng.choice([*positions, -1]) if cap else -1
 
-    def _as_image(self, x, y):
-        return y
-
-    def _encode(self, y, Y: FiniteSet) -> int:
+    def _encode(self, x, y, Y: FiniteSet) -> int:
         return -1 if y is STAR else Y._index[y]
 
     def _decode(self, y, Y: FiniteSet):
@@ -597,13 +589,11 @@ class NondetChain(_SubsetChain):
         picked = [o for o in opts if rng.random() < 0.4] or [rng.choice(opts)]
         return sum(1 << o for o in picked)
 
-    def _as_image(self, x, s) -> frozenset:
+    def _encode(self, x, s, Y: FiniteSet) -> int:
+        # a set first, so an atom listed twice sets its bit once
         s = frozenset(s)
         if not s:
             raise ValidationError(f"image of {x!r} must be a non-empty frozenset")
-        return s
-
-    def _encode(self, s: frozenset, Y: FiniteSet) -> int:
         return sum(1 << (len(Y) if y is STAR else Y._index[y]) for y in s)
 
     def _atoms(self, s, Y: FiniteSet) -> list:
@@ -702,12 +692,9 @@ class DistChain(KleisliChain):
                 units -= k
         return tuple(row)
 
-    def _as_image(self, x, d) -> SubDist:
+    def _encode(self, x, d, Y: FiniteSet) -> tuple:
         if not isinstance(d, SubDist):
             raise ValidationError(f"image of {x!r} must be a SubDist")
-        return d
-
-    def _encode(self, d: SubDist, Y: FiniteSet) -> tuple:
         row = [ZERO] * len(Y)
         for y, w in d.weights:
             row[Y._index[y]] = w

@@ -18,6 +18,8 @@ from operator import mul
 import numpy as np
 
 from .core import (
+    CHAIN_LAWS,
+    ORTHO_LAWS,
     Arrow,
     ChainInstance,
     ComprehensionResult,
@@ -221,9 +223,7 @@ class FpChain(ChainInstance):
 
     name = "fp"
     description = "prime-field vector spaces and linear maps"
-    exact = True
-    has_ortho = False
-    has_instrument = False
+    laws = CHAIN_LAWS
 
     def _check_matrix(self, X: FpSpace, Y: FpSpace, mat) -> None:
         if X.p != Y.p:
@@ -247,25 +247,6 @@ class FpChain(ChainInstance):
         self.check_composable(g, f)
         return Arrow(f.src, g.dst,
                      mat_mul(g.data, f.data, f.src.p, width=f.src.dim))
-
-    def map_residual(self, f: Arrow, g: Arrow) -> float:
-        same = f.src == g.src and f.dst == g.dst and f.data == g.data
-        return 0.0 if same else 1.0
-
-    def objects_equal(self, A, B) -> bool:
-        return A == B
-
-    def arrow_key(self, f: Arrow):
-        """The entries read as base-p digits, row by row: the arrow's
-        position in iter_arrows order.  The seeded uniqueness check keeps
-        a key per enumerated candidate, and an int is smaller than the
-        rows it encodes."""
-        p = f.src.p
-        key = 0
-        for row in f.data:
-            for x in row:
-                key = key * p + x
-        return key
 
     # ---- fibre ----
 
@@ -463,9 +444,7 @@ class HilbChain(ChainInstance):
 
     name = "hilb"
     description = "complex inner-product spaces and linear maps"
-    exact = False
-    has_ortho = True
-    has_instrument = False
+    laws = CHAIN_LAWS + ORTHO_LAWS
     eq_tol = 1e-9
     hom_tol = 1e-6
 
@@ -484,9 +463,6 @@ class HilbChain(ChainInstance):
         if f.src != g.src or f.dst != g.dst:
             return 1.0
         return la.max_abs(f.data - g.data)
-
-    def objects_equal(self, A, B) -> bool:
-        return A == B
 
     # ---- fibre ----
 

@@ -5,7 +5,9 @@ Chain arrows point opposite to the underlying ring maps: an arrow X -> Y
 carries a table sending each element of Y to an element of X, and that
 table must be additive and multiplicative (unit preservation is not
 required, only that the image of 1 is idempotent, which multiplicativity
-already forces).
+already forces).  The table is stored as the tuple of the images of Y's
+elements in `Y.elements()` order; `RingChain.arrow` encodes an element
+dict and `RingChain.table` decodes it.
 
 Corner rings (ideals generated by an idempotent) serve as both quotient
 and comprehension carriers; their elements are elements of the parent, so
@@ -14,7 +16,7 @@ the coincidence of the two carriers is literal object identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -33,13 +35,18 @@ from .core import (
 
 class FiniteRing:
     """Protocol for the concrete ring classes below: commutative, unital,
-    elements hashable and totally ordered by atom_key."""
+    elements hashable and totally ordered by atom_key.  `position` maps
+    each element to its place in `elements()`."""
 
     zero: object
     one: object
 
+    def _list(self, elts: tuple) -> None:
+        object.__setattr__(self, "_elts", elts)
+        object.__setattr__(self, "position", dict(zip(elts, range(len(elts)))))
+
     def elements(self) -> tuple:
-        raise NotImplementedError
+        return self._elts
 
     def add(self, a, b):
         raise NotImplementedError
@@ -70,14 +77,12 @@ class ZProductRing(FiniteRing):
 
     moduli: tuple
 
-    _elts: tuple = field(init=False, repr=False, compare=False, hash=False)
-
     def __post_init__(self):
         for m in self.moduli:
             if not isinstance(m, int) or m < 2:
                 raise ValidationError(f"modulus {m!r} must be an int >= 2")
         # product() of ranges is already in atom_key order
-        object.__setattr__(self, "_elts", tuple(product(*(range(m) for m in self.moduli))))
+        self._list(tuple(product(*(range(m) for m in self.moduli))))
 
     @property
     def zero(self):
@@ -86,9 +91,6 @@ class ZProductRing(FiniteRing):
     @property
     def one(self):
         return tuple(1 if m > 1 else 0 for m in self.moduli)
-
-    def elements(self):
-        return self._elts
 
     def add(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
@@ -114,14 +116,11 @@ class IdealRing(FiniteRing):
     parent: FiniteRing
     unit: object
 
-    _elts: tuple = field(init=False, repr=False, compare=False, hash=False)
-
     def __post_init__(self):
         R, e = self.parent, self.unit
         if R.mul(e, e) != e:
             raise ValidationError(f"{e!r} is not idempotent in {R!r}")
-        elts = tuple(sorted({R.mul(e, x) for x in R.elements()}, key=atom_key))
-        object.__setattr__(self, "_elts", elts)
+        self._list(tuple(sorted({R.mul(e, x) for x in R.elements()}, key=atom_key)))
 
     @property
     def zero(self):
@@ -130,9 +129,6 @@ class IdealRing(FiniteRing):
     @property
     def one(self):
         return self.unit
-
-    def elements(self):
-        return self._elts
 
     def add(self, a, b):
         return self.parent.add(a, b)
@@ -154,12 +150,9 @@ class PairRing(FiniteRing):
     left: FiniteRing
     right: FiniteRing
 
-    _elts: tuple = field(init=False, repr=False, compare=False, hash=False)
-
     def __post_init__(self):
         # the product of two atom_key-sorted factors is atom_key-sorted
-        object.__setattr__(self, "_elts",
-                           tuple(product(self.left.elements(), self.right.elements())))
+        self._list(tuple(product(self.left.elements(), self.right.elements())))
 
     @property
     def zero(self):
@@ -168,9 +161,6 @@ class PairRing(FiniteRing):
     @property
     def one(self):
         return (self.left.one, self.right.one)
-
-    def elements(self):
-        return self._elts
 
     def add(self, a, b):
         return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
@@ -225,7 +215,7 @@ def canonical_moduli(R: FiniteRing) -> tuple:
 
 def enumerate_hom_tables(Y: FiniteRing, X: FiniteRing):
     """All additive multiplicative maps Y -> X (subunital by nature),
-    yielded as full element dicts.
+    each yielded as the tuple of its images of Y's elements, in order.
 
     Writing Y as a product of Z_n factors, such a map is determined by an
     assignment of pairwise orthogonal idempotents c_j of X with n_j*c_j = 0,
@@ -242,14 +232,14 @@ def enumerate_hom_tables(Y: FiniteRing, X: FiniteRing):
                    if X.mul(c, remaining) == c and X.nmul(n_j, c) == X.zero]
 
     for cs, _ in partial:
-        table = {}
+        table = []
         for y in Y.elements():
             t = to_nf[y]
             acc = X.zero
             for c, r in zip(cs, t):
                 acc = X.add(acc, X.nmul(r, c))
-            table[y] = acc
-        yield table
+            table.append(acc)
+        yield tuple(table)
 
 
 def rings_up_to(max_order: int):
@@ -281,13 +271,17 @@ def _hom_tables(Y: FiniteRing, X: FiniteRing) -> tuple:
     return tuple(enumerate_hom_tables(Y, X))
 
 
+def _image(f: Arrow, y):
+    """The element of f.src that f's table gives y, an element of f.dst."""
+    return f.data[f.dst.position[y]]
+
+
 class RingChain(ChainInstance):
     """Products of modular-integer rings with reversed subunital ring maps."""
 
     name = "ring"
     description = "finite commutative rings, arrows opposite to ring maps"
-    exact = True
-    extra_laws = ("ring-decompose",)
+    laws = ChainInstance.laws + ("ring-decompose",)
 
     # ---- category ----
 
@@ -308,24 +302,19 @@ class RingChain(ChainInstance):
 
     def arrow(self, X, Y, table: dict) -> Arrow:
         self._check_table(X, Y, table)
-        return Arrow(X, Y, dict(table))
+        return Arrow(X, Y, tuple(table[y] for y in Y.elements()))
+
+    def table(self, f: Arrow) -> dict:
+        """The element table of f: each element of f.dst with its image."""
+        return dict(zip(f.dst.elements(), f.data))
 
     def identity(self, X) -> Arrow:
-        return Arrow(X, X, {x: x for x in X.elements()})
+        return Arrow(X, X, X.elements())
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         self.check_composable(g, f)
-        return Arrow(f.src, g.dst, {z: f.data[g.data[z]] for z in g.dst.elements()})
-
-    def map_residual(self, f: Arrow, g: Arrow) -> float:
-        same = f.src == g.src and f.dst == g.dst and f.data == g.data
-        return 0.0 if same else 1.0
-
-    def objects_equal(self, A, B) -> bool:
-        return A == B
-
-    def arrow_key(self, f: Arrow):
-        return tuple(f.data[y] for y in f.dst.elements())
+        pos, data = f.dst.position, f.data
+        return Arrow(f.src, g.dst, tuple(data[pos[y]] for y in g.data))
 
     # ---- fibre: idempotents ----
 
@@ -349,7 +338,7 @@ class RingChain(ChainInstance):
 
     def subst(self, f: Arrow, q):
         X, Y = f.src, f.dst
-        return X.add(f.data[q], X.sub(X.one, f.data[Y.one]))
+        return X.add(_image(f, q), X.sub(X.one, _image(f, Y.one)))
 
     # ---- quotient / comprehension ----
 
@@ -359,58 +348,60 @@ class RingChain(ChainInstance):
         obj = IdealRing(X, self.ortho(X, p))
 
         def transpose(f: Arrow) -> Arrow:
-            img_one = f.data[f.dst.one]
+            img_one = _image(f, f.dst.one)
             if X.mul(p, img_one) != X.zero:
                 raise HomConditionError(
                     f"ring: image of 1 is {img_one!r}, not orthogonal to {p!r}"
                 )
-            return Arrow(obj, f.dst, dict(f.data))
+            return Arrow(obj, f.dst, f.data)
 
-        unit = Arrow(X, obj, {q: q for q in obj.elements()})
+        unit = Arrow(X, obj, obj.elements())
         return QuotientResult(obj, unit, transpose)
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """The corner of p; a ring map giving p and 1 the same image
         transposes to its restriction to the corner."""
         obj = IdealRing(X, p)
+        kept = [X.position[c] for c in obj.elements()]
 
         def transpose(f: Arrow) -> Arrow:
-            img_one = f.data[X.one]
-            if f.data[p] != img_one:
+            img_one, img_p = _image(f, X.one), _image(f, p)
+            if img_p != img_one:
                 raise HomConditionError(
-                    f"ring: {p!r} and 1 have distinct images {f.data[p]!r}, {img_one!r}"
+                    f"ring: {p!r} and 1 have distinct images {img_p!r}, {img_one!r}"
                 )
-            return Arrow(f.src, obj, {c: f.data[c] for c in obj.elements()})
+            return Arrow(f.src, obj, tuple(f.data[i] for i in kept))
 
-        counit = Arrow(obj, X, {x: X.mul(p, x) for x in X.elements()})
+        counit = Arrow(obj, X, tuple(X.mul(p, x) for x in X.elements()))
         return ComprehensionResult(obj, counit, transpose)
 
     # ---- assert / instrument / decomposition ----
+    # PairRing(X, X) lists its pairs (a, b) in product order, so a table
+    # over it is read off the product of two tables over X.
 
     def assert_closed_form(self, X, p) -> Arrow:
-        return Arrow(X, X, {x: X.mul(p, x) for x in X.elements()})
+        return Arrow(X, X, tuple(X.mul(p, x) for x in X.elements()))
 
     def instrument_closed_form(self, X, p) -> Arrow:
         dd = PairRing(X, X)
         q = self.ortho(X, p)
-        table = {(a, b): X.add(X.mul(p, a), X.mul(q, b)) for a, b in dd.elements()}
+        table = tuple(X.add(X.mul(p, a), X.mul(q, b)) for a, b in dd.elements())
         return Arrow(X, dd, table)
 
     def instrument_combine(self, X, branch_pass: Arrow, branch_fail: Arrow) -> Arrow:
         dd = PairRing(X, X)
-        table = {(a, b): X.add(branch_pass.data[a], branch_fail.data[b])
-                 for a, b in dd.elements()}
+        table = tuple(X.add(a, b) for a, b in product(branch_pass.data, branch_fail.data))
         return Arrow(X, dd, table)
 
     def codiagonal(self, X) -> Arrow:
         dd = PairRing(X, X)
-        return Arrow(dd, X, {x: (x, x) for x in X.elements()})
+        return Arrow(dd, X, tuple((x, x) for x in X.elements()))
 
     def decompose(self, X, p) -> Decomposition:
         q = self.ortho(X, p)
         pair = PairRing(IdealRing(X, p), IdealRing(X, q))
-        split = Arrow(pair, X, {x: (X.mul(p, x), X.mul(q, x)) for x in X.elements()})
-        merge = Arrow(X, pair, {ab: X.add(ab[0], ab[1]) for ab in pair.elements()})
+        split = Arrow(pair, X, tuple((X.mul(p, x), X.mul(q, x)) for x in X.elements()))
+        merge = Arrow(X, pair, tuple(X.add(a, b) for a, b in pair.elements()))
         return Decomposition(pair, split, merge)
 
     # ---- sampling and enumeration ----
@@ -441,7 +432,8 @@ class RingChain(ChainInstance):
     def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
         corner = IdealRing(X, p)
         g = rng.choice(_hom_tables(corner, Y))
-        return Arrow(Y, X, {x: g[X.mul(p, x)] for x in X.elements()})
+        pos = corner.position
+        return Arrow(Y, X, tuple(g[pos[X.mul(p, x)]] for x in X.elements()))
 
     def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
         # Perturb inside the hom set: arbitrary table tweaks would leave
@@ -478,5 +470,5 @@ class RingChain(ChainInstance):
         return atom_to_json(p)
 
     def arrow_to_json(self, f: Arrow):
-        return [[atom_to_json(y), atom_to_json(f.data[y])]
-                for y in sorted(f.dst.elements(), key=atom_key)]
+        return [[atom_to_json(y), atom_to_json(v)]
+                for y, v in zip(f.dst.elements(), f.data)]

@@ -183,10 +183,9 @@ class VnChain(ChainInstance):
 
     name = "vn"
     description = "matrix algebras and completely positive subunital maps"
-    exact = False
     eq_tol = 1e-9
     hom_tol = 1e-6
-    extra_laws = ("cp-sanity",)
+    laws = ChainInstance.laws + ("cp-sanity",)
 
     # ---- category ----
 

@@ -137,23 +137,23 @@ def test_closed_form_reproduction():
     # canned: Z6 with idempotent 3
     Z6 = ZProductRing((6,))
     e = (3,)
-    if RING.assert_closed_form(Z6, e).data[(5,)] != (3,):
+    if RING.table(RING.assert_closed_form(Z6, e))[(5,)] != (3,):
         problems.append("ring canned assert")
-    if RING.instrument_closed_form(Z6, e).data[((1,), (5,))] != (5,):
+    if RING.table(RING.instrument_closed_form(Z6, e))[((1,), (5,))] != (5,):
         problems.append("ring canned instrument")
 
     for _ in range(200):
         R = RING.rand_object(rng, {"max_order": 24})
         er = RING.rand_pred(rng, R, {})
         ec = RING.ortho(R, er)
-        instr = RING.instrument_closed_form(R, er)
+        instr = RING.table(RING.instrument_closed_form(R, er))
         for a in R.elements():
             for b in R.elements():
-                if instr.data[(a, b)] != R.add(R.mul(er, a), R.mul(ec, b)):
+                if instr[(a, b)] != R.add(R.mul(er, a), R.mul(ec, b)):
                     problems.append(f"ring instrument {R} at {(a, b)}")
                     break
-        asrt = RING.assert_closed_form(R, er)
-        if any(asrt.data[x] != R.mul(er, x) for x in R.elements()):
+        asrt = RING.table(RING.assert_closed_form(R, er))
+        if any(asrt[x] != R.mul(er, x) for x in R.elements()):
             problems.append(f"ring assert {R}")
 
     # canned: qubit effect diag(1, 1/2)
@@ -470,13 +470,14 @@ def test_ring_decomposition():
     Z6 = ZProductRing((6,))
     e = (3,)
     dec = RING.decompose(Z6, e)
+    split, merge = RING.table(dec.split), RING.table(dec.merge)
     for x in Z6.elements():
-        a, b = dec.split.data[x]
-        if dec.merge.data[(a, b)] != x:
+        a, b = split[x]
+        if merge[(a, b)] != x:
             problems.append(f"merge(split({x})) != {x}")
     for ab in dec.pair.elements():
-        x = dec.merge.data[ab]
-        if dec.split.data[x] != ab:
+        x = merge[ab]
+        if split[x] != ab:
             problems.append(f"split(merge({ab})) != {ab}")
     halves = (canonical_moduli(IdealRing(Z6, e)),
               canonical_moduli(IdealRing(Z6, RING.ortho(Z6, e))))
@@ -489,10 +490,11 @@ def test_ring_decomposition():
         for e in idempotents(R):
             idem_count += 1
             dec = RING.decompose(R, e)
+            split, merge = RING.table(dec.split), RING.table(dec.merge)
             two_sided = (
-                all(dec.merge.data[dec.split.data[x]] == x
+                all(merge[split[x]] == x
                     for x in R.elements())
-                and all(dec.split.data[dec.merge.data[ab]] == ab
+                and all(split[merge[ab]] == ab
                         for ab in dec.pair.elements()))
             if not two_sided:
                 problems.append(f"{R} idempotent {e}")

@@ -200,6 +200,12 @@ def test_list_instances_json(capsys):
         assert "kleisli-laws" in row["laws"]
 
 
+def test_list_instances_json_matches_golden(capsys):
+    assert main(["list-instances", "--format", "json"]) == 0
+    golden = Path(__file__).resolve().parent / "data" / "list_instances.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 # ---------------------------------------------------------------------------
 # explain.
 # ---------------------------------------------------------------------------
@@ -244,7 +250,7 @@ def test_demo_sets_section(capsys):
     assert "ring:" not in out
 
 
-@pytest.mark.parametrize("scenario", ["sets", "dist"])
+@pytest.mark.parametrize("scenario", ["sets", "dist", "ring"])
 def test_demo_text_matches_golden(scenario, capsys):
     assert main(["demo", scenario]) == 0
     golden = Path(__file__).resolve().parent / "data" / f"demo_{scenario}.txt"

@@ -113,6 +113,27 @@ def test_instance_declares_its_laws_not_its_name():
     assert applicable_laws(_RenamedRing()) == applicable_laws(INSTANCES["ring"])
 
 
+class _FewerLaws(SetsChain):
+    laws = ("kleisli-laws", "comprehension-adjunction", "instrument")
+
+
+def test_declared_laws_are_the_laws_checked(monkeypatch):
+    inst = _FewerLaws()
+    assert applicable_laws(inst) == list(inst.laws)
+    monkeypatch.setitem(INSTANCES, "sets", inst)
+    specs = default_suite(instance="sets")
+    assert {s.law for s in specs} == set(inst.laws)
+    # the comprehension adjunction is sampled and swept, the quotient neither
+    assert [s.law for s in specs if s.bounds.get("exhaustive")] == [
+        "comprehension-adjunction"]
+
+
+def test_exact_follows_the_equality_tolerance():
+    assert {name: inst.exact for name, inst in INSTANCES.items()} == {
+        "sets": True, "nondet": True, "dist": True, "fp": True,
+        "ring": True, "hilb": False, "vn": False}
+
+
 def test_renamed_vn_keeps_side_effect_prediction():
     inst = _RenamedVn()
     X = MatrixAlgebra((2,))

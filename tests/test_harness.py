@@ -118,6 +118,8 @@ class _FewerLaws(SetsChain):
 
 
 def test_declared_laws_are_the_laws_checked(monkeypatch):
+    # a misspelt name would drop its law silently
+    assert all(set(i.laws) <= set(LAW_ORDER) for i in INSTANCES.values())
     inst = _FewerLaws()
     assert applicable_laws(inst) == list(inst.laws)
     monkeypatch.setitem(INSTANCES, "sets", inst)

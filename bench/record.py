@@ -15,7 +15,10 @@ the checkout holds:
   with their `median` and quartiles, and the traced `layers`;
 * `tier1`: the command, the wall time of each run with their `median`
   and quartiles, and each run's pass and fail counts, exit code and
-  closing summary line, in run order.
+  closing summary line, in run order;
+* `src_lines`: the line count (as `wc -l` counts) of each module under
+  `src/effectus/` and their `total`, so that two files compare code
+  size as well as speed.
 
 Nothing under `perfbench/` is changed.  The exit code is 0 only when
 every run passed its correctness gate, every run of a workload gave the
@@ -103,6 +106,12 @@ def record_tier1() -> dict:
     return out
 
 
+def src_lines() -> dict:
+    modules = {p.name: p.read_bytes().count(b"\n")
+               for p in sorted((ROOT / "src" / "effectus").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def commit() -> str | None:
     done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                           capture_output=True, text=True, check=False)
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
         parser.error(f"label {args.label!r} must be letters, digits, '_', '.' or '-'")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     out = {"label": args.label, "commit": commit(), "seed": SEED,
-           "machine": None, "workloads": {}}
+           "machine": None, "src_lines": src_lines(), "workloads": {}}
     ok = True
     for workload in (w["name"] for w in declared["workloads"]):
         print(f"record: {workload}", file=sys.stderr, flush=True)

@@ -153,6 +153,12 @@ class ChainInstance(ABC):
     description = ""
     eq_tol = 0.0          # residual accepted as equality
     laws = CHAIN_LAWS + ORTHO_LAWS + ("instrument",)  # the laws it carries
+    # Sampled cases per law in the default suite, sized so the whole suite
+    # stays well under two minutes, and the bounds of the small exhaustive
+    # adjunction sweeps it adds (None: no sweep); the acceptance tests run
+    # the full-size sweeps.
+    default_cases = 50
+    default_sweep = None
 
     @property
     def exact(self) -> bool:

@@ -88,8 +88,11 @@ class LawReport:
 # ---------------------------------------------------------------------------
 
 
-def _wit(case, detail, **parts) -> dict:
-    return {"case": case, "detail": detail, **parts}
+def _raised(report, exc, **where) -> None:
+    # An exception counts in `errors` and as a failure; cases must report,
+    # not crash.
+    report.errors += 1
+    report.record(1.0, False, {"detail": f"exception: {exc!r}", **where})
 
 
 def _arrow_key(inst, f):
@@ -100,7 +103,8 @@ def _arrow_key(inst, f):
 
 # ---------------------------------------------------------------------------
 # Law case functions.  Each runs ONE random case and returns
-# (residual, ok, witness detail or None).
+# (residual, detail): detail is None exactly when the law held, else the
+# witness detail.
 # ---------------------------------------------------------------------------
 
 
@@ -117,10 +121,8 @@ def _case_kleisli(inst, rng, bounds, tol):
     r2 = inst.map_residual(inst.compose(f, inst.identity(X)), f)
     r3 = inst.map_residual(inst.compose(inst.identity(Y), f), f)
     res = max(r1, r2, r3)
-    if res <= tol:
-        return res, True, None
-    return res, False, {"assoc": r1, "id_right": r2, "id_left": r3,
-                        "f": inst.arrow_to_json(f)}
+    return res, None if res <= tol else {
+        "assoc": r1, "id_right": r2, "id_left": r3, "f": inst.arrow_to_json(f)}
 
 
 def _case_subst(inst, rng, bounds, tol):
@@ -137,46 +139,40 @@ def _case_subst(inst, rng, bounds, tol):
     r2 = inst.pred_residual(Y, inst.subst(inst.identity(Y), q), q)
     r3 = inst.pred_residual(X, inst.subst(f, inst.top(Y)), inst.top(X))
     res = max(r1, r2, r3)
-    if res <= tol:
-        return res, True, None
-    return res, False, {"functoriality": r1, "identity": r2, "unit": r3,
-                        "f": inst.arrow_to_json(f), "g": inst.arrow_to_json(g)}
+    return res, None if res <= tol else {
+        "functoriality": r1, "identity": r2, "unit": r3,
+        "f": inst.arrow_to_json(f), "g": inst.arrow_to_json(g)}
 
 
 def _case_truth_falsum(inst, rng, bounds, tol):
     X = inst.rand_object(rng, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
     f = inst.rand_arrow(rng, X, Y, bounds)
-    ok1 = hom_check(inst, f, truth(inst, X), truth(inst, Y))
-    ok2 = hom_check(inst, f, falsum(inst, X), falsum(inst, Y))
-    ok3 = hom_check(inst, f, falsum(inst, X), truth(inst, Y))
-    # The substitution-based hom check and the transpose preconditions
-    # must agree on whether f collapses p, and dually on whether a map
-    # into X lands inside p.
+    detail = {"truth_hom": hom_check(inst, f, truth(inst, X), truth(inst, Y)),
+              "falsum_hom": hom_check(inst, f, falsum(inst, X), falsum(inst, Y)),
+              "mixed_hom": hom_check(inst, f, falsum(inst, X), truth(inst, Y))}
+    ok = all(detail.values())
     p = inst.rand_pred(rng, X, bounds)
-    says_q = hom_check(inst, f, PredObject(X, p), falsum(inst, Y))
-    try:
-        inst.quotient(X, p).transpose(f)
-        accepts_q = True
-    except ChainError:
-        accepts_q = False
     g = inst.rand_arrow(rng, Y, X, bounds)
-    says_c = hom_check(inst, g, truth(inst, Y), PredObject(X, p))
-    try:
-        inst.comprehension(X, p).transpose(g)
-        accepts_c = True
-    except ChainError:
-        accepts_c = False
-    ok = ok1 and ok2 and ok3 and says_q == accepts_q and says_c == accepts_c
-    if ok:
-        return 0.0, True, None
-    return 1.0, False, {"truth_hom": ok1, "falsum_hom": ok2, "mixed_hom": ok3,
-                        "quotient_hom_check": says_q,
-                        "quotient_transpose_accepts": accepts_q,
-                        "comprehension_hom_check": says_c,
-                        "comprehension_transpose_accepts": accepts_c,
-                        "f": inst.arrow_to_json(f), "g": inst.arrow_to_json(g),
-                        "p": inst.pred_to_json(X, p)}
+    # The substitution-based hom check and the transpose precondition must
+    # agree on whether f collapses p, and dually on whether g, a map into
+    # X, lands inside p.  A construction that raises rejects the map and
+    # leaves the hom check unasked (None), which disagrees.
+    for which, h in (("quotient", f), ("comprehension", g)):
+        side = None
+        try:
+            side = _side(inst, which, X, p)
+            side.transpose(h)
+            accepts = True
+        except ChainError:
+            accepts = False
+        says = None if side is None else hom_check(inst, h, *side.hom_objects(Y))
+        detail[f"{which}_hom_check"] = says
+        detail[f"{which}_transpose_accepts"] = accepts
+        ok = ok and says == accepts
+    return float(not ok), None if ok else {
+        **detail, "f": inst.arrow_to_json(f), "g": inst.arrow_to_json(g),
+        "p": inst.pred_to_json(X, p)}
 
 
 class _Side(NamedTuple):
@@ -248,11 +244,10 @@ def _case_adjunction(which, inst, rng, bounds, tol):
     r2 = inst.map_residual(side.transpose(side.untranspose(g0)), g0)
     unique = _unique(inst, rng, bounds, tol, ends, side.untranspose, g, f)
     res = max(r1, r2)
-    if res <= tol and unique:
-        return res, True, None
-    return res, False, {"round_trip_from_hom": r1, "round_trip_from_map": r2,
-                        "unique": unique, "X": inst.object_to_json(X),
-                        "p": inst.pred_to_json(X, p), "f": inst.arrow_to_json(f)}
+    return res, None if res <= tol and unique else {
+        "round_trip_from_hom": r1, "round_trip_from_map": r2, "unique": unique,
+        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
+        "f": inst.arrow_to_json(f)}
 
 
 def _case_factorization(inst, rng, bounds, tol):
@@ -261,11 +256,10 @@ def _case_factorization(inst, rng, bounds, tol):
     composite = derive_assert(inst, X, p)
     closed = inst.assert_closed_form(X, p)
     res = inst.map_residual(composite, closed)
-    if res <= tol:
-        return res, True, None
-    return res, False, {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
-                        "composite": inst.arrow_to_json(composite),
-                        "closed_form": inst.arrow_to_json(closed)}
+    return res, None if res <= tol else {
+        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
+        "composite": inst.arrow_to_json(composite),
+        "closed_form": inst.arrow_to_json(closed)}
 
 
 def _case_coincidence(inst, rng, bounds, tol):
@@ -276,9 +270,7 @@ def _case_coincidence(inst, rng, bounds, tol):
     same = inst.objects_equal(q.obj, c.obj)
     extra = inst.coincidence_residual(X, p, q, c)
     ok = same and extra <= tol
-    if ok:
-        return extra, True, None
-    return max(extra, 0.0 if same else 1.0), False, {
+    return (extra if ok else max(extra, 0.0 if same else 1.0)), None if ok else {
         "objects_equal": same, "carrier_residual": extra,
         "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
 
@@ -299,13 +291,10 @@ def _case_sharpness(inst, rng, bounds, tol):
     ok = (demorgan <= tol
           and (idem <= tol) == sharp
           and (left_res <= tol) == sharp)
-    res = demorgan if ok else max(demorgan, 1.0)
-    if ok:
-        return demorgan, True, None
-    return res, False, {"demorgan": demorgan, "sharp": sharp,
-                        "assert_idempotency_residual": idem,
-                        "left_composite_residual": left_res,
-                        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
+    return (demorgan if ok else max(demorgan, 1.0)), None if ok else {
+        "demorgan": demorgan, "sharp": sharp,
+        "assert_idempotency_residual": idem, "left_composite_residual": left_res,
+        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
 
 
 def _case_instrument(inst, rng, bounds, tol):
@@ -319,9 +308,7 @@ def _case_instrument(inst, rng, bounds, tol):
     unit_res = inst.subunital_defect(closed)
     ok = r1 <= tol and free == predicted and unit_res <= tol
     res = max(r1, unit_res)
-    if ok:
-        return res, True, None
-    return max(res, 1.0 if free != predicted else res), False, {
+    return (max(res, 1.0) if free != predicted else res), None if ok else {
         "derived_vs_closed": r1, "side_effect_free": free,
         "predicted_free": predicted, "X": inst.object_to_json(X),
         "p": inst.pred_to_json(X, p)}
@@ -334,16 +321,14 @@ def _case_cp_sanity(inst, rng, bounds, tol):
     q = inst.quotient(X, p)
     c = inst.comprehension(X, p)
     fq = inst.rand_quotient_hom(rng, X, p, Y, bounds)
-    gq = q.transpose(fq)
     fc = inst.rand_comprehension_hom(rng, X, p, Y, bounds)
-    gc = c.transpose(fc)
     canonical = {
         "quotient_unit": q.unit,
         "comprehension_counit": c.counit,
         "assert": inst.assert_closed_form(X, p),
         "instrument": inst.instrument_closed_form(X, p),
-        "quotient_transpose": gq,
-        "comprehension_transpose": gc,
+        "quotient_transpose": q.transpose(fq),
+        "comprehension_transpose": c.transpose(fc),
     }
     bad = {}
     worst = 0.0
@@ -368,9 +353,7 @@ def _case_cp_sanity(inst, rng, bounds, tol):
            * spectral_norm(inst.apply(fq, dd)))
     cs_residual = max(0.0, lhs - rhs)
     ok = not bad and cs_residual <= tol
-    if ok:
-        return max(worst, cs_residual), True, None
-    return max(worst, cs_residual, 1.0 if bad else 0.0), False, {
+    return max(worst, cs_residual, 1.0 if bad else 0.0), None if ok else {
         "non_cp_maps": {k: {kk: vv for kk, vv in v.items()} for k, v in bad.items()},
         "cauchy_schwarz_residual": cs_residual,
         "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
@@ -384,10 +367,9 @@ def _case_ring_decompose(inst, rng, bounds, tol):
     r2 = inst.map_residual(inst.compose(dec.merge, dec.split),
                            inst.identity(dec.pair))
     res = max(r1, r2)
-    if res <= tol:
-        return res, True, None
-    return res, False, {"split_then_merge": r1, "merge_then_split": r2,
-                        "X": inst.object_to_json(X), "e": inst.pred_to_json(X, e)}
+    return res, None if res <= tol else {
+        "split_then_merge": r1, "merge_then_split": r2,
+        "X": inst.object_to_json(X), "e": inst.pred_to_json(X, e)}
 
 
 LAW_CASES = {
@@ -513,7 +495,9 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     injective; every hom f has untranspose(transpose(f)) == f, so it is
     reached; and the homs are as many as the candidates.  A ChainError
     on the way fails the round trip.  Any other exception counts in
-    `errors`, with a witness naming the triple.  Each (X, p) builds its
+    `errors`, with a witness naming the triple, or only the direction
+    when the instance cannot enumerate its objects and predicates at
+    all.  Each (X, p) builds its
     construction once, at its first triple, for every Y; a build that
     raises is tried again, and fails, at each of its triples.
 
@@ -523,22 +507,23 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     the first budget and `scan_skipped` counts those over the second."""
     report = LawReport(inst.name, f"{which}-adjunction", seed)
     cap = bounds.get("enumeration_cap", ENUMERATION_CAP)
-    objs = list(inst.iter_objects(bounds))
-    for X in objs:
-        for p in inst.iter_preds(X):
-            side = None
-            for Y in filter(partial(inst.comparable_objects, X), objs):
-                triple = {"X": inst.object_to_json(X),
-                          "p": inst.pred_to_json(X, p),
-                          "Y": inst.object_to_json(Y)}
-                try:
-                    if side is None:
-                        side = _side(inst, which, X, p)
-                    _exhaustive_triple(inst, side, which, report, X, Y, triple, cap)
-                except Exception as exc:  # sweeps must report, not crash
-                    report.errors += 1
-                    report.record(1.0, False, {"detail": f"exception: {exc!r}",
-                                               **triple, "which": which})
+    try:
+        objs = list(inst.iter_objects(bounds))
+        fibres = [(X, p) for X in objs for p in inst.iter_preds(X)]
+    except Exception as exc:
+        _raised(report, exc, which=which)
+        return report
+    for X, p in fibres:
+        side = None
+        for Y in filter(partial(inst.comparable_objects, X), objs):
+            triple = {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
+                      "Y": inst.object_to_json(Y)}
+            try:
+                if side is None:
+                    side = _side(inst, which, X, p)
+                _exhaustive_triple(inst, side, which, report, X, Y, triple, cap)
+            except Exception as exc:
+                _raised(report, exc, **triple, which=which)
     return report
 
 
@@ -568,28 +553,13 @@ def run_law(inst, spec: CaseSpec) -> LawReport:
     tol = float(inst.eq_tol)
     for i in range(spec.cases):
         try:
-            residual, ok, detail = case_fn(inst, rng, spec.bounds, tol)
-        except Exception as exc:  # laws must report, not crash
-            report.errors += 1
-            report.record(1.0, False, _wit(i, f"exception: {exc!r}"))
+            residual, detail = case_fn(inst, rng, spec.bounds, tol)
+        except Exception as exc:
+            _raised(report, exc, case=i)
             continue
-        report.record(residual, ok,
-                      None if ok else _wit(i, "law violated", **(detail or {})))
+        report.record(residual, detail is None, None if detail is None
+                      else {"case": i, "detail": "law violated", **detail})
     return report
-
-
-def gen_case(spec: CaseSpec) -> dict:
-    """Deterministic sample of (object, predicate, hom) for a spec; the
-    same spec always produces the same serialized case."""
-    inst = INSTANCES[spec.instance]
-    rng = random.Random(spec.seed)
-    X = inst.rand_object(rng, spec.bounds)
-    p = inst.rand_pred(rng, X, spec.bounds)
-    Y = inst.rand_object(rng, spec.bounds, like=X)
-    f = inst.rand_quotient_hom(rng, X, p, Y, spec.bounds)
-    return {"instance": spec.instance, "seed": spec.seed,
-            "object": inst.object_to_json(X), "pred": inst.pred_to_json(X, p),
-            "target": inst.object_to_json(Y), "hom": inst.arrow_to_json(f)}
 
 
 def run_suite(specs, instances=None) -> dict:
@@ -608,27 +578,11 @@ def run_suite(specs, instances=None) -> dict:
             "reports": [r.to_jsonable() for r in reports]}
 
 
-# Default per-instance sampled case counts, sized so the whole default
-# suite stays well under two minutes.
-_DEFAULT_CASES = {
-    "sets": 60, "nondet": 40, "dist": 80, "fp": 50,
-    "hilb": 50, "ring": 40, "vn": 40,
-}
-
-# Small exhaustive sweeps included in the default suite; the acceptance
-# tests run the full-size versions.
-_DEFAULT_EXHAUSTIVE = {
-    "sets": {"max_size": 3},
-    "nondet": {"max_size": 2},
-    "fp": {"fields": (2, 3), "max_dim": 2},
-    "ring": {"max_order": 8},
-}
-
-
 def default_suite(seed: int = DEFAULT_SEED, cases: int = None,
                   instance: str = None, law: str = None, bounds=None) -> list:
     """The CLI's `check` workload: every applicable law on every instance,
-    plus small exhaustive adjunction sweeps on the enumerable instances."""
+    `inst.default_cases` cases each, plus the exhaustive adjunction sweeps
+    within `inst.default_sweep` on the instances that declare one."""
     specs = []
     names = [instance] if instance else list(INSTANCES)
     for name in names:
@@ -636,13 +590,13 @@ def default_suite(seed: int = DEFAULT_SEED, cases: int = None,
         laws = applicable_laws(inst)
         if law:
             laws = [l for l in laws if l == law]
-        n = _DEFAULT_CASES[name] if cases is None else cases
+        n = inst.default_cases if cases is None else cases
         for i, law_name in enumerate(laws):
             specs.append(CaseSpec(name, law_name, seed + i, n,
                                   dict(bounds or {})))
         for which in ("quotient", "comprehension"):
             law_name = f"{which}-adjunction"
-            if name in _DEFAULT_EXHAUSTIVE and law_name in laws:
-                b = dict(bounds or {}, **_DEFAULT_EXHAUSTIVE[name], exhaustive=True)
+            if inst.default_sweep is not None and law_name in laws:
+                b = dict(bounds or {}, **inst.default_sweep, exhaustive=True)
                 specs.append(CaseSpec(name, law_name, 0, 0, b))
     return specs

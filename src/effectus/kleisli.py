@@ -477,6 +477,8 @@ class SetsChain(_SubsetChain):
 
     name = "sets"
     description = "finite sets and partial functions"
+    default_cases = 60
+    default_sweep = {"max_size": 3}
 
     def _abort(self, n) -> int:
         return -1
@@ -533,6 +535,8 @@ class NondetChain(_SubsetChain):
 
     name = "nondet"
     description = "finite sets and non-empty-valued multimaps"
+    default_cases = 40
+    default_sweep = {"max_size": 2}
 
     def _abort(self, n) -> int:
         return 1 << n
@@ -625,6 +629,7 @@ class DistChain(KleisliChain):
 
     name = "dist"
     description = "finite sets and rational subdistribution kernels"
+    default_cases = 80
 
     _true, _false = ONE, ZERO
     _not = staticmethod(ONE.__sub__)

@@ -25,7 +25,6 @@ from .core import (
     ComprehensionResult,
     HomConditionError,
     QuotientResult,
-    UnsupportedError,
     ValidationError,
 )
 from . import vnlinalg as la
@@ -224,6 +223,7 @@ class FpChain(ChainInstance):
     name = "fp"
     description = "prime-field vector spaces and linear maps"
     laws = CHAIN_LAWS
+    default_sweep = {"fields": (2, 3), "max_dim": 2}
 
     def _check_matrix(self, X: FpSpace, Y: FpSpace, mat) -> None:
         if X.p != Y.p:
@@ -512,41 +512,28 @@ class HilbChain(ChainInstance):
 
         return ComprehensionResult(obj, Arrow(obj, X, p.basis.copy()), transpose)
 
-    # ---- orthogonal decomposition (the quotient-side structure) ----
-
-    def decompose_vector(self, X, p: Subspace, v):
-        """Split v into its components inside p and inside the complement."""
-        v = np.asarray(v, dtype=complex).reshape(X.dim)
-        inside = p.projector() @ v
-        return inside, v - inside
-
     def assert_closed_form(self, X, p: Subspace) -> Arrow:
         return Arrow(X, X, p.projector())
 
     # ---- sampling ----
-
-    def _rand_complex(self, rng, rows, cols) -> np.ndarray:
-        vals = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                for _ in range(rows * cols)]
-        return np.array(vals, dtype=complex).reshape(rows, cols)
 
     def rand_object(self, rng, bounds, like=None) -> HilbSpace:
         return HilbSpace(rng.randint(1, bounds.get("max_dim", 4)))
 
     def rand_pred(self, rng, X, bounds) -> Subspace:
         k = rng.randint(0, X.dim)
-        return Subspace(X, self._rand_complex(rng, X.dim, k))
+        return Subspace(X, la.rand_complex(rng, X.dim, k))
 
     def rand_arrow(self, rng, X, Y, bounds) -> Arrow:
-        return Arrow(X, Y, self._rand_complex(rng, Y.dim, X.dim))
+        return Arrow(X, Y, la.rand_complex(rng, Y.dim, X.dim))
 
     def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
         w = la.orthonormal_complement(p.basis, X.dim)
-        a = self._rand_complex(rng, Y.dim, w.shape[1])
+        a = la.rand_complex(rng, Y.dim, w.shape[1])
         return Arrow(X, Y, a @ la.dagger(w))
 
     def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        a = self._rand_complex(rng, p.rank, Y.dim)
+        a = la.rand_complex(rng, p.rank, Y.dim)
         return Arrow(Y, X, p.basis @ a)
 
     def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:

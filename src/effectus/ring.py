@@ -282,6 +282,8 @@ class RingChain(ChainInstance):
     name = "ring"
     description = "finite commutative rings, arrows opposite to ring maps"
     laws = ChainInstance.laws + ("ring-decompose",)
+    default_cases = 40
+    default_sweep = {"max_order": 8}
 
     # ---- category ----
 

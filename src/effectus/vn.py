@@ -186,6 +186,7 @@ class VnChain(ChainInstance):
     eq_tol = 1e-9
     hom_tol = 1e-6
     laws = ChainInstance.laws + ("cp-sanity",)
+    default_cases = 40
 
     # ---- category ----
 
@@ -381,11 +382,6 @@ class VnChain(ChainInstance):
 
     # ---- sampling ----
 
-    def _rand_complex(self, rng, rows, cols) -> np.ndarray:
-        vals = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                for _ in range(rows * cols)]
-        return np.array(vals, dtype=complex).reshape(rows, cols)
-
     def rand_object(self, rng, bounds, like=None) -> MatrixAlgebra:
         k = rng.randint(1, bounds.get("max_blocks", 2))
         dims = tuple(rng.randint(1, bounds.get("max_block_dim", 3))
@@ -401,13 +397,13 @@ class VnChain(ChainInstance):
             elif mode < 0.10:
                 blocks.append(np.eye(n, dtype=complex))
             elif mode < 0.40:
-                h = self._rand_complex(rng, n, n)
+                h = la.rand_complex(rng, n, n)
                 _, u = la.hermitian_eig((h + la.dagger(h)) / 2)
                 d = np.diag([float(rng.randint(0, 1)) for _ in range(n)])
                 pr = u @ d.astype(complex) @ la.dagger(u)
                 blocks.append((pr + la.dagger(pr)) / 2)
             else:
-                g = self._rand_complex(rng, n, n)
+                g = la.rand_complex(rng, n, n)
                 a = la.dagger(g) @ g
                 lam = float(la.hermitian_eigvals(a)[0])
                 t = rng.random()
@@ -416,7 +412,7 @@ class VnChain(ChainInstance):
         return tuple(blocks)
 
     def rand_arrow(self, rng, X, Y, bounds=None) -> Arrow:
-        terms = [(i, j, self._rand_complex(rng, m, n))
+        terms = [(i, j, la.rand_complex(rng, m, n))
                  for i, m in enumerate(X.block_dims)
                  for j, n in enumerate(Y.block_dims)
                  for _ in range(rng.randint(0, 2))]

@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from effectus import (
     INSTANCES,

@@ -21,7 +21,7 @@ from effectus import (
     INSTANCES,
 )
 from effectus.core import ChainInstance
-from effectus.kleisli import DistChain, FiniteSet, SetsChain, SubDist, dirac, fuzzy
+from effectus.kleisli import DistChain, FiniteSet, SetsChain, SubDist, fuzzy
 
 SETS = SetsChain()
 DIST = DistChain()

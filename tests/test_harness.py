@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from effectus import INSTANCES, STAR
-from effectus.core import HomConditionError, atom_key
+from effectus.core import ChainError, HomConditionError, atom_key
 from effectus.kleisli import DistChain, NondetChain, SetsChain, SubDist
 from effectus.harness import (
     DEFAULT_SEED,
@@ -22,7 +22,6 @@ from effectus.harness import (
     LawReport,
     applicable_laws,
     default_suite,
-    gen_case,
     run_exhaustive_adjunction,
     run_law,
     run_suite,
@@ -195,39 +194,39 @@ def test_exact_instances_match_golden_report():
     assert text == GOLDEN.read_text()
 
 
-def test_gen_case_is_deterministic():
-    spec = CaseSpec("sets", "quotient-adjunction", seed=1,
-                    bounds={"max_size": 3})
-    assert gen_case(spec) == gen_case(spec)
-    assert gen_case(spec) != gen_case(
-        CaseSpec("sets", "quotient-adjunction", seed=2,
-                 bounds={"max_size": 3}))
+def _quotient_hom_draw(inst, seed, bounds):
+    """A seeded draw of X, p, Y and a hom f: (X, p) -> falsum Y."""
+    rng = random.Random(seed)
+    X = inst.rand_object(rng, bounds)
+    p = inst.rand_pred(rng, X, bounds)
+    Y = inst.rand_object(rng, bounds, like=X)
+    return X, p, Y, inst.rand_quotient_hom(rng, X, p, Y, bounds)
 
 
-def test_gen_case_respects_denominator_bound():
-    spec = CaseSpec("dist", "quotient-adjunction", seed=7,
-                    bounds={"max_den": 4})
-    case = gen_case(spec)
-    assert case["instance"] == "dist" and case["seed"] == 7
-    for _, kernel in case["hom"]:
+def _draw_to_json(inst, seed, bounds):
+    X, p, Y, f = _quotient_hom_draw(inst, seed, bounds)
+    return (inst.object_to_json(X), inst.pred_to_json(X, p),
+            inst.object_to_json(Y), inst.arrow_to_json(f))
+
+
+def test_quotient_hom_draw_is_deterministic():
+    bounds = {"max_size": 3}
+    assert _draw_to_json(SETS, 1, bounds) == _draw_to_json(SETS, 1, bounds)
+    assert _draw_to_json(SETS, 1, bounds) != _draw_to_json(SETS, 2, bounds)
+
+
+def test_quotient_hom_respects_denominator_bound():
+    _, _, _, f = _quotient_hom_draw(DIST, 7, {"max_den": 4})
+    for _, kernel in DIST.arrow_to_json(f):
         for _, frac in kernel:
             den = int(frac.split("/")[1])
             assert den <= 4
 
 
-def test_gen_case_vn_hom_is_completely_positive():
-    bounds = {"max_blocks": 1, "max_block_dim": 2}
-    case = gen_case(CaseSpec("vn", "quotient-adjunction", seed=3,
-                             bounds=bounds))
-    assert all(dim <= 2 for dim in case["object"])
-    # regenerate the same raw sample and run the Choi positivity check
+def test_vn_quotient_hom_is_completely_positive():
     inst = INSTANCES["vn"]
-    rng = random.Random(3)
-    X = inst.rand_object(rng, bounds)
-    p = inst.rand_pred(rng, X, bounds)
-    Y = inst.rand_object(rng, bounds, like=X)
-    f = inst.rand_quotient_hom(rng, X, p, Y, bounds)
-    assert inst.arrow_to_json(f) == case["hom"]
+    X, _, _, f = _quotient_hom_draw(inst, 3, {"max_blocks": 1, "max_block_dim": 2})
+    assert all(dim <= 2 for dim in inst.object_to_json(X))
     ok, info = inst.cp_check(f)
     assert ok, info
 
@@ -433,6 +432,47 @@ def test_refusing_transpose_fails_its_round_trip(which):
     report = run_exhaustive_adjunction(corrupt, which, {"max_size": 2})
     assert report.cases == report.failures == 44 and report.errors == 0
     assert {"round_trip", "X", "p", "Y", "which"} == set(report.witnesses[0])
+
+
+@pytest.mark.parametrize("name", ["dist", "hilb", "vn"])
+def test_exhaustive_spec_on_a_non_enumerable_instance_reports(name):
+    spec = CaseSpec(name, "quotient-adjunction", 0, 0, {"exhaustive": True})
+    report = run_law(INSTANCES[name], spec)
+    assert (report.cases, report.failures, report.errors) == (1, 1, 1)
+    assert report.witnesses == [{
+        "detail": f"exception: UnsupportedError('{name}: objects not enumerable')",
+        "which": "quotient"}]
+    assert not run_suite([spec])["ok"]
+
+
+def _never_rejects(which):
+    """A SetsChain whose `which` construction carries a transpose that
+    never raises ChainError: a map the honest one rejects comes back as
+    it is."""
+
+    def construct(self, X, p):
+        r = getattr(SetsChain, which)(self, X, p)
+
+        def transpose(f):
+            try:
+                return r.transpose(f)
+            except ChainError:
+                return f
+
+        return dataclasses.replace(r, transpose=transpose)
+
+    return type(f"NeverRejects{which.title()}", (SetsChain,), {which: construct})()
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_truth_falsum_catches_a_transpose_that_never_rejects(which):
+    spec = _spec("sets", "truth-falsum", cases=20)
+    report = run_law(_never_rejects(which), spec)
+    assert report.failures >= 1 and report.errors == 0
+    witness = report.witnesses[0]
+    assert witness[f"{which}_hom_check"] is False
+    assert witness[f"{which}_transpose_accepts"] is True
+    assert run_law(SETS, spec).failures == 0
 
 
 @pytest.mark.parametrize("which", DIRECTIONS)

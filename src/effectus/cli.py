@@ -1,7 +1,7 @@
 """Command-line front end: law checking, instance listing, law
 explanations, and a worked demo of the canonical constructions.
 
-Exit codes: 0 success, 1 law failures detected, 2 usage errors.
+Exit codes: 0 success, 1 law failures detected, 2 usage or write errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .kleisli import FiniteSet, fuzzy
 from .harness import (
     DEFAULT_SEED,
-    LAW_STATEMENTS,
+    LAWS,
     applicable_laws,
     default_suite,
     run_suite,
@@ -61,13 +61,13 @@ def _cmd_list_instances(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    laws = [args.law] if args.law else list(LAW_STATEMENTS)
+    laws = [args.law] if args.law else list(LAWS)
     for law in laws:
-        if law not in LAW_STATEMENTS:
+        if law not in LAWS:
             raise SystemExit(f"effectus: unknown law {law!r}")
     for law in laws:
         print(f"{law}:")
-        print(f"  {LAW_STATEMENTS[law]}")
+        print(f"  {LAWS[law].statement}")
     return 0
 
 
@@ -75,9 +75,9 @@ def _cmd_check(args) -> int:
     if args.instance is not None and args.instance not in INSTANCES:
         raise SystemExit(f"effectus: unknown instance {args.instance!r}; one of: "
                          f"{', '.join(INSTANCES)}")
-    if args.law is not None and args.law not in LAW_STATEMENTS:
+    if args.law is not None and args.law not in LAWS:
         raise SystemExit(f"effectus: unknown law {args.law!r}; one of: "
-                         f"{', '.join(LAW_STATEMENTS)}")
+                         f"{', '.join(LAWS)}")
     if args.instance is not None and args.law is not None:
         laws = applicable_laws(INSTANCES[args.instance])
         if args.law not in laws:
@@ -110,8 +110,11 @@ def _cmd_check(args) -> int:
                                   else "LAW FAILURES DETECTED"))
         text = "\n".join(lines)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SystemExit(f"effectus: cannot write {args.output}: {exc.strerror}")
     else:
         print(text)
     return 0 if result["ok"] else 1

@@ -138,6 +138,15 @@ class ComprehensionResult:
     transpose: Callable[[Arrow], Arrow]
 
 
+class Law(NamedTuple):
+    """A law as the harness states and checks it: `case(inst, rng, bounds,
+    tol)` runs ONE seeded case and returns (residual, detail), detail
+    being None exactly when the law held, else the witness detail."""
+
+    statement: str
+    case: Callable
+
+
 # The laws every instance satisfies, and those of fibres with an
 # orthocomplement; the harness states and checks each by name.
 CHAIN_LAWS = ("kleisli-laws", "subst-functor", "truth-falsum",
@@ -153,6 +162,7 @@ class ChainInstance(ABC):
     description = ""
     eq_tol = 0.0          # residual accepted as equality
     laws = CHAIN_LAWS + ORTHO_LAWS + ("instrument",)  # the laws it carries
+    own_laws = {}  # name -> Law of each law only it carries, also in `laws`
     # Sampled cases per law in the default suite, sized so the whole suite
     # stays well under two minutes, and the bounds of the small exhaustive
     # adjunction sweeps it adds (None: no sweep); the acceptance tests run

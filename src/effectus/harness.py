@@ -20,12 +20,12 @@ from .core import (
     derive_instrument,
     falsum,
     hom_check,
+    Law,
     PredObject,
     side_effect,
     truth,
 )
 from .registry import INSTANCES
-from .vn import spectral_norm
 
 DEFAULT_SEED = 20205
 ENUMERATION_CAP = 10 ** 5
@@ -102,9 +102,8 @@ def _arrow_key(inst, f):
 
 
 # ---------------------------------------------------------------------------
-# Law case functions.  Each runs ONE random case and returns
-# (residual, detail): detail is None exactly when the law held, else the
-# witness detail.
+# The shared laws, each a `Law`: its statement and its case function.
+# An instance states and checks the laws only it carries in `own_laws`.
 # ---------------------------------------------------------------------------
 
 
@@ -314,133 +313,53 @@ def _case_instrument(inst, rng, bounds, tol):
         "p": inst.pred_to_json(X, p)}
 
 
-def _case_cp_sanity(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    p = inst.rand_pred(rng, X, bounds)
-    Y = inst.rand_object(rng, bounds, like=X)
-    q = inst.quotient(X, p)
-    c = inst.comprehension(X, p)
-    fq = inst.rand_quotient_hom(rng, X, p, Y, bounds)
-    fc = inst.rand_comprehension_hom(rng, X, p, Y, bounds)
-    canonical = {
-        "quotient_unit": q.unit,
-        "comprehension_counit": c.counit,
-        "assert": inst.assert_closed_form(X, p),
-        "instrument": inst.instrument_closed_form(X, p),
-        "quotient_transpose": q.transpose(fq),
-        "comprehension_transpose": c.transpose(fc),
-    }
-    bad = {}
-    worst = 0.0
-    for label, arrow in canonical.items():
-        ok_cp, report = inst.cp_check(arrow, tol)
-        sub = inst.subunital_defect(arrow)
-        min_eig = report.get("min_eig")
-        if min_eig is not None:
-            worst = max(worst, -min_eig)
-        worst = max(worst, sub)
-        if not ok_cp or sub > tol:
-            bad[label] = {"cp": report, "subunital_defect": sub}
-    cpred = inst.rand_pred(rng, Y, bounds)
-    dpred = inst.rand_pred(rng, Y, bounds)
-    # Cauchy-Schwarz for cP maps, c* d = cd since effects are self-adjoint;
-    # cd is generally non-Hermitian, hence the singular-value norm
-    cd = tuple(cb @ db for cb, db in zip(cpred, dpred))
-    cc = tuple(cb @ cb for cb in cpred)
-    dd = tuple(db @ db for db in dpred)
-    lhs = spectral_norm(inst.apply(fq, cd)) ** 2
-    rhs = (spectral_norm(inst.apply(fq, cc))
-           * spectral_norm(inst.apply(fq, dd)))
-    cs_residual = max(0.0, lhs - rhs)
-    ok = not bad and cs_residual <= tol
-    return max(worst, cs_residual, 1.0 if bad else 0.0), None if ok else {
-        "non_cp_maps": {k: {kk: vv for kk, vv in v.items()} for k, v in bad.items()},
-        "cauchy_schwarz_residual": cs_residual,
-        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
-
-
-def _case_ring_decompose(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    e = inst.rand_pred(rng, X, bounds)
-    dec = inst.decompose(X, e)
-    r1 = inst.map_residual(inst.compose(dec.split, dec.merge), inst.identity(X))
-    r2 = inst.map_residual(inst.compose(dec.merge, dec.split),
-                           inst.identity(dec.pair))
-    res = max(r1, r2)
-    return res, None if res <= tol else {
-        "split_then_merge": r1, "merge_then_split": r2,
-        "X": inst.object_to_json(X), "e": inst.pred_to_json(X, e)}
-
-
-LAW_CASES = {
-    "kleisli-laws": _case_kleisli,
-    "subst-functor": _case_subst,
-    "truth-falsum": _case_truth_falsum,
-    "quotient-adjunction": partial(_case_adjunction, "quotient"),
-    "comprehension-adjunction": partial(_case_adjunction, "comprehension"),
-    "factorization": _case_factorization,
-    "coincidence": _case_coincidence,
-    "sharpness": _case_sharpness,
-    "instrument": _case_instrument,
-    "cp-sanity": _case_cp_sanity,
-    "ring-decompose": _case_ring_decompose,
-}
-
-LAW_ORDER = list(LAW_CASES)
-
-LAW_STATEMENTS = {
-    "kleisli-laws": (
+LAWS = {
+    "kleisli-laws": Law(
         "Composition of chain arrows is associative and the identity arrow "
-        "is a two-sided unit."),
-    "subst-functor": (
+        "is a two-sided unit.", _case_kleisli),
+    "subst-functor": Law(
         "Substitution along a composite equals iterated substitution, "
         "substitution along the identity changes nothing, and substituting "
-        "into truth yields truth."),
-    "truth-falsum": (
+        "into truth yields truth.", _case_subst),
+    "truth-falsum": Law(
         "Every arrow is a hom from truth to truth and from falsum to any "
         "predicate, and the substitution-based hom check agrees with the "
-        "transpose preconditions."),
-    "quotient-adjunction": (
+        "transpose preconditions.", _case_truth_falsum),
+    "quotient-adjunction": Law(
         "Maps out of X that collapse p correspond one-to-one with maps out "
         "of the quotient carrier: transposing and composing back with the "
         "quotient unit are mutually inverse, and the mediating map is "
-        "unique."),
-    "comprehension-adjunction": (
+        "unique.", partial(_case_adjunction, "quotient")),
+    "comprehension-adjunction": Law(
         "Maps into X that land inside p correspond one-to-one with maps "
         "into the comprehension carrier: transposing and composing with "
         "the inclusion are mutually inverse, and the mediating map is "
-        "unique."),
-    "factorization": (
+        "unique.", partial(_case_adjunction, "comprehension")),
+    "factorization": Law(
         "The assert map built as comprehension-inclusion after "
-        "quotient-unit equals the instance's closed-form assert."),
-    "coincidence": (
+        "quotient-unit equals the instance's closed-form assert.", _case_factorization),
+    "coincidence": Law(
         "The quotient carrier of the complement of p is the same object as "
-        "the comprehension carrier of the support of p."),
-    "sharpness": (
+        "the comprehension carrier of the support of p.", _case_coincidence),
+    "sharpness": Law(
         "floor(p-complement) equals ceil(p)-complement; the assert map is "
         "idempotent exactly for sharp p; the reverse composite "
         "(quotient-unit after comprehension-inclusion) is the identity on "
-        "the carrier exactly for sharp p."),
-    "instrument": (
+        "the carrier exactly for sharp p.", _case_sharpness),
+    "instrument": Law(
         "The two-branch measurement combining assert-p and "
         "assert-p-complement equals its closed form; merging the branches "
         "recovers the identity exactly when measurement is side-effect "
         "free, which holds always classically and probabilistically but "
-        "only for blockwise-scalar effects in the operator case."),
-    "cp-sanity": (
-        "All canonical operator-algebra maps are completely positive "
-        "(blockwise Choi matrices positive semidefinite) and subunital, "
-        "and they obey the Cauchy-Schwarz bound "
-        "|f(c d)|^2 <= |f(c c)| * |f(d d)| for effects c, d."),
-    "ring-decompose": (
-        "An idempotent e splits a commutative ring into the product of its "
-        "two corner ideals, with x -> (ex, (1-e)x) and addition as mutually "
-        "inverse ring maps."),
+        "only for blockwise-scalar effects in the operator case.", _case_instrument),
 }
+# Then the laws that only one registered instance carries, in name order.
+LAWS.update(sorted((name, law) for inst in INSTANCES.values()
+                   for name, law in inst.own_laws.items()))
 
 
 def applicable_laws(inst) -> list:
-    return [l for l in LAW_ORDER if l in inst.laws]
+    return [l for l in LAWS if l in inst.laws]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +466,7 @@ def run_law(inst, spec: CaseSpec) -> LawReport:
     if spec.bounds.get("exhaustive") and spec.law.endswith("-adjunction"):
         which = spec.law.split("-")[0]
         return run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed)
-    case_fn = LAW_CASES[spec.law]
+    case_fn = LAWS[spec.law].case
     report = LawReport(inst.name, spec.law, spec.seed)
     rng = random.Random(spec.seed)
     tol = float(inst.eq_tol)

@@ -26,6 +26,7 @@ from .core import (
     ChainInstance,
     ComprehensionResult,
     HomConditionError,
+    Law,
     QuotientResult,
     ValidationError,
     atom_key,
@@ -276,12 +277,29 @@ def _image(f: Arrow, y):
     return f.data[f.dst.position[y]]
 
 
+def _case_ring_decompose(inst, rng, bounds, tol):
+    X = inst.rand_object(rng, bounds)
+    e = inst.rand_pred(rng, X, bounds)
+    dec = inst.decompose(X, e)
+    r1 = inst.map_residual(inst.compose(dec.split, dec.merge), inst.identity(X))
+    r2 = inst.map_residual(inst.compose(dec.merge, dec.split),
+                           inst.identity(dec.pair))
+    res = max(r1, r2)
+    return res, None if res <= tol else {
+        "split_then_merge": r1, "merge_then_split": r2,
+        "X": inst.object_to_json(X), "e": inst.pred_to_json(X, e)}
+
+
 class RingChain(ChainInstance):
     """Products of modular-integer rings with reversed subunital ring maps."""
 
     name = "ring"
     description = "finite commutative rings, arrows opposite to ring maps"
-    laws = ChainInstance.laws + ("ring-decompose",)
+    own_laws = {"ring-decompose": Law(
+        "An idempotent e splits a commutative ring into the product of its "
+        "two corner ideals, with x -> (ex, (1-e)x) and addition as mutually "
+        "inverse ring maps.", _case_ring_decompose)}
+    laws = ChainInstance.laws + tuple(own_laws)
     default_cases = 40
     default_sweep = {"max_order": 8}
 

@@ -22,6 +22,7 @@ from .core import (
     ChainInstance,
     ComprehensionResult,
     HomConditionError,
+    Law,
     QuotientResult,
     ValidationError,
 )
@@ -117,13 +118,19 @@ def elt_residual(a, b) -> float:
     return max((la.max_abs(x - y) for x, y in zip(a, b)), default=0.0)
 
 
-def check_effect(A: MatrixAlgebra, p, tol: float = 1e-9) -> None:
+def check_blocks(A: MatrixAlgebra, p) -> None:
+    """Raise ValidationError unless p has one block of each of A's shapes:
+    the cheap half of check_effect, run by every operation on a predicate."""
     if len(p) != len(A.block_dims):
         raise ValidationError("block count mismatch")
     for n, b in zip(A.block_dims, p):
-        b = np.asarray(b)
-        if b.shape != (n, n):
-            raise ValidationError(f"block shape {b.shape} != ({n}, {n})")
+        if np.shape(b) != (n, n):
+            raise ValidationError(f"block shape {np.shape(b)} != ({n}, {n})")
+
+
+def check_effect(A: MatrixAlgebra, p, tol: float = 1e-9) -> None:
+    check_blocks(A, p)
+    for b in map(np.asarray, p):
         if not la.is_hermitian(b, tol):
             raise ValidationError("effect block is not Hermitian")
         w = la.hermitian_eigvals(b)
@@ -177,6 +184,50 @@ class _Corner:
             self.algebra = MatrixAlgebra(dims, (parent, self.isoms))
 
 
+def _case_cp_sanity(inst, rng, bounds, tol):
+    X = inst.rand_object(rng, bounds)
+    p = inst.rand_pred(rng, X, bounds)
+    Y = inst.rand_object(rng, bounds, like=X)
+    q = inst.quotient(X, p)
+    c = inst.comprehension(X, p)
+    fq = inst.rand_quotient_hom(rng, X, p, Y, bounds)
+    fc = inst.rand_comprehension_hom(rng, X, p, Y, bounds)
+    canonical = {
+        "quotient_unit": q.unit,
+        "comprehension_counit": c.counit,
+        "assert": inst.assert_closed_form(X, p),
+        "instrument": inst.instrument_closed_form(X, p),
+        "quotient_transpose": q.transpose(fq),
+        "comprehension_transpose": c.transpose(fc),
+    }
+    bad = {}
+    worst = 0.0
+    for label, arrow in canonical.items():
+        ok_cp, report = inst.cp_check(arrow, tol)
+        sub = inst.subunital_defect(arrow)
+        min_eig = report.get("min_eig")
+        if min_eig is not None:
+            worst = max(worst, -min_eig)
+        worst = max(worst, sub)
+        if not ok_cp or sub > tol:
+            bad[label] = {"cp": report, "subunital_defect": sub}
+    cpred = inst.rand_pred(rng, Y, bounds)
+    dpred = inst.rand_pred(rng, Y, bounds)
+    # Cauchy-Schwarz for cP maps, c* d = cd since effects are self-adjoint;
+    # cd is generally non-Hermitian, hence the singular-value norm
+    cd = tuple(cb @ db for cb, db in zip(cpred, dpred))
+    cc = tuple(cb @ cb for cb in cpred)
+    dd = tuple(db @ db for db in dpred)
+    lhs = spectral_norm(inst.apply(fq, cd)) ** 2
+    rhs = (spectral_norm(inst.apply(fq, cc))
+           * spectral_norm(inst.apply(fq, dd)))
+    cs_residual = max(0.0, lhs - rhs)
+    ok = not bad and cs_residual <= tol
+    return max(worst, cs_residual, 1.0 if bad else 0.0), None if ok else {
+        "non_cp_maps": bad, "cauchy_schwarz_residual": cs_residual,
+        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
+
+
 class VnChain(ChainInstance):
     """Finite-dimensional operator algebras; predicates are effects, the
     sharp ones projections, and the derived assert is the p-congruence."""
@@ -185,7 +236,12 @@ class VnChain(ChainInstance):
     description = "matrix algebras and completely positive subunital maps"
     eq_tol = 1e-9
     hom_tol = 1e-6
-    laws = ChainInstance.laws + ("cp-sanity",)
+    own_laws = {"cp-sanity": Law(
+        "All canonical operator-algebra maps are completely positive "
+        "(blockwise Choi matrices positive semidefinite) and subunital, "
+        "and they obey the Cauchy-Schwarz bound "
+        "|f(c d)|^2 <= |f(c c)| * |f(d d)| for effects c, d.", _case_cp_sanity)}
+    laws = ChainInstance.laws + tuple(own_laws)
     default_cases = 40
 
     # ---- category ----
@@ -238,6 +294,8 @@ class VnChain(ChainInstance):
         return X.zero_elt()
 
     def pred_leq(self, X, p, q) -> bool:
+        check_blocks(X, p)
+        check_blocks(X, q)
         for pb, qb in zip(p, q):
             w = la.hermitian_eigvals(((qb - pb) + la.dagger(qb - pb)) / 2)
             if w.size and float(w[-1]) < -self.eq_tol:
@@ -266,6 +324,7 @@ class VnChain(ChainInstance):
         a -> sqrt(s) a sqrt(s).  A map f with f(1) <= s transposes by
         conjugating with the pseudoinverse roots and compressing.  All
         three come from one spectrum per block of s."""
+        check_blocks(X, p)
         s = self.ortho(X, p)
         specs = [la.hermitian_eig(b) for b in s]
         corner = _Corner(X, [la.from_spectrum(la.support_spectrum(e)) for e in specs])
@@ -291,6 +350,7 @@ class VnChain(ChainInstance):
     def comprehension(self, X, p) -> ComprehensionResult:
         """The corner of the eigenvalue-1 projection of p; a map giving p
         and 1 the same image transposes through the embedding."""
+        check_blocks(X, p)
         corner = _Corner(X, [la.unit_proj(b) for b in p])
         embed = kraus_superop(X, corner.algebra, [
             (i, c, V) for c, (i, V) in enumerate(corner.isoms)])
@@ -306,9 +366,10 @@ class VnChain(ChainInstance):
         counit = Arrow(corner.algebra, X, la.dagger(embed))
         return ComprehensionResult(corner.algebra, counit, transpose)
 
-    # ---- assert / instrument / sequential product ----
+    # ---- assert / instrument ----
 
     def assert_closed_form(self, X, p) -> Arrow:
+        check_blocks(X, p)
         return Arrow(X, X, kraus_superop(
             X, X, [(i, i, la.op_sqrt(b)) for i, b in enumerate(p)]))
 
@@ -326,10 +387,6 @@ class VnChain(ChainInstance):
         dd = MatrixAlgebra(X.block_dims + X.block_dims)
         eye = np.eye(X.vdim, dtype=complex)
         return Arrow(dd, X, np.vstack([eye, eye]))
-
-    def seq_product(self, X, a, b) -> tuple:
-        roots = [la.op_sqrt(blk) for blk in a]
-        return tuple(r @ bb @ r for r, bb in zip(roots, b))
 
     def block_scalar_defect(self, X, p) -> float:
         """How far an effect is from being a scalar in every block; the

@@ -150,6 +150,17 @@ def test_json_report_file_matches_schema(tmp_path):
         assert report["instance"] == "ring"
 
 
+def test_unwritable_report_file_is_usage_error(tmp_path, capsys):
+    # exit 1 means law failures, so a write error must not reach it
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert main(["check", "--instance", "fp", "--law", "kleisli-laws",
+                 "-o", str(out)] + FAST) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"effectus: cannot write {out}: "
+                            "No such file or directory\n")
+
+
 def test_json_stdout_matches_file_output(tmp_path, capsys):
     args = ["check", "--instance", "fp", "--format", "json"] + FAST
     assert main(args) == 0

@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from effectus import INSTANCES, STAR
-from effectus.core import ChainError, HomConditionError, atom_key
+from effectus.core import Arrow, ChainError, ChainInstance, HomConditionError, atom_key
 from effectus.kleisli import DistChain, NondetChain, SetsChain, SubDist
 from effectus.harness import (
     DEFAULT_SEED,
-    LAW_CASES,
-    LAW_ORDER,
-    LAW_STATEMENTS,
+    LAWS,
     MAX_WITNESSES,
     CaseSpec,
     LawReport,
@@ -26,7 +24,7 @@ from effectus.harness import (
     run_law,
     run_suite,
 )
-from effectus.ring import RingChain
+from effectus.ring import Decomposition, RingChain
 from effectus.vn import MatrixAlgebra, VnChain
 
 SETS, NONDET, DIST = SetsChain(), NondetChain(), DistChain()
@@ -79,9 +77,17 @@ def test_witness_recording_is_capped():
 
 
 def test_law_statements_cover_every_law():
-    assert set(LAW_STATEMENTS) == set(LAW_ORDER) == set(LAW_CASES)
-    for text in LAW_STATEMENTS.values():
-        assert isinstance(text, str) and len(text) > 20
+    for law in LAWS.values():
+        assert isinstance(law.statement, str) and len(law.statement) > 20
+        assert callable(law.case)
+    # the shared laws first, then each instance's own laws in name order
+    own = {name: law for inst in INSTANCES.values()
+           for name, law in inst.own_laws.items()}
+    shared = list(ChainInstance.laws)
+    assert list(LAWS) == shared + sorted(own) == [
+        *shared, "cp-sanity", "ring-decompose"]
+    assert all(LAWS[name] is law for name, law in own.items())
+    assert all(set(inst.own_laws) <= set(inst.laws) for inst in INSTANCES.values())
 
 
 def test_applicable_laws_per_instance():
@@ -118,7 +124,7 @@ class _FewerLaws(SetsChain):
 
 def test_declared_laws_are_the_laws_checked(monkeypatch):
     # a misspelt name would drop its law silently
-    assert all(set(i.laws) <= set(LAW_ORDER) for i in INSTANCES.values())
+    assert all(set(i.laws) <= set(LAWS) for i in INSTANCES.values())
     inst = _FewerLaws()
     assert applicable_laws(inst) == list(inst.laws)
     monkeypatch.setitem(INSTANCES, "sets", inst)
@@ -533,6 +539,103 @@ def test_corrupted_predicate_layer_is_detected(name, corruption, law, witnessed)
     base = KLEISLI[name]
     corrupt = type(f"{corruption.__name__}{base.__name__}", (corruption, base), {})()
     spec = _spec(name, law, cases=20)
+    report = run_law(corrupt, spec)
+    assert report.failures >= 1 and report.errors == 0
+    assert report.witnesses[0]["detail"] == "law violated"
+    assert witnessed(report.witnesses[0])
+    assert run_law(base(), spec).failures == 0
+
+
+# Every law has teeth: one corruption per law that the law catches.
+
+
+class _IdentityAbortsFirst:
+    """The identity aborts at position 0."""
+
+    def identity(self, X):
+        data = super().identity(X).data
+        return Arrow(X, X, tuple(self._abort(len(X)) if i == 0 else d
+                                 for i, d in enumerate(data)))
+
+
+class _AssertIsIdentity:
+    def assert_closed_form(self, X, p):
+        return self.identity(X)
+
+
+class _CeilIsIdentity:
+    def ceil(self, X, p):
+        return p
+
+
+class _FloorIsBottom:
+    def floor(self, X, p):
+        return self.bottom(X)
+
+
+class _InstrumentOfComplement:
+    def instrument_closed_form(self, X, p):
+        return super().instrument_closed_form(X, self.ortho(X, p))
+
+
+def _transpose_superop(X):
+    """The superoperator of a -> a^T, blockwise: positive, not CP."""
+    out = np.zeros((X.vdim, X.vdim), dtype=complex)
+    pos = 0
+    for n in X.block_dims:
+        swap = np.eye(n * n).reshape(n, n, n * n).transpose(1, 0, 2)
+        out[pos:pos + n * n, pos:pos + n * n] = swap.reshape(n * n, n * n)
+        pos += n * n
+    return out
+
+
+class _TransposingInstrument:
+    """The pass branch transposes before asserting p: still positive and
+    unital, but not completely positive."""
+
+    def instrument_closed_form(self, X, p):
+        asrt = self.assert_closed_form(X, p)
+        passing = Arrow(X, X, asrt.data @ _transpose_superop(X))
+        return self.instrument_combine(
+            X, passing, self.assert_closed_form(X, self.ortho(X, p)))
+
+
+class _MergeKeepsFirst:
+    """merge sends (a, b) to a, dropping the second corner."""
+
+    def decompose(self, X, p):
+        d = super().decompose(X, p)
+        merge = Arrow(X, d.pair, tuple(a for a, _ in d.pair.elements()))
+        return Decomposition(d.pair, d.split, merge)
+
+
+def _only_cp_fails(w):
+    (label, bad), = w["non_cp_maps"].items()
+    return (label == "instrument" and bad["cp"]["min_eig"] < 0
+            and bad["subunital_defect"] <= 1e-9)
+
+
+TEETH = [
+    ("kleisli-laws", SetsChain, _IdentityAbortsFirst,
+     lambda w: w["assoc"] == 0 and w["id_right"] == 1.0),
+    ("factorization", SetsChain, _AssertIsIdentity,
+     lambda w: w["composite"] != w["closed_form"]),
+    ("coincidence", DistChain, _CeilIsIdentity,
+     lambda w: w["objects_equal"] is False),
+    ("sharpness", SetsChain, _FloorIsBottom, lambda w: w["demorgan"] == 1.0),
+    ("instrument", SetsChain, _InstrumentOfComplement,
+     lambda w: w["derived_vs_closed"] == 1.0),
+    ("cp-sanity", VnChain, _TransposingInstrument, _only_cp_fails),
+    ("ring-decompose", RingChain, _MergeKeepsFirst,
+     lambda w: w["merge_then_split"] == 1.0),
+]
+
+
+@pytest.mark.parametrize("law, base, corruption, witnessed", TEETH,
+                         ids=[row[0] for row in TEETH])
+def test_every_law_has_teeth(law, base, corruption, witnessed):
+    corrupt = type(f"{corruption.__name__}{base.__name__}", (corruption, base), {})()
+    spec = CaseSpec(base.name, law, 5, 40)
     report = run_law(corrupt, spec)
     assert report.failures >= 1 and report.errors == 0
     assert report.witnesses[0]["detail"] == "law violated"

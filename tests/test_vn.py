@@ -105,6 +105,23 @@ def test_effect_validation():
         VN.arrow(M2, M2, np.eye(3))
 
 
+@pytest.mark.parametrize("p", [
+    elt(np.eye(2) * 0.5),
+    elt(np.eye(2) * 0.5, [[0.5]], [[0.5]]),
+    elt(np.eye(2) * 0.5, np.eye(2) * 0.5),
+], ids=["missing-block", "extra-block", "wrong-shape"])
+@pytest.mark.parametrize("op", [
+    lambda X, p: VN.quotient(X, p),
+    lambda X, p: VN.comprehension(X, p),
+    lambda X, p: VN.assert_closed_form(X, p),
+    lambda X, p: VN.pred_leq(X, p, VN.top(X)),
+    lambda X, p: VN.pred_leq(X, VN.bottom(X), p),
+], ids=["quotient", "comprehension", "assert", "pred-leq-left", "pred-leq-right"])
+def test_operations_reject_a_predicate_of_the_wrong_blocks(op, p):
+    with pytest.raises(ValidationError):
+        op(M2_M1, p)
+
+
 # ---------------------------------------------------------------------------
 # Fibres: effects, orthocomplement, sharpening.
 # ---------------------------------------------------------------------------
@@ -316,16 +333,20 @@ def test_side_effect_freeness_is_block_scalarity():
 
 
 def test_seq_product_canned():
+    # the sequential product a & b = sqrt(a) b sqrt(a) is assert_a acting on b
+    def seq_product(X, a, b):
+        return VN.apply(VN.assert_closed_form(X, a), b)
+
     rng = random.Random(31)
     half = elt(np.eye(2) * 0.5)
     b = VN.rand_pred(rng, M2)
-    got = VN.seq_product(M2, half, b)
+    got = seq_product(M2, half, b)
     assert elt_residual(got, tuple(0.5 * blk for blk in b)) <= 1e-12
     # sequential products of effects stay effects
     for _ in range(25):
         X = VN.rand_object(rng, {"max_blocks": 2, "max_block_dim": 3})
         a, c = VN.rand_pred(rng, X), VN.rand_pred(rng, X)
-        check_effect(X, VN.seq_product(X, a, c))
+        check_effect(X, seq_product(X, a, c))
 
 
 # ---------------------------------------------------------------------------

@@ -95,29 +95,32 @@ def _cmd_check(args) -> int:
     specs = default_suite(seed=seed, cases=args.cases,
                           instance=args.instance, law=args.law,
                           bounds=bounds)
-    result = run_suite(specs)
-    if args.format == "json":
-        text = json.dumps(result, indent=2, sort_keys=True)
-    else:
-        lines = []
-        for r in result["reports"]:
-            status = "ok  " if r["failures"] == 0 else "FAIL"
-            lines.append(
-                f"{status} {r['instance']:<7} {r['law']:<25} "
-                f"cases={r['cases']:<5} failures={r['failures']:<3} "
-                f"max_residual={r['max_residual']:.3g} seed={r['seed']}")
-        lines.append("suite: " + ("all laws hold" if result["ok"]
-                                  else "LAW FAILURES DETECTED"))
-        text = "\n".join(lines)
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise SystemExit(f"effectus: cannot write {args.output}: {exc.strerror}")
-    else:
-        print(text)
+    if not args.output:
+        result = run_suite(specs)
+        print(_render(result, args.format))
+        return 0 if result["ok"] else 1
+    try:  # opened first, so a bad path fails before the suite runs
+        with open(args.output, "w") as fh:
+            result = run_suite(specs)
+            fh.write(_render(result, args.format) + "\n")
+    except OSError as exc:
+        raise SystemExit(f"effectus: cannot write {args.output}: {exc.strerror}")
     return 0 if result["ok"] else 1
+
+
+def _render(result, fmt) -> str:
+    if fmt == "json":
+        return json.dumps(result, indent=2, sort_keys=True)
+    lines = []
+    for r in result["reports"]:
+        status = "ok  " if r["failures"] == 0 else "FAIL"
+        lines.append(
+            f"{status} {r['instance']:<7} {r['law']:<25} "
+            f"cases={r['cases']:<5} failures={r['failures']:<3} "
+            f"max_residual={r['max_residual']:.3g} seed={r['seed']}")
+    lines.append("suite: " + ("all laws hold" if result["ok"]
+                              else "LAW FAILURES DETECTED"))
+    return "\n".join(lines)
 
 
 def _demo_sets(out) -> None:

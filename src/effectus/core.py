@@ -274,9 +274,10 @@ class ChainInstance(ABC):
         raise UnsupportedError(f"{self.name}: no closed-form instrument")
 
     # ---- harness hooks --------------------------------------------
-    # Seeded samplers; exact instances may additionally provide the
-    # iter_*/count_* enumerators used for exhaustive checks.  `bounds`
-    # is a plain dict of instance-understood size knobs.
+    # Seeded samplers (rand_arrow also draws the maps whose round trips
+    # prove a mediating map unique); exact instances may add the
+    # iter_*/count_* enumerators, for exhaustive checks and uniqueness
+    # over few candidates.  `bounds` is a dict of instance size knobs.
 
     def rand_object(self, rng, bounds, like=None):
         """Sample a carrier within bounds; `like` is an existing carrier
@@ -297,10 +298,6 @@ class ChainInstance(ABC):
     def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
         """Arrow Y -> X landing where p holds, built by construction."""
         raise UnsupportedError(f"{self.name}: no comprehension hom sampler")
-
-    def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
-        """A valid arrow with the same endpoints but different data."""
-        raise UnsupportedError(f"{self.name}: no perturbation sampler")
 
     def iter_preds(self, X) -> Iterator:
         raise UnsupportedError(f"{self.name}: fibre not enumerable")

@@ -95,6 +95,14 @@ def _raised(report, exc, **where) -> None:
     report.record(1.0, False, {"detail": f"exception: {exc!r}", **where})
 
 
+def _returns(inst, a, there, back, tol) -> bool:
+    # Whether back(there(a)) is a within tol; a ChainError there is a no.
+    try:
+        return inst.map_residual(back(there(a)), a) <= tol
+    except ChainError:
+        return False
+
+
 def _arrow_key(inst, f):
     # The arrow data of an enumerable instance is a hashable canonical
     # value; one call site, so keys made can be counted.
@@ -210,24 +218,18 @@ def _side(inst, which, X, p) -> _Side:
     raise ValueError(f"unknown adjunction {which!r}")
 
 
-def _unique(inst, rng, bounds, tol, ends, untranspose, g, f):
-    """Distinct mediating maps must reach distinct composites: checked on
-    every candidate when they are few, else on perturbations of g."""
+def _unique(inst, rng, bounds, tol, side, ends) -> bool:
+    """Composing with the unit or counit is injective on mediating maps:
+    the candidates, when few, have distinct composites; else each of
+    UNIQUE_SAMPLES random maps comes back from its own composite."""
     count = inst.count_arrows(*ends)
     if count is not None and count <= CASE_ENUM_BUDGET:
-        seen = set()
-        for cand in inst.iter_arrows(*ends):
-            key = _arrow_key(inst, untranspose(cand))
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
-    for _ in range(bounds.get("unique_samples", UNIQUE_SAMPLES)):
-        other = inst.perturb_arrow(rng, g, bounds)
-        if (inst.map_residual(other, g) > max(tol, 1e-3)
-                and inst.map_residual(untranspose(other), f) <= tol):
-            return False
-    return True
+        keys = [_arrow_key(inst, side.untranspose(g))
+                for g in inst.iter_arrows(*ends)]
+        return len(set(keys)) == len(keys)
+    return all(_returns(inst, inst.rand_arrow(rng, *ends, bounds),
+                        side.untranspose, side.transpose, tol)
+               for _ in range(UNIQUE_SAMPLES))
 
 
 def _case_adjunction(which, inst, rng, bounds, tol):
@@ -236,12 +238,11 @@ def _case_adjunction(which, inst, rng, bounds, tol):
     Y = inst.rand_object(rng, bounds, like=X)
     side = _side(inst, which, X, p)
     f = side.rand_hom(rng, Y, bounds)
-    g = side.transpose(f)
-    r1 = inst.map_residual(side.untranspose(g), f)
+    r1 = inst.map_residual(side.untranspose(side.transpose(f)), f)
     ends = side.ends(side.carrier, Y)
     g0 = inst.rand_arrow(rng, *ends, bounds)
     r2 = inst.map_residual(side.transpose(side.untranspose(g0)), g0)
-    unique = _unique(inst, rng, bounds, tol, ends, side.untranspose, g, f)
+    unique = _unique(inst, rng, bounds, tol, side, ends)
     res = max(r1, r2)
     return res, None if res <= tol and unique else {
         "round_trip_from_hom": r1, "round_trip_from_map": r2, "unique": unique,
@@ -367,14 +368,6 @@ def applicable_laws(inst) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _returns(inst, a, there, back) -> bool:
-    # Whether back(there(a)) is a again; a ChainError on the way is a no.
-    try:
-        return inst.map_residual(back(there(a)), a) == 0.0
-    except ChainError:
-        return False
-
-
 def _exhaustive_triple(inst, side, which, report, X, Y, triple, cap):
     ends = side.ends(side.carrier, Y)
     n_maps = inst.count_arrows(*ends)
@@ -383,7 +376,7 @@ def _exhaustive_triple(inst, side, which, report, X, Y, triple, cap):
         return
     detail = None
     for g in inst.iter_arrows(*ends):
-        if not _returns(inst, g, side.untranspose, side.transpose):
+        if not _returns(inst, g, side.untranspose, side.transpose, 0.0):
             detail = {"round_trip": inst.arrow_to_json(g)}
             break
     homs = side.ends(X, Y)
@@ -395,7 +388,7 @@ def _exhaustive_triple(inst, side, which, report, X, Y, triple, cap):
         for f in inst.iter_arrows(*homs):
             if hom_check(inst, f, src_obj, dst_obj):
                 n_homs += 1
-                if not _returns(inst, f, side.transpose, side.untranspose):
+                if not _returns(inst, f, side.transpose, side.untranspose, 0.0):
                     detail = {"unreached_hom": inst.arrow_to_json(f)}
                     break
         if detail is None and n_homs != n_maps:

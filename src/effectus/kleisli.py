@@ -180,10 +180,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _replace(t: tuple, i: int, v) -> tuple:
-    return t[:i] + (v,) + t[i + 1:]
-
-
 class KleisliChain(ChainInstance):
     """Finite sets with the Kleisli arrows of a monad T on X + 1: a table
     maps each atom of the source to an image in T(target + 1).
@@ -519,13 +515,6 @@ class SetsChain(_SubsetChain):
     def _image_to_json(self, y, Y: FiniteSet):
         return atom_to_json(self._decode(y, Y))
 
-    def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
-        if len(f.src) == 0 or len(f.dst) == 0:
-            return f
-        i = rng.choice(range(len(f.src)))
-        opts = [j for j in self._images(len(f.dst)) if j != f.data[i]]
-        return Arrow(f.src, f.dst, _replace(f.data, i, rng.choice(opts)))
-
 
 class NondetChain(_SubsetChain):
     """Finite sets with non-deterministic maps (the non-empty powerset
@@ -608,17 +597,6 @@ class NondetChain(_SubsetChain):
 
     def _image_to_json(self, s, Y: FiniteSet):
         return [atom_to_json(y) for y in self._atoms(s, Y)]
-
-    def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
-        if len(f.src) == 0:
-            return f
-        i = rng.choice(range(len(f.src)))
-        n = len(f.dst)
-        for _ in range(64):
-            s = self._rand_image(rng, bounds, n, range(n), ONE)
-            if s != f.data[i]:
-                return Arrow(f.src, f.dst, _replace(f.data, i, s))
-        return f
 
 
 class DistChain(KleisliChain):
@@ -724,23 +702,6 @@ class DistChain(KleisliChain):
 
     def rand_pred(self, rng, X, bounds) -> tuple:
         return tuple(self._rand_frac(rng, bounds) for _ in X)
-
-    def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
-        """Move a nonzero amount of mass at one input between an atom and *."""
-        if not (len(f.src) and len(f.dst)):
-            return f
-        i = rng.choice(range(len(f.src)))
-        d = f.data[i]
-        j = rng.choice(range(len(f.dst)))
-        w = d[j]
-        room = ONE - sum(d, ZERO)
-        if room > 0 and (w == 0 or rng.random() < 0.5):
-            new_w = w + (self._rand_frac(rng, bounds, ZERO, room) or room)
-        elif w > 0:
-            new_w = w - (self._rand_frac(rng, bounds, ZERO, w) or w)
-        else:
-            return f
-        return Arrow(f.src, f.dst, _replace(f.data, i, _replace(d, j, new_w)))
 
     def pred_to_json(self, X, p):
         _check_pred(X, p)

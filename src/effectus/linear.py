@@ -341,15 +341,6 @@ class FpChain(ChainInstance):
                   for _ in range(p.rank))
         return Arrow(Y, X, mat_mul(inc, a, X.p, width=Y.dim))
 
-    def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
-        if f.src.dim == 0 or f.dst.dim == 0:
-            return f
-        i = rng.randrange(f.dst.dim)
-        j = rng.randrange(f.src.dim)
-        mat = [list(r) for r in f.data]
-        mat[i][j] = (mat[i][j] + rng.randrange(1, f.src.p)) % f.src.p
-        return Arrow(f.src, f.dst, tuple(tuple(r) for r in mat))
-
     def iter_objects(self, bounds):
         for p in bounds.get("fields", (2, 3)):
             for d in range(bounds.get("max_dim", 2) + 1):
@@ -536,14 +527,6 @@ class HilbChain(ChainInstance):
         a = la.rand_complex(rng, p.rank, Y.dim)
         return Arrow(Y, X, p.basis @ a)
 
-    def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
-        if f.src.dim == 0 or f.dst.dim == 0:
-            return f
-        noise = np.zeros((f.dst.dim, f.src.dim), dtype=complex)
-        noise[rng.randrange(f.dst.dim), rng.randrange(f.src.dim)] = (
-            0.5 + rng.random())
-        return Arrow(f.src, f.dst, f.data + noise)
-
     def coincidence_residual(self, X, p, q, c) -> float:
         # The two carriers are plain coordinate spaces; agreement means
         # the collapse basis and the inclusion basis are the same columns.
@@ -559,9 +542,7 @@ class HilbChain(ChainInstance):
         return {"dim": X.dim}
 
     def pred_to_json(self, X, p: Subspace):
-        return [[[round(z.real, 12), round(z.imag, 12)] for z in row]
-                for row in p.basis]
+        return la.complex_to_json(p.basis)
 
     def arrow_to_json(self, f: Arrow):
-        return [[[round(complex(z).real, 12), round(complex(z).imag, 12)]
-                 for z in row] for row in np.asarray(f.data)]
+        return la.complex_to_json(np.asarray(f.data, dtype=complex).tolist())

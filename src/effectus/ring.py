@@ -266,9 +266,9 @@ class Decomposition:
 
 @lru_cache(maxsize=8192)
 def _hom_tables(Y: FiniteRing, X: FiniteRing) -> tuple:
-    """enumerate_hom_tables(Y, X) as a tuple, cached: samplers, perturbations
-    and exhaustive sweeps ask for the same hom sets over and over.  The
-    bound sits above the 3675 ring pairs the acceptance sweeps visit."""
+    """enumerate_hom_tables(Y, X) as a tuple, cached: samplers and
+    enumerations ask for the same hom sets over and over.  The bound
+    sits above the 3675 ring pairs the acceptance sweeps visit."""
     return tuple(enumerate_hom_tables(Y, X))
 
 
@@ -454,14 +454,6 @@ class RingChain(ChainInstance):
         g = rng.choice(_hom_tables(corner, Y))
         pos = corner.position
         return Arrow(Y, X, tuple(g[pos[X.mul(p, x)]] for x in X.elements()))
-
-    def perturb_arrow(self, rng, f: Arrow, bounds) -> Arrow:
-        # Perturb inside the hom set: arbitrary table tweaks would leave
-        # the category entirely.
-        tables = [t for t in _hom_tables(f.dst, f.src) if t != f.data]
-        if not tables:
-            return f
-        return Arrow(f.src, f.dst, rng.choice(tables))
 
     def count_arrows(self, X, Y) -> int:
         return len(_hom_tables(Y, X))

@@ -303,18 +303,24 @@ class VnChain(ChainInstance):
         return True
 
     def pred_residual(self, X, p, q) -> float:
+        check_blocks(X, p)
+        check_blocks(X, q)
         return elt_residual(p, q)
 
     def ortho(self, X, p):
+        check_blocks(X, p)
         return elt_sub(X.one(), p)
 
     def ceil(self, X, p):
+        check_blocks(X, p)
         return tuple(la.support_proj(b) for b in p)
 
     def floor(self, X, p):
+        check_blocks(X, p)
         return tuple(la.unit_proj(b) for b in p)
 
     def subst(self, f: Arrow, q):
+        # the inner ortho checks q against f.dst
         return self.ortho(f.src, self.apply(f, self.ortho(f.dst, q)))
 
     # ---- quotient / comprehension ----
@@ -324,7 +330,6 @@ class VnChain(ChainInstance):
         a -> sqrt(s) a sqrt(s).  A map f with f(1) <= s transposes by
         conjugating with the pseudoinverse roots and compressing.  All
         three come from one spectrum per block of s."""
-        check_blocks(X, p)
         s = self.ortho(X, p)
         specs = [la.hermitian_eig(b) for b in s]
         corner = _Corner(X, [la.from_spectrum(la.support_spectrum(e)) for e in specs])
@@ -490,22 +495,13 @@ class VnChain(ChainInstance):
         h = self.rand_arrow(rng, Y, corner.obj)
         return self.compose(corner.counit, h)
 
-    def perturb_arrow(self, rng, f: Arrow, bounds=None) -> Arrow:
-        """Convex mix with an independent random map: stays completely
-        positive and subunital but moves the defining equation."""
-        other = self.rand_arrow(rng, f.src, f.dst)
-        t = 0.2 + 0.6 * rng.random()
-        return Arrow(f.src, f.dst, (1 - t) * f.data + t * other.data)
-
     # ---- serialization ----
 
     def object_to_json(self, X):
         return list(X.block_dims)
 
     def pred_to_json(self, X, p):
-        return [[[[round(z.real, 12), round(z.imag, 12)] for z in row]
-                 for row in np.asarray(b)] for b in p]
+        return [la.complex_to_json(np.asarray(b)) for b in p]
 
     def arrow_to_json(self, f: Arrow):
-        return [[[round(complex(z).real, 12), round(complex(z).imag, 12)]
-                 for z in row] for row in np.asarray(f.data)]
+        return la.complex_to_json(np.asarray(f.data, dtype=complex).tolist())

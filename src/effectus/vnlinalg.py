@@ -183,3 +183,11 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of m."""
     rows = row_space_basis(m)
     return orthonormal_complement(rows, m.shape[1])
+
+
+def complex_to_json(rows) -> list:
+    """A complex matrix as rows of [re, im] pairs, each part rounded to 12
+    places.  Each entry rounds by its own type: numpy scalars (rows of an
+    array) through numpy's round, Python complex numbers (rows of
+    `.tolist()`) through Python's, which can differ in the last digit."""
+    return [[[round(z.real, 12), round(z.imag, 12)] for z in row] for row in rows]

@@ -150,8 +150,13 @@ def test_json_report_file_matches_schema(tmp_path):
         assert report["instance"] == "ring"
 
 
-def test_unwritable_report_file_is_usage_error(tmp_path, capsys):
-    # exit 1 means law failures, so a write error must not reach it
+def test_unwritable_report_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    # exit 1 means law failures, so a write error must not reach it; and
+    # the path is found unwritable before the suite runs
+    def no_suite(specs):
+        raise AssertionError("the suite ran before the report file opened")
+
+    monkeypatch.setattr("effectus.cli.run_suite", no_suite)
     out = tmp_path / "no" / "such" / "dir" / "r.json"
     assert main(["check", "--instance", "fp", "--law", "kleisli-laws",
                  "-o", str(out)] + FAST) == 2

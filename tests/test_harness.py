@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 
 from effectus import INSTANCES, STAR
-from effectus.core import Arrow, ChainError, ChainInstance, HomConditionError, atom_key
-from effectus.kleisli import DistChain, NondetChain, SetsChain, SubDist
+from effectus import harness
+from effectus.core import (
+    Arrow, ChainError, ChainInstance, HomConditionError, QuotientResult, atom_key)
+from effectus.kleisli import DistChain, FiniteSet, NondetChain, SetsChain, SubDist
 from effectus.harness import (
+    CASE_ENUM_BUDGET,
     DEFAULT_SEED,
     LAWS,
     MAX_WITNESSES,
+    UNIQUE_SAMPLES,
     CaseSpec,
     LawReport,
     applicable_laws,
@@ -34,7 +38,7 @@ REPORT_KEYS = {"instance", "law", "cases", "failures", "witnesses",
 
 # keep sampled objects small so this file stays fast
 FAST = {"max_size": 3, "max_den": 6, "max_dim": 2, "max_order": 8,
-        "max_blocks": 1, "max_block_dim": 2, "unique_samples": 4}
+        "max_blocks": 1, "max_block_dim": 2}
 
 
 def _spec(instance, law, seed=DEFAULT_SEED, cases=8, bounds=None):
@@ -641,6 +645,58 @@ def test_every_law_has_teeth(law, base, corruption, witnessed):
     assert report.witnesses[0]["detail"] == "law violated"
     assert witnessed(report.witnesses[0])
     assert run_law(base(), spec).failures == 0
+
+
+class _JunkInQuotient:
+    """The quotient carrier gains an atom that the unit never reaches and
+    where the transpose aborts: maps out of the carrier that differ only
+    there have one composite, so composing with the unit is not
+    injective."""
+
+    def quotient(self, X, p):
+        q = super().quotient(X, p)
+        m = len(q.obj)
+        obj = FiniteSet(q.obj.atoms + (("junk",),))
+        widen = tuple(self._eta(j, m + 1) for j in range(m)) + (self._abort(m + 1),)
+
+        def transpose(f):
+            return Arrow(obj, f.dst, q.transpose(f).data + (self._abort(len(f.dst)),))
+
+        unit = Arrow(X, obj, tuple(self._bind(d, widen) for d in q.unit.data))
+        return QuotientResult(obj, unit, transpose)
+
+
+# sets at max_size 3 has at most 4^4 candidates, so `unique` compares
+# them all; dist cannot enumerate, so it round-trips random maps.
+@pytest.mark.parametrize("base, bounds", [
+    (SetsChain, {"max_size": 3}), (DistChain, {}),
+], ids=["enumerated", "sampled"])
+def test_unique_clause_has_teeth(base, bounds):
+    assert 4 ** 4 <= CASE_ENUM_BUDGET
+    corrupt = type(f"JunkInQuotient{base.__name__}", (_JunkInQuotient, base), {})()
+    spec = CaseSpec(base.name, "quotient-adjunction", 5, 40, bounds)
+    report = run_law(corrupt, spec)
+    assert report.failures >= 1 and report.errors == 0
+    assert all(w["unique"] is False for w in report.witnesses)
+    assert run_law(base(), spec).failures == 0
+
+
+def test_sampled_uniqueness_draws_every_sample():
+    draws = []
+
+    class CountingDist(DistChain):
+        def rand_arrow(self, rng, X, Y, bounds):
+            draws.append((X, Y))
+            return super().rand_arrow(rng, X, Y, bounds)
+
+    inst, rng = CountingDist(), random.Random(5)
+    X = inst.rand_object(rng, {})
+    p = inst.rand_pred(rng, X, {})
+    Y = inst.rand_object(rng, {}, like=X)
+    side = harness._side(inst, "quotient", X, p)
+    ends = side.ends(side.carrier, Y)
+    assert harness._unique(inst, rng, {}, 0.0, side, ends)
+    assert draws == [ends] * UNIQUE_SAMPLES
 
 
 # The hom scan of an exhaustive sweep re-derives the homs through

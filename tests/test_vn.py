@@ -116,7 +116,15 @@ def test_effect_validation():
     lambda X, p: VN.assert_closed_form(X, p),
     lambda X, p: VN.pred_leq(X, p, VN.top(X)),
     lambda X, p: VN.pred_leq(X, VN.bottom(X), p),
-], ids=["quotient", "comprehension", "assert", "pred-leq-left", "pred-leq-right"])
+    lambda X, p: VN.pred_residual(X, p, VN.top(X)),
+    lambda X, p: VN.pred_residual(X, VN.top(X), p),
+    lambda X, p: VN.ortho(X, p),
+    lambda X, p: VN.ceil(X, p),
+    lambda X, p: VN.floor(X, p),
+    lambda X, p: VN.subst(VN.identity(X), p),
+], ids=["quotient", "comprehension", "assert", "pred-leq-left", "pred-leq-right",
+        "pred-residual-left", "pred-residual-right", "ortho", "ceil", "floor",
+        "subst"])
 def test_operations_reject_a_predicate_of_the_wrong_blocks(op, p):
     with pytest.raises(ValidationError):
         op(M2_M1, p)

@@ -188,7 +188,8 @@ class ChainInstance(ABC):
     def map_residual(self, f: Arrow, g: Arrow) -> float:
         """Worst deviation between two parallel arrows (0.0 when equal);
         by default 0.0 or 1.0, for data compared exactly."""
-        same = f.src == g.src and f.dst == g.dst and f.data == g.data
+        same = ((f.src is g.src or f.src == g.src) and (f.dst is g.dst or f.dst == g.dst)
+                and f.data == g.data)
         return 0.0 if same else 1.0
 
     def objects_equal(self, A, B) -> bool:
@@ -360,7 +361,8 @@ def falsum(inst: ChainInstance, X) -> PredObject:
 def hom_check(inst: ChainInstance, f: Arrow, src: PredObject, dst: PredObject) -> bool:
     """True iff f is an arrow of predicated objects src -> dst, i.e.
     src.pred is below the substitution of dst.pred along f."""
-    if not (inst.objects_equal(f.src, src.base) and inst.objects_equal(f.dst, dst.base)):
+    if not ((f.src is src.base or inst.objects_equal(f.src, src.base))
+            and (f.dst is dst.base or inst.objects_equal(f.dst, dst.base))):
         raise CompositionError(
             f"{inst.name}: arrow endpoints do not match the predicated objects"
         )

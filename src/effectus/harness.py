@@ -214,7 +214,7 @@ def _side(inst, which, X, p) -> _Side:
                 c.obj, lambda A, Y: (Y, A),
                 lambda Y: (truth(inst, Y), PredObject(X, p)),
                 lambda rng, Y, b: inst.rand_comprehension_hom(rng, X, p, Y, b),
-                c.transpose, lambda g: inst.compose(c.counit, g))
+                c.transpose, partial(inst.compose, c.counit))
     raise ValueError(f"unknown adjunction {which!r}")
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product, repeat
 from numbers import Rational
 from operator import add, le, not_, sub
@@ -229,12 +230,14 @@ class KleisliChain(ChainInstance):
         return Arrow(X, X, tuple(self._eta(i, n) for i in range(n)))
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
-        self.check_composable(g, f)
+        if f.dst is not g.src:
+            self.check_composable(g, f)
         k = g.data + (self._abort(len(g.dst.atoms)),)
         return Arrow(f.src, g.dst, tuple(map(self._bind, f.data, repeat(k))))
 
     def map_residual(self, f: Arrow, g: Arrow) -> float:
-        if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
+        if not ((f.src is g.src or self.objects_equal(f.src, g.src))
+                and (f.dst is g.dst or self.objects_equal(f.dst, g.dst))):
             return 1.0
         if f.data == g.data:
             return 0.0
@@ -299,8 +302,10 @@ class KleisliChain(ChainInstance):
         unit = [self._abort(m)] * len(X)
         for j, i in enumerate(kept):
             unit[i] = self._scale(self._eta(j, m), keep[i], m)
-        # no image has mass over 1, so only these positions can fail
+        # no image has mass over 1, so only these positions can fail, and
+        # only these kept ones (none for sets and nondet) need rescaling
         capped = [i for i, w in enumerate(keep) if w != 1]
+        rescaled = [(j, i) for j, i in enumerate(kept) if keep[i] != 1]
 
         def transpose(f: Arrow) -> Arrow:
             n, data = len(f.dst.atoms), f.data
@@ -308,9 +313,10 @@ class KleisliChain(ChainInstance):
                 if self._mass(data[i], n) > keep[i]:
                     raise HomConditionError(f"{self.name}: mass {self._mass(data[i], n)} "
                                             f"at {X.atoms[i]!r} exceeds 1 - p = {keep[i]}")
-            return Arrow(obj, f.dst, tuple(data[i] if keep[i] == 1
-                                           else self._scale(data[i], 1 / keep[i], n)
-                                           for i in kept))
+            out = [data[i] for i in kept]
+            for j, i in rescaled:
+                out[j] = self._scale(data[i], 1 / keep[i], n)
+            return Arrow(obj, f.dst, tuple(out))
 
         return QuotientResult(obj, Arrow(X, obj, tuple(unit)), transpose)
 
@@ -555,13 +561,16 @@ class NondetChain(_SubsetChain):
     def _restriction(self, kept, n):
         # The bit of a kept position i moves down to its carrier position
         # j, and * from bit n to bit len(kept): the bits sharing a shift
-        # i - j move together, under one mask.
+        # i - j move together, under one mask.  Memoised per construction,
+        # as a sweep re-indexes the same few masks over and over: there are
+        # 2 ** (n + 1) of them, 32 at the acceptance bounds.
         runs = {}
         for j, i in enumerate([*kept, n]):
             runs[i - j] = runs.get(i - j, 0) | 1 << i
         outside = (1 << n + 1) - 1 - sum(runs.values())
         runs = tuple(runs.items())
 
+        @lru_cache(maxsize=256, typed=True)
         def restrict(s):
             if s & outside:
                 return None

@@ -102,7 +102,7 @@ def mat_mul(a, b, p: int, width: int | None = None):
     if not b:
         return tuple((0,) * (width or 0) for _ in a)
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
 
 
 def mat_vec(a, v, p: int):
@@ -170,19 +170,6 @@ def fp_span(space: FpSpace, vectors) -> FpSubspace:
     return FpSubspace(space, rref(vectors, space.dim, space.p)[0])
 
 
-def _complement_rows(P: FpSubspace):
-    """Standard basis vectors at the non-pivot coordinates: together with
-    P's echelon rows they form a basis of the whole space."""
-    d = P.space.dim
-    out = []
-    for c in range(d):
-        if c not in P.pivots:
-            v = [0] * d
-            v[c] = 1
-            out.append(tuple(v))
-    return tuple(out)
-
-
 @lru_cache(maxsize=256)
 def _coords_matrix(P: FpSubspace):
     """Matrix of the quotient map: coordinates with respect to the
@@ -193,7 +180,9 @@ def _coords_matrix(P: FpSubspace):
     subspaces the acceptance sweeps visit."""
     space = P.space
     p, d = space.p, space.dim
-    basis = list(P.rows) + list(_complement_rows(P))
+    # P's echelon rows and the unit vectors at the non-pivot coordinates
+    basis = list(P.rows) + [tuple(int(i == c) for i in range(d))
+                            for c in range(d) if c not in P.pivots]
     # Invert the change-of-basis matrix whose columns are the basis vectors.
     cols = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
     aug = [list(cols[i]) + [1 if j == i else 0 for j in range(d)] for i in range(d)]
@@ -244,7 +233,8 @@ class FpChain(ChainInstance):
         return Arrow(X, X, mat)
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
-        self.check_composable(g, f)
+        if f.dst is not g.src:
+            self.check_composable(g, f)
         return Arrow(f.src, g.dst,
                      mat_mul(g.data, f.data, f.src.p, width=f.src.dim))
 
@@ -284,16 +274,16 @@ class FpChain(ChainInstance):
         """Coordinates along the complement basis; a map killing p is
         determined by its values on that basis."""
         obj = FpSpace(X.p, X.dim - p.rank)
-        comp = _complement_rows(p)
+        # the complement basis is the unit vectors at these coordinates, so
+        # f's values on it are f's columns there
+        free = [c for c in range(X.dim) if c not in p.pivots]
 
         def transpose(f: Arrow) -> Arrow:
             for row in p.rows:
                 if any(mat_vec(f.data, row, X.p)):
                     raise HomConditionError(f"fp: {row!r} is not in the kernel")
-            cols = tuple(mat_vec(f.data, v, X.p) for v in comp)
-            mat = tuple(tuple(cols[j][i] for j in range(len(comp)))
-                        for i in range(f.dst.dim))
-            return Arrow(obj, f.dst, mat)
+            return Arrow(obj, f.dst, tuple([tuple([r[c] % X.p for c in free])
+                                            for r in f.data]))
 
         return QuotientResult(obj, Arrow(X, obj, _coords_matrix(p)), transpose)
 
@@ -353,10 +343,10 @@ class FpChain(ChainInstance):
         return X.p ** (X.dim * Y.dim)
 
     def iter_arrows(self, X, Y):
-        entries = X.dim * Y.dim
-        for combo in product(range(X.p), repeat=entries):
-            mat = tuple(tuple(combo[i * X.dim:(i + 1) * X.dim])
-                        for i in range(Y.dim))
+        # rows in lexicographic order, so matrices in the order of their
+        # entries read row by row
+        rows = list(product(range(X.p), repeat=X.dim))
+        for mat in product(rows, repeat=Y.dim):
             yield Arrow(X, Y, mat)
 
     def iter_preds(self, X):

@@ -17,7 +17,7 @@ the coincidence of the two carriers is literal object identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import gcd
 
@@ -60,12 +60,6 @@ class FiniteRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def nmul(self, n: int, a):
-        acc = self.zero
-        for _ in range(n):
-            acc = self.add(acc, a)
-        return acc
 
     def __len__(self) -> int:
         return len(self.elements())
@@ -220,26 +214,35 @@ def enumerate_hom_tables(Y: FiniteRing, X: FiniteRing):
 
     Writing Y as a product of Z_n factors, such a map is determined by an
     assignment of pairwise orthogonal idempotents c_j of X with n_j*c_j = 0,
-    one per factor; the map sends a residue tuple to sum_j c_j * y_j."""
+    one per factor; the map sends a residue tuple to sum_j c_j * y_j.
+
+    Each idempotent's multiples 0, c, ..., n_j*c are built once per factor,
+    by repeated addition, and every table entry reads its terms from them."""
     nf, to_nf, _ = canonical_iso(Y)
     idems = idempotents(X)
-    # partial assignments (c_0, ..., c_j), each with the part of the unit
-    # it leaves free, extended one factor at a time in the order of idems,
-    # which keeps them in lexicographic order
+    # partial assignments (the multiples of c_0, ..., c_j), each with the
+    # part of the unit it leaves free, extended one factor at a time in the
+    # order of idems, which keeps them in lexicographic order
     partial = [((), X.one)]
     for n_j in nf.moduli:
-        partial = [(chosen + (c,), X.sub(remaining, c))
-                   for chosen, remaining in partial for c in idems
-                   if X.mul(c, remaining) == c and X.nmul(n_j, c) == X.zero]
+        multiples = []
+        for c in idems:
+            m = [X.zero]
+            for _ in range(n_j):
+                m.append(X.add(m[-1], c))
+            if m[n_j] == X.zero:
+                multiples.append((c, m))
+        partial = [(chosen + (m,), X.sub(remaining, c))
+                   for chosen, remaining in partial for c, m in multiples
+                   if X.mul(c, remaining) == c]
 
-    for cs, _ in partial:
+    zero = X.zero
+    for ms, _ in partial:
         table = []
         for y in Y.elements():
-            t = to_nf[y]
-            acc = X.zero
-            for c, r in zip(cs, t):
-                acc = X.add(acc, X.nmul(r, c))
-            table.append(acc)
+            # the terms c_j * y_j with y_j nonzero, summed
+            terms = [m[r] for m, r in zip(ms, to_nf[y]) if r]
+            table.append(reduce(X.add, terms) if terms else zero)
         yield tuple(table)
 
 

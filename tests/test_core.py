@@ -284,8 +284,18 @@ def test_unknown_instance_is_reported():
 
 
 def test_process_wide_caches_are_bounded():
-    from effectus.linear import _coords_matrix
+    from effectus.linear import _coords_matrix, _preimage
     from effectus.ring import _hom_tables
 
-    for cache in (_coords_matrix, _hom_tables):
+    for cache in (_coords_matrix, _preimage, _hom_tables):
         assert cache.cache_info().maxsize is not None
+
+
+def test_nondet_restriction_memo_is_bounded():
+    from effectus.kleisli import NondetChain
+
+    restrict = NondetChain()._restriction([0, 2], 3)
+    assert restrict.cache_info().maxsize is not None
+    # bits 0 and 2 move to 0 and 1, * from bit 3 to bit 2; bit 1 is outside
+    assert [restrict(s) for s in (0b0101, 0b1000, 0b0010)] == [0b011, 0b100, None]
+    assert restrict.cache_info().currsize == 3

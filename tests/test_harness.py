@@ -2,6 +2,7 @@
 mutation detection, and the default suite's composition."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -28,7 +29,8 @@ from effectus.harness import (
     run_law,
     run_suite,
 )
-from effectus.ring import Decomposition, RingChain
+from effectus.linear import FpSpace
+from effectus.ring import Decomposition, RingChain, ZProductRing
 from effectus.vn import MatrixAlgebra, VnChain
 
 SETS, NONDET, DIST = SetsChain(), NondetChain(), DistChain()
@@ -203,6 +205,55 @@ def test_exact_instances_match_golden_report():
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     assert text == GOLDEN.read_text()
 
+
+
+# The arrows the exact instances enumerate, and what their seeded
+# quotient-adjunction cases draw, hashed together: a passing report of an
+# exact instance reads the same whatever maps it tested, so this digest
+# is what changes when the enumeration order or the draws change.
+ENUMERATED_AND_DRAWN_DIGEST = "1bc9acea6064e696"
+_ENUMERATED = (
+    ("sets", FiniteSet((1, 2)), FiniteSet(("a", "b", "c"))),
+    ("sets", FiniteSet(()), FiniteSet((1,))),
+    ("nondet", FiniteSet((1, 2)), FiniteSet(("a", "b"))),
+    ("nondet", FiniteSet((1,)), FiniteSet(())),
+    ("fp", FpSpace(3, 2), FpSpace(3, 1)),
+    ("fp", FpSpace(2, 2), FpSpace(2, 2)),
+    ("fp", FpSpace(2, 0), FpSpace(2, 2)),
+    ("fp", FpSpace(3, 1), FpSpace(3, 0)),
+    ("ring", ZProductRing((2, 3)), ZProductRing((6,))),
+    ("ring", ZProductRing((2, 2)), ZProductRing((2, 4))),
+    ("ring", ZProductRing((12,)), ZProductRing((2, 6))),
+)
+
+
+def _recording(inst, log):
+    """inst's class, with every rand_* hook logging the JSON of its draw."""
+    def logged(hook, to_json):
+        def wrapper(self, *args, **kwargs):
+            out = getattr(super(cls, self), hook)(*args, **kwargs)
+            log.append([hook, to_json(self, args, out)])
+            return out
+        return wrapper
+
+    cls = type(f"Recording{type(inst).__name__}", (type(inst),), {
+        "rand_object": logged("rand_object", lambda s, a, X: s.object_to_json(X)),
+        "rand_pred": logged("rand_pred", lambda s, a, p: s.pred_to_json(a[1], p)),
+        **{hook: logged(hook, lambda s, a, f: s.arrow_to_json(f))
+           for hook in ("rand_arrow", "rand_quotient_hom", "rand_comprehension_hom")},
+    })
+    return cls()
+
+
+def test_enumerated_and_drawn_arrows_are_pinned():
+    log = [[name, inst.arrow_to_json(f)] for name, X, Y in _ENUMERATED
+           for inst in [INSTANCES[name]] for f in inst.iter_arrows(X, Y)]
+    for name in ("sets", "nondet", "fp", "ring"):
+        report = run_law(_recording(INSTANCES[name], log),
+                         CaseSpec(name, "quotient-adjunction", 7, 4))
+        assert (report.cases, report.failures) == (4, 0)
+    text = json.dumps(log, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == ENUMERATED_AND_DRAWN_DIGEST
 
 def _quotient_hom_draw(inst, seed, bounds):
     """A seeded draw of X, p, Y and a hom f: (X, p) -> falsum Y."""

@@ -137,6 +137,26 @@ def test_comprehension_transpose_names_the_atom_outside_the_carrier(inst, image)
         inst.comprehension(X, p).transpose(f)
 
 
+@pytest.mark.parametrize("inst, image, message", [
+    (SETS, "a", "sets: mass 1 at 1 exceeds 1 - p = 0"),
+    (NONDET, frozenset({"a", STAR}), "nondet: mass 1 at 1 exceeds 1 - p = 0"),
+    (DIST, SubDist((("a", Fraction(3, 4)),)), "dist: mass 3/4 at 1 exceeds 1 - p = 1/2"),
+], ids=["sets", "nondet", "dist"])
+def test_quotient_transpose_names_the_mass_over_the_cap(inst, image, message):
+    # the quotient transpose re-indexes the kept atoms, but first checks
+    # every atom where p > 0 against its cap 1 - p
+    X, Y = FiniteSet((1, 2)), FiniteSet(("a",))
+    p = inst.pred(X, (1,)) if inst is not DIST else fuzzy(X, {1: Fraction(1, 2), 2: 0})
+    q = inst.quotient(X, p)
+    bad = inst.arrow(X, Y, {1: image, 2: inst.table(inst.identity(Y))["a"]})
+    with pytest.raises(HomConditionError) as info:
+        q.transpose(bad)
+    assert str(info.value) == message
+    # at the cap itself the map is a hom, and its transpose composes back
+    ok = inst.compose(inst.arrow(q.obj, Y, {a: inst.table(bad)[2] for a in q.obj}), q.unit)
+    assert inst.maps_equal(inst.compose(q.transpose(ok), q.unit), ok)
+
+
 # ---------------------------------------------------------------------------
 # The encoding boundary: `arrow` encodes atom tables, `table` decodes them.
 # ---------------------------------------------------------------------------

@@ -327,6 +327,32 @@ def test_transposes_factor_uniquely_small_exhaustive():
                 FP.transpose_comprehension(X, P, f)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_transposes_factor_uniquely_f3_rank_one(dim):
+    """Over F_3^3 with a rank-1 predicate pivoting in the middle column,
+    each hom's transpose is the one mediating map a brute-force search
+    finds, and every other map is refused."""
+    X, Y = FpSpace(3, 3), FpSpace(3, dim)
+    P = fp_span(X, ((0, 1, 1),))
+    assert P.pivots == (1,)
+    q, c = FP.quotient(X, P), FP.comprehension(X, P)
+    for transpose, homs, hom_objs, ends, back in (
+            (q.transpose, (X, Y), (PredObject(X, P), falsum(FP, Y)), (q.obj, Y),
+             lambda h: FP.compose(h, q.unit)),
+            (c.transpose, (Y, X), (truth(FP, Y), PredObject(X, P)), (Y, c.obj),
+             lambda h: FP.compose(c.counit, h))):
+        hits = 0
+        for f in FP.iter_arrows(*homs):
+            if hom_check(FP, f, *hom_objs):
+                found = [h.data for h in FP.iter_arrows(*ends) if back(h).data == f.data]
+                assert found == [transpose(f).data]
+                hits += 1
+            else:
+                with pytest.raises(HomConditionError):
+                    transpose(f)
+        assert hits == FP.count_arrows(*ends)
+
+
 def test_round_trip_through_full_rank_predicate():
     # regression: a predicate of full rank used to produce 0-width rows
     # in the sampled hom, crashing the substitution sweep

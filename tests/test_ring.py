@@ -111,7 +111,7 @@ def test_idempotents_form_a_boolean_algebra(R):
 
 
 def test_subst_canned():
-    triple = {y: Z6.nmul(3, y) for y in Z6.elements()}
+    triple = {y: Z6.mul((3,), y) for y in Z6.elements()}
     f = RING.arrow(Z6, Z6, triple)
     assert RING.subst(f, Z6.one) == Z6.one
     assert RING.subst(RING.identity(Z6), (3,)) == (3,)
@@ -128,7 +128,7 @@ def test_subst_preserves_truth_on_all_homs():
 
 def test_arrow_validation_rejects_non_homs():
     with pytest.raises(ValidationError):
-        RING.arrow(Z6, Z6, {y: Z6.nmul(2, y) for y in Z6.elements()})
+        RING.arrow(Z6, Z6, {y: Z6.mul((2,), y) for y in Z6.elements()})
     with pytest.raises(ValidationError):
         RING.arrow(Z6, Z2, {(0,): (0,)})
     with pytest.raises(ValidationError):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple
 
 
@@ -112,6 +113,12 @@ class Arrow(NamedTuple):
     __eq__ = object.__eq__
     __ne__ = object.__ne__
     __hash__ = object.__hash__
+
+
+# Arrow(src, dst, data) as one C call, without the Python-level __new__
+# of a NamedTuple: the exact instances' iter_arrows, compose and carried
+# transposes build three arrows per candidate of an exhaustive sweep.
+make_arrow = partial(tuple.__new__, Arrow)
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,6 +52,7 @@ from .core import (
     ValidationError,
     atom_key,
     atom_to_json,
+    make_arrow,
 )
 
 ZERO = Fraction(0)
@@ -233,7 +234,7 @@ class KleisliChain(ChainInstance):
         if f.dst is not g.src:
             self.check_composable(g, f)
         k = g.data + (self._abort(len(g.dst.atoms)),)
-        return Arrow(f.src, g.dst, tuple(map(self._bind, f.data, repeat(k))))
+        return make_arrow((f.src, g.dst, tuple(map(self._bind, f.data, repeat(k)))))
 
     def map_residual(self, f: Arrow, g: Arrow) -> float:
         if not ((f.src is g.src or self.objects_equal(f.src, g.src))
@@ -316,7 +317,7 @@ class KleisliChain(ChainInstance):
             out = [data[i] for i in kept]
             for j, i in rescaled:
                 out[j] = self._scale(data[i], 1 / keep[i], n)
-            return Arrow(obj, f.dst, tuple(out))
+            return make_arrow((obj, f.dst, tuple(out)))
 
         return QuotientResult(obj, Arrow(X, obj, tuple(unit)), transpose)
 
@@ -337,7 +338,7 @@ class KleisliChain(ChainInstance):
                 x = X.atoms[next(i for i in self._support(f.data[j], n) if i not in kept)]
                 raise HomConditionError(f"{self.name}: image of {f.src.atoms[j]!r} reaches "
                                         f"{x!r}, outside the comprehension carrier")
-            return Arrow(f.src, obj, data)
+            return make_arrow((f.src, obj, data))
 
         counit = Arrow(obj, X, tuple(self._eta(i, n) for i in kept))
         return ComprehensionResult(obj, counit, transpose)
@@ -404,7 +405,7 @@ class KleisliChain(ChainInstance):
         images = self._images(len(Y))
         if images is None:
             return super().iter_arrows(X, Y)
-        return (Arrow(X, Y, data) for data in product(images, repeat=len(X)))
+        return (make_arrow((X, Y, data)) for data in product(images, repeat=len(X)))
 
     # ---- serialization ----
 

@@ -26,6 +26,7 @@ from .core import (
     HomConditionError,
     QuotientResult,
     ValidationError,
+    make_arrow,
 )
 from . import vnlinalg as la
 
@@ -235,8 +236,8 @@ class FpChain(ChainInstance):
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         if f.dst is not g.src:
             self.check_composable(g, f)
-        return Arrow(f.src, g.dst,
-                     mat_mul(g.data, f.data, f.src.p, width=f.src.dim))
+        return make_arrow((f.src, g.dst,
+                           mat_mul(g.data, f.data, f.src.p, width=f.src.dim)))
 
     # ---- fibre ----
 
@@ -282,8 +283,8 @@ class FpChain(ChainInstance):
             for row in p.rows:
                 if any(mat_vec(f.data, row, X.p)):
                     raise HomConditionError(f"fp: {row!r} is not in the kernel")
-            return Arrow(obj, f.dst, tuple([tuple([r[c] % X.p for c in free])
-                                            for r in f.data]))
+            return make_arrow((obj, f.dst, tuple([tuple([r[c] % X.p for c in free])
+                                                  for r in f.data])))
 
         return QuotientResult(obj, Arrow(X, obj, _coords_matrix(p)), transpose)
 
@@ -298,7 +299,7 @@ class FpChain(ChainInstance):
             if any(any(row) for row in mat_mul(proj, f.data, X.p)):
                 raise HomConditionError("fp: image is not inside the subspace")
             # Echelon basis coordinates can be read off at the pivot columns.
-            return Arrow(f.src, obj, tuple(f.data[c] for c in p.pivots))
+            return make_arrow((f.src, obj, tuple(f.data[c] for c in p.pivots)))
 
         return ComprehensionResult(obj, Arrow(obj, X, mat), transpose)
 
@@ -347,7 +348,7 @@ class FpChain(ChainInstance):
         # entries read row by row
         rows = list(product(range(X.p), repeat=X.dim))
         for mat in product(rows, repeat=Y.dim):
-            yield Arrow(X, Y, mat)
+            yield make_arrow((X, Y, mat))
 
     def iter_preds(self, X):
         """All subspaces, via deduplicated spans of vector subsets."""

@@ -31,6 +31,7 @@ from .core import (
     ValidationError,
     atom_key,
     atom_to_json,
+    make_arrow,
 )
 
 
@@ -337,7 +338,7 @@ class RingChain(ChainInstance):
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         self.check_composable(g, f)
         pos, data = f.dst.position, f.data
-        return Arrow(f.src, g.dst, tuple(data[pos[y]] for y in g.data))
+        return make_arrow((f.src, g.dst, tuple(data[pos[y]] for y in g.data)))
 
     # ---- fibre: idempotents ----
 
@@ -376,7 +377,7 @@ class RingChain(ChainInstance):
                 raise HomConditionError(
                     f"ring: image of 1 is {img_one!r}, not orthogonal to {p!r}"
                 )
-            return Arrow(obj, f.dst, f.data)
+            return make_arrow((obj, f.dst, f.data))
 
         unit = Arrow(X, obj, obj.elements())
         return QuotientResult(obj, unit, transpose)
@@ -393,7 +394,7 @@ class RingChain(ChainInstance):
                 raise HomConditionError(
                     f"ring: {p!r} and 1 have distinct images {img_p!r}, {img_one!r}"
                 )
-            return Arrow(f.src, obj, tuple(f.data[i] for i in kept))
+            return make_arrow((f.src, obj, tuple(f.data[i] for i in kept)))
 
         counit = Arrow(obj, X, tuple(X.mul(p, x) for x in X.elements()))
         return ComprehensionResult(obj, counit, transpose)
@@ -463,7 +464,7 @@ class RingChain(ChainInstance):
 
     def iter_arrows(self, X, Y):
         for table in _hom_tables(Y, X):
-            yield Arrow(X, Y, table)
+            yield make_arrow((X, Y, table))
 
     def iter_objects(self, bounds):
         return iter(rings_up_to(bounds.get("max_order", 12)))

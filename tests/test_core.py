@@ -20,7 +20,7 @@ from effectus import (
     truth,
     INSTANCES,
 )
-from effectus.core import ChainInstance
+from effectus.core import Arrow, ChainInstance, make_arrow
 from effectus.kleisli import DistChain, FiniteSet, SetsChain, SubDist, fuzzy
 
 SETS = SetsChain()
@@ -281,6 +281,13 @@ def test_transposes_are_carried_by_the_constructions(name):
 def test_unknown_instance_is_reported():
     with pytest.raises(UnsupportedError, match="nosuch"):
         get_instance("nosuch")
+
+
+def test_make_arrow_is_the_arrow_constructor():
+    X, Y = FiniteSet((1,)), FiniteSet(())
+    f = make_arrow((X, Y, (-1,)))
+    assert type(f) is Arrow
+    assert (f.src, f.dst, f.data) == (X, Y, (-1,))
 
 
 def test_process_wide_caches_are_bounded():

@@ -283,9 +283,11 @@ class ChainInstance(ABC):
 
     # ---- harness hooks --------------------------------------------
     # Seeded samplers (rand_arrow also draws the maps whose round trips
-    # prove a mediating map unique); exact instances may add the
-    # iter_*/count_* enumerators, for exhaustive checks and uniqueness
-    # over few candidates.  `bounds` is a dict of instance size knobs.
+    # prove a mediating map unique); the hom samplers default to a random
+    # map through the construction the caller already built.  Exact
+    # instances may add the iter_*/count_* enumerators, for exhaustive
+    # checks and uniqueness over few candidates.  `bounds` is a dict of
+    # instance size knobs.
 
     def rand_object(self, rng, bounds, like=None):
         """Sample a carrier within bounds; `like` is an existing carrier
@@ -298,14 +300,16 @@ class ChainInstance(ABC):
     def rand_arrow(self, rng, X, Y, bounds) -> Arrow:
         raise UnsupportedError(f"{self.name}: no arrow sampler")
 
-    def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        """Arrow X -> Y satisfying the quotient hom condition for p,
-        built by construction rather than rejection."""
-        raise UnsupportedError(f"{self.name}: no quotient hom sampler")
+    def rand_quotient_hom(self, rng, X, p, q: QuotientResult, Y, bounds) -> Arrow:
+        """Arrow X -> Y collapsing p, q being X's quotient by p: a random
+        map X/p -> Y after the unit, a hom by the universal property."""
+        return self.compose(self.rand_arrow(rng, q.obj, Y, bounds), q.unit)
 
-    def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        """Arrow Y -> X landing where p holds, built by construction."""
-        raise UnsupportedError(f"{self.name}: no comprehension hom sampler")
+    def rand_comprehension_hom(self, rng, X, p, c: ComprehensionResult, Y,
+                               bounds) -> Arrow:
+        """Arrow Y -> X landing where p holds, c being X's comprehension
+        of p: the counit after a random map Y -> {X|p}."""
+        return self.compose(c.counit, self.rand_arrow(rng, Y, c.obj, bounds))
 
     def iter_preds(self, X) -> Iterator:
         raise UnsupportedError(f"{self.name}: fibre not enumerable")

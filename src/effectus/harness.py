@@ -206,14 +206,14 @@ def _side(inst, which, X, p) -> _Side:
             return _Side(
                 q.obj, lambda A, Y: (A, Y),
                 lambda Y: (PredObject(X, p), falsum(inst, Y)),
-                lambda rng, Y, b: inst.rand_quotient_hom(rng, X, p, Y, b),
+                lambda rng, Y, b: inst.rand_quotient_hom(rng, X, p, q, Y, b),
                 q.transpose, lambda g: inst.compose(g, q.unit))
         case "comprehension":
             c = inst.comprehension(X, p)
             return _Side(
                 c.obj, lambda A, Y: (Y, A),
                 lambda Y: (truth(inst, Y), PredObject(X, p)),
-                lambda rng, Y, b: inst.rand_comprehension_hom(rng, X, p, Y, b),
+                lambda rng, Y, b: inst.rand_comprehension_hom(rng, X, p, c, Y, b),
                 c.transpose, partial(inst.compose, c.counit))
     raise ValueError(f"unknown adjunction {which!r}")
 

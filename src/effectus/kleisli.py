@@ -217,6 +217,9 @@ class KleisliChain(ChainInstance):
             except KeyError as exc:
                 raise ValidationError(
                     f"value {exc.args[0]!r} for {x!r} not in target") from None
+            except TypeError:  # an unhashable image is no atom of Y
+                raise ValidationError(
+                    f"image {table[x]!r} of {x!r} is not an atom of the target") from None
         return Arrow(X, Y, tuple(data))
 
     def table(self, f: Arrow) -> dict:
@@ -283,12 +286,6 @@ class KleisliChain(ChainInstance):
 
     # ---- quotient / comprehension ----
 
-    def _certain(self, X, p) -> list:
-        """The positions of the atoms where p = 1: the comprehension
-        carrier."""
-        _check_pred(X, p)
-        return [i for i, v in enumerate(p) if v == 1]
-
     def quotient(self, X, p) -> QuotientResult:
         """The carrier is the atoms where p < 1, and the unit keeps each
         atom x with weight 1 - p(x) and aborts otherwise.  The transpose
@@ -326,8 +323,9 @@ class KleisliChain(ChainInstance):
         where p = 1, so the carrier is those atoms, the counit their
         inclusion, and the transpose the same images re-indexed onto the
         carrier."""
+        _check_pred(X, p)
         n = len(X.atoms)
-        kept = self._certain(X, p)
+        kept = [i for i, v in enumerate(p) if v == 1]
         obj = FiniteSet(tuple(X.atoms[i] for i in kept))
         restrict = self._restriction(kept, n)
 
@@ -381,16 +379,19 @@ class KleisliChain(ChainInstance):
         return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), ONE)
                                  for _ in X))
 
-    def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
+    def rand_quotient_hom(self, rng, X, p, q, Y, bounds) -> Arrow:
         """Built with mass at most 1 - p(x), so the hom condition holds by
-        construction."""
+        construction, and not through q's unit: a round trip from it tests
+        the transpose on maps the construction did not make."""
         _check_pred(X, p)
         n = len(Y)
         return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), 1 - v)
                                  for v in p))
 
-    def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        kept = self._certain(X, p)
+    def rand_comprehension_hom(self, rng, X, p, c, Y, bounds) -> Arrow:
+        """Built with support inside c's carrier, where p = 1, and not
+        through c's counit."""
+        kept = [X._index[a] for a in c.obj]
         return Arrow(Y, X, tuple(self._rand_image(rng, bounds, len(X), kept, ONE)
                                  for _ in Y))
 
@@ -593,9 +594,7 @@ class NondetChain(_SubsetChain):
         return sum(1 << o for o in picked)
 
     def _encode(self, x, s, Y: FiniteSet) -> int:
-        # a set first, so an atom listed twice sets its bit once
-        s = frozenset(s)
-        if not s:
+        if not isinstance(s, (set, frozenset)) or not s:
             raise ValidationError(f"image of {x!r} must be a non-empty frozenset")
         return sum(1 << (len(Y) if y is STAR else Y._index[y]) for y in s)
 

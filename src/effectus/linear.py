@@ -319,19 +319,6 @@ class FpChain(ChainInstance):
                     for _ in range(Y.dim))
         return Arrow(X, Y, mat)
 
-    def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        proj = _coords_matrix(p)
-        free = X.dim - p.rank
-        a = tuple(tuple(rng.randrange(X.p) for _ in range(free))
-                  for _ in range(Y.dim))
-        return Arrow(X, Y, mat_mul(a, proj, X.p, width=X.dim))
-
-    def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        inc = self.comprehension(X, p).counit.data
-        a = tuple(tuple(rng.randrange(X.p) for _ in range(Y.dim))
-                  for _ in range(p.rank))
-        return Arrow(Y, X, mat_mul(inc, a, X.p, width=Y.dim))
-
     def iter_objects(self, bounds):
         for p in bounds.get("fields", (2, 3)):
             for d in range(bounds.get("max_dim", 2) + 1):
@@ -508,15 +495,6 @@ class HilbChain(ChainInstance):
 
     def rand_arrow(self, rng, X, Y, bounds) -> Arrow:
         return Arrow(X, Y, la.rand_complex(rng, Y.dim, X.dim))
-
-    def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        w = la.orthonormal_complement(p.basis, X.dim)
-        a = la.rand_complex(rng, Y.dim, w.shape[1])
-        return Arrow(X, Y, a @ la.dagger(w))
-
-    def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        a = la.rand_complex(rng, p.rank, Y.dim)
-        return Arrow(Y, X, p.basis @ a)
 
     def coincidence_residual(self, X, p, q, c) -> float:
         # The two carriers are plain coordinate spaces; agreement means

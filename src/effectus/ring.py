@@ -177,31 +177,23 @@ def idempotents(R: FiniteRing) -> tuple:
 
 def canonical_iso(R: FiniteRing):
     """Identify R with a product of Z_m (m >= 2): returns the normal form
-    and the two translation dicts (element -> residue tuple and back)."""
+    and the translation dict (element -> residue tuple)."""
     if isinstance(R, ZProductRing):
-        ident = {x: x for x in R.elements()}
-        return R, dict(ident), dict(ident)
+        return R, {x: x for x in R.elements()}
     if isinstance(R, PairRing):
-        lnf, lto, lfrom = canonical_iso(R.left)
-        rnf, rto, rfrom = canonical_iso(R.right)
+        lnf, lto = canonical_iso(R.left)
+        rnf, rto = canonical_iso(R.right)
         nf = ZProductRing(lnf.moduli + rnf.moduli)
-        to_nf = {(a, b): lto[a] + rto[b]
-                 for a in R.left.elements() for b in R.right.elements()}
-        from_nf = {v: k for k, v in to_nf.items()}
-        return nf, to_nf, from_nf
+        return nf, {(a, b): lto[a] + rto[b]
+                    for a in R.left.elements() for b in R.right.elements()}
     if isinstance(R, IdealRing):
-        pnf, pto, pfrom = canonical_iso(R.parent)
+        pnf, pto = canonical_iso(R.parent)
         u = pto[R.unit]
         orders = [m // gcd(c, m) for c, m in zip(u, pnf.moduli)]
         kept = [i for i, d in enumerate(orders) if d > 1]
         nf = ZProductRing(tuple(orders[i] for i in kept))
-        to_nf, from_nf = {}, {}
-        for x in R.elements():
-            coords = pto[x]
-            t = tuple(coords[i] % orders[i] for i in kept)
-            to_nf[x] = t
-            from_nf[t] = x
-        return nf, to_nf, from_nf
+        return nf, {x: tuple(pto[x][i] % orders[i] for i in kept)
+                    for x in R.elements()}
     raise ValidationError(f"unknown ring class {type(R).__name__}")
 
 
@@ -219,7 +211,7 @@ def enumerate_hom_tables(Y: FiniteRing, X: FiniteRing):
 
     Each idempotent's multiples 0, c, ..., n_j*c are built once per factor,
     by repeated addition, and every table entry reads its terms from them."""
-    nf, to_nf, _ = canonical_iso(Y)
+    nf, to_nf = canonical_iso(Y)
     idems = idempotents(X)
     # partial assignments (the multiples of c_0, ..., c_j), each with the
     # part of the unit it leaves free, extended one factor at a time in the
@@ -448,16 +440,6 @@ class RingChain(ChainInstance):
 
     def rand_arrow(self, rng, X, Y, bounds) -> Arrow:
         return Arrow(X, Y, rng.choice(_hom_tables(Y, X)))
-
-    def rand_quotient_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        corner = IdealRing(X, self.ortho(X, p))
-        return Arrow(X, Y, rng.choice(_hom_tables(Y, corner)))
-
-    def rand_comprehension_hom(self, rng, X, p, Y, bounds) -> Arrow:
-        corner = IdealRing(X, p)
-        g = rng.choice(_hom_tables(corner, Y))
-        pos = corner.position
-        return Arrow(Y, X, tuple(g[pos[X.mul(p, x)]] for x in X.elements()))
 
     def count_arrows(self, X, Y) -> int:
         return len(_hom_tables(Y, X))

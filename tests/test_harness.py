@@ -13,7 +13,8 @@ import pytest
 from effectus import INSTANCES, STAR
 from effectus import harness
 from effectus.core import (
-    Arrow, ChainError, ChainInstance, HomConditionError, QuotientResult, atom_key)
+    Arrow, ChainError, ChainInstance, HomConditionError, PredObject, QuotientResult,
+    atom_key, falsum, hom_check, truth)
 from effectus.kleisli import DistChain, FiniteSet, NondetChain, SetsChain, SubDist
 from effectus.harness import (
     CASE_ENUM_BUDGET,
@@ -228,11 +229,20 @@ _ENUMERATED = (
 
 
 def _recording(inst, log):
-    """inst's class, with every rand_* hook logging the JSON of its draw."""
+    """inst's class, with every rand_* hook logging the JSON of its draw;
+    a hook called inside another (a hom sampler drawing through
+    rand_arrow) is part of the outer draw and is not logged apart."""
+    depth = [0]
+
     def logged(hook, to_json):
         def wrapper(self, *args, **kwargs):
-            out = getattr(super(cls, self), hook)(*args, **kwargs)
-            log.append([hook, to_json(self, args, out)])
+            depth[0] += 1
+            try:
+                out = getattr(super(cls, self), hook)(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                log.append([hook, to_json(self, args, out)])
             return out
         return wrapper
 
@@ -261,7 +271,7 @@ def _quotient_hom_draw(inst, seed, bounds):
     X = inst.rand_object(rng, bounds)
     p = inst.rand_pred(rng, X, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
-    return X, p, Y, inst.rand_quotient_hom(rng, X, p, Y, bounds)
+    return X, p, Y, inst.rand_quotient_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
 
 
 def _draw_to_json(inst, seed, bounds):
@@ -282,6 +292,26 @@ def test_quotient_hom_respects_denominator_bound():
         for _, frac in kernel:
             den = int(frac.split("/")[1])
             assert den <= 4
+
+
+@pytest.mark.parametrize("which", ("quotient", "comprehension"))
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_sampled_homs_pass_the_hom_check(name, which):
+    """Every instance's hom samplers, its own or the defaults drawing
+    through the construction, draw homs of the predicated category."""
+    inst, bounds = INSTANCES[name], {}  # each instance's default sizes
+    for seed in range(40):
+        rng = random.Random(seed)
+        X = inst.rand_object(rng, bounds)
+        p = inst.rand_pred(rng, X, bounds)
+        Y = inst.rand_object(rng, bounds, like=X)
+        if which == "quotient":
+            f = inst.rand_quotient_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
+            ends = PredObject(X, p), falsum(inst, Y)
+        else:
+            f = inst.rand_comprehension_hom(rng, X, p, inst.comprehension(X, p), Y, bounds)
+            ends = truth(inst, Y), PredObject(X, p)
+        assert hom_check(inst, f, *ends), (seed, inst.arrow_to_json(f))
 
 
 def test_vn_quotient_hom_is_completely_positive():
@@ -337,8 +367,7 @@ def test_exhaustive_sweep_names_what_it_skips(which):
 
 
 class _CountingNondet(NondetChain):
-    """Counts the quotients built, and the comprehension carriers through
-    `_certain`."""
+    """Counts the quotients and the comprehensions built."""
 
     def __init__(self):
         self.built = {"quotient": 0, "comprehension": 0}
@@ -347,9 +376,9 @@ class _CountingNondet(NondetChain):
         self.built["quotient"] += 1
         return super().quotient(X, p)
 
-    def _certain(self, X, p):
+    def comprehension(self, X, p):
         self.built["comprehension"] += 1
-        return super()._certain(X, p)
+        return super().comprehension(X, p)
 
 
 def _constructions_built(which):

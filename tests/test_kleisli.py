@@ -21,6 +21,7 @@ from effectus.kleisli import (
     SubDist,
     dirac,
     fuzzy,
+    tagged_double,
 )
 
 SETS = SetsChain()
@@ -49,8 +50,8 @@ def _sample(seed):
     g = SETS.rand_arrow(rng, Y, Z, BOUNDS)
     P = SETS.rand_pred(rng, X, BOUNDS)
     Q = SETS.rand_pred(rng, Y, BOUNDS)
-    fq = SETS.rand_quotient_hom(rng, X, P, Y, BOUNDS)
-    fc = SETS.rand_comprehension_hom(rng, X, P, Y, BOUNDS)
+    fq = SETS.rand_quotient_hom(rng, X, P, SETS.quotient(X, P), Y, BOUNDS)
+    fc = SETS.rand_comprehension_hom(rng, X, P, SETS.comprehension(X, P), Y, BOUNDS)
     return X, Y, f, g, P, Q, fq, fc
 
 
@@ -111,7 +112,7 @@ def test_wide_nondet_carriers():
     Y = FiniteSet(("y", "z"))
     c = NONDET.comprehension(X, P)
     for _ in range(20):
-        f = NONDET.rand_comprehension_hom(rng, X, P, Y, BOUNDS)
+        f = NONDET.rand_comprehension_hom(rng, X, P, c, Y, BOUNDS)
         g = c.transpose(f)
         assert all(image <= frozenset(NONDET.pred_table(X, P)) | {STAR}
                    for image in NONDET.table(f).values())
@@ -235,6 +236,28 @@ def test_arrow_rejects_tables_it_cannot_encode(name, data):
     for t in bad:
         with pytest.raises(ValidationError):
             inst.arrow(X, Y, t)
+
+
+# Images from outside the program that were once misread: a string or a
+# tuple atom of the target taken as a nondet set of atoms, and an
+# unhashable image, which raised TypeError.
+SHAPE = {"sets": "is not an atom of the target", "nondet": "must be a non-empty frozenset",
+         "dist": "must be a SubDist"}
+
+
+@pytest.mark.parametrize("name, Y, image", [
+    ("nondet", FiniteSet(("a", "b")), "ab"),
+    ("nondet", tagged_double(FiniteSet((1, 2))), (1, 2)),
+    ("nondet", FiniteSet(("a",)), ["a"]),
+    ("sets", FiniteSet(("a",)), ["a"]),
+    ("sets", FiniteSet(("a",)), {"a"}),
+    ("sets", tagged_double(FiniteSet((1, 2))), (1, ["a"])),
+    ("dist", FiniteSet(("a",)), ["a"]),
+], ids=["nondet-str", "nondet-tuple-atom", "nondet-list", "sets-list", "sets-set",
+        "sets-unhashable-tuple", "dist-list"])
+def test_arrow_names_the_atom_of_a_malformed_image(name, Y, image):
+    with pytest.raises(ValidationError, match=f"'x'.*{SHAPE[name]}"):
+        MONADS[name].arrow(FiniteSet(("x",)), Y, {"x": image})
 
 
 # ---------------------------------------------------------------------------

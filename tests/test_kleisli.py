@@ -238,9 +238,9 @@ def test_arrow_rejects_tables_it_cannot_encode(name, data):
             inst.arrow(X, Y, t)
 
 
-# Images from outside the program that were once misread: a string or a
-# tuple atom of the target taken as a nondet set of atoms, and an
-# unhashable image, which raised TypeError.
+# An image of the wrong shape is refused by name of its source atom: a
+# nondet image is a set, never a string or an atom (a tuple atom of the
+# target included), and an unhashable image is no atom at all.
 SHAPE = {"sets": "is not an atom of the target", "nondet": "must be a non-empty frozenset",
          "dist": "must be a SubDist"}
 

@@ -23,14 +23,17 @@ q under each image of f, with * counting 1.
 Arrows are stored densely, as a tuple with one image per source atom in
 the source's order.  An image is encoded over the positions of Y's atoms:
 
-  * ``sets``: an int position, -1 for *,
   * ``nondet``: an int bitmask over Y + 1, with * as bit |Y|,
+  * ``sets``: the same, with exactly one bit set (the lift monad is the
+    powerset's singletons),
   * ``dist``: a tuple of |Y| Fractions, the mass on * being 1 - their sum.
 
 `KleisliChain.arrow` encodes atom tables and `KleisliChain.table` decodes
 them, as `KleisliChain.pred` encodes predicates (a collection of atoms,
 or for ``dist`` a mapping atom -> value) and `KleisliChain.pred_table`
-decodes them; nothing outside this module reads the encodings.
+decodes them; nothing outside this module reads the encodings.  Every
+atom they read is first sorted by `atom_key`, which refuses a bool or a
+float that would pass for the int atom it hashes equal to.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ def dirac(a) -> SubDist:
 def fuzzy(X: FiniteSet, mapping) -> tuple:
     """The dist predicate with value mapping[a] at each atom a of X: a
     rational in [0, 1], one for every atom and none for anything else."""
-    if set(mapping) != set(X.atoms):
+    if tuple(sorted(mapping, key=atom_key)) != X.atoms:
         raise ValidationError("predicate keys must be exactly the carrier atoms")
     values = tuple(_frac(mapping[a]) for a in X)
     for a, v in zip(X, values):
@@ -195,20 +198,20 @@ class KleisliChain(ChainInstance):
     sum), `_mass(d, n)` (weight not on *), `_support(d, n)` (the
     positions other than * where d puts weight, lowest first),
     `_distance(d, e)`, `_restriction(kept, n)` (re-indexes an image onto
-    the positions `kept`, None when it reaches outside them), `_images(n)`
-    (all images, None if infinitely many), `_rand_image(rng, bounds, n,
-    positions, cap)` (support in `positions`, mass at most cap); the boundary
-    `_encode(x, image, Y)` (x's atom image, checked and encoded),
-    `_decode(d, Y)` and `_image_to_json(d, Y)`; and its predicate values:
-    `_true` and `_false`, `_not(v)` (1 - v) and `_expectation(Y, q)`
-    (image -> value of q under it, abort counting 1), with the boundary
-    `pred(X, spec)` (the atoms where the predicate holds, or for dist a
-    mapping atom -> value) and its decoder `pred_table(X, p)`."""
+    the positions `kept`, None when it reaches outside them),
+    `_rand_image(rng, bounds, n, positions, cap)` (support in `positions`,
+    mass at most cap); the boundary `_encode(x, image, Y)` (x's atom image,
+    checked and encoded), `_decode(d, Y)` and `_image_to_json(d, Y)`; and
+    its predicate values: `_true` and `_false`, `_not(v)` (1 - v) and
+    `_expectation(Y, q)` (image -> value of q under it, abort counting 1),
+    with the boundary `pred(X, spec)` (the atoms where the predicate holds,
+    or for dist a mapping atom -> value) and its decoder `pred_table(X, p)`.
+    Only the possibilistic monads enumerate arrows, from their `_images(n)`."""
 
     # ---- the encoding boundary ----
 
     def arrow(self, X: FiniteSet, Y: FiniteSet, table: dict) -> Arrow:
-        if set(table) != set(X.atoms):
+        if tuple(sorted(table, key=atom_key)) != X.atoms:
             raise ValidationError("table keys must be exactly the source atoms")
         data = []
         for x in X:
@@ -395,19 +398,6 @@ class KleisliChain(ChainInstance):
         return Arrow(Y, X, tuple(self._rand_image(rng, bounds, len(X), kept, ONE)
                                  for _ in Y))
 
-    def _images(self, n):
-        return None
-
-    def count_arrows(self, X, Y):
-        images = self._images(len(Y))
-        return None if images is None else len(images) ** len(X)
-
-    def iter_arrows(self, X, Y):
-        images = self._images(len(Y))
-        if images is None:
-            return super().iter_arrows(X, Y)
-        return (make_arrow((X, Y, data)) for data in product(images, repeat=len(X)))
-
     # ---- serialization ----
 
     def object_to_json(self, X: FiniteSet):
@@ -419,25 +409,114 @@ class KleisliChain(ChainInstance):
                 for x, d in zip(f.src, f.data)]
 
 
-class _SubsetChain(KleisliChain):
-    """The two possibilistic instances: subsets as predicates and images
-    weighted 0 (abort) or 1, with the samplers both share."""
+class NondetChain(KleisliChain):
+    """Finite sets with non-deterministic maps (the non-empty powerset
+    monad): each atom goes to a non-empty set of target atoms and/or the
+    marker *, an image being a bitmask over Y + 1 weighted 0 (abort) or
+    1.  A predicate is a subset."""
+
+    name = "nondet"
+    description = "finite sets and non-empty-valued multimaps"
+    default_cases = 40
+    default_sweep = {"max_size": 2}
+
+    def _abort(self, n) -> int:
+        return 1 << n
+
+    def _eta(self, j, n) -> int:
+        return 1 << j
+
+    def _bind(self, s, k) -> int:
+        out = 0
+        while s:
+            low = s & -s
+            out |= k[low.bit_length() - 1]
+            s ^= low
+        return out
 
     def _scale(self, d, w, n):
         return d if w else self._abort(n)
 
+    def _plus(self, s, t, n) -> int:
+        star = 1 << n
+        return (s | t) & (star - 1) or star
+
     def _mass(self, d, n) -> int:
         return int(d != self._abort(n))
 
+    def _support(self, s, n):
+        return _bits(s & ~(1 << n))
+
     def _distance(self, d, e) -> int:
         return int(d != e)
+
+    def _expectation(self, Y, q: tuple):
+        inside = sum(1 << i for i, v in enumerate(q) if v) | 1 << len(Y.atoms)
+        return lambda s: not s & ~inside
+
+    def _restriction(self, kept, n):
+        # The bit of a kept position i moves down to its carrier position
+        # j, and * from bit n to bit len(kept): the bits sharing a shift
+        # i - j move together, under one mask.  Memoised per construction,
+        # as a sweep re-indexes the same few masks over and over: there are
+        # 2 ** (n + 1) of them, 32 at the acceptance bounds.
+        runs = {}
+        for j, i in enumerate([*kept, n]):
+            runs[i - j] = runs.get(i - j, 0) | 1 << i
+        outside = (1 << n + 1) - 1 - sum(runs.values())
+        runs = tuple(runs.items())
+
+        @lru_cache(maxsize=256, typed=True)
+        def restrict(s):
+            if s & outside:
+                return None
+            out = 0
+            for shift, mask in runs:
+                out |= (s & mask) >> shift
+            return out
+
+        return restrict
+
+    def _images(self, n):
+        return range(1, 1 << (n + 1))
+
+    def count_arrows(self, X, Y) -> int:
+        return len(self._images(len(Y))) ** len(X)
+
+    def iter_arrows(self, X, Y):
+        images = self._images(len(Y))
+        return (make_arrow((X, Y, data)) for data in product(images, repeat=len(X)))
+
+    def _rand_image(self, rng, bounds, n, positions, cap) -> int:
+        if not cap:
+            return 1 << n
+        opts = [*positions, n]
+        picked = [o for o in opts if rng.random() < 0.4] or [rng.choice(opts)]
+        return sum(1 << o for o in picked)
+
+    def _encode(self, x, s, Y: FiniteSet) -> int:
+        if not isinstance(s, (set, frozenset)) or not s:
+            raise ValidationError(f"image of {x!r} must be a non-empty frozenset")
+        return sum(1 << (len(Y) if y is STAR else Y._index[y])
+                   for y in sorted(s, key=atom_key))
+
+    def _atoms(self, s, Y: FiniteSet) -> list:
+        return [STAR if i == len(Y) else Y.atoms[i] for i in _bits(s)]
+
+    def _decode(self, s, Y: FiniteSet) -> frozenset:
+        return frozenset(self._atoms(s, Y))
+
+    def _image_to_json(self, s, Y: FiniteSet):
+        return [atom_to_json(y) for y in self._atoms(s, Y)]
+
+    # ---- predicates: subsets ----
 
     _true, _false = True, False
     _not = staticmethod(not_)
 
     def pred(self, X: FiniteSet, atoms) -> tuple:
         """The subset of X made of `atoms`."""
-        atoms = set(atoms)
+        atoms = set(sorted(atoms, key=atom_key))
         for a in atoms:
             if a not in X:
                 raise ValidationError(f"atom {a!r} not in carrier {X!r}")
@@ -474,138 +553,31 @@ class _SubsetChain(KleisliChain):
         return [atom_to_json(a) for a, v in zip(X, p) if v]
 
 
-class SetsChain(_SubsetChain):
-    """Finite sets with partial functions (the lift monad): a table maps
-    each atom of the source to an atom of the target or to the marker *.
-    An image is the target position, -1 for *."""
+class SetsChain(NondetChain):
+    """Finite sets with partial functions (the lift monad, the powerset's
+    singletons): each atom goes to one target atom or to *, an image
+    being a nondet mask with exactly one bit set."""
 
     name = "sets"
     description = "finite sets and partial functions"
     default_cases = 60
     default_sweep = {"max_size": 3}
 
-    def _abort(self, n) -> int:
-        return -1
-
-    def _eta(self, j, n) -> int:
-        return j
-
-    def _bind(self, y, k) -> int:
-        return k[y]  # k[-1] is the abort image
-
-    def _plus(self, y, z, n) -> int:
-        return z if y < 0 else y
-
-    def _support(self, y, n) -> tuple:
-        return () if y < 0 else (y,)
-
-    def _expectation(self, Y, q: tuple):
-        return (q + (True,)).__getitem__  # index -1: * counts 1
-
-    def _restriction(self, kept, n):
-        pos = [None] * n + [-1]
-        for j, i in enumerate(kept):
-            pos[i] = j
-        return pos.__getitem__
-
     def _images(self, n):
-        return [*range(n), -1]
+        return [1 << j for j in range(n + 1)]
 
     def _rand_image(self, rng, bounds, n, positions, cap) -> int:
-        return rng.choice([*positions, -1]) if cap else -1
+        return 1 << (rng.choice([*positions, n]) if cap else n)
 
     def _encode(self, x, y, Y: FiniteSet) -> int:
-        return -1 if y is STAR else Y._index[y]
+        return super()._encode(x, frozenset((y,)), Y)
 
-    def _decode(self, y, Y: FiniteSet):
-        return STAR if y < 0 else Y.atoms[y]
-
-    def _image_to_json(self, y, Y: FiniteSet):
-        return atom_to_json(self._decode(y, Y))
-
-
-class NondetChain(_SubsetChain):
-    """Finite sets with non-deterministic maps (the non-empty powerset
-    monad): each atom goes to a non-empty set of target atoms and/or the
-    marker *.  An image is a bitmask over the target positions, with *
-    as bit n."""
-
-    name = "nondet"
-    description = "finite sets and non-empty-valued multimaps"
-    default_cases = 40
-    default_sweep = {"max_size": 2}
-
-    def _abort(self, n) -> int:
-        return 1 << n
-
-    def _eta(self, j, n) -> int:
-        return 1 << j
-
-    def _bind(self, s, k) -> int:
-        out = 0
-        while s:
-            low = s & -s
-            out |= k[low.bit_length() - 1]
-            s ^= low
-        return out
-
-    def _plus(self, s, t, n) -> int:
-        star = 1 << n
-        return (s | t) & (star - 1) or star
-
-    def _support(self, s, n):
-        return _bits(s & ~(1 << n))
-
-    def _expectation(self, Y, q: tuple):
-        inside = sum(1 << i for i, v in enumerate(q) if v) | 1 << len(Y.atoms)
-        return lambda s: not s & ~inside
-
-    def _restriction(self, kept, n):
-        # The bit of a kept position i moves down to its carrier position
-        # j, and * from bit n to bit len(kept): the bits sharing a shift
-        # i - j move together, under one mask.  Memoised per construction,
-        # as a sweep re-indexes the same few masks over and over: there are
-        # 2 ** (n + 1) of them, 32 at the acceptance bounds.
-        runs = {}
-        for j, i in enumerate([*kept, n]):
-            runs[i - j] = runs.get(i - j, 0) | 1 << i
-        outside = (1 << n + 1) - 1 - sum(runs.values())
-        runs = tuple(runs.items())
-
-        @lru_cache(maxsize=256, typed=True)
-        def restrict(s):
-            if s & outside:
-                return None
-            out = 0
-            for shift, mask in runs:
-                out |= (s & mask) >> shift
-            return out
-
-        return restrict
-
-    def _images(self, n):
-        return range(1, 1 << (n + 1))
-
-    def _rand_image(self, rng, bounds, n, positions, cap) -> int:
-        if not cap:
-            return 1 << n
-        opts = [*positions, n]
-        picked = [o for o in opts if rng.random() < 0.4] or [rng.choice(opts)]
-        return sum(1 << o for o in picked)
-
-    def _encode(self, x, s, Y: FiniteSet) -> int:
-        if not isinstance(s, (set, frozenset)) or not s:
-            raise ValidationError(f"image of {x!r} must be a non-empty frozenset")
-        return sum(1 << (len(Y) if y is STAR else Y._index[y]) for y in s)
-
-    def _atoms(self, s, Y: FiniteSet) -> list:
-        return [STAR if i == len(Y) else Y.atoms[i] for i in _bits(s)]
-
-    def _decode(self, s, Y: FiniteSet) -> frozenset:
-        return frozenset(self._atoms(s, Y))
+    def _decode(self, s, Y: FiniteSet):
+        [y] = self._atoms(s, Y)
+        return y
 
     def _image_to_json(self, s, Y: FiniteSet):
-        return [atom_to_json(y) for y in self._atoms(s, Y)]
+        return atom_to_json(self._decode(s, Y))
 
 
 class DistChain(KleisliChain):

@@ -174,24 +174,18 @@ def fp_span(space: FpSpace, vectors) -> FpSubspace:
 @lru_cache(maxsize=256)
 def _coords_matrix(P: FpSubspace):
     """Matrix of the quotient map: coordinates with respect to the
-    complement basis, modulo P.  Shape (dim - rank) x dim.
+    complement basis, the unit vectors at the free (non-pivot) columns,
+    modulo P.  Shape (dim - rank) x dim.  P's rows being reduced echelon,
+    the coordinate of v at a free c is v[c] - sum of row[c] * v[pivot].
 
-    Cached: the inversion shows up on every substitution along a reused
+    Cached: `subst` asks for it on every substitution along a reused
     predicate, and subspaces are immutable.  The bound sits above the 61
     subspaces the acceptance sweeps visit."""
-    space = P.space
-    p, d = space.p, space.dim
-    # P's echelon rows and the unit vectors at the non-pivot coordinates
-    basis = list(P.rows) + [tuple(int(i == c) for i in range(d))
-                            for c in range(d) if c not in P.pivots]
-    # Invert the change-of-basis matrix whose columns are the basis vectors.
-    cols = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
-    aug = [list(cols[i]) + [1 if j == i else 0 for j in range(d)] for i in range(d)]
-    red, piv = rref(aug, 2 * d, p)
-    if len(piv) < d or piv[:d] != tuple(range(d)):
-        raise ValidationError("basis inversion failed")
-    inv = tuple(tuple(red[i][d:]) for i in range(d))
-    return inv[P.rank:]
+    p, d = P.space.p, P.space.dim
+    row_at = dict(zip(P.pivots, P.rows))  # each echelon row by its pivot
+    return tuple(tuple(-row_at[i][c] % p if i in row_at else int(i == c)
+                       for i in range(d))
+                 for c in range(d) if c not in row_at)
 
 
 @lru_cache(maxsize=4096)

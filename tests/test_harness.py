@@ -314,6 +314,31 @@ def test_sampled_homs_pass_the_hom_check(name, which):
         assert hom_check(inst, f, *ends), (seed, inst.arrow_to_json(f))
 
 
+@pytest.mark.parametrize("name, which", [
+    ("hilb", "comprehension"), ("vn", "comprehension"), ("hilb", "quotient")])
+def test_homs_not_drawn_through_the_construction_come_back(name, which):
+    """The default hom samplers compose with the unit or counit, so the
+    seeded round trip from a hom only sees maps the construction made;
+    here a hom is built through an assert map instead, and must still
+    round-trip."""
+    inst, bounds = INSTANCES[name], {}  # each instance's default sizes
+    for seed in range(200):
+        rng = random.Random(seed)
+        X = inst.rand_object(rng, bounds)
+        p = inst.rand_pred(rng, X, bounds)
+        Y = inst.rand_object(rng, bounds, like=X)
+        side = harness._side(inst, which, X, p)
+        if which == "quotient":
+            f = inst.compose(inst.rand_arrow(rng, X, Y, bounds),
+                             inst.assert_closed_form(X, inst.ortho(X, p)))
+        else:
+            f = inst.compose(inst.assert_closed_form(X, inst.floor(X, p)),
+                             inst.rand_arrow(rng, Y, X, bounds))
+        assert hom_check(inst, f, *side.hom_objects(Y)), seed
+        back = side.untranspose(side.transpose(f))
+        assert inst.map_residual(back, f) <= inst.eq_tol, seed
+
+
 def test_vn_quotient_hom_is_completely_positive():
     inst = INSTANCES["vn"]
     X, _, _, f = _quotient_hom_draw(inst, 3, {"max_blocks": 1, "max_block_dim": 2})

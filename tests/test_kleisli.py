@@ -260,6 +260,28 @@ def test_arrow_names_the_atom_of_a_malformed_image(name, Y, image):
         MONADS[name].arrow(FiniteSet(("x",)), Y, {"x": image})
 
 
+# A bool or a float hashes equal to an int atom, and would be looked up as
+# it; the boundary refuses it, as atom_key does.
+HASH_EQUAL = {
+    "sets-key": lambda: SETS.arrow(FiniteSet((1,)), FiniteSet((1, 2)), {True: 1}),
+    "sets-image": lambda: SETS.arrow(FiniteSet((1,)), FiniteSet((1, 2)), {1: 1.0}),
+    "nondet-image": lambda: NONDET.arrow(FiniteSet((1,)), FiniteSet((1, 2)),
+                                         {1: frozenset({True, 2.0})}),
+    "nondet-tuple-image": lambda: NONDET.arrow(
+        FiniteSet((1,)), tagged_double(FiniteSet((1,))), {1: frozenset({(1, 1.0)})}),
+    "dist-key": lambda: DIST.arrow(FiniteSet((1,)), FiniteSet((1,)), {1.0: dirac(1)}),
+    "sets-pred": lambda: SETS.pred(FiniteSet((1, 2)), [True]),
+    "nondet-pred": lambda: NONDET.pred(FiniteSet((1, 2)), [1, 2.0]),
+    "fuzzy": lambda: fuzzy(FiniteSet((1, 2)), {True: Fraction(1, 2), 2.0: 1}),
+}
+
+
+@pytest.mark.parametrize("build", HASH_EQUAL.values(), ids=HASH_EQUAL)
+def test_boundary_refuses_what_only_hashes_as_an_atom(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Arrow keys.
 # ---------------------------------------------------------------------------

@@ -375,6 +375,44 @@ def test_fp_json_shapes():
     assert FP.arrow_to_json(f) == [[1, 0], [0, 1]]
 
 
+def _every_subspace(p, d):
+    """Each subspace of F_p^d once, as its reduced echelon rows: a pivot
+    set, then every choice of the entries right of a pivot and off the
+    pivot columns."""
+    X = FpSpace(p, d)
+    for r in range(d + 1):
+        for pivots in itertools.combinations(range(d), r):
+            free = [(i, c) for i, pc in enumerate(pivots)
+                    for c in range(pc + 1, d) if c not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(c == pc) for c in range(d)] for pc in pivots]
+                for (i, c), v in zip(free, values):
+                    rows[i][c] = v
+                yield FpSubspace(X, tuple(map(tuple, rows)))
+
+
+def _coords_by_inversion(P):
+    """The quotient coordinates the long way: invert the change of basis
+    whose columns are P's rows and the unit vectors at the free columns,
+    and keep the rows of the free coordinates."""
+    p, d = P.space.p, P.space.dim
+    basis = list(P.rows) + [tuple(int(i == c) for i in range(d))
+                            for c in range(d) if c not in P.pivots]
+    aug = [[basis[j][i] for j in range(d)] + [int(j == i) for j in range(d)]
+           for i in range(d)]
+    red, pivots = rref(aug, 2 * d, p)
+    assert pivots[:d] == tuple(range(d))
+    return tuple(tuple(row[d:]) for row in red[P.rank:])
+
+
+def test_coords_matrix_matches_the_basis_inversion():
+    subspaces = [P for p, top in ((2, 4), (3, 4), (5, 3))
+                 for d in range(top + 1) for P in _every_subspace(p, d)]
+    assert len(subspaces) == 415
+    for P in subspaces:
+        assert _coords_matrix(P) == _coords_by_inversion(P), P
+
+
 def test_count_and_iter_arrows_agree():
     X, Y = F2_2, FpSpace(2, 1)
     arrows = list(FP.iter_arrows(X, Y))

@@ -12,7 +12,10 @@ predicate poset over every object and four pieces of structure:
 
 Each construction carries its own transpose (the universal property),
 closed over what building it computed, so a transpose never rebuilds
-the construction it belongs to.
+the construction it belongs to, and its direction: `ends(A, Y)` orders
+the endpoints of an arrow between A (the carrier, or X for a hom) and
+another object Y, `hom_objects` names the predicated objects a hom
+joins, and `untranspose` sends a mediating map back to its hom.
 
 On top of those hooks this module derives assert maps (comprehension
 counit after quotient unit), instruments (both asserts combined into one
@@ -123,26 +126,46 @@ make_arrow = partial(tuple.__new__, Arrow)
 
 @dataclass(frozen=True, eq=False)
 class QuotientResult:
-    """Quotient object X/p together with its unit arrow X -> X/p and its
-    universal property: `transpose` sends f: X -> Y collapsing p (a hom
-    (X,p) -> falsum Y) to the mediating arrow X/p -> Y, and raises
-    HomConditionError for any other f."""
+    """Quotient object X/p, left adjoint to falsum, with its unit arrow
+    X -> X/p and its universal property: `transpose` sends f: X -> Y
+    collapsing p (a hom (X,p) -> falsum Y) to the mediating arrow
+    X/p -> Y, and raises HomConditionError otherwise."""
 
     obj: Any
     unit: Arrow
     transpose: Callable[[Arrow], Arrow]
 
+    @staticmethod
+    def ends(A, Y):
+        return A, Y
+
+    def hom_objects(self, inst, X, p, Y):
+        return PredObject(X, p), falsum(inst, Y)
+
+    def untranspose(self, inst, g: Arrow) -> Arrow:
+        return inst.compose(g, self.unit)
+
 
 @dataclass(frozen=True, eq=False)
 class ComprehensionResult:
-    """Comprehension object {X|p} together with its counit arrow
-    {X|p} -> X and its universal property: `transpose` sends f: Y -> X
-    landing where p holds (a hom truth Y -> (X,p)) to the mediating arrow
-    Y -> {X|p}, and raises HomConditionError for any other f."""
+    """Comprehension object {X|p}, right adjoint to truth, with its counit
+    arrow {X|p} -> X and its universal property: `transpose` sends
+    f: Y -> X landing where p holds (a hom truth Y -> (X,p)) to the
+    mediating arrow Y -> {X|p}, and raises HomConditionError otherwise."""
 
     obj: Any
     counit: Arrow
     transpose: Callable[[Arrow], Arrow]
+
+    @staticmethod
+    def ends(A, Y):
+        return Y, A
+
+    def hom_objects(self, inst, X, p, Y):
+        return truth(inst, Y), PredObject(X, p)
+
+    def untranspose(self, inst, g: Arrow) -> Arrow:
+        return inst.compose(self.counit, g)
 
 
 class Law(NamedTuple):
@@ -283,7 +306,7 @@ class ChainInstance(ABC):
 
     # ---- harness hooks --------------------------------------------
     # Seeded samplers (rand_arrow also draws the maps whose round trips
-    # prove a mediating map unique); the hom samplers default to a random
+    # prove a mediating map unique); the hom sampler defaults to a random
     # map through the construction the caller already built.  Exact
     # instances may add the iter_*/count_* enumerators, for exhaustive
     # checks and uniqueness over few candidates.  `bounds` is a dict of
@@ -300,16 +323,11 @@ class ChainInstance(ABC):
     def rand_arrow(self, rng, X, Y, bounds) -> Arrow:
         raise UnsupportedError(f"{self.name}: no arrow sampler")
 
-    def rand_quotient_hom(self, rng, X, p, q: QuotientResult, Y, bounds) -> Arrow:
-        """Arrow X -> Y collapsing p, q being X's quotient by p: a random
-        map X/p -> Y after the unit, a hom by the universal property."""
-        return self.compose(self.rand_arrow(rng, q.obj, Y, bounds), q.unit)
-
-    def rand_comprehension_hom(self, rng, X, p, c: ComprehensionResult, Y,
-                               bounds) -> Arrow:
-        """Arrow Y -> X landing where p holds, c being X's comprehension
-        of p: the counit after a random map Y -> {X|p}."""
-        return self.compose(c.counit, self.rand_arrow(rng, Y, c.obj, bounds))
+    def rand_hom(self, rng, X, p, built, Y, bounds) -> Arrow:
+        """A hom between `built.hom_objects(self, X, p, Y)`, `built` being
+        X's quotient or comprehension by p: a random mediating map
+        untransposed, a hom by the universal property."""
+        return built.untranspose(self, self.rand_arrow(rng, *built.ends(built.obj, Y), bounds))
 
     def iter_preds(self, X) -> Iterator:
         raise UnsupportedError(f"{self.name}: fibre not enumerable")

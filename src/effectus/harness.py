@@ -12,7 +12,6 @@ import copy
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, NamedTuple
 
 from .core import (
     ChainError,
@@ -21,7 +20,6 @@ from .core import (
     falsum,
     hom_check,
     Law,
-    PredObject,
     side_effect,
     truth,
 )
@@ -166,14 +164,14 @@ def _case_truth_falsum(inst, rng, bounds, tol):
     # X, lands inside p.  A construction that raises rejects the map and
     # leaves the hom check unasked (None), which disagrees.
     for which, h in (("quotient", f), ("comprehension", g)):
-        side = None
+        built = None
         try:
-            side = _side(inst, which, X, p)
-            side.transpose(h)
+            built = getattr(inst, which)(X, p)
+            built.transpose(h)
             accepts = True
         except ChainError:
             accepts = False
-        says = None if side is None else hom_check(inst, h, *side.hom_objects(Y))
+        says = None if built is None else hom_check(inst, h, *built.hom_objects(inst, X, p, Y))
         detail[f"{which}_hom_check"] = says
         detail[f"{which}_transpose_accepts"] = accepts
         ok = ok and says == accepts
@@ -182,53 +180,17 @@ def _case_truth_falsum(inst, rng, bounds, tol):
         "p": inst.pred_to_json(X, p)}
 
 
-class _Side(NamedTuple):
-    """One direction of the adjunction at a fixed (X, p), its construction
-    built once; the transpose is the one the construction carries.  The
-    quotient is left adjoint to falsum: a hom (X, p) -> falsum Y factors
-    through the unit X -> X/p.  The comprehension is right adjoint to
-    truth: a hom truth Y -> (X, p) factors through the counit {X|p} -> X.
-    `ends(A, Y)` orders the endpoints of an arrow between A, the carrier
-    for mediating maps or X for homs, and the other object Y."""
-
-    carrier: Any
-    ends: Callable
-    hom_objects: Callable  # Y -> the predicated objects a hom joins
-    rand_hom: Callable
-    transpose: Callable
-    untranspose: Callable
-
-
-def _side(inst, which, X, p) -> _Side:
-    match which:
-        case "quotient":
-            q = inst.quotient(X, p)
-            return _Side(
-                q.obj, lambda A, Y: (A, Y),
-                lambda Y: (PredObject(X, p), falsum(inst, Y)),
-                lambda rng, Y, b: inst.rand_quotient_hom(rng, X, p, q, Y, b),
-                q.transpose, lambda g: inst.compose(g, q.unit))
-        case "comprehension":
-            c = inst.comprehension(X, p)
-            return _Side(
-                c.obj, lambda A, Y: (Y, A),
-                lambda Y: (truth(inst, Y), PredObject(X, p)),
-                lambda rng, Y, b: inst.rand_comprehension_hom(rng, X, p, c, Y, b),
-                c.transpose, partial(inst.compose, c.counit))
-    raise ValueError(f"unknown adjunction {which!r}")
-
-
-def _unique(inst, rng, bounds, tol, side, ends) -> bool:
+def _unique(inst, rng, bounds, tol, built, ends) -> bool:
     """Composing with the unit or counit is injective on mediating maps:
     the candidates, when few, have distinct composites; else each of
     UNIQUE_SAMPLES random maps comes back from its own composite."""
+    untranspose = partial(built.untranspose, inst)
     count = inst.count_arrows(*ends)
     if count is not None and count <= CASE_ENUM_BUDGET:
-        keys = [_arrow_key(inst, side.untranspose(g))
-                for g in inst.iter_arrows(*ends)]
+        keys = [_arrow_key(inst, untranspose(g)) for g in inst.iter_arrows(*ends)]
         return len(set(keys)) == len(keys)
     return all(_returns(inst, inst.rand_arrow(rng, *ends, bounds),
-                        side.untranspose, side.transpose, tol)
+                        untranspose, built.transpose, tol)
                for _ in range(UNIQUE_SAMPLES))
 
 
@@ -236,13 +198,13 @@ def _case_adjunction(which, inst, rng, bounds, tol):
     X = inst.rand_object(rng, bounds)
     p = inst.rand_pred(rng, X, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
-    side = _side(inst, which, X, p)
-    f = side.rand_hom(rng, Y, bounds)
-    r1 = inst.map_residual(side.untranspose(side.transpose(f)), f)
-    ends = side.ends(side.carrier, Y)
+    built = getattr(inst, which)(X, p)
+    f = inst.rand_hom(rng, X, p, built, Y, bounds)
+    r1 = inst.map_residual(built.untranspose(inst, built.transpose(f)), f)
+    ends = built.ends(built.obj, Y)
     g0 = inst.rand_arrow(rng, *ends, bounds)
-    r2 = inst.map_residual(side.transpose(side.untranspose(g0)), g0)
-    unique = _unique(inst, rng, bounds, tol, side, ends)
+    r2 = inst.map_residual(built.transpose(built.untranspose(inst, g0)), g0)
+    unique = _unique(inst, rng, bounds, tol, built, ends)
     res = max(r1, r2)
     return res, None if res <= tol and unique else {
         "round_trip_from_hom": r1, "round_trip_from_map": r2, "unique": unique,
@@ -368,27 +330,28 @@ def applicable_laws(inst) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_triple(inst, side, which, report, X, Y, triple, cap):
-    ends = side.ends(side.carrier, Y)
+def _exhaustive_triple(inst, built, which, report, X, p, Y, triple, cap):
+    ends = built.ends(built.obj, Y)
     n_maps = inst.count_arrows(*ends)
     if n_maps > cap:
         report.skipped.append(triple)
         return
+    untranspose = partial(built.untranspose, inst)
     detail = None
     for g in inst.iter_arrows(*ends):
-        if not _returns(inst, g, side.untranspose, side.transpose, 0.0):
+        if not _returns(inst, g, untranspose, built.transpose, 0.0):
             detail = {"round_trip": inst.arrow_to_json(g)}
             break
-    homs = side.ends(X, Y)
+    homs = built.ends(X, Y)
     if detail is None and inst.count_arrows(*homs) > min(cap, SCAN_CAP):
         report.scan_skipped += 1
     elif detail is None:
-        src_obj, dst_obj = side.hom_objects(Y)
+        src_obj, dst_obj = built.hom_objects(inst, X, p, Y)
         n_homs = 0
         for f in inst.iter_arrows(*homs):
             if hom_check(inst, f, src_obj, dst_obj):
                 n_homs += 1
-                if not _returns(inst, f, side.transpose, side.untranspose, 0.0):
+                if not _returns(inst, f, built.transpose, untranspose, 0.0):
                     detail = {"unreached_hom": inst.arrow_to_json(f)}
                     break
         if detail is None and n_homs != n_maps:
@@ -426,14 +389,14 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
         _raised(report, exc, which=which)
         return report
     for X, p in fibres:
-        side = None
+        built = None
         for Y in filter(partial(inst.comparable_objects, X), objs):
             triple = {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
                       "Y": inst.object_to_json(Y)}
             try:
-                if side is None:
-                    side = _side(inst, which, X, p)
-                _exhaustive_triple(inst, side, which, report, X, Y, triple, cap)
+                if built is None:
+                    built = getattr(inst, which)(X, p)
+                _exhaustive_triple(inst, built, which, report, X, p, Y, triple, cap)
             except Exception as exc:
                 _raised(report, exc, **triple, which=which)
     return report

@@ -195,9 +195,9 @@ class KleisliChain(ChainInstance):
     `_abort(n)`, `_bind(d, k)` (Kleisli extension; k holds one image per
     position of d's target and the abort image last, for *), `_scale(d,
     w, n)` (mass times w, the rest aborting), `_plus(d, e, n)` (disjoint
-    sum), `_mass(d, n)` (weight not on *), `_support(d, n)` (the
-    positions other than * where d puts weight, lowest first),
-    `_distance(d, e)`, `_restriction(kept, n)` (re-indexes an image onto
+    sum, refusing an image T cannot hold), `_mass(d, n)` (weight not on
+    *), `_support(d, n)` (the positions other than * where d puts
+    weight, lowest first), `_restriction(kept, n)` (re-indexes an image onto
     the positions `kept`, None when it reaches outside them),
     `_rand_image(rng, bounds, n, positions, cap)` (support in `positions`,
     mass at most cap); the boundary `_encode(x, image, Y)` (x's atom image,
@@ -241,14 +241,6 @@ class KleisliChain(ChainInstance):
             self.check_composable(g, f)
         k = g.data + (self._abort(len(g.dst.atoms)),)
         return make_arrow((f.src, g.dst, tuple(map(self._bind, f.data, repeat(k)))))
-
-    def map_residual(self, f: Arrow, g: Arrow) -> float:
-        if not ((f.src is g.src or self.objects_equal(f.src, g.src))
-                and (f.dst is g.dst or self.objects_equal(f.dst, g.dst))):
-            return 1.0
-        if f.data == g.data:
-            return 0.0
-        return float(max(map(self._distance, f.data, g.data)))
 
     def objects_equal(self, A, B) -> bool:
         return A is B or A == B
@@ -382,19 +374,18 @@ class KleisliChain(ChainInstance):
         return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), ONE)
                                  for _ in X))
 
-    def rand_quotient_hom(self, rng, X, p, q, Y, bounds) -> Arrow:
-        """Built with mass at most 1 - p(x), so the hom condition holds by
-        construction, and not through q's unit: a round trip from it tests
-        the transpose on maps the construction did not make."""
-        _check_pred(X, p)
-        n = len(Y)
-        return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), 1 - v)
-                                 for v in p))
-
-    def rand_comprehension_hom(self, rng, X, p, c, Y, bounds) -> Arrow:
-        """Built with support inside c's carrier, where p = 1, and not
-        through c's counit."""
-        kept = [X._index[a] for a in c.obj]
+    def rand_hom(self, rng, X, p, built, Y, bounds) -> Arrow:
+        """Drawn from the hom condition, not through the unit or counit,
+        so a round trip from it tests the transpose on maps the
+        construction did not make: for the quotient, mass at most 1 - p(x)
+        at each x; for the comprehension, support inside the carrier,
+        where p = 1."""
+        if isinstance(built, QuotientResult):
+            _check_pred(X, p)
+            n = len(Y)
+            return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), 1 - v)
+                                     for v in p))
+        kept = [X._index[a] for a in built.obj]
         return Arrow(Y, X, tuple(self._rand_image(rng, bounds, len(X), kept, ONE)
                                  for _ in Y))
 
@@ -446,9 +437,6 @@ class NondetChain(KleisliChain):
 
     def _support(self, s, n):
         return _bits(s & ~(1 << n))
-
-    def _distance(self, d, e) -> int:
-        return int(d != e)
 
     def _expectation(self, Y, q: tuple):
         inside = sum(1 << i for i, v in enumerate(q) if v) | 1 << len(Y.atoms)
@@ -569,6 +557,12 @@ class SetsChain(NondetChain):
     def _rand_image(self, rng, bounds, n, positions, cap) -> int:
         return 1 << (rng.choice([*positions, n]) if cap else n)
 
+    def _plus(self, s, t, n) -> int:
+        out = super()._plus(s, t, n)
+        if out & out - 1:
+            raise ValidationError("sets: both branches are defined at one atom")
+        return out
+
     def _encode(self, x, y, Y: FiniteSet) -> int:
         return super()._encode(x, frozenset((y,)), Y)
 
@@ -617,7 +611,16 @@ class DistChain(KleisliChain):
         return tuple(v * w for v in d)
 
     def _plus(self, d, e, n) -> tuple:
-        return tuple(map(add, d, e))
+        out = tuple(map(add, d, e))
+        if sum(out) > 1:
+            raise ValidationError(f"dist: combined mass {sum(out)} exceeds 1")
+        return out
+
+    def map_residual(self, f: Arrow, g: Arrow) -> float:
+        if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
+            return 1.0
+        return float(max((abs(a - b) for d, e in zip(f.data, g.data) if d != e
+                          for a, b in zip(d, e)), default=ZERO))
 
     def _expectation(self, Y, q: tuple):
         # sum of w * q(y), plus the mass 1 - sum of w on *
@@ -630,18 +633,10 @@ class DistChain(KleisliChain):
     def _support(self, d, n) -> list:
         return [i for i, w in enumerate(d) if w]
 
-    def _distance(self, d, e) -> Fraction:
-        return max(map(abs, map(sub, d, e)), default=ZERO)
-
     def _restriction(self, kept, n):
         outside = sorted(set(range(n)).difference(kept))
         return lambda d: (None if any(d[i] for i in outside)
                           else tuple(d[i] for i in kept))
-
-    def _rand_frac(self, rng, bounds, lo=ZERO, hi=ONE) -> Fraction:
-        den = rng.randint(1, bounds.get("max_den", 16))
-        num = rng.randint(0, den)
-        return lo + (hi - lo) * Fraction(num, den)
 
     def _rand_image(self, rng, bounds, n, positions, cap) -> tuple:
         # One common denominator keeps every kernel weight's denominator
@@ -682,7 +677,11 @@ class DistChain(KleisliChain):
         return FiniteSet(tuple(range(base, base + n)))
 
     def rand_pred(self, rng, X, bounds) -> tuple:
-        return tuple(self._rand_frac(rng, bounds) for _ in X)
+        values = []
+        for _ in X:
+            den = rng.randint(1, bounds.get("max_den", 16))
+            values.append(Fraction(rng.randint(0, den), den))
+        return tuple(values)
 
     def pred_to_json(self, X, p):
         _check_pred(X, p)

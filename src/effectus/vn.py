@@ -190,8 +190,8 @@ def _case_cp_sanity(inst, rng, bounds, tol):
     Y = inst.rand_object(rng, bounds, like=X)
     q = inst.quotient(X, p)
     c = inst.comprehension(X, p)
-    fq = inst.rand_quotient_hom(rng, X, p, q, Y, bounds)
-    fc = inst.rand_comprehension_hom(rng, X, p, c, Y, bounds)
+    fq = inst.rand_hom(rng, X, p, q, Y, bounds)
+    fc = inst.rand_hom(rng, X, p, c, Y, bounds)
     canonical = {
         "quotient_unit": q.unit,
         "comprehension_counit": c.counit,
@@ -486,8 +486,11 @@ class VnChain(ChainInstance):
             f = Arrow(X, Y, s * (t / max(lam, t)))
         return f
 
-    def rand_quotient_hom(self, rng, X, p, q, Y, bounds) -> Arrow:
-        """A random map after assert(1 - p), drawn without q's unit."""
+    def rand_hom(self, rng, X, p, built, Y, bounds) -> Arrow:
+        """For the quotient, a random map after assert(1 - p), drawn
+        without the unit; for the comprehension, the default."""
+        if not isinstance(built, QuotientResult):
+            return super().rand_hom(rng, X, p, built, Y, bounds)
         f0 = self.rand_arrow(rng, X, Y)
         return self.compose(f0, self.assert_closed_form(X, self.ortho(X, p)))
 

@@ -136,10 +136,10 @@ def unit_proj(a: np.ndarray) -> np.ndarray:
     return from_spectrum(((abs(w - 1.0) <= HERM_TOL).astype(float), U))
 
 
-def gram_schmidt_columns(m: np.ndarray, threshold: float = GS_THRESHOLD) -> np.ndarray:
+def gram_schmidt_columns(m: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt over the columns in index order, two
     orthogonalization passes, dropping columns whose residual norm is at
-    or below the threshold.  Accepted columns get a fixed phase.
+    or below GS_THRESHOLD.  Accepted columns get a fixed phase.
 
     Index order (rather than norm pivoting) keeps the result stable under
     perturbations far smaller than the threshold, which is what makes
@@ -152,7 +152,7 @@ def gram_schmidt_columns(m: np.ndarray, threshold: float = GS_THRESHOLD) -> np.n
             for b in basis:
                 v = v - b * (b.conj() @ v)
         norm = float(np.sqrt((abs(v) ** 2).sum()))
-        if norm > threshold:
+        if norm > GS_THRESHOLD:
             v = v / norm
             basis.append(v * _phases(v[:, None])[0])
     if not basis:

@@ -293,7 +293,7 @@ def test_mediating_map_uniqueness():
             p = inst.rand_pred(rng, X, {})
             Y = inst.rand_object(rng, {}, like=X)
             q = inst.quotient(X, p)
-            f = inst.rand_quotient_hom(rng, X, p, q, Y, {})
+            f = inst.rand_hom(rng, X, p, q, Y, {})
             if inst.map_residual(inst.compose(q.transpose(f), q.unit), f) > tol:
                 problems.append(f"{name} case {i}: defining equation")
                 break

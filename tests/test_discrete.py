@@ -181,10 +181,10 @@ def test_transpose_round_trips_on_sampled_homs(inst):
         X = inst.rand_object(rng, bounds)
         Y = inst.rand_object(rng, bounds)
         p = inst.rand_pred(rng, X, bounds)
-        f = inst.rand_quotient_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
+        f = inst.rand_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
         g = inst.transpose_quotient(X, p, f)
         assert inst.maps_equal(inst.compose(g, inst.quotient(X, p).unit), f)
-        h = inst.rand_comprehension_hom(rng, X, p, inst.comprehension(X, p), Y, bounds)
+        h = inst.rand_hom(rng, X, p, inst.comprehension(X, p), Y, bounds)
         k = inst.transpose_comprehension(X, p, h)
         counit = inst.comprehension(X, p).counit
         assert inst.maps_equal(inst.compose(counit, k), h)

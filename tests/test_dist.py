@@ -182,10 +182,10 @@ def test_round_trips_on_generated_homs(case, rnd):
     X, p = case
     Y = fs("r", "s")
     bounds = {"max_den": 16}
-    f = DIST.rand_quotient_hom(rnd, X, p, DIST.quotient(X, p), Y, bounds)
+    f = DIST.rand_hom(rnd, X, p, DIST.quotient(X, p), Y, bounds)
     g = DIST.transpose_quotient(X, p, f)
     assert DIST.maps_equal(DIST.compose(g, DIST.quotient(X, p).unit), f)
-    h = DIST.rand_comprehension_hom(rnd, X, p, DIST.comprehension(X, p), Y, bounds)
+    h = DIST.rand_hom(rnd, X, p, DIST.comprehension(X, p), Y, bounds)
     k = DIST.transpose_comprehension(X, p, h)
     counit = DIST.comprehension(X, p).counit
     assert DIST.maps_equal(DIST.compose(counit, k), h)

@@ -228,6 +228,15 @@ _ENUMERATED = (
 )
 
 
+def _hook_label(hook, args):
+    # The log was pinned while each direction had a hom sampler of its
+    # own, so a rand_hom draw is labelled by its construction's direction.
+    if hook != "rand_hom":
+        return hook
+    which = "quotient" if isinstance(args[3], QuotientResult) else "comprehension"
+    return f"rand_{which}_hom"
+
+
 def _recording(inst, log):
     """inst's class, with every rand_* hook logging the JSON of its draw;
     a hook called inside another (a hom sampler drawing through
@@ -242,7 +251,7 @@ def _recording(inst, log):
             finally:
                 depth[0] -= 1
             if not depth[0]:
-                log.append([hook, to_json(self, args, out)])
+                log.append([_hook_label(hook, args), to_json(self, args, out)])
             return out
         return wrapper
 
@@ -250,7 +259,7 @@ def _recording(inst, log):
         "rand_object": logged("rand_object", lambda s, a, X: s.object_to_json(X)),
         "rand_pred": logged("rand_pred", lambda s, a, p: s.pred_to_json(a[1], p)),
         **{hook: logged(hook, lambda s, a, f: s.arrow_to_json(f))
-           for hook in ("rand_arrow", "rand_quotient_hom", "rand_comprehension_hom")},
+           for hook in ("rand_arrow", "rand_hom")},
     })
     return cls()
 
@@ -271,7 +280,7 @@ def _quotient_hom_draw(inst, seed, bounds):
     X = inst.rand_object(rng, bounds)
     p = inst.rand_pred(rng, X, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
-    return X, p, Y, inst.rand_quotient_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
+    return X, p, Y, inst.rand_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
 
 
 def _draw_to_json(inst, seed, bounds):
@@ -297,8 +306,8 @@ def test_quotient_hom_respects_denominator_bound():
 @pytest.mark.parametrize("which", ("quotient", "comprehension"))
 @pytest.mark.parametrize("name", list(INSTANCES))
 def test_sampled_homs_pass_the_hom_check(name, which):
-    """Every instance's hom samplers, its own or the defaults drawing
-    through the construction, draw homs of the predicated category."""
+    """Every instance's hom sampler, its own or the default drawing
+    through the construction, draws homs of the predicated category."""
     inst, bounds = INSTANCES[name], {}  # each instance's default sizes
     for seed in range(40):
         rng = random.Random(seed)
@@ -306,10 +315,10 @@ def test_sampled_homs_pass_the_hom_check(name, which):
         p = inst.rand_pred(rng, X, bounds)
         Y = inst.rand_object(rng, bounds, like=X)
         if which == "quotient":
-            f = inst.rand_quotient_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
+            f = inst.rand_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
             ends = PredObject(X, p), falsum(inst, Y)
         else:
-            f = inst.rand_comprehension_hom(rng, X, p, inst.comprehension(X, p), Y, bounds)
+            f = inst.rand_hom(rng, X, p, inst.comprehension(X, p), Y, bounds)
             ends = truth(inst, Y), PredObject(X, p)
         assert hom_check(inst, f, *ends), (seed, inst.arrow_to_json(f))
 
@@ -327,15 +336,15 @@ def test_homs_not_drawn_through_the_construction_come_back(name, which):
         X = inst.rand_object(rng, bounds)
         p = inst.rand_pred(rng, X, bounds)
         Y = inst.rand_object(rng, bounds, like=X)
-        side = harness._side(inst, which, X, p)
+        built = getattr(inst, which)(X, p)
         if which == "quotient":
             f = inst.compose(inst.rand_arrow(rng, X, Y, bounds),
                              inst.assert_closed_form(X, inst.ortho(X, p)))
         else:
             f = inst.compose(inst.assert_closed_form(X, inst.floor(X, p)),
                              inst.rand_arrow(rng, Y, X, bounds))
-        assert hom_check(inst, f, *side.hom_objects(Y)), seed
-        back = side.untranspose(side.transpose(f))
+        assert hom_check(inst, f, *built.hom_objects(inst, X, p, Y)), seed
+        back = built.untranspose(inst, built.transpose(f))
         assert inst.map_residual(back, f) <= inst.eq_tol, seed
 
 
@@ -798,9 +807,9 @@ def test_sampled_uniqueness_draws_every_sample():
     X = inst.rand_object(rng, {})
     p = inst.rand_pred(rng, X, {})
     Y = inst.rand_object(rng, {}, like=X)
-    side = harness._side(inst, "quotient", X, p)
-    ends = side.ends(side.carrier, Y)
-    assert harness._unique(inst, rng, {}, 0.0, side, ends)
+    built = inst.quotient(X, p)
+    ends = built.ends(built.obj, Y)
+    assert harness._unique(inst, rng, {}, 0.0, built, ends)
     assert draws == [ends] * UNIQUE_SAMPLES
 
 

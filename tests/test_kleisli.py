@@ -50,8 +50,8 @@ def _sample(seed):
     g = SETS.rand_arrow(rng, Y, Z, BOUNDS)
     P = SETS.rand_pred(rng, X, BOUNDS)
     Q = SETS.rand_pred(rng, Y, BOUNDS)
-    fq = SETS.rand_quotient_hom(rng, X, P, SETS.quotient(X, P), Y, BOUNDS)
-    fc = SETS.rand_comprehension_hom(rng, X, P, SETS.comprehension(X, P), Y, BOUNDS)
+    fq = SETS.rand_hom(rng, X, P, SETS.quotient(X, P), Y, BOUNDS)
+    fc = SETS.rand_hom(rng, X, P, SETS.comprehension(X, P), Y, BOUNDS)
     return X, Y, f, g, P, Q, fq, fc
 
 
@@ -112,7 +112,7 @@ def test_wide_nondet_carriers():
     Y = FiniteSet(("y", "z"))
     c = NONDET.comprehension(X, P)
     for _ in range(20):
-        f = NONDET.rand_comprehension_hom(rng, X, P, c, Y, BOUNDS)
+        f = NONDET.rand_hom(rng, X, P, c, Y, BOUNDS)
         g = c.transpose(f)
         assert all(image <= frozenset(NONDET.pred_table(X, P)) | {STAR}
                    for image in NONDET.table(f).values())
@@ -156,6 +156,28 @@ def test_quotient_transpose_names_the_mass_over_the_cap(inst, image, message):
     # at the cap itself the map is a hom, and its transpose composes back
     ok = inst.compose(inst.arrow(q.obj, Y, {a: inst.table(bad)[2] for a in q.obj}), q.unit)
     assert inst.maps_equal(inst.compose(q.transpose(ok), q.unit), ok)
+
+
+@pytest.mark.parametrize("inst", [SETS, NONDET, DIST], ids=["sets", "nondet", "dist"])
+def test_instrument_combine_builds_only_what_it_can_read(inst):
+    # Both branches defined everywhere: a partial function cannot take
+    # both, and a kernel would carry mass 2, so sets and dist refuse; a
+    # non-deterministic map takes the union, which its boundary reads.
+    X = FiniteSet((1, 2))
+    if inst is NONDET:
+        both = inst.instrument_combine(X, inst.identity(X), inst.identity(X))
+        assert inst.table(both) == {x: frozenset({(1, x), (2, x)}) for x in X}
+        assert inst.arrow_to_json(both) == [[x, [[1, x], [2, x]]] for x in X]
+    else:
+        with pytest.raises(ValidationError):
+            inst.instrument_combine(X, inst.identity(X), inst.identity(X))
+    # disjoint branches, as derive_instrument builds them, still combine
+    p = inst.pred(X, (1,)) if inst is not DIST else fuzzy(X, {1: Fraction(1, 3), 2: 1})
+    closed = inst.instrument_closed_form(X, p)
+    combined = inst.instrument_combine(X, inst.assert_closed_form(X, p),
+                                       inst.assert_closed_form(X, inst.ortho(X, p)))
+    assert inst.maps_equal(combined, closed)
+    assert inst.arrow_to_json(combined) == inst.arrow_to_json(closed)
 
 
 # ---------------------------------------------------------------------------

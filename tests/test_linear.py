@@ -360,7 +360,7 @@ def test_round_trip_through_full_rank_predicate():
     X = F2_2
     P = FP.top(X)
     Y = FpSpace(2, 2)
-    f = FP.rand_quotient_hom(rng, X, P, FP.quotient(X, P), Y, {})
+    f = FP.rand_hom(rng, X, P, FP.quotient(X, P), Y, {})
     assert f.data == ((0, 0), (0, 0))
     g = FP.transpose_quotient(X, P, f)
     assert FP.map_residual(FP.compose(g, FP.quotient(X, P).unit), f) == 0.0
@@ -587,11 +587,11 @@ def test_hilb_transposes_round_trip():
         X = HilbSpace(rng.randint(1, 4))
         Y = HilbSpace(rng.randint(1, 4))
         p = HILB.rand_pred(rng, X, {})
-        f = HILB.rand_quotient_hom(rng, X, p, HILB.quotient(X, p), Y, {})
+        f = HILB.rand_hom(rng, X, p, HILB.quotient(X, p), Y, {})
         g = HILB.transpose_quotient(X, p, f)
         worst = max(worst, HILB.map_residual(
             HILB.compose(g, HILB.quotient(X, p).unit), f))
-        h = HILB.rand_comprehension_hom(rng, X, p, HILB.comprehension(X, p), Y, {})
+        h = HILB.rand_hom(rng, X, p, HILB.comprehension(X, p), Y, {})
         k = HILB.transpose_comprehension(X, p, h)
         worst = max(worst, HILB.map_residual(
             HILB.compose(HILB.comprehension(X, p).counit, k), h))

@@ -253,11 +253,11 @@ def test_transpose_round_trips():
         X = VN.rand_object(rng, {"max_blocks": 2, "max_block_dim": 3})
         Y = VN.rand_object(rng, {"max_blocks": 2, "max_block_dim": 3})
         p = VN.rand_pred(rng, X)
-        f = VN.rand_quotient_hom(rng, X, p, VN.quotient(X, p), Y, None)
+        f = VN.rand_hom(rng, X, p, VN.quotient(X, p), Y, None)
         g = VN.transpose_quotient(X, p, f)
         worst = max(worst, VN.map_residual(
             VN.compose(g, VN.quotient(X, p).unit), f))
-        h = VN.rand_comprehension_hom(rng, X, p, VN.comprehension(X, p), Y, None)
+        h = VN.rand_hom(rng, X, p, VN.comprehension(X, p), Y, None)
         k = VN.transpose_comprehension(X, p, h)
         worst = max(worst, VN.map_residual(
             VN.compose(VN.comprehension(X, p).counit, k), h))
@@ -491,7 +491,7 @@ def test_kronecker_superoperators_equal_the_generic_path():
         unit = superop_from_fn(
             X, q.obj, lambda b: conjugate(roots, embed(X, q.obj, b)))
         assert la.max_abs(q.unit.data - unit) <= 1e-12
-        f = VN.rand_quotient_hom(rng, X, p, q, Y, None)
+        f = VN.rand_hom(rng, X, p, q, Y, None)
         pinv_roots = [la.op_pinv(r) for r in roots]
         transpose = superop_from_fn(q.obj, Y, lambda b: compress(
             q.obj, conjugate(pinv_roots, VN.apply(f, b))))
@@ -500,7 +500,7 @@ def test_kronecker_superoperators_equal_the_generic_path():
         c = VN.comprehension(X, p)
         counit = superop_from_fn(c.obj, X, lambda a: compress(c.obj, a))
         assert la.max_abs(c.counit.data - counit) <= 1e-12
-        h = VN.rand_comprehension_hom(rng, X, p, c, Y, None)
+        h = VN.rand_hom(rng, X, p, c, Y, None)
         transpose = superop_from_fn(
             Y, c.obj, lambda b: VN.apply(h, embed(X, c.obj, b)))
         assert la.max_abs(c.transpose(h).data - transpose) <= 1e-12
@@ -510,7 +510,7 @@ def test_one_eigendecomposition_per_block(monkeypatch):
     rng = random.Random(47)
     X, p = corner_effects(rng)[0]
     Y = MatrixAlgebra((2,))
-    f = VN.rand_quotient_hom(rng, X, p, VN.quotient(X, p), Y, None)
+    f = VN.rand_hom(rng, X, p, VN.quotient(X, p), Y, None)
     calls = []
     eig = la.hermitian_eig
     monkeypatch.setattr(la, "hermitian_eig", lambda a: calls.append(a) or eig(a))

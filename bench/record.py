@@ -18,7 +18,12 @@ the checkout holds:
   closing summary line, in run order;
 * `src_lines`: the line count (as `wc -l` counts) of each module under
   `src/effectus/` and their `total`, so that two files compare code
-  size as well as speed.
+  size as well as speed;
+* `sweep_coverage`: for each exhaustive sweep of the exhaustive-exact
+  workload, at the bounds `perfbench/workloads.py` runs it with, the
+  triples it ran (`cases`), the triples over the enumeration cap
+  (`skipped`), those run without the hom scan (`scan_skipped`) and the
+  cases that raised (`errors`): what the JSON reports leave out.
 
 Nothing under `perfbench/` is changed.  The exit code is 0 only when
 every run passed its correctness gate, every run of a workload gave the
@@ -112,6 +117,22 @@ def src_lines() -> dict:
     return {"modules": modules, "total": sum(modules.values())}
 
 
+def sweep_coverage() -> list:
+    """What each exhaustive-exact sweep left out, run in this process on
+    the checkout's `src/` with the workload's own bounds."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+    from effectus import harness
+    from effectus.registry import INSTANCES
+    out = []
+    for name, which, bounds, seed in workloads.exhaustive_sweeps("exhaustive-exact", SEED):
+        report = harness.run_exhaustive_adjunction(INSTANCES[name], which, bounds, seed)
+        out.append({"instance": name, "law": report.law, "cases": report.cases,
+                    "skipped": len(report.skipped), "scan_skipped": report.scan_skipped,
+                    "errors": report.errors})
+    return out
+
+
 def commit() -> str | None:
     done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                           capture_output=True, text=True, check=False)
@@ -135,6 +156,8 @@ def main(argv=None) -> int:
         out["workloads"][workload] = entry
         out["machine"] = machine
         ok &= fine
+    print("record: sweep coverage", file=sys.stderr, flush=True)
+    out["sweep_coverage"] = sweep_coverage()
     print("record: tier-1", file=sys.stderr, flush=True)
     out["tier1"] = record_tier1()
     ok &= not any(out["tier1"]["exit_code"]) and not any(out["tier1"]["failed"])

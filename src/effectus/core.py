@@ -309,8 +309,12 @@ class ChainInstance(ABC):
     # prove a mediating map unique); the hom sampler defaults to a random
     # map through the construction the caller already built.  Exact
     # instances may add the iter_*/count_* enumerators, for exhaustive
-    # checks and uniqueness over few candidates.  `bounds` is a dict of
-    # instance size knobs.
+    # checks and uniqueness over few candidates.  `iter_homs` narrows the
+    # exhaustive hom scan: it may leave out arrows that are no homs, never
+    # a hom, and keeps `iter_arrows` order.  The scan asks `hom_check` of
+    # every arrow it yields and counts the homs, so a non-hom yielded in
+    # place of a hom shows as a hom short.  `bounds` is a dict of instance
+    # size knobs.
 
     def rand_object(self, rng, bounds, like=None):
         """Sample a carrier within bounds; `like` is an existing carrier
@@ -328,6 +332,12 @@ class ChainInstance(ABC):
         X's quotient or comprehension by p: a random mediating map
         untransposed, a hom by the universal property."""
         return built.untranspose(self, self.rand_arrow(rng, *built.ends(built.obj, Y), bounds))
+
+    def iter_homs(self, built, X, p, Y) -> Iterator:
+        """Arrows among which lie all the homs between
+        `built.hom_objects(self, X, p, Y)`, in `iter_arrows` order; by
+        default every arrow between X and Y."""
+        return self.iter_arrows(*built.ends(X, Y))
 
     def iter_preds(self, X) -> Iterator:
         raise UnsupportedError(f"{self.name}: fibre not enumerable")

@@ -348,7 +348,7 @@ def _exhaustive_triple(inst, built, which, report, X, p, Y, triple, cap):
     elif detail is None:
         src_obj, dst_obj = built.hom_objects(inst, X, p, Y)
         n_homs = 0
-        for f in inst.iter_arrows(*homs):
+        for f in inst.iter_homs(built, X, p, Y):
             if hom_check(inst, f, src_obj, dst_obj):
                 n_homs += 1
                 if not _returns(inst, f, built.transpose, untranspose, 0.0):
@@ -368,7 +368,12 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     adjunction by two round trips and a count.  Every mediating-map
     candidate g has transpose(untranspose(g)) == g, so untranspose is
     injective; every hom f has untranspose(transpose(f)) == f, so it is
-    reached; and the homs are as many as the candidates.  A ChainError
+    reached; and the homs are as many as the candidates.  The homs are
+    the arrows `inst.iter_homs` yields that hom_check accepts: the hook
+    yields, in `iter_arrows` order, arrows among which lie all the homs,
+    by default every arrow between X and Y; `nondet`, `sets` and `fp`
+    build them from factors (the images allowed at each source atom;
+    allowed rows or columns), each asked of hom_check.  A ChainError
     on the way fails the round trip.  Any other exception counts in
     `errors`, with a witness naming the triple, or only the direction
     when the instance cannot enumerate its objects and predicates at
@@ -377,8 +382,9 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     raises is tried again, and fails, at each of its triples.
 
     The candidate loop runs while the candidates number at most
-    `enumeration_cap`, and the hom scan, a hom_check per arrow, while
-    the homs number at most SCAN_CAP.  `skipped` names the triples over
+    `enumeration_cap`, and the hom scan, a hom_check per arrow the hook
+    yields, while the arrows X -> Y (or Y -> X) number at most
+    SCAN_CAP and `enumeration_cap`.  `skipped` names the triples over
     the first budget and `scan_skipped` counts those over the second."""
     report = LawReport(inst.name, f"{which}-adjunction", seed)
     cap = bounds.get("enumeration_cap", ENUMERATION_CAP)

@@ -51,10 +51,12 @@ from .core import (
     ChainInstance,
     ComprehensionResult,
     HomConditionError,
+    PredObject,
     QuotientResult,
     ValidationError,
     atom_key,
     atom_to_json,
+    hom_check,
     make_arrow,
 )
 
@@ -172,6 +174,11 @@ def fuzzy(X: FiniteSet, mapping) -> tuple:
 def _check_pred(X: FiniteSet, p) -> None:
     if not isinstance(p, tuple) or len(p) != len(X.atoms):
         raise ValidationError(f"a predicate over {X!r} is a tuple of {len(X)} values")
+
+
+# The one-atom carrier over which `NondetChain.iter_homs` asks which
+# images the hom condition allows at an atom.
+_POINT = FiniteSet((0,))
 
 
 # ---- the construction -----------------------------------------------
@@ -474,6 +481,21 @@ class NondetChain(KleisliChain):
     def iter_arrows(self, X, Y):
         images = self._images(len(Y))
         return (make_arrow((X, Y, data)) for data in product(images, repeat=len(X)))
+
+    def iter_homs(self, built, X, p, Y):
+        """The hom condition holds atom by atom of the source, at each
+        atom on its predicate value alone, so the homs are the product
+        over the source atoms of the images allowed at each: an image d
+        is allowed at value v when the one-atom map onto d is a hom from
+        (point, v) to the target predicated object."""
+        src, dst = built.hom_objects(self, X, p, Y)
+        images = self._images(len(dst.base))
+        allowed = {v: [d for d in images
+                       if hom_check(self, make_arrow((_POINT, dst.base, (d,))),
+                                    PredObject(_POINT, (v,)), dst)]
+                   for v in set(src.pred)}
+        return (make_arrow((src.base, dst.base, data))
+                for data in product(*[allowed[v] for v in src.pred]))
 
     def _rand_image(self, rng, bounds, n, positions, cap) -> int:
         if not cap:

@@ -26,6 +26,7 @@ from .core import (
     HomConditionError,
     QuotientResult,
     ValidationError,
+    hom_check,
     make_arrow,
 )
 from . import vnlinalg as la
@@ -330,6 +331,27 @@ class FpChain(ChainInstance):
         rows = list(product(range(X.p), repeat=X.dim))
         for mat in product(rows, repeat=Y.dim):
             yield make_arrow((X, Y, mat))
+
+    def iter_homs(self, built, X, p, Y):
+        """A map kills p exactly when each of its rows does, and lands in
+        p exactly when each of its columns does, so the homs are the
+        matrices made of allowed rows (quotient) or columns
+        (comprehension): a vector is allowed when the map between X and
+        F_p^1 it makes is a hom.  Matrices in row-major lexicographic
+        order are in `iter_arrows` order."""
+        line = FpSpace(X.p, 1)
+        ends = built.ends(X, line)
+        hom_objects = built.hom_objects(self, X, p, line)
+        vectors = product(range(X.p), repeat=X.dim)
+        if isinstance(built, QuotientResult):
+            rows = [r for r in vectors
+                    if hom_check(self, make_arrow((*ends, (r,))), *hom_objects)]
+            return (make_arrow((X, Y, mat)) for mat in product(rows, repeat=Y.dim))
+        cols = [c for c in vectors
+                if hom_check(self, make_arrow((*ends, tuple(zip(c)))), *hom_objects)]
+        mats = sorted(tuple(tuple(c[i] for c in m) for i in range(X.dim))
+                      for m in product(cols, repeat=Y.dim))
+        return (make_arrow((Y, X, mat)) for mat in mats)
 
     def iter_preds(self, X):
         """All subspaces, via deduplicated spans of vector subsets."""

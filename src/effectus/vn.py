@@ -385,8 +385,14 @@ class VnChain(ChainInstance):
             self.assert_closed_form(X, self.ortho(X, p)))
 
     def instrument_combine(self, X, branch_pass: Arrow, branch_fail: Arrow) -> Arrow:
+        """Both branches side by side, refused unless together they map
+        the unit into [0, 1]: branches that overlap do not."""
         dd = MatrixAlgebra(X.block_dims + X.block_dims)
-        return Arrow(X, dd, np.hstack([branch_pass.data, branch_fail.data]))
+        out = Arrow(X, dd, np.hstack([branch_pass.data, branch_fail.data]))
+        defect = self.subunital_defect(out)
+        if defect > self.eq_tol:
+            raise ValidationError(f"vn: the branches combine {defect:.3g} beyond subunital")
+        return out
 
     def codiagonal(self, X) -> Arrow:
         dd = MatrixAlgebra(X.block_dims + X.block_dims)

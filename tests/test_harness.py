@@ -30,7 +30,7 @@ from effectus.harness import (
     run_law,
     run_suite,
 )
-from effectus.linear import FpSpace
+from effectus.linear import FpChain, FpSpace
 from effectus.ring import Decomposition, RingChain, ZProductRing
 from effectus.vn import MatrixAlgebra, VnChain
 
@@ -815,20 +815,123 @@ def test_sampled_uniqueness_draws_every_sample():
 
 # The hom scan of an exhaustive sweep re-derives the homs through
 # hom_check, so a corrupted order breaks the bijection from the hom side:
-# a hom that no candidate reaches, or fewer homs than candidates.
+# a hom that no candidate reaches, or fewer homs than candidates.  The
+# `iter_homs` of sets, nondet and fp ask hom_check for their factors, so
+# the order they read is the corrupted one too.
+_FP1, _FP0 = {"field": 2, "dim": 1}, {"field": 2, "dim": 0}
+_NO_HOM = {"hom_count": 0, "candidate_count": 1}
+CORRUPTED_ORDER = {
+    "everything-below-quotient": (SetsChain, _EverythingBelow, "quotient", 44, 21,
+                                  {"X": [1], "p": [1], "Y": [1], "unreached_hom": [[1, 1]]}),
+    "everything-below-comprehension": (SetsChain, _EverythingBelow, "comprehension", 44, 21,
+                                       {"X": [1], "p": [], "Y": [1], "unreached_hom": [[1, 1]]}),
+    "nothing-below-quotient": (SetsChain, _NothingBelow, "quotient", 44, 44,
+                               {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    "nothing-below-comprehension": (SetsChain, _NothingBelow, "comprehension", 44, 44,
+                                    {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    "nondet-everything-below-quotient": (
+        NondetChain, _EverythingBelow, "quotient", 44, 21,
+        {"X": [1], "p": [1], "Y": [1], "unreached_hom": [[1, [1]]]}),
+    "nondet-everything-below-comprehension": (
+        NondetChain, _EverythingBelow, "comprehension", 44, 21,
+        {"X": [1], "p": [], "Y": [1], "unreached_hom": [[1, [1]]]}),
+    "nondet-nothing-below-quotient": (NondetChain, _NothingBelow, "quotient", 44, 44,
+                                      {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    "nondet-nothing-below-comprehension": (NondetChain, _NothingBelow, "comprehension", 44, 44,
+                                           {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    "fp-everything-below-quotient": (FpChain, _EverythingBelow, "quotient", 24, 10,
+                                     {"X": _FP1, "p": [[1]], "Y": _FP1, "unreached_hom": [[1]]}),
+    "fp-everything-below-comprehension": (FpChain, _EverythingBelow, "comprehension", 24, 10,
+                                          {"X": _FP1, "p": [], "Y": _FP1, "unreached_hom": [[1]]}),
+    "fp-nothing-below-quotient": (FpChain, _NothingBelow, "quotient", 24, 24,
+                                  {"X": _FP0, "p": [], "Y": _FP0, **_NO_HOM}),
+    "fp-nothing-below-comprehension": (FpChain, _NothingBelow, "comprehension", 24, 24,
+                                       {"X": _FP0, "p": [], "Y": _FP0, **_NO_HOM}),
+}
+SMALL_SWEEP = {"max_size": 2, "fields": (2,), "max_dim": 2}
+
+
+@pytest.mark.parametrize("base, corruption, which, cases, failures, first",
+                         CORRUPTED_ORDER.values(), ids=CORRUPTED_ORDER)
+def test_hom_scan_catches_a_corrupted_order(base, corruption, which, cases, failures, first):
+    corrupt = type(f"{corruption.__name__}{base.__name__}", (corruption, base), {})()
+    report = run_exhaustive_adjunction(corrupt, which, SMALL_SWEEP)
+    assert (report.cases, report.failures, report.errors) == (cases, failures, 0)
+    assert json.loads(json.dumps(report.witnesses[0])) == dict(first, which=which)
+
+
+def _scanned_triples(inst, which, bounds):
+    """(built, X, p, Y) of each triple an exhaustive sweep within bounds
+    scans for homs: its candidates within the enumeration cap, its arrows
+    X -> Y within the scan cap."""
+    cap = min(harness.ENUMERATION_CAP, harness.SCAN_CAP)
+    objs = list(inst.iter_objects(bounds))
+    out = []
+    for X in objs:
+        for p in inst.iter_preds(X):
+            built = getattr(inst, which)(X, p)
+            out += [(built, X, p, Y) for Y in objs if inst.comparable_objects(X, Y)
+                    and inst.count_arrows(*built.ends(built.obj, Y)) <= harness.ENUMERATION_CAP
+                    and inst.count_arrows(*built.ends(X, Y)) <= cap]
+    return out
+
+
+# The acceptance bounds (tests/test_acceptance.py) and the triples their
+# sweeps scan for homs, as many in either direction.
+ACCEPTANCE_SCANS = {"sets": ({"max_size": 4}, 210), "nondet": ({"max_size": 4}, 170),
+                    "fp": ({"fields": (2, 3), "max_dim": 3}, 216)}
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+@pytest.mark.parametrize("name", ACCEPTANCE_SCANS)
+def test_iter_homs_agrees_with_the_filter(name, which):
+    """On every triple the acceptance sweeps scan, the instance's
+    `iter_homs` yields only homs, and exactly the arrows X -> Y that pass
+    hom_check, in `iter_arrows` order."""
+    inst = INSTANCES[name]
+    bounds, scanned = ACCEPTANCE_SCANS[name]
+    triples = _scanned_triples(inst, which, bounds)
+    assert len(triples) == scanned
+    for built, X, p, Y in triples:
+        objects = built.hom_objects(inst, X, p, Y)
+        yielded = list(inst.iter_homs(built, X, p, Y))
+        assert all(hom_check(inst, f, *objects) for f in yielded)
+        assert [f.data for f in yielded] == [
+            f.data for f in inst.iter_arrows(*built.ends(X, Y)) if hom_check(inst, f, *objects)]
+
+
+class _DropsLastHom:
+    """iter_homs leaves out its last hom."""
+
+    def iter_homs(self, built, X, p, Y):
+        return list(super().iter_homs(built, X, p, Y))[:-1]
+
+
+class _NonHomForLastHom:
+    """iter_homs yields the first non-hom, where there is one, in place
+    of its last hom."""
+
+    def iter_homs(self, built, X, p, Y):
+        homs = list(super().iter_homs(built, X, p, Y))
+        objects = built.hom_objects(self, X, p, Y)
+        non_homs = [f for f in self.iter_arrows(*built.ends(X, Y))
+                    if not hom_check(self, f, *objects)]
+        return homs[:-1] + non_homs[:1] if non_homs else homs
+
+
+# Every triple has a hom (the map aborting everywhere), so dropping one
+# fails all 44; a non-hom in place of a hom fails the 21 triples that
+# have a non-hom to yield, the triples an order putting everything below
+# everything fails too.
 @pytest.mark.parametrize("corruption, which, failures, first", [
-    (_EverythingBelow, "quotient", 21,
-     {"X": [1], "p": [1], "Y": [1], "unreached_hom": [[1, 1]]}),
-    (_EverythingBelow, "comprehension", 21,
-     {"X": [1], "p": [], "Y": [1], "unreached_hom": [[1, 1]]}),
-    (_NothingBelow, "quotient", 44,
-     {"X": [], "p": [], "Y": [], "hom_count": 0, "candidate_count": 1}),
-    (_NothingBelow, "comprehension", 44,
-     {"X": [], "p": [], "Y": [], "hom_count": 0, "candidate_count": 1}),
-], ids=["everything-below-quotient", "everything-below-comprehension",
-        "nothing-below-quotient", "nothing-below-comprehension"])
-def test_hom_scan_catches_a_corrupted_order(corruption, which, failures, first):
-    corrupt = type(f"{corruption.__name__}Sets", (corruption, SetsChain), {})()
+    (_DropsLastHom, "quotient", 44, {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    (_DropsLastHom, "comprehension", 44, {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    (_NonHomForLastHom, "quotient", 21, {"X": [1], "p": [1], "Y": [1], **_NO_HOM}),
+    (_NonHomForLastHom, "comprehension", 21, {"X": [1], "p": [], "Y": [1], **_NO_HOM}),
+], ids=["drops-last-quotient", "drops-last-comprehension",
+        "non-hom-quotient", "non-hom-comprehension"])
+def test_hom_scan_catches_a_corrupted_iter_homs(corruption, which, failures, first):
+    corrupt = type(f"{corruption.__name__}Nondet", (corruption, NondetChain), {})()
     report = run_exhaustive_adjunction(corrupt, which, {"max_size": 2})
     assert (report.cases, report.failures, report.errors) == (44, failures, 0)
     assert json.loads(json.dumps(report.witnesses[0])) == dict(first, which=which)

@@ -328,6 +328,18 @@ def test_instrument_unital_and_cp():
         assert VN.subunital_defect(instr) <= 1e-9
 
 
+@pytest.mark.parametrize("X", [M3, M2_M1], ids=["M3", "M2+M1"])
+def test_instrument_combine_refuses_overlapping_branches(X):
+    # identity twice maps the unit to 2, a defect of 1; the disjoint
+    # asserts that derive_instrument combines miss by float noise only
+    with pytest.raises(ValidationError, match="subunital"):
+        VN.instrument_combine(X, VN.identity(X), VN.identity(X))
+    p = VN.rand_pred(random.Random(31), X)
+    combined = VN.instrument_combine(X, VN.assert_closed_form(X, p),
+                                     VN.assert_closed_form(X, VN.ortho(X, p)))
+    assert VN.map_residual(combined, derive_instrument(VN, X, p)) <= 1e-9
+
+
 def test_side_effect_freeness_is_block_scalarity():
     scalar = elt(np.eye(2) * 0.3)
     merged, free = side_effect(VN, derive_instrument(VN, M2, scalar))

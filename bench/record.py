@@ -23,7 +23,15 @@ the checkout holds:
   workload, at the bounds `perfbench/workloads.py` runs it with, the
   triples it ran (`cases`), the triples over the enumeration cap
   (`skipped`), those run without the hom scan (`scan_skipped`) and the
-  cases that raised (`errors`): what the JSON reports leave out.
+  cases that raised (`errors`): what the JSON reports leave out;
+* `kernel_reuse`: for each of the three memoised `vnlinalg` kernels
+  (`hermitian_eig`, `hermitian_eigvals`, `gram_schmidt_columns`) on one
+  check-default verdict at seed 1, run in this process, its `calls` and
+  the `distinct` inputs summed over the law reports, the share of calls
+  that repeat an input their report already decomposed, and the
+  largest number of distinct inputs one report holds: the repeated work
+  a per-report memo saves.  The counts come from wrappers installed
+  here, not from counters in `src/`.
 
 Nothing under `perfbench/` is changed.  The exit code is 0 only when
 every run passed its correctness gate, every run of a workload gave the
@@ -117,10 +125,17 @@ def src_lines() -> dict:
     return {"modules": modules, "total": sum(modules.values())}
 
 
+def import_checkout() -> None:
+    """Put the checkout's `src/` and `perfbench/` first on sys.path."""
+    for path in (str(ROOT / "perfbench"), str(ROOT / "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+
+
 def sweep_coverage() -> list:
     """What each exhaustive-exact sweep left out, run in this process on
     the checkout's `src/` with the workload's own bounds."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import_checkout()
     import workloads
     from effectus import harness
     from effectus.registry import INSTANCES
@@ -130,6 +145,60 @@ def sweep_coverage() -> list:
         out.append({"instance": name, "law": report.law, "cases": report.cases,
                     "skipped": len(report.skipped), "scan_skipped": report.scan_skipped,
                     "errors": report.errors})
+    return out
+
+
+REUSED_KERNELS = ("hermitian_eig", "hermitian_eigvals", "gram_schmidt_columns")
+
+
+def kernel_reuse() -> dict:
+    """Calls and distinct inputs per law report of the memoised kernels,
+    on one check-default verdict, counted by wrapping each kernel wherever
+    an effectus module binds it and opening a report at each `run_law`."""
+    import_checkout()
+    import numpy as np
+    import workloads
+    from effectus import harness, vnlinalg
+
+    calls = dict.fromkeys(REUSED_KERNELS, 0)
+    reports = []  # per report, the set of (kernel, shape, bytes) it saw
+
+    def counted(name, fn):
+        def wrapper(a):
+            a = np.asarray(a, dtype=complex)
+            calls[name] += 1
+            if reports:
+                reports[-1].add((name, a.shape, a.tobytes()))
+            return fn(a)
+        return wrapper
+
+    def report(fn):
+        def wrapper(*args, **kwargs):
+            reports.append(set())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrapped = {getattr(vnlinalg, n): counted(n, getattr(vnlinalg, n))
+               for n in REUSED_KERNELS}
+    wrapped[harness.run_law] = report(harness.run_law)
+    restore = []
+    for mod in [m for k, m in sys.modules.items() if k.startswith("effectus")]:
+        for key, value in list(vars(mod).items()):
+            if callable(value) and value in wrapped:
+                restore.append((mod, key, value))
+                setattr(mod, key, wrapped[value])
+    try:
+        workloads.check_default(SEED)
+    finally:
+        for mod, key, value in restore:
+            setattr(mod, key, value)
+    out = {"reports": len(reports),
+           "largest_report_distinct": max(map(len, reports), default=0)}
+    for name in REUSED_KERNELS:
+        distinct = sum(key[0] == name for seen in reports for key in seen)
+        out[name] = {"calls": calls[name], "distinct": distinct,
+                     "repeated_share": round(1 - distinct / calls[name], 4)
+                     if calls[name] else 0.0}
     return out
 
 
@@ -158,6 +227,8 @@ def main(argv=None) -> int:
         ok &= fine
     print("record: sweep coverage", file=sys.stderr, flush=True)
     out["sweep_coverage"] = sweep_coverage()
+    print("record: kernel reuse", file=sys.stderr, flush=True)
+    out["kernel_reuse"] = kernel_reuse()
     print("record: tier-1", file=sys.stderr, flush=True)
     out["tier1"] = record_tier1()
     ok &= not any(out["tier1"]["exit_code"]) and not any(out["tier1"]["failed"])

@@ -24,6 +24,7 @@ from .core import (
     truth,
 )
 from .registry import INSTANCES
+from .vnlinalg import reuse
 
 DEFAULT_SEED = 20205
 ENUMERATION_CAP = 10 ** 5
@@ -423,24 +424,26 @@ def _with_tolerance(inst, tol):
 
 def run_law(inst, spec: CaseSpec) -> LawReport:
     """Run one law for `spec.cases` seeded cases (or exhaustively when
-    spec.bounds['exhaustive'] is set on an enumerable adjunction law)."""
+    spec.bounds['exhaustive'] is set on an enumerable adjunction law).
+    The report's matrix kernels share one `vnlinalg.reuse()` scope."""
     inst = _with_tolerance(inst, spec.bounds.get("tolerance"))
-    if spec.bounds.get("exhaustive") and spec.law.endswith("-adjunction"):
-        which = spec.law.split("-")[0]
-        return run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed)
-    case_fn = LAWS[spec.law].case
-    report = LawReport(inst.name, spec.law, spec.seed)
-    rng = random.Random(spec.seed)
-    tol = float(inst.eq_tol)
-    for i in range(spec.cases):
-        try:
-            residual, detail = case_fn(inst, rng, spec.bounds, tol)
-        except Exception as exc:
-            _raised(report, exc, case=i)
-            continue
-        report.record(residual, detail is None, None if detail is None
-                      else {"case": i, "detail": "law violated", **detail})
-    return report
+    with reuse():
+        if spec.bounds.get("exhaustive") and spec.law.endswith("-adjunction"):
+            which = spec.law.split("-")[0]
+            return run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed)
+        case_fn = LAWS[spec.law].case
+        report = LawReport(inst.name, spec.law, spec.seed)
+        rng = random.Random(spec.seed)
+        tol = float(inst.eq_tol)
+        for i in range(spec.cases):
+            try:
+                residual, detail = case_fn(inst, rng, spec.bounds, tol)
+            except Exception as exc:
+                _raised(report, exc, case=i)
+                continue
+            report.record(residual, detail is None, None if detail is None
+                          else {"case": i, "detail": "law violated", **detail})
+        return report
 
 
 def run_suite(specs, instances=None) -> dict:

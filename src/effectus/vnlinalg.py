@@ -7,9 +7,22 @@ fixed order, and nothing pivots on floating-point noise, so results are
 reproducible for a given LAPACK build.  The *_spectrum functions map one
 spectrum (w, U) to another, and from_spectrum assembles the matrix, so a
 block decomposed once yields its root, pseudoinverse and support.
+
+The three kernels hermitian_eig, hermitian_eigvals and gram_schmidt_columns
+reuse their results inside a `reuse()` scope, which the harness opens once
+per law report.  Each keys its result by the (shape, bytes) of its input
+after np.asarray(a, dtype=complex); a repeated input gets the stored
+arrays, marked read-only (inside a scope a fresh result is read-only
+too), so a caller that writes to one raises instead of corrupting a later
+hit.  The kernels are deterministic functions of those bytes, so a hit is
+bit-identical to a recomputation.  Outside a scope nothing is stored.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from functools import wraps
 
 import numpy as np
 
@@ -18,6 +31,40 @@ from .core import ValidationError
 HERM_TOL = 1e-9
 RANK_CUTOFF = 1e-9
 GS_THRESHOLD = 1e-6
+
+
+# The memo of the open reuse() scope: None outside every scope.
+_MEMO: ContextVar = ContextVar("vnlinalg_memo", default=None)
+
+
+@contextmanager
+def reuse():
+    """A scope in which the three kernels each compute a distinct input
+    once; the memo starts empty and is dropped when the scope exits."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoised(kernel):
+    """`kernel` on np.asarray(a, dtype=complex), stored per input inside a
+    reuse() scope and returned read-only."""
+    @wraps(kernel)
+    def reused(a):
+        a = np.asarray(a, dtype=complex)
+        memo = _MEMO.get()
+        if memo is None:
+            return kernel(a)
+        key = (kernel, a.shape, a.tobytes())
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = kernel(a)
+            for x in out if isinstance(out, tuple) else (out,):
+                x.flags.writeable = False
+        return out
+    return reused
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -50,7 +97,6 @@ def _vec_key(v: np.ndarray):
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"square matrix required, got shape {a.shape}")
     if not is_hermitian(a):
@@ -58,12 +104,14 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
+@_memoised
 def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues, descending, of a Hermitian matrix: numpy.linalg.eigvalsh
     on its Hermitian part, for checks that need no eigenvectors."""
     return np.linalg.eigvalsh(_hermitian_part(a))[::-1]
 
 
+@_memoised
 def hermitian_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix: numpy.linalg.eigh on its
     Hermitian part.
@@ -136,6 +184,7 @@ def unit_proj(a: np.ndarray) -> np.ndarray:
     return from_spectrum(((abs(w - 1.0) <= HERM_TOL).astype(float), U))
 
 
+@_memoised
 def gram_schmidt_columns(m: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt over the columns in index order, two
     orthogonalization passes, dropping columns whose residual norm is at
@@ -144,7 +193,6 @@ def gram_schmidt_columns(m: np.ndarray) -> np.ndarray:
     Index order (rather than norm pivoting) keeps the result stable under
     perturbations far smaller than the threshold, which is what makes
     independently computed carriers of the same subspace coincide."""
-    m = np.asarray(m, dtype=complex)
     basis: list = []
     for j in range(m.shape[1]):
         v = m[:, j].copy()

@@ -1,6 +1,7 @@
 """Law-checking engine: report schema, determinism, law coverage,
 mutation detection, and the default suite's composition."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -12,9 +13,10 @@ import pytest
 
 from effectus import INSTANCES, STAR
 from effectus import harness
+from effectus import vnlinalg as la
 from effectus.core import (
-    Arrow, ChainError, ChainInstance, HomConditionError, PredObject, QuotientResult,
-    atom_key, falsum, hom_check, truth)
+    Arrow, ChainError, ChainInstance, HomConditionError, Law, PredObject,
+    QuotientResult, atom_key, falsum, hom_check, truth)
 from effectus.kleisli import DistChain, FiniteSet, NondetChain, SetsChain, SubDist
 from effectus.harness import (
     CASE_ENUM_BUDGET,
@@ -996,6 +998,54 @@ def test_crashing_law_is_reported_not_raised():
         law_report = run_law(exploding, spec)
         assert law_report.errors == law_report.failures == cases
         assert set(law_report.to_jsonable()) == REPORT_KEYS
+
+
+def test_each_report_gets_a_fresh_kernel_memo(monkeypatch):
+    seen = []
+
+    def probe(inst, rng, bounds, tol):
+        memo = la._MEMO.get()
+        seen.append((memo, len(memo)))
+        la.hermitian_eig(np.eye(2))
+        return 0.0, None
+
+    monkeypatch.setitem(harness.LAWS, "probe", Law("a probe", probe))
+    for _ in range(2):
+        assert run_law(INSTANCES["vn"], CaseSpec("vn", "probe", 0, 2, {})).cases == 2
+        assert la._MEMO.get() is None
+    (first, n0), (same, n1), (second, n2), _ = seen
+    assert first is same and (n0, n1) == (0, 1)
+    assert second is not first and n2 == 0
+
+
+def test_kernel_memo_closes_when_a_case_or_the_report_raises():
+    sizes = []
+
+    def boom(g):
+        sizes.append(len(la._MEMO.get()))
+        _boom(g)
+
+    exploding = _corrupt(VnChain, "quotient", boom)
+    report = run_law(exploding, _spec("vn", "quotient-adjunction", cases=2))
+    assert report.errors == report.failures == 2
+    assert report.witnesses[0]["detail"] == "exception: RuntimeError('boom')"
+    # the crashed cases had decomposed matrices in the report's memo
+    assert len(sizes) == 2 and min(sizes) > 0
+    assert la._MEMO.get() is None
+    with pytest.raises(KeyError):
+        run_law(exploding, _spec("vn", "no-such-law"))
+    assert la._MEMO.get() is None
+
+
+@pytest.mark.parametrize("seed", (1, 11))
+def test_kernel_reuse_leaves_vn_and_hilb_reports_unchanged(seed, monkeypatch):
+    """The default vn and hilb suites give the same JSON bytes with the
+    per-report memo as with none: a comparison that holds on any LAPACK
+    build, unlike a float golden."""
+    specs = default_suite(seed, instance="vn") + default_suite(seed, instance="hilb")
+    reused = json.dumps(run_suite(specs), indent=2, sort_keys=True)
+    monkeypatch.setattr(harness, "reuse", contextlib.nullcontext)
+    assert json.dumps(run_suite(specs), indent=2, sort_keys=True) == reused
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectus import ValidationError
+from effectus import vnlinalg as la
 from effectus.vnlinalg import (
     dagger,
     _vec_key,
@@ -24,6 +27,7 @@ from effectus.vnlinalg import (
     op_pinv,
     op_sqrt,
     orthonormal_complement,
+    reuse,
     row_space_basis,
     support_proj,
     unit_proj,
@@ -300,3 +304,114 @@ def test_spectral_norm_matches_numpy_two_norm():
     two = (np.diag([3.0, 1.0]).astype(complex),
            np.array([[0.0, 5.0], [0.0, 0.0]], dtype=complex))
     assert spectral_norm(two) == pytest.approx(5.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reuse within a scope.
+# ---------------------------------------------------------------------------
+
+KERNELS = (hermitian_eig, hermitian_eigvals, gram_schmidt_columns)
+MATRIX_KINDS = ("random", "identity", "zeros", "signed_zeros", "repeated",
+                "int", "dagger_view")
+
+
+def _matrix(kind, n, seed):
+    """A Hermitian n x n input of the given kind; "int" is an integer
+    array and "dagger_view" a non-contiguous view."""
+    rng = random.Random(seed)
+    h = rand_hermitian(rng, n).reshape(n, n)
+    if kind == "identity":
+        return np.eye(n, dtype=complex)
+    if kind == "zeros":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "signed_zeros":
+        return np.full((n, n), complex(-0.0, -0.0))
+    if kind == "repeated":
+        q = np.linalg.qr(h + 0.1j * np.eye(n))[0]
+        w = [rng.choice((0.0, 0.5, 1.0)) for _ in range(n)]
+        return (q * w) @ dagger(q)
+    if kind == "int":
+        m = np.array([rng.randint(-3, 3) for _ in range(n * n)]).reshape(n, n)
+        return m + m.T
+    if kind == "dagger_view":
+        return dagger(h)
+    return h
+
+
+def _arrays(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _fingerprint(out):
+    return [(x.dtype, x.shape, x.tobytes()) for x in _arrays(out)]
+
+
+def _inputs(a):
+    """Each kernel with its inputs: the eigensolvers take a, Gram-Schmidt
+    also every other column of a (a rectangular, strided input)."""
+    return [(hermitian_eig, a), (hermitian_eigvals, a),
+            (gram_schmidt_columns, a), (gram_schmidt_columns, a[:, ::2])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(MATRIX_KINDS), n=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_reused_results_are_bit_identical(kind, n, seed):
+    a = _matrix(kind, n, seed)
+    fresh = [_fingerprint(kernel(x)) for kernel, x in _inputs(a)]
+    # one scope for all kernels, so a key that forgot its kernel would collide
+    with reuse():
+        first = [_fingerprint(kernel(x)) for kernel, x in _inputs(a)]
+        repeat = [_fingerprint(kernel(x)) for kernel, x in _inputs(a)]
+    # a hit stored from the C-contiguous complex copy of the same values
+    with reuse():
+        for kernel, x in _inputs(a):
+            kernel(np.array(x, dtype=complex, order="C"))
+        hits = [_fingerprint(kernel(x)) for kernel, x in _inputs(a)]
+    assert first == repeat == hits == fresh
+
+
+def test_kernels_store_nothing_outside_a_reuse_scope():
+    a = np.eye(3)
+    for kernel in KERNELS:
+        one, two = _arrays(kernel(a)), _arrays(kernel(a))
+        assert all(x.flags.writeable for x in one + two)
+        assert all(x is not y for x, y in zip(one, two))
+    assert la._MEMO.get() is None
+
+
+def test_results_in_a_reuse_scope_are_read_only_and_reused():
+    a = np.eye(3)
+    with reuse():
+        for kernel in KERNELS:
+            first = _arrays(kernel(a))
+            for x in first:
+                with pytest.raises(ValueError, match="read-only"):
+                    x[...] = 7
+            again = _arrays(kernel(a.copy()))
+            assert all(x is y for x, y in zip(first, again))
+            assert _fingerprint(again) == _fingerprint(kernel(np.eye(3)))
+        assert len(la._MEMO.get()) == len(KERNELS)
+    assert la._MEMO.get() is None
+
+
+def test_reuse_keys_by_shape_as_well_as_bytes():
+    shapes = ((0, 3), (3, 0), (2, 2), (1, 4), (4, 1))
+    fresh = [_fingerprint(gram_schmidt_columns(np.ones(s))) for s in shapes]
+    with reuse():
+        assert [_fingerprint(gram_schmidt_columns(np.ones(s)))
+                for s in shapes] == fresh
+
+
+def test_reuse_scope_closes_on_exception_and_nests():
+    with pytest.raises(RuntimeError):
+        with reuse():
+            hermitian_eig(np.eye(2))
+            raise RuntimeError("inside")
+    assert la._MEMO.get() is None
+    with reuse():
+        outer = la._MEMO.get()
+        hermitian_eig(np.eye(2))
+        with reuse():
+            assert la._MEMO.get() == {}
+        assert la._MEMO.get() is outer and len(outer) == 1

@@ -22,8 +22,9 @@ the checkout holds:
 * `sweep_coverage`: for each exhaustive sweep of the exhaustive-exact
   workload, at the bounds `perfbench/workloads.py` runs it with, the
   triples it ran (`cases`), the triples over the enumeration cap
-  (`skipped`), those run without the hom scan (`scan_skipped`) and the
-  cases that raised (`errors`): what the JSON reports leave out;
+  (`skipped`), the cases that raised (`errors`) and the homs the sweep
+  walked (`homs`, counted by a wrapper around the instance's
+  `iter_homs` installed here): what the JSON reports leave out;
 * `kernel_reuse`: for each of the three memoised `vnlinalg` kernels
   (`hermitian_eig`, `hermitian_eigvals`, `gram_schmidt_columns`) on one
   check-default verdict at seed 1, run in this process, its `calls` and
@@ -41,6 +42,7 @@ same digest, and Tier-1 failed nothing.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import re
@@ -133,18 +135,26 @@ def import_checkout() -> None:
 
 
 def sweep_coverage() -> list:
-    """What each exhaustive-exact sweep left out, run in this process on
-    the checkout's `src/` with the workload's own bounds."""
+    """What each exhaustive-exact sweep covered and left out, run in this
+    process on the checkout's `src/` with the workload's own bounds."""
     import_checkout()
     import workloads
     from effectus import harness
     from effectus.registry import INSTANCES
     out = []
     for name, which, bounds, seed in workloads.exhaustive_sweeps("exhaustive-exact", SEED):
-        report = harness.run_exhaustive_adjunction(INSTANCES[name], which, bounds, seed)
+        inst, homs = copy.copy(INSTANCES[name]), [0]
+
+        def counted(*args, iter_homs=inst.iter_homs):
+            for f in iter_homs(*args):
+                homs[0] += 1
+                yield f
+
+        inst.iter_homs = counted
+        report = harness.run_exhaustive_adjunction(inst, which, bounds, seed)
         out.append({"instance": name, "law": report.law, "cases": report.cases,
-                    "skipped": len(report.skipped), "scan_skipped": report.scan_skipped,
-                    "errors": report.errors})
+                    "skipped": len(report.skipped), "errors": report.errors,
+                    "homs": homs[0]})
     return out
 
 

@@ -87,6 +87,12 @@ def atom_key(a):
     raise ValidationError(f"unsupported atom {a!r}")
 
 
+def check_size(n, what: str, least: int = 0) -> None:
+    # a bool is refused, as atom_key refuses bool atoms
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise ValidationError(f"{what} {n!r} must be an int >= {least}")
+
+
 def atom_to_json(a):
     if a is STAR:
         return "*"
@@ -309,12 +315,10 @@ class ChainInstance(ABC):
     # prove a mediating map unique); the hom sampler defaults to a random
     # map through the construction the caller already built.  Exact
     # instances may add the iter_*/count_* enumerators, for exhaustive
-    # checks and uniqueness over few candidates.  `iter_homs` narrows the
-    # exhaustive hom scan: it may leave out arrows that are no homs, never
-    # a hom, and keeps `iter_arrows` order.  The scan asks `hom_check` of
-    # every arrow it yields and counts the homs, so a non-hom yielded in
-    # place of a hom shows as a hom short.  `bounds` is a dict of instance
-    # size knobs.
+    # checks and uniqueness over few candidates.  `iter_homs` yields
+    # exactly the homs, each once, in a fixed order: the exhaustive sweep
+    # round-trips each and counts them against the candidates, asking no
+    # `hom_check` itself.  `bounds` is a dict of instance size knobs.
 
     def rand_object(self, rng, bounds, like=None):
         """Sample a carrier within bounds; `like` is an existing carrier
@@ -334,10 +338,11 @@ class ChainInstance(ABC):
         return built.untranspose(self, self.rand_arrow(rng, *built.ends(built.obj, Y), bounds))
 
     def iter_homs(self, built, X, p, Y) -> Iterator:
-        """Arrows among which lie all the homs between
-        `built.hom_objects(self, X, p, Y)`, in `iter_arrows` order; by
-        default every arrow between X and Y."""
-        return self.iter_arrows(*built.ends(X, Y))
+        """Exactly the homs between `built.hom_objects(self, X, p, Y)`,
+        each once, in a fixed order; by default the arrows between X and
+        Y that pass hom_check."""
+        objects = built.hom_objects(self, X, p, Y)
+        return (f for f in self.iter_arrows(*built.ends(X, Y)) if hom_check(self, f, *objects))
 
     def iter_preds(self, X) -> Iterator:
         raise UnsupportedError(f"{self.name}: fibre not enumerable")

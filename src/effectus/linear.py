@@ -26,6 +26,7 @@ from .core import (
     HomConditionError,
     QuotientResult,
     ValidationError,
+    check_size,
     hom_check,
     make_arrow,
 )
@@ -142,11 +143,10 @@ class FpSpace:
     dim: int
 
     def __post_init__(self):
-        p = self.p
-        if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        check_size(self.p, "modulus", 2)
+        if any(self.p % k == 0 for k in range(2, math.isqrt(self.p) + 1)):
             raise ValidationError(f"modulus {self.p} is not prime")
-        if self.dim < 0:
-            raise ValidationError("dimension must be a natural number")
+        check_size(self.dim, "dimension")
 
     def __repr__(self):
         return f"F{self.p}^{self.dim}"
@@ -337,8 +337,7 @@ class FpChain(ChainInstance):
         p exactly when each of its columns does, so the homs are the
         matrices made of allowed rows (quotient) or columns
         (comprehension): a vector is allowed when the map between X and
-        F_p^1 it makes is a hom.  Matrices in row-major lexicographic
-        order are in `iter_arrows` order."""
+        F_p^1 it makes is a hom."""
         line = FpSpace(X.p, 1)
         ends = built.ends(X, line)
         hom_objects = built.hom_objects(self, X, p, line)
@@ -349,9 +348,8 @@ class FpChain(ChainInstance):
             return (make_arrow((X, Y, mat)) for mat in product(rows, repeat=Y.dim))
         cols = [c for c in vectors
                 if hom_check(self, make_arrow((*ends, tuple(zip(c)))), *hom_objects)]
-        mats = sorted(tuple(tuple(c[i] for c in m) for i in range(X.dim))
-                      for m in product(cols, repeat=Y.dim))
-        return (make_arrow((Y, X, mat)) for mat in mats)
+        return (make_arrow((Y, X, tuple(tuple(c[i] for c in m) for i in range(X.dim))))
+                for m in product(cols, repeat=Y.dim))
 
     def iter_preds(self, X):
         """All subspaces, via deduplicated spans of vector subsets."""
@@ -386,8 +384,7 @@ class HilbSpace:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValidationError("dimension must be a natural number")
+        check_size(self.dim, "dimension")
 
     def __repr__(self):
         return f"C^{self.dim}"

@@ -31,6 +31,7 @@ from .core import (
     ValidationError,
     atom_key,
     atom_to_json,
+    check_size,
     make_arrow,
 )
 
@@ -75,8 +76,7 @@ class ZProductRing(FiniteRing):
 
     def __post_init__(self):
         for m in self.moduli:
-            if not isinstance(m, int) or m < 2:
-                raise ValidationError(f"modulus {m!r} must be an int >= 2")
+            check_size(m, "modulus", 2)
         # product() of ranges is already in atom_key order
         self._list(tuple(product(*(range(m) for m in self.moduli))))
 

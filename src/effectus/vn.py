@@ -25,6 +25,7 @@ from .core import (
     Law,
     QuotientResult,
     ValidationError,
+    check_size,
 )
 from . import vnlinalg as la
 
@@ -40,8 +41,7 @@ class MatrixAlgebra:
 
     def __post_init__(self):
         for n in self.block_dims:
-            if not isinstance(n, int) or n < 1:
-                raise ValidationError(f"block dimension {n!r} must be an int >= 1")
+            check_size(n, "block dimension", 1)
 
     @property
     def vdim(self) -> int:

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -397,8 +398,6 @@ def test_exhaustive_sweep_names_what_it_skips(which):
     assert report.cases + len(report.skipped) == len(_triples(INSTANCES["sets"], bounds))
     for triple in report.skipped:
         assert set(triple) == {"X", "p", "Y"}
-    # the scan cap never exceeds the enumeration cap
-    assert 0 < report.scan_skipped <= report.cases
     assert set(report.to_jsonable()) == REPORT_KEYS
 
 
@@ -557,7 +556,7 @@ def test_refusing_transpose_fails_its_round_trip(which):
     corrupt = _corrupt(SetsChain, which, _refuse)
     report = run_exhaustive_adjunction(corrupt, which, {"max_size": 2})
     assert report.cases == report.failures == 44 and report.errors == 0
-    assert {"round_trip", "X", "p", "Y", "which"} == set(report.witnesses[0])
+    assert {"unreached_hom", "X", "p", "Y", "which"} == set(report.witnesses[0])
 
 
 @pytest.mark.parametrize("name", ["dist", "hilb", "vn"])
@@ -815,11 +814,12 @@ def test_sampled_uniqueness_draws_every_sample():
     assert draws == [ends] * UNIQUE_SAMPLES
 
 
-# The hom scan of an exhaustive sweep re-derives the homs through
-# hom_check, so a corrupted order breaks the bijection from the hom side:
-# a hom that no candidate reaches, or fewer homs than candidates.  The
-# `iter_homs` of sets, nondet and fp ask hom_check for their factors, so
-# the order they read is the corrupted one too.
+# The `iter_homs` of sets, nondet and fp ask hom_check for their factors,
+# so a corrupted order changes the homs they yield and breaks the
+# bijection from the hom side: a yielded non-hom the transpose refuses,
+# or fewer homs than candidates.  A map with no factor to ask is yielded
+# without asking the order, so a triple with an empty hom source (X in
+# the quotient, Y in the comprehension), or with Y = F_2^0, still passes.
 _FP1, _FP0 = {"field": 2, "dim": 1}, {"field": 2, "dim": 0}
 _NO_HOM = {"hom_count": 0, "candidate_count": 1}
 CORRUPTED_ORDER = {
@@ -827,28 +827,28 @@ CORRUPTED_ORDER = {
                                   {"X": [1], "p": [1], "Y": [1], "unreached_hom": [[1, 1]]}),
     "everything-below-comprehension": (SetsChain, _EverythingBelow, "comprehension", 44, 21,
                                        {"X": [1], "p": [], "Y": [1], "unreached_hom": [[1, 1]]}),
-    "nothing-below-quotient": (SetsChain, _NothingBelow, "quotient", 44, 44,
-                               {"X": [], "p": [], "Y": [], **_NO_HOM}),
-    "nothing-below-comprehension": (SetsChain, _NothingBelow, "comprehension", 44, 44,
-                                    {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    "nothing-below-quotient": (SetsChain, _NothingBelow, "quotient", 44, 40,
+                               {"X": [1], "p": [], "Y": [], **_NO_HOM}),
+    "nothing-below-comprehension": (SetsChain, _NothingBelow, "comprehension", 44, 33,
+                                    {"X": [], "p": [], "Y": [1], **_NO_HOM}),
     "nondet-everything-below-quotient": (
         NondetChain, _EverythingBelow, "quotient", 44, 21,
         {"X": [1], "p": [1], "Y": [1], "unreached_hom": [[1, [1]]]}),
     "nondet-everything-below-comprehension": (
         NondetChain, _EverythingBelow, "comprehension", 44, 21,
         {"X": [1], "p": [], "Y": [1], "unreached_hom": [[1, [1]]]}),
-    "nondet-nothing-below-quotient": (NondetChain, _NothingBelow, "quotient", 44, 44,
-                                      {"X": [], "p": [], "Y": [], **_NO_HOM}),
-    "nondet-nothing-below-comprehension": (NondetChain, _NothingBelow, "comprehension", 44, 44,
-                                           {"X": [], "p": [], "Y": [], **_NO_HOM}),
+    "nondet-nothing-below-quotient": (NondetChain, _NothingBelow, "quotient", 44, 40,
+                                      {"X": [1], "p": [], "Y": [], **_NO_HOM}),
+    "nondet-nothing-below-comprehension": (NondetChain, _NothingBelow, "comprehension", 44, 33,
+                                           {"X": [], "p": [], "Y": [1], **_NO_HOM}),
     "fp-everything-below-quotient": (FpChain, _EverythingBelow, "quotient", 24, 10,
                                      {"X": _FP1, "p": [[1]], "Y": _FP1, "unreached_hom": [[1]]}),
     "fp-everything-below-comprehension": (FpChain, _EverythingBelow, "comprehension", 24, 10,
                                           {"X": _FP1, "p": [], "Y": _FP1, "unreached_hom": [[1]]}),
-    "fp-nothing-below-quotient": (FpChain, _NothingBelow, "quotient", 24, 24,
-                                  {"X": _FP0, "p": [], "Y": _FP0, **_NO_HOM}),
-    "fp-nothing-below-comprehension": (FpChain, _NothingBelow, "comprehension", 24, 24,
-                                       {"X": _FP0, "p": [], "Y": _FP0, **_NO_HOM}),
+    "fp-nothing-below-quotient": (FpChain, _NothingBelow, "quotient", 24, 16,
+                                  {"X": _FP0, "p": [], "Y": _FP1, **_NO_HOM}),
+    "fp-nothing-below-comprehension": (FpChain, _NothingBelow, "comprehension", 24, 16,
+                                       {"X": _FP0, "p": [], "Y": _FP1, **_NO_HOM}),
 }
 SMALL_SWEEP = {"max_size": 2, "fields": (2,), "max_dim": 2}
 
@@ -862,11 +862,10 @@ def test_hom_scan_catches_a_corrupted_order(base, corruption, which, cases, fail
     assert json.loads(json.dumps(report.witnesses[0])) == dict(first, which=which)
 
 
-def _scanned_triples(inst, which, bounds):
+def _filtered_triples(inst, which, bounds, cap):
     """(built, X, p, Y) of each triple an exhaustive sweep within bounds
-    scans for homs: its candidates within the enumeration cap, its arrows
-    X -> Y within the scan cap."""
-    cap = min(harness.ENUMERATION_CAP, harness.SCAN_CAP)
+    runs whose arrows X -> Y (or Y -> X) number at most cap, few enough
+    to filter them all by hom_check."""
     objs = list(inst.iter_objects(bounds))
     out = []
     for X in objs:
@@ -878,28 +877,56 @@ def _scanned_triples(inst, which, bounds):
     return out
 
 
-# The acceptance bounds (tests/test_acceptance.py) and the triples their
-# sweeps scan for homs, as many in either direction.
-ACCEPTANCE_SCANS = {"sets": ({"max_size": 4}, 210), "nondet": ({"max_size": 4}, 170),
-                    "fp": ({"fields": (2, 3), "max_dim": 3}, 216)}
+# The acceptance bounds (tests/test_acceptance.py), and the triples with
+# at most FILTER_CAP arrows X -> Y among them, as many in either direction.
+FILTER_CAP = 4000
+ACCEPTANCE_FILTERED = {"sets": ({"max_size": 4}, 210), "nondet": ({"max_size": 4}, 170),
+                       "fp": ({"fields": (2, 3), "max_dim": 3}, 216)}
 
 
 @pytest.mark.parametrize("which", DIRECTIONS)
-@pytest.mark.parametrize("name", ACCEPTANCE_SCANS)
+@pytest.mark.parametrize("name", ACCEPTANCE_FILTERED)
 def test_iter_homs_agrees_with_the_filter(name, which):
-    """On every triple the acceptance sweeps scan, the instance's
-    `iter_homs` yields only homs, and exactly the arrows X -> Y that pass
-    hom_check, in `iter_arrows` order."""
+    """On every acceptance triple with few enough arrows to filter, the
+    instance's `iter_homs` yields each hom once, and exactly the arrows
+    X -> Y that pass hom_check."""
     inst = INSTANCES[name]
-    bounds, scanned = ACCEPTANCE_SCANS[name]
-    triples = _scanned_triples(inst, which, bounds)
-    assert len(triples) == scanned
+    bounds, filtered = ACCEPTANCE_FILTERED[name]
+    triples = _filtered_triples(inst, which, bounds, FILTER_CAP)
+    assert len(triples) == filtered
     for built, X, p, Y in triples:
         objects = built.hom_objects(inst, X, p, Y)
-        yielded = list(inst.iter_homs(built, X, p, Y))
-        assert all(hom_check(inst, f, *objects) for f in yielded)
-        assert [f.data for f in yielded] == [
-            f.data for f in inst.iter_arrows(*built.ends(X, Y)) if hom_check(inst, f, *objects)]
+        yielded = [f.data for f in inst.iter_homs(built, X, p, Y)]
+        assert len(set(yielded)) == len(yielded)
+        assert sorted(yielded) == sorted(
+            f.data for f in inst.iter_arrows(*built.ends(X, Y)) if hom_check(inst, f, *objects))
+
+
+class _CountingHoms(FpChain):
+    """Counts the calls of `iter_homs` and the homs they yield."""
+
+    def __init__(self):
+        self.calls = self.homs = 0
+
+    def iter_homs(self, built, X, p, Y):
+        self.calls += 1
+        for f in super().iter_homs(built, X, p, Y):
+            self.homs += 1
+            yield f
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_hom_side_covers_every_triple_under_the_cap(which):
+    """At the acceptance bounds, the fp sweep runs every triple from the
+    hom side, and the homs it walks are as many as the candidates."""
+    inst = _CountingHoms()
+    bounds = ACCEPTANCE_FILTERED["fp"][0]
+    report = run_exhaustive_adjunction(inst, which, bounds)
+    assert (report.cases, report.failures, report.skipped) == (244, 0, [])
+    assert inst.calls == 244
+    candidates = sum(inst.count_arrows(*built.ends(built.obj, Y))
+                     for built, X, p, Y in _filtered_triples(inst, which, bounds, math.inf))
+    assert inst.homs == candidates
 
 
 class _DropsLastHom:
@@ -922,14 +949,16 @@ class _NonHomForLastHom:
 
 
 # Every triple has a hom (the map aborting everywhere), so dropping one
-# fails all 44; a non-hom in place of a hom fails the 21 triples that
-# have a non-hom to yield, the triples an order putting everything below
-# everything fails too.
+# fails all 44; a non-hom in place of a hom, which the transpose refuses,
+# fails the 21 triples that have a non-hom to yield, the triples an order
+# putting everything below everything fails too.
 @pytest.mark.parametrize("corruption, which, failures, first", [
     (_DropsLastHom, "quotient", 44, {"X": [], "p": [], "Y": [], **_NO_HOM}),
     (_DropsLastHom, "comprehension", 44, {"X": [], "p": [], "Y": [], **_NO_HOM}),
-    (_NonHomForLastHom, "quotient", 21, {"X": [1], "p": [1], "Y": [1], **_NO_HOM}),
-    (_NonHomForLastHom, "comprehension", 21, {"X": [1], "p": [], "Y": [1], **_NO_HOM}),
+    (_NonHomForLastHom, "quotient", 21,
+     {"X": [1], "p": [1], "Y": [1], "unreached_hom": [[1, [1]]]}),
+    (_NonHomForLastHom, "comprehension", 21,
+     {"X": [1], "p": [], "Y": [1], "unreached_hom": [[1, [1]]]}),
 ], ids=["drops-last-quotient", "drops-last-comprehension",
         "non-hom-quotient", "non-hom-comprehension"])
 def test_hom_scan_catches_a_corrupted_iter_homs(corruption, which, failures, first):
@@ -954,8 +983,8 @@ EXHAUSTIVE_GOLDEN = GOLDEN.with_name("exhaustive_corrupt_witnesses.json")
 
 def test_exhaustive_witnesses_match_golden():
     """Byte identity of the witnesses of exhaustive sweeps over corrupted
-    transposes, which fail on candidates past the first: this pins the
-    order `iter_arrows` enumerates in and the witness serialization."""
+    transposes, which fail on homs past the first: this pins the order
+    `iter_homs` enumerates in and the witness serialization."""
     reports = []
     for name, base, damage in (("sets", SetsChain, _star_to_first),
                                ("nondet", NondetChain, _drop_last)):

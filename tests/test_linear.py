@@ -32,6 +32,7 @@ from effectus.linear import (
     mat_vec,
     rref,
 )
+from effectus.vn import MatrixAlgebra
 
 FP = FpChain()
 HILB = HilbChain()
@@ -217,6 +218,21 @@ def test_subspace_validation_requires_reduced_echelon():
         FpSubspace(F2_2, ((1, 0), (1, 1)))
     with pytest.raises(ValidationError):
         FpSpace(4, 1)
+
+
+# Sizes and moduli are ints and never bools, as atoms are (core.atom_key).
+@pytest.mark.parametrize("build, args", [
+    (FpSpace, (2, 2.0)),
+    (FpSpace, (2, True)),
+    (FpSpace, (2.0, 1)),
+    (HilbSpace, (1.5,)),
+    (HilbSpace, (True,)),
+    (MatrixAlgebra, ((True,),)),
+], ids=["fp-float-dim", "fp-bool-dim", "fp-float-modulus", "hilb-float-dim",
+        "hilb-bool-dim", "vn-bool-block"])
+def test_carrier_sizes_must_be_ints(build, args):
+    with pytest.raises(ValidationError):
+        build(*args)
 
 
 @pytest.mark.parametrize("rows", [

@@ -24,7 +24,10 @@ the checkout holds:
   triples it ran (`cases`), the triples over the enumeration cap
   (`skipped`), the cases that raised (`errors`) and the homs the sweep
   walked (`homs`, counted by a wrapper around the instance's
-  `iter_homs` installed here): what the JSON reports leave out;
+  `iter_homs` installed here), and the sweep's time in this process
+  (`wall_s`, from a second run without that wrapper, so its overhead is
+  not counted): what the JSON reports leave out, and which sweep
+  dominates the workload;
 * `kernel_reuse`: for each of the three memoised `vnlinalg` kernels
   (`hermitian_eig`, `hermitian_eigvals`, `gram_schmidt_columns`) on one
   check-default verdict at seed 1, run in this process, its `calls` and
@@ -135,8 +138,9 @@ def import_checkout() -> None:
 
 
 def sweep_coverage() -> list:
-    """What each exhaustive-exact sweep covered and left out, run in this
-    process on the checkout's `src/` with the workload's own bounds."""
+    """What each exhaustive-exact sweep covered and left out, and how long
+    it took, run in this process on the checkout's `src/` with the
+    workload's own bounds."""
     import_checkout()
     import workloads
     from effectus import harness
@@ -152,9 +156,11 @@ def sweep_coverage() -> list:
 
         inst.iter_homs = counted
         report = harness.run_exhaustive_adjunction(inst, which, bounds, seed)
+        t0 = perf_counter()
+        harness.run_exhaustive_adjunction(INSTANCES[name], which, bounds, seed)
         out.append({"instance": name, "law": report.law, "cases": report.cases,
                     "skipped": len(report.skipped), "errors": report.errors,
-                    "homs": homs[0]})
+                    "homs": homs[0], "wall_s": round(perf_counter() - t0, 3)})
     return out
 
 

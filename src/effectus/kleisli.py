@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from numbers import Rational
 from operator import add, le, not_, sub
 
@@ -199,8 +199,8 @@ class KleisliChain(ChainInstance):
     Every chain operation is written once here, on arrows stored as the
     module docstring describes.  A subclass supplies T's images d, e,
     encoded over n target positions: `_eta(j, n)` (position j for certain),
-    `_abort(n)`, `_bind(d, k)` (Kleisli extension; k holds one image per
-    position of d's target and the abort image last, for *), `_scale(d,
+    `_abort(n)`, `_extend(data, k)` (k's Kleisli extension on each image of
+    data; k has an image per target position, then one for *), `_scale(d,
     w, n)` (mass times w, the rest aborting), `_plus(d, e, n)` (disjoint
     sum, refusing an image T cannot hold), `_mass(d, n)` (weight not on
     *), `_support(d, n)` (the positions other than * where d puts
@@ -247,7 +247,7 @@ class KleisliChain(ChainInstance):
         if f.dst is not g.src:
             self.check_composable(g, f)
         k = g.data + (self._abort(len(g.dst.atoms)),)
-        return make_arrow((f.src, g.dst, tuple(map(self._bind, f.data, repeat(k)))))
+        return make_arrow((f.src, g.dst, self._extend(f.data, k)))
 
     def objects_equal(self, A, B) -> bool:
         return A is B or A == B
@@ -305,7 +305,7 @@ class KleisliChain(ChainInstance):
         # no image has mass over 1, so only these positions can fail, and
         # only these kept ones (none for sets and nondet) need rescaling
         capped = [i for i, w in enumerate(keep) if w != 1]
-        rescaled = [(j, i) for j, i in enumerate(kept) if keep[i] != 1]
+        rescaled = [(j, i, 1 / keep[i]) for j, i in enumerate(kept) if keep[i] != 1]
 
         def transpose(f: Arrow) -> Arrow:
             n, data = len(f.dst.atoms), f.data
@@ -314,8 +314,8 @@ class KleisliChain(ChainInstance):
                     raise HomConditionError(f"{self.name}: mass {self._mass(data[i], n)} "
                                             f"at {X.atoms[i]!r} exceeds 1 - p = {keep[i]}")
             out = [data[i] for i in kept]
-            for j, i in rescaled:
-                out[j] = self._scale(data[i], 1 / keep[i], n)
+            for j, i, w in rescaled:
+                out[j] = self._scale(data[i], w, n)
             return make_arrow((obj, f.dst, tuple(out)))
 
         return QuotientResult(obj, Arrow(X, obj, tuple(unit)), transpose)
@@ -362,13 +362,13 @@ class KleisliChain(ChainInstance):
             for i, v in enumerate(p)))
 
     def instrument_combine(self, X, branch_pass: Arrow, branch_fail: Arrow) -> Arrow:
-        n, bind = len(X), self._bind
+        n = len(X)
         dd = 2 * n
         first = tuple(self._eta(i, dd) for i in range(n)) + (self._abort(dd),)
         second = tuple(self._eta(n + i, dd) for i in range(n)) + (self._abort(dd),)
         return Arrow(X, tagged_double(X), tuple(
-            self._plus(bind(d, first), bind(e, second), dd)
-            for d, e in zip(branch_pass.data, branch_fail.data)))
+            self._plus(d, e, dd) for d, e in zip(self._extend(branch_pass.data, first),
+                                                 self._extend(branch_fail.data, second))))
 
     def codiagonal(self, X) -> Arrow:
         n = len(X)
@@ -424,13 +424,16 @@ class NondetChain(KleisliChain):
     def _eta(self, j, n) -> int:
         return 1 << j
 
-    def _bind(self, s, k) -> int:
-        out = 0
-        while s:
-            low = s & -s
-            out |= k[low.bit_length() - 1]
-            s ^= low
-        return out
+    def _extend(self, data, k) -> tuple:
+        out = []
+        for s in data:
+            t = 0
+            while s:
+                low = s & -s
+                t |= k[low.bit_length() - 1]
+                s ^= low
+            out.append(t)
+        return tuple(out)
 
     def _scale(self, d, w, n):
         return d if w else self._abort(n)
@@ -622,12 +625,15 @@ class DistChain(KleisliChain):
     def _eta(self, j, n) -> tuple:
         return (ZERO,) * j + (ONE,) + (ZERO,) * (n - j - 1)
 
-    def _bind(self, d, k) -> tuple:
-        out = k[-1]
-        for w, row in zip(d, k):
-            if w:
-                out = tuple(a + w * v if v else a for a, v in zip(out, row))
-        return out
+    def _extend(self, data, k) -> tuple:
+        out = []
+        for d in data:
+            e = k[-1]
+            for w, row in zip(d, k):
+                if w:
+                    e = tuple(a + w * v if v else a for a, v in zip(e, row))
+            out.append(e)
+        return tuple(out)
 
     def _scale(self, d, w, n) -> tuple:
         return tuple(v * w for v in d)

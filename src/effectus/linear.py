@@ -487,10 +487,10 @@ class HilbChain(ChainInstance):
         obj = HilbSpace(p.rank)
 
         def transpose(f: Arrow) -> Arrow:
-            off = np.eye(X.dim, dtype=complex) - p.projector()
-            if la.max_abs(off @ f.data) > self.hom_tol:
+            coords = la.dagger(p.basis) @ f.data
+            if la.max_abs(f.data - p.basis @ coords) > self.hom_tol:
                 raise HomConditionError("hilb: image is not inside the subspace")
-            return Arrow(f.src, obj, la.dagger(p.basis) @ f.data)
+            return Arrow(f.src, obj, coords)
 
         return ComprehensionResult(obj, Arrow(obj, X, p.basis.copy()), transpose)
 

@@ -338,16 +338,20 @@ class VnChain(ChainInstance):
             (i, c, la.from_spectrum(root_specs[i]) @ V)
             for c, (i, V) in enumerate(corner.isoms)]))
 
+        compress = None  # built at the first transpose, once
+
         def transpose(f: Arrow) -> Arrow:
+            nonlocal compress
             img_one = self.apply(f, f.dst.one())
             for sb, ub in zip(s, img_one):
                 w = la.hermitian_eigvals(((sb - ub) + la.dagger(sb - ub)) / 2)
                 if w.size and float(w[-1]) < -self.hom_tol:
                     raise HomConditionError(
                         f"vn: image of 1 exceeds the complement by {-float(w[-1]):.3g}")
-            compress = kraus_superop(corner.algebra, X, [
-                (c, i, la.dagger(V) @ la.from_spectrum(la.pinv_spectrum(root_specs[i])))
-                for c, (i, V) in enumerate(corner.isoms)])
+            if compress is None:
+                compress = kraus_superop(corner.algebra, X, [
+                    (c, i, la.dagger(V) @ la.from_spectrum(la.pinv_spectrum(root_specs[i])))
+                    for c, (i, V) in enumerate(corner.isoms)])
             return Arrow(corner.algebra, f.dst, compress @ f.data)
 
         return QuotientResult(corner.algebra, unit, transpose)

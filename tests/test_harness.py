@@ -777,7 +777,7 @@ class _JunkInQuotient:
         def transpose(f):
             return Arrow(obj, f.dst, q.transpose(f).data + (self._abort(len(f.dst)),))
 
-        unit = Arrow(X, obj, tuple(self._bind(d, widen) for d in q.unit.data))
+        unit = Arrow(X, obj, self._extend(q.unit.data, widen))
         return QuotientResult(obj, unit, transpose)
 
 
@@ -900,6 +900,28 @@ def test_iter_homs_agrees_with_the_filter(name, which):
         assert len(set(yielded)) == len(yielded)
         assert sorted(yielded) == sorted(
             f.data for f in inst.iter_arrows(*built.ends(X, Y)) if hom_check(inst, f, *objects))
+
+
+# Each enumerable instance's acceptance object bounds, and the triples
+# among them with at most ENUMERATION_CAP homs, as many as candidates.
+ACCEPTANCE_OBJECTS = {"sets": ({"max_size": 4}, 210), "nondet": ({"max_size": 4}, 209),
+                      "fp": ({"fields": (2, 3), "max_dim": 3}, 244),
+                      "ring": ({"max_order": 12}, 1617)}
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+@pytest.mark.parametrize("name", ACCEPTANCE_OBJECTS)
+def test_iter_homs_yields_each_hom_once(name, which):
+    """The sweep counts the homs `iter_homs` yields against the candidates,
+    trusting that none comes twice: on every acceptance triple with at most
+    ENUMERATION_CAP homs, no two yielded arrows are equal."""
+    inst = INSTANCES[name]
+    bounds, count = ACCEPTANCE_OBJECTS[name]
+    triples = _filtered_triples(inst, which, bounds, math.inf)
+    assert len(triples) == count
+    for built, X, p, Y in triples:
+        yielded = [f.data for f in inst.iter_homs(built, X, p, Y)]
+        assert len(set(yielded)) == len(yielded)
 
 
 class _CountingHoms(FpChain):

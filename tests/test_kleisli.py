@@ -189,9 +189,9 @@ ATOMS = (1, 2, 3, "a", "b", (1, "a"))
 OUTSIDE = "zz"  # never an atom of a sampled carrier
 
 
-def _carriers(min_size=0):
-    return st.lists(st.sampled_from(ATOMS), unique=True, min_size=min_size,
-                    max_size=4).map(lambda xs: FiniteSet(tuple(xs)))
+def _carriers(min_size=0, max_size=4, atoms=ATOMS):
+    return st.lists(st.sampled_from(atoms), unique=True, min_size=min_size,
+                    max_size=max_size).map(lambda xs: FiniteSet(tuple(xs)))
 
 
 @st.composite
@@ -223,6 +223,41 @@ def test_table_decodes_what_arrow_encodes(name, data):
     inst = MONADS[name]
     X, Y, table = data.draw(_atom_tables(name))
     assert inst.table(inst.arrow(X, Y, table)) == table
+
+
+# Enough atoms for a middle carrier wider than eight atoms, whose masks
+# span more than a byte.
+WIDE_ATOMS = ATOMS + tuple(range(4, 12))
+
+
+def _composite_image(name, d, g_table):
+    """The image of an atom under g after f, read off the decoded tables:
+    the union of g's images over d (nondet), or their sum weighted by d
+    (dist); * stays *."""
+    if name == "nondet":
+        return frozenset().union(*({STAR} if y is STAR else g_table[y] for y in d))
+    weights = {}
+    for y, w in d.weights:
+        for z, v in g_table[y].weights:
+            weights[z] = weights.get(z, 0) + w * v
+    return SubDist(tuple(weights.items()))
+
+
+@pytest.mark.parametrize("name", ["nondet", "dist"])
+@pytest.mark.parametrize("middle", [(0, 4), (9, 11)], ids=["narrow", "wide"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_agrees_with_the_decoded_images(name, middle, data):
+    inst = MONADS[name]
+    X, Z = data.draw(_carriers(min_size=1)), data.draw(_carriers())
+    Y = data.draw(_carriers(*middle, atoms=WIDE_ATOMS))
+    f_table = {x: data.draw(_images(name, Y)) for x in X}
+    g_table = {y: data.draw(_images(name, Z)) for y in Y}
+    f = inst.arrow(X, Y, f_table)
+    gf = inst.compose(inst.arrow(Y, Z, g_table), f)
+    assert inst.table(gf) == {x: _composite_image(name, d, g_table)
+                              for x, d in f_table.items()}
+    assert inst.table(inst.compose(inst.identity(Y), f)) == f_table
 
 
 OUTSIDE_IMAGE = {"sets": OUTSIDE, "nondet": frozenset({OUTSIDE, STAR}),

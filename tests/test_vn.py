@@ -536,3 +536,21 @@ def test_one_eigendecomposition_per_block(monkeypatch):
     assert n == 2  # one per block of 1 - p
     assert count(lambda: q.transpose(f))[0] == 0
     assert count(lambda: VN.comprehension(X, p))[0] == 2
+
+
+def test_quotient_builds_its_compression_once(monkeypatch):
+    """The quotient transpose compresses through the pseudoinverse roots
+    of 1 - p: one build per construction, at its first transpose, none
+    for a construction that is never transposed."""
+    rng = random.Random(47)
+    X, p = corner_effects(rng)[0]
+    Y = MatrixAlgebra((2,))
+    fs = [VN.rand_hom(rng, X, p, VN.quotient(X, p), Y, None) for _ in range(5)]
+    calls = []
+    pinv = la.pinv_spectrum
+    monkeypatch.setattr(la, "pinv_spectrum", lambda spec: calls.append(spec) or pinv(spec))
+    q = VN.quotient(X, p)
+    assert calls == []
+    for f in fs:
+        q.transpose(f)
+    assert len(calls) == len(q.obj.block_dims) > 0  # one per block of the corner

@@ -26,7 +26,9 @@ the source's order.  An image is encoded over the positions of Y's atoms:
   * ``nondet``: an int bitmask over Y + 1, with * as bit |Y|,
   * ``sets``: the same, with exactly one bit set (the lift monad is the
     powerset's singletons),
-  * ``dist``: a tuple of |Y| Fractions, the mass on * being 1 - their sum.
+  * ``dist``: a tuple of |Y| + 1 non-negative ints, * last, in lowest
+    terms: each weight is its int over their sum, so equal
+    subdistributions have equal tuples.
 
 `KleisliChain.arrow` encodes atom tables and `KleisliChain.table` decodes
 them, as `KleisliChain.pred` encodes predicates (a collection of atoms,
@@ -42,8 +44,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
 from numbers import Rational
-from operator import add, le, not_, sub
+from operator import le, mul, not_, sub
 
 from .core import (
     STAR,
@@ -198,18 +201,20 @@ class KleisliChain(ChainInstance):
 
     Every chain operation is written once here, on arrows stored as the
     module docstring describes.  A subclass supplies T's images d, e,
-    encoded over n target positions: `_eta(j, n)` (position j for certain),
-    `_abort(n)`, `_extend(data, k)` (k's Kleisli extension on each image of
-    data; k has an image per target position, then one for *), `_scale(d,
-    w, n)` (mass times w, the rest aborting), `_plus(d, e, n)` (disjoint
-    sum, refusing an image T cannot hold), `_mass(d, n)` (weight not on
-    *), `_support(d, n)` (the positions other than * where d puts
-    weight, lowest first), `_restriction(kept, n)` (re-indexes an image onto
-    the positions `kept`, None when it reaches outside them),
-    `_rand_image(rng, bounds, n, positions, cap)` (support in `positions`,
-    mass at most cap); the boundary `_encode(x, image, Y)` (x's atom image,
-    checked and encoded), `_decode(d, Y)` and `_image_to_json(d, Y)`; and
-    its predicate values: `_true` and `_false`, `_not(v)` (1 - v) and
+    encoded over n target positions and * (an int mask, or for dist ints
+    over Y + 1): `_eta(j, n)` (position j for certain), `_abort(n)`,
+    `_extend(data, k)` (k's Kleisli extension on each image of data; k
+    has an image per target position, then one for *), `_scale(d, w, n)`
+    (mass times w, the rest aborting), `_plus(d, e, n)` (disjoint sum,
+    refusing an image T cannot hold), `_mass(d, n)` (weight not on *: an
+    int, or a Fraction for dist), `_support(d, n)` (the positions other
+    than * where d puts weight, lowest first), `_restriction(kept, n)`
+    (re-indexes an image onto the positions `kept`, None when it reaches
+    outside them), `_rand_image(rng, bounds, n, positions, cap)` (support
+    in `positions`, mass at most cap); the boundary `_encode(x, image, Y)`
+    (x's atom image, checked and encoded), `_decode(d, Y)` and
+    `_image_to_json(d, Y)`; and its predicate values (bools, or Fractions
+    for dist): `_true` and `_false`, `_not(v)` (1 - v) and
     `_expectation(Y, q)` (image -> value of q under it, abort counting 1),
     with the boundary `pred(X, spec)` (the atoms where the predicate holds,
     or for dist a mapping atom -> value) and its decoder `pred_table(X, p)`.
@@ -599,11 +604,18 @@ class SetsChain(NondetChain):
         return atom_to_json(self._decode(s, Y))
 
 
+def _canonical(row) -> tuple:
+    """A dist image's integer weights in lowest terms."""
+    g = gcd(*row)
+    return tuple(row) if g == 1 else tuple(v // g for v in row)
+
+
 class DistChain(KleisliChain):
     """Finite sets with subdistribution kernels, exact over the rationals:
-    an arrow X -> Y maps each atom of X to a SubDist on Y, stored as the
-    tuple of its |Y| weights.  Predicates are fuzzy: a rational in [0, 1]
-    per atom."""
+    an arrow X -> Y maps each atom of X to a SubDist on Y, stored as
+    integer weights over Y + 1 in lowest terms, * last.  Fractions appear
+    only at the boundary: encoding, decoding, JSON, error texts and the
+    predicates, which are fuzzy: a rational in [0, 1] per atom."""
 
     name = "dist"
     description = "finite sets and rational subdistribution kernels"
@@ -620,81 +632,98 @@ class DistChain(KleisliChain):
         return dict(zip(X.atoms, p))
 
     def _abort(self, n) -> tuple:
-        return (ZERO,) * n
+        return (0,) * n + (1,)
 
     def _eta(self, j, n) -> tuple:
-        return (ZERO,) * j + (ONE,) + (ZERO,) * (n - j - 1)
+        return (0,) * j + (1,) + (0,) * (n - j)
 
     def _extend(self, data, k) -> tuple:
+        # each row of k over the lcm of the sums of the rows d reaches
+        sums = [sum(row) for row in k]
         out = []
         for d in data:
-            e = k[-1]
-            for w, row in zip(d, k):
+            den = lcm(*[s for w, s in zip(d, sums) if w])
+            e = [0] * len(k[-1])
+            for w, row, s in zip(d, k, sums):
                 if w:
-                    e = tuple(a + w * v if v else a for a, v in zip(e, row))
-            out.append(e)
+                    c = w * (den // s)
+                    e = [a + c * v for a, v in zip(e, row)]
+            out.append(_canonical(e))
         return tuple(out)
 
     def _scale(self, d, w, n) -> tuple:
-        return tuple(v * w for v in d)
+        # over q * sum(d) for w = p / q: p * d on Y, the rest on *
+        p, q = w.numerator, w.denominator
+        return _canonical([v * p for v in d[:n]] + [(q - p) * sum(d) + p * d[n]])
 
     def _plus(self, d, e, n) -> tuple:
-        out = tuple(map(add, d, e))
-        if sum(out) > 1:
-            raise ValidationError(f"dist: combined mass {sum(out)} exceeds 1")
-        return out
+        D, E = sum(d), sum(e)
+        row = [a * E + b * D for a, b in zip(d[:n], e)]
+        if sum(row) > D * E:
+            raise ValidationError(f"dist: combined mass {Fraction(sum(row), D * E)} exceeds 1")
+        return _canonical(row + [D * E - sum(row)])
 
     def map_residual(self, f: Arrow, g: Arrow) -> float:
         if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
             return 1.0
-        return float(max((abs(a - b) for d, e in zip(f.data, g.data) if d != e
-                          for a, b in zip(d, e)), default=ZERO))
+        gap, den = 0, 1  # the largest weight difference so far, gap / den
+        for d, e in zip(f.data, g.data):
+            if d != e:
+                D, E = sum(d), sum(e)
+                top = max(abs(a * E - b * D) for a, b in zip(d[:-1], e))
+                if top * den > gap * D * E:
+                    gap, den = top, D * E
+        return gap / den
 
     def _expectation(self, Y, q: tuple):
-        # sum of w * q(y), plus the mass 1 - sum of w on *
-        miss = [1 - v for v in q]
-        return lambda d: ONE - sum((w * m for w, m in zip(d, miss) if w), ZERO)
+        # 1 - sum of w * (1 - q(y)), read over one common denominator c
+        c = lcm(*[v.denominator for v in q])
+        miss = [c - v.numerator * (c // v.denominator) for v in q]
+        return lambda d: Fraction(c * sum(d) - sum(map(mul, d, miss)), c * sum(d))
 
     def _mass(self, d, n) -> Fraction:
-        return sum(d, ZERO)
+        return Fraction(sum(d) - d[n], sum(d))
 
     def _support(self, d, n) -> list:
-        return [i for i, w in enumerate(d) if w]
+        return [i for i in range(n) if d[i]]
 
     def _restriction(self, kept, n):
         outside = sorted(set(range(n)).difference(kept))
         return lambda d: (None if any(d[i] for i in outside)
-                          else tuple(d[i] for i in kept))
+                          else tuple(d[i] for i in kept) + d[-1:])
 
     def _rand_image(self, rng, bounds, n, positions, cap) -> tuple:
         # One common denominator keeps every kernel weight's denominator
         # within the requested bound even after splitting the budget.
         den = rng.randint(1, bounds.get("max_den", 16))
-        units = int(cap * den)  # floor: never exceeds the cap
-        row = [ZERO] * n
+        units = cap.numerator * den // cap.denominator  # never exceeds the cap
+        row = [0] * (n + 1)
         for j in positions:
-            k = rng.randint(0, units)
-            if k:
-                row[j] = Fraction(k, den)
-                units -= k
-        return tuple(row)
+            row[j] = k = rng.randint(0, units)
+            units -= k
+        row[n] = den - sum(row)
+        return _canonical(row)
 
     def _encode(self, x, d, Y: FiniteSet) -> tuple:
         if not isinstance(d, SubDist):
             raise ValidationError(f"image of {x!r} must be a SubDist")
-        row = [ZERO] * len(Y)
+        den = lcm(*[w.denominator for _, w in d.weights])
+        row = [0] * (len(Y) + 1)
         for y, w in d.weights:
-            row[Y._index[y]] = w
-        return tuple(row)
+            row[Y._index[y]] = w.numerator * (den // w.denominator)
+        row[-1] = den - sum(row)
+        return _canonical(row)
 
     def _decode(self, d, Y: FiniteSet) -> SubDist:
-        return SubDist(tuple((y, w) for y, w in zip(Y.atoms, d) if w))
+        total = sum(d)
+        return SubDist(tuple((y, Fraction(w, total)) for y, w in zip(Y.atoms, d) if w))
 
     def _image_to_json(self, d, Y: FiniteSet):
-        row = [[atom_to_json(y), frac_to_json(w)] for y, w in zip(Y.atoms, d) if w]
-        star = ONE - sum(d, ZERO)
-        if star:
-            row.append(["*", frac_to_json(star)])
+        total = sum(d)
+        row = [[atom_to_json(y), frac_to_json(Fraction(w, total))]
+               for y, w in zip(Y.atoms, d) if w]
+        if d[-1]:
+            row.append(["*", frac_to_json(Fraction(d[-1], total))])
         return row
 
     # ---- samplers whose draws differ from the finite-set instances ----

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from math import gcd
+from operator import add, mod, mul, neg
 
 from .core import (
     Arrow,
@@ -38,15 +39,18 @@ from .core import (
 
 class FiniteRing:
     """Protocol for the concrete ring classes below: commutative, unital,
-    elements hashable and totally ordered by atom_key.  `position` maps
-    each element to its place in `elements()`."""
+    elements hashable and totally ordered by atom_key.  `zero`, `one`
+    and the elements are stored when the ring is built, and `position`
+    maps each element to its place in `elements()`."""
 
     zero: object
     one: object
 
-    def _list(self, elts: tuple) -> None:
+    def _store(self, elts: tuple, zero, one) -> None:
         object.__setattr__(self, "_elts", elts)
         object.__setattr__(self, "position", dict(zip(elts, range(len(elts)))))
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
 
     def elements(self) -> tuple:
         return self._elts
@@ -78,24 +82,17 @@ class ZProductRing(FiniteRing):
         for m in self.moduli:
             check_size(m, "modulus", 2)
         # product() of ranges is already in atom_key order
-        self._list(tuple(product(*(range(m) for m in self.moduli))))
-
-    @property
-    def zero(self):
-        return tuple(0 for _ in self.moduli)
-
-    @property
-    def one(self):
-        return tuple(1 if m > 1 else 0 for m in self.moduli)
+        self._store(tuple(product(*(range(m) for m in self.moduli))),
+                    (0,) * len(self.moduli), (1,) * len(self.moduli))
 
     def add(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
+        return tuple(map(mod, map(add, a, b), self.moduli))
 
     def neg(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
+        return tuple(map(mod, map(neg, a), self.moduli))
 
     def mul(self, a, b):
-        return tuple((x * y) % m for x, y, m in zip(a, b, self.moduli))
+        return tuple(map(mod, map(mul, a, b), self.moduli))
 
     def __repr__(self):
         if not self.moduli:
@@ -116,15 +113,8 @@ class IdealRing(FiniteRing):
         R, e = self.parent, self.unit
         if R.mul(e, e) != e:
             raise ValidationError(f"{e!r} is not idempotent in {R!r}")
-        self._list(tuple(sorted({R.mul(e, x) for x in R.elements()}, key=atom_key)))
-
-    @property
-    def zero(self):
-        return self.parent.zero
-
-    @property
-    def one(self):
-        return self.unit
+        self._store(tuple(sorted({R.mul(e, x) for x in R.elements()}, key=atom_key)),
+                    R.zero, e)
 
     def add(self, a, b):
         return self.parent.add(a, b)
@@ -148,15 +138,8 @@ class PairRing(FiniteRing):
 
     def __post_init__(self):
         # the product of two atom_key-sorted factors is atom_key-sorted
-        self._list(tuple(product(self.left.elements(), self.right.elements())))
-
-    @property
-    def zero(self):
-        return (self.left.zero, self.right.zero)
-
-    @property
-    def one(self):
-        return (self.left.one, self.right.one)
+        self._store(tuple(product(self.left.elements(), self.right.elements())),
+                    (self.left.zero, self.right.zero), (self.left.one, self.right.one))
 
     def add(self, a, b):
         return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 
 from effectus import (
     HomConditionError,
+    ValidationError,
     derive_assert,
     derive_instrument,
     side_effect,
 )
-from effectus.kleisli import DistChain, FiniteSet, SubDist, dirac, fuzzy
+from effectus.core import atom_to_json
+from effectus.kleisli import DistChain, FiniteSet, SubDist, dirac, frac_to_json, fuzzy
 
 DIST = DistChain()
 
@@ -335,7 +339,7 @@ def test_json_uses_num_den_strings():
     X = fs("x")
     p = fuzzy(X, {"x": HALF})
     assert DIST.pred_to_json(X, p) == [["x", "1/2"]]
-    # the abort weight is implicit in memory but spelled out in witnesses
+    # witnesses spell out the abort weight
     f = DIST.arrow(X, X, {"x": SubDist((("x", THIRD),))})
     assert DIST.arrow_to_json(f) == [["x", [["x", "1/3"], ["*", "2/3"]]]]
     total = DIST.arrow(X, X, {"x": dirac("x")})
@@ -350,3 +354,179 @@ def test_sampler_honors_denominator_bound():
         for d in DIST.table(f).values():
             for _, w in d.weights:
                 assert w.denominator <= 4
+
+
+# ---------------------------------------------------------------------------
+# The integer encoding against a Fraction reference.  An image is stored as
+# integer weights over Y + 1; the reference below is the encoding it
+# replaced, |Y| Fractions with the mass on * left implicit, and its
+# formulas.
+# ---------------------------------------------------------------------------
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def _ref_eta(j, n):
+    return (ZERO,) * j + (ONE,) + (ZERO,) * (n - j - 1)
+
+
+def _ref_extend(data, k):
+    out = []
+    for d in data:
+        e = k[-1]
+        for w, row in zip(d, k):
+            if w:
+                e = tuple(a + w * v if v else a for a, v in zip(e, row))
+        out.append(e)
+    return tuple(out)
+
+
+def _ref_scale(d, w):
+    return tuple(v * w for v in d)
+
+
+def _ref_plus(d, e):
+    out = tuple(map(add, d, e))
+    if sum(out) > 1:
+        raise ValidationError(f"dist: combined mass {sum(out)} exceeds 1")
+    return out
+
+
+def _ref_expectation(q):
+    miss = [1 - v for v in q]
+    return lambda d: ONE - sum((w * m for w, m in zip(d, miss) if w), ZERO)
+
+
+def _ref_map_residual(f_rows, g_rows):
+    return float(max((abs(a - b) for d, e in zip(f_rows, g_rows) if d != e
+                      for a, b in zip(d, e)), default=ZERO))
+
+
+def _ref_json(X, Y, rows):
+    out = []
+    for x, d in zip(X, rows):
+        image = [[atom_to_json(y), frac_to_json(w)] for y, w in zip(Y, d) if w]
+        star = ONE - sum(d, ZERO)
+        if star:
+            image.append(["*", frac_to_json(star)])
+        out.append([atom_to_json(x), image])
+    return out
+
+
+def _rows(f):
+    """f's images in the reference encoding, read off its decoded table."""
+    return tuple(tuple(dict(d.weights).get(y, ZERO) for y in f.dst)
+                 for d in DIST.table(f).values())
+
+
+def _assert_matches(f, rows):
+    """f is stored canonically (non-negative ints, gcd 1, * last) and
+    decodes, through `table` and `arrow_to_json`, to the reference rows."""
+    for d, image in zip(f.data, DIST.table(f).values()):
+        assert len(d) == len(f.dst) + 1
+        assert all(type(v) is int and v >= 0 for v in d) and gcd(*d) == 1
+        assert Fraction(d[-1], sum(d)) == image.star_weight
+    assert _rows(f) == tuple(map(tuple, rows))
+    assert DIST.arrow_to_json(f) == _ref_json(f.src, f.dst, rows)
+
+
+def _space(min_size):
+    return st.lists(st.sampled_from("uvwxyz"), unique=True, min_size=min_size,
+                    max_size=3).map(lambda xs: FiniteSet(tuple(xs)))
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_integer_images_match_the_fraction_reference(data):
+    X, Y, Z = data.draw(_space(1)), data.draw(_space(0)), data.draw(_space(0))
+    p = fuzzy(X, {a: data.draw(st.one_of(st.just(ONE), rationals())) for a in X})
+    q = fuzzy(Y, {a: data.draw(rationals()) for a in Y})
+    f, f2, g = data.draw(kernels(X, Y)), data.draw(kernels(X, Y)), data.draw(kernels(Y, Z))
+    f_rows = _rows(f)
+
+    _assert_matches(DIST.compose(g, f), _ref_extend(f_rows, _rows(g) + ((ZERO,) * len(Z),)))
+    assert DIST.subst(f, q) == tuple(map(_ref_expectation(q), f_rows))
+    first = X.atoms[0]
+    for h in (f, f2, DIST.arrow(X, Y, {**DIST.table(f2), first: DIST.table(f)[first]})):
+        assert DIST.map_residual(f, h) == _ref_map_residual(f_rows, _rows(h))
+
+    # the quotient: its unit, and its transpose on f (a hom or refused)
+    # and on f with each image scaled into its cap 1 - p
+    built, keep = DIST.quotient(X, p), [1 - v for v in p]
+    kept = [i for i, w in enumerate(keep) if w]
+    unit = [(ZERO,) * len(kept)] * len(X)
+    for j, i in enumerate(kept):
+        unit[i] = _ref_scale(_ref_eta(j, len(kept)), keep[i])
+    _assert_matches(built.unit, unit)
+    capped = DIST.arrow(X, Y, {x: SubDist(tuple((y, w * k) for y, w in d.weights))
+                               for (x, d), k in zip(DIST.table(f).items(), keep)})
+    for h in (capped, f):
+        rows = _rows(h)
+        if any(sum(d) > k for d, k in zip(rows, keep)):
+            with pytest.raises(HomConditionError):
+                built.transpose(h)
+        else:
+            _assert_matches(built.transpose(h), [_ref_scale(rows[i], 1 / keep[i]) for i in kept])
+
+    # the comprehension: its counit, and its transpose on maps into X with
+    # support inside the carrier (homs) or anywhere
+    built = DIST.comprehension(X, p)
+    inside = [i for i, v in enumerate(p) if v == 1]
+    _assert_matches(built.counit, [_ref_eta(i, len(X)) for i in inside])
+    homs = DIST.arrow(Z, X, DIST.table(data.draw(kernels(Z, built.obj))))
+    for h in (homs, data.draw(kernels(Z, X))):
+        rows = _rows(h)
+        if any(w for d in rows for i, w in enumerate(d) if i not in inside):
+            with pytest.raises(HomConditionError):
+                built.transpose(h)
+        else:
+            _assert_matches(built.transpose(h), [[d[i] for i in inside] for d in rows])
+
+    # instrument_combine, refused with the reference's text when the two
+    # branches carry more than mass 1 at an atom
+    passing, failing = data.draw(kernels(X, X)), data.draw(kernels(X, X))
+    n = len(X)
+    tags = [tuple(_ref_eta(t + i, 2 * n) for i in range(n)) + ((ZERO,) * 2 * n,)
+            for t in (0, n)]
+    try:
+        rows = [_ref_plus(d, e) for d, e in zip(_ref_extend(_rows(passing), tags[0]),
+                                                _ref_extend(_rows(failing), tags[1]))]
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            DIST.instrument_combine(X, passing, failing)
+        assert str(info.value) == str(exc)
+    else:
+        _assert_matches(DIST.instrument_combine(X, passing, failing), rows)
+
+
+@given(X=_space(1), Y=_space(0), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_drawn_images_are_canonical(X, Y, seed):
+    rng = random.Random(seed)
+    p = DIST.rand_pred(rng, X, {})
+    for f in (DIST.rand_arrow(rng, X, Y, {}),
+              DIST.rand_hom(rng, X, p, DIST.quotient(X, p), Y, {}),
+              DIST.rand_hom(rng, X, p, DIST.comprehension(X, p), Y, {})):
+        _assert_matches(f, _rows(f))
+
+
+def test_equal_subdists_encode_to_equal_data():
+    X, Y, Z = fs("x"), fs("a", "b"), fs("c")
+    halves = [DIST.arrow(X, Z, {"x": SubDist((("c", w),))})
+              for w in (Fraction(2, 4), HALF, Fraction(8, 16))]
+    # the same half reached through a composite and through a scaling
+    split = DIST.arrow(X, Y, {"x": SubDist((("a", HALF), ("b", HALF)))})
+    merge = DIST.arrow(Y, Z, {"a": SubDist((("c", HALF),)), "b": SubDist((("c", HALF),))})
+    halves.append(DIST.compose(merge, split))
+    halves.append(DIST.compose(DIST.arrow(X, Z, {"x": dirac("c")}),
+                               DIST.assert_closed_form(X, fuzzy(X, {"x": HALF}))))
+    assert {f.data for f in halves} == {((1, 1),)}
+
+
+def test_combining_branches_over_mass_one_names_the_mass():
+    X = fs("x")
+    passing = DIST.arrow(X, X, {"x": SubDist((("x", Fraction(3, 4)),))})
+    failing = DIST.arrow(X, X, {"x": SubDist((("x", HALF),))})
+    with pytest.raises(ValidationError) as info:
+        DIST.instrument_combine(X, passing, failing)
+    assert str(info.value) == "dist: combined mass 5/4 exceeds 1"

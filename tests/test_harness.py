@@ -277,6 +277,21 @@ def test_enumerated_and_drawn_arrows_are_pinned():
     text = json.dumps(log, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == ENUMERATED_AND_DRAWN_DIGEST
 
+
+# What dist's seeded adjunction cases draw, in both directions: dist
+# enumerates nothing, so its draws are pinned apart, as JSON, which reads
+# the same however an image is stored.
+DIST_DRAWN_DIGEST = "f06a69ba2d1fa2b5"
+
+
+def test_dist_draws_are_pinned():
+    log = []
+    for law in ("quotient-adjunction", "comprehension-adjunction"):
+        report = run_law(_recording(DIST, log), CaseSpec("dist", law, 7, 8))
+        assert (report.cases, report.failures) == (8, 0)
+    text = json.dumps(log, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DIST_DRAWN_DIGEST
+
 def _quotient_hom_draw(inst, seed, bounds):
     """A seeded draw of X, p, Y and a hom f: (X, p) -> falsum Y."""
     rng = random.Random(seed)

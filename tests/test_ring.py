@@ -386,3 +386,31 @@ def test_json_shapes():
     assert RING.object_to_json(Z6) == [6]
     f = RING.arrow(Z2, Z2, {x: x for x in Z2.elements()})
     assert RING.arrow_to_json(f) == [[[0], [0]], [[1], [1]]]
+
+
+def test_ring_arithmetic_is_residue_arithmetic():
+    """Every operation of every ring up to order 12 is the componentwise
+    residue arithmetic it stands for, on every pair of elements."""
+    for R in rings_up_to(12):
+        assert R.zero == tuple(0 for _ in R.moduli)
+        assert R.one == tuple(1 for _ in R.moduli)
+        for a, b in itertools.product(R.elements(), repeat=2):
+            assert R.add(a, b) == tuple((x + y) % m for x, y, m in zip(a, b, R.moduli))
+            assert R.mul(a, b) == tuple((x * y) % m for x, y, m in zip(a, b, R.moduli))
+            assert R.sub(a, b) == tuple((x - y) % m for x, y, m in zip(a, b, R.moduli))
+        for a in R.elements():
+            assert R.neg(a) == tuple(-x % m for x, m in zip(a, R.moduli))
+
+
+def test_corners_and_pairs_store_their_zero_and_one():
+    checked = 0
+    for R in rings_up_to(12):
+        for e in idempotents(R):
+            corner, rest = IdealRing(R, e), IdealRing(R, R.sub(R.one, e))
+            assert (corner.zero, corner.one) == (R.zero, e)
+            pair = PairRing(corner, rest)
+            assert pair.zero == (R.zero, R.zero)
+            assert pair.one == (e, R.sub(R.one, e))
+            assert pair.zero in pair.position and pair.one in pair.position
+            checked += 1
+    assert checked > 50

@@ -638,7 +638,7 @@ class DistChain(KleisliChain):
         return (0,) * j + (1,) + (0,) * (n - j)
 
     def _extend(self, data, k) -> tuple:
-        # each row of k over the lcm of the sums of the rows d reaches
+        # the rows of k that d reaches, over the lcm of their sums, by weight
         sums = [sum(row) for row in k]
         out = []
         for d in data:
@@ -696,7 +696,7 @@ class DistChain(KleisliChain):
         # One common denominator keeps every kernel weight's denominator
         # within the requested bound even after splitting the budget.
         den = rng.randint(1, bounds.get("max_den", 16))
-        units = cap.numerator * den // cap.denominator  # never exceeds the cap
+        units = cap.numerator * den // cap.denominator  # floor: never exceeds the cap
         row = [0] * (n + 1)
         for j in positions:
             row[j] = k = rng.randint(0, units)

@@ -436,7 +436,7 @@ def _space(min_size):
 
 
 @given(data=st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_integer_images_match_the_fraction_reference(data):
     X, Y, Z = data.draw(_space(1)), data.draw(_space(0)), data.draw(_space(0))
     p = fuzzy(X, {a: data.draw(st.one_of(st.just(ONE), rationals())) for a in X})

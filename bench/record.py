@@ -22,20 +22,22 @@ the checkout holds:
 * `sweep_coverage`: for each exhaustive sweep of the exhaustive-exact
   workload, at the bounds `perfbench/workloads.py` runs it with, the
   triples it ran (`cases`), the triples over the enumeration cap
-  (`skipped`), the cases that raised (`errors`) and the homs the sweep
-  walked (`homs`, counted by a wrapper around the instance's
-  `iter_homs` installed here), and the sweep's time in this process
-  (`wall_s`, from a second run without that wrapper, so its overhead is
-  not counted): what the JSON reports leave out, and which sweep
-  dominates the workload;
+  (`skipped`), the cases that raised (`errors`), the homs the sweep
+  walked (`homs`) and the time of its single run in this process
+  (`wall_s`; the sweeps run in list order, so the first sweep of each
+  instance starts with that instance's process-wide caches empty):
+  what the JSON reports leave out, and which sweep dominates the
+  workload;
 * `kernel_reuse`: for each of the three memoised `vnlinalg` kernels
-  (`hermitian_eig`, `hermitian_eigvals`, `gram_schmidt_columns`) on one
-  check-default verdict at seed 1, run in this process, its `calls` and
-  the `distinct` inputs summed over the law reports, the share of calls
-  that repeat an input their report already decomposed, and the
-  largest number of distinct inputs one report holds: the repeated work
-  a per-report memo saves.  The counts come from wrappers installed
-  here, not from counters in `src/`.
+  (`hermitian_eig`, `hermitian_eigvals`, `gram_schmidt_columns`), over
+  the law reports of `effectus check --seed 1` run in this process, its
+  `calls` and the `distinct` inputs summed over the reports, the share
+  of calls that repeat an input their report already decomposed, and
+  the largest number of distinct inputs one report holds: the repeated
+  work a per-report memo saves.
+
+Both read the `counters` that each `LawReport` keeps of its own work
+and leaves out of its JSON; nothing in `src/` is wrapped or patched.
 
 Nothing under `perfbench/` is changed.  The exit code is 0 only when
 every run passed its correctness gate, every run of a workload gave the
@@ -45,7 +47,6 @@ same digest, and Tier-1 failed nothing.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import re
@@ -139,7 +140,7 @@ def import_checkout() -> None:
 
 def sweep_coverage() -> list:
     """What each exhaustive-exact sweep covered and left out, and how long
-    it took, run in this process on the checkout's `src/` with the
+    its one run took, in this process on the checkout's `src/` with the
     workload's own bounds."""
     import_checkout()
     import workloads
@@ -147,20 +148,12 @@ def sweep_coverage() -> list:
     from effectus.registry import INSTANCES
     out = []
     for name, which, bounds, seed in workloads.exhaustive_sweeps("exhaustive-exact", SEED):
-        inst, homs = copy.copy(INSTANCES[name]), [0]
-
-        def counted(*args, iter_homs=inst.iter_homs):
-            for f in iter_homs(*args):
-                homs[0] += 1
-                yield f
-
-        inst.iter_homs = counted
-        report = harness.run_exhaustive_adjunction(inst, which, bounds, seed)
         t0 = perf_counter()
-        harness.run_exhaustive_adjunction(INSTANCES[name], which, bounds, seed)
+        report = harness.run_exhaustive_adjunction(INSTANCES[name], which, bounds, seed)
         out.append({"instance": name, "law": report.law, "cases": report.cases,
                     "skipped": len(report.skipped), "errors": report.errors,
-                    "homs": homs[0], "wall_s": round(perf_counter() - t0, 3)})
+                    "homs": report.counters["homs"],
+                    "wall_s": round(perf_counter() - t0, 3)})
     return out
 
 
@@ -168,53 +161,21 @@ REUSED_KERNELS = ("hermitian_eig", "hermitian_eigvals", "gram_schmidt_columns")
 
 
 def kernel_reuse() -> dict:
-    """Calls and distinct inputs per law report of the memoised kernels,
-    on one check-default verdict, counted by wrapping each kernel wherever
-    an effectus module binds it and opening a report at each `run_law`."""
+    """Calls and distinct inputs of the memoised kernels, summed over the
+    law reports of `effectus check --seed 1`, from each report's
+    `counters`."""
     import_checkout()
-    import numpy as np
-    import workloads
-    from effectus import harness, vnlinalg
-
-    calls = dict.fromkeys(REUSED_KERNELS, 0)
-    reports = []  # per report, the set of (kernel, shape, bytes) it saw
-
-    def counted(name, fn):
-        def wrapper(a):
-            a = np.asarray(a, dtype=complex)
-            calls[name] += 1
-            if reports:
-                reports[-1].add((name, a.shape, a.tobytes()))
-            return fn(a)
-        return wrapper
-
-    def report(fn):
-        def wrapper(*args, **kwargs):
-            reports.append(set())
-            return fn(*args, **kwargs)
-        return wrapper
-
-    wrapped = {getattr(vnlinalg, n): counted(n, getattr(vnlinalg, n))
-               for n in REUSED_KERNELS}
-    wrapped[harness.run_law] = report(harness.run_law)
-    restore = []
-    for mod in [m for k, m in sys.modules.items() if k.startswith("effectus")]:
-        for key, value in list(vars(mod).items()):
-            if callable(value) and value in wrapped:
-                restore.append((mod, key, value))
-                setattr(mod, key, wrapped[value])
-    try:
-        workloads.check_default(SEED)
-    finally:
-        for mod, key, value in restore:
-            setattr(mod, key, value)
-    out = {"reports": len(reports),
-           "largest_report_distinct": max(map(len, reports), default=0)}
+    from effectus import harness
+    from effectus.registry import INSTANCES
+    reports = [harness.run_law(INSTANCES[spec.instance], spec).counters
+               for spec in harness.default_suite(SEED)]
+    out = {"reports": len(reports), "largest_report_distinct": max(
+        (sum(c[f"{n}.distinct"] for n in REUSED_KERNELS) for c in reports), default=0)}
     for name in REUSED_KERNELS:
-        distinct = sum(key[0] == name for seen in reports for key in seen)
-        out[name] = {"calls": calls[name], "distinct": distinct,
-                     "repeated_share": round(1 - distinct / calls[name], 4)
-                     if calls[name] else 0.0}
+        calls = sum(c[f"{name}.calls"] for c in reports)
+        distinct = sum(c[f"{name}.distinct"] for c in reports)
+        out[name] = {"calls": calls, "distinct": distinct,
+                     "repeated_share": round(1 - distinct / calls, 4) if calls else 0.0}
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,7 +25,7 @@ from .core import (
     truth,
 )
 from .registry import INSTANCES
-from .vnlinalg import reuse
+from .vnlinalg import kernel_counts, reuse
 
 DEFAULT_SEED = 20205
 ENUMERATION_CAP = 10 ** 5
@@ -58,6 +59,8 @@ class LawReport:
     # {"X", "p", "Y"} triples over the enumeration cap.
     skipped: list = field(default_factory=list)
     errors: int = 0  # cases that raised, also among the failures; not in JSON
+    # Work done, not in JSON: "homs" walked, "<kernel>.calls", ".distinct".
+    counters: Counter = field(default_factory=Counter)
 
     def record(self, residual: float, ok: bool, witness=None):
         self.cases += 1
@@ -341,6 +344,7 @@ def _exhaustive_triple(inst, built, which, report, X, p, Y, triple, cap):
         if not _returns(inst, f, built.transpose, untranspose, 0.0):
             detail = {"unreached_hom": inst.arrow_to_json(f)}
             break
+    report.counters["homs"] += n_homs
     if detail is None and n_homs != n_maps:
         detail = {"hom_count": n_homs, "candidate_count": n_maps}
     if detail is not None:
@@ -402,25 +406,28 @@ def _with_tolerance(inst, tol):
 def run_law(inst, spec: CaseSpec) -> LawReport:
     """Run one law for `spec.cases` seeded cases (or exhaustively when
     spec.bounds['exhaustive'] is set on an enumerable adjunction law).
-    The report's matrix kernels share one `vnlinalg.reuse()` scope."""
+    The report's matrix kernels share one `vnlinalg.reuse()` scope, whose
+    kernel counts the report's `counters` keep."""
     inst = _with_tolerance(inst, spec.bounds.get("tolerance"))
     with reuse():
         if spec.bounds.get("exhaustive") and spec.law.endswith("-adjunction"):
             which = spec.law.split("-")[0]
-            return run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed)
-        case_fn = LAWS[spec.law].case
-        report = LawReport(inst.name, spec.law, spec.seed)
-        rng = random.Random(spec.seed)
-        tol = float(inst.eq_tol)
-        for i in range(spec.cases):
-            try:
-                residual, detail = case_fn(inst, rng, spec.bounds, tol)
-            except Exception as exc:
-                _raised(report, exc, case=i)
-                continue
-            report.record(residual, detail is None, None if detail is None
-                          else {"case": i, "detail": "law violated", **detail})
-        return report
+            report = run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed)
+        else:
+            case_fn = LAWS[spec.law].case
+            report = LawReport(inst.name, spec.law, spec.seed)
+            rng = random.Random(spec.seed)
+            tol = float(inst.eq_tol)
+            for i in range(spec.cases):
+                try:
+                    residual, detail = case_fn(inst, rng, spec.bounds, tol)
+                except Exception as exc:
+                    _raised(report, exc, case=i)
+                    continue
+                report.record(residual, detail is None, None if detail is None
+                              else {"case": i, "detail": "law violated", **detail})
+        report.counters.update(kernel_counts())
+    return report
 
 
 def run_suite(specs, instances=None) -> dict:

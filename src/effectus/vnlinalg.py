@@ -16,10 +16,12 @@ arrays, marked read-only (inside a scope a fresh result is read-only
 too), so a caller that writes to one raises instead of corrupting a later
 hit.  The kernels are deterministic functions of those bytes, so a hit is
 bit-identical to a recomputation.  Outside a scope nothing is stored.
+The memo also counts each input's calls, for kernel_counts().
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import wraps
@@ -57,14 +59,24 @@ def _memoised(kernel):
         memo = _MEMO.get()
         if memo is None:
             return kernel(a)
-        key = (kernel, a.shape, a.tobytes())
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = kernel(a)
+        entry = memo.setdefault((kernel, a.shape, a.tobytes()), [0, None])
+        entry[0] += 1  # calls with this input, a call that raises included
+        if entry[1] is None:
+            out = entry[1] = kernel(a)
             for x in out if isinstance(out, tuple) else (out,):
                 x.flags.writeable = False
-        return out
+        return entry[1]
     return reused
+
+
+def kernel_counts() -> Counter:
+    """`<kernel>.calls` and `<kernel>.distinct` (inputs) of each memoised
+    kernel called in the open reuse() scope; empty outside a scope."""
+    counts = Counter()
+    for (kernel, *_), (calls, _) in (_MEMO.get() or {}).items():
+        counts[f"{kernel.__name__}.calls"] += calls
+        counts[f"{kernel.__name__}.distinct"] += 1
+    return counts
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

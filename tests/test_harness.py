@@ -7,6 +7,8 @@ import hashlib
 import json
 import math
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +415,8 @@ def test_exhaustive_sweep_names_what_it_skips(which):
     assert report.cases + len(report.skipped) == len(_triples(INSTANCES["sets"], bounds))
     for triple in report.skipped:
         assert set(triple) == {"X", "p", "Y"}
+    # skipped and counters stay out of the JSON report
+    assert report.counters["homs"] > 0
     assert set(report.to_jsonable()) == REPORT_KEYS
 
 
@@ -963,7 +967,21 @@ def test_hom_side_covers_every_triple_under_the_cap(which):
     assert inst.calls == 244
     candidates = sum(inst.count_arrows(*built.ends(built.obj, Y))
                      for built, X, p, Y in _filtered_triples(inst, which, bounds, math.inf))
-    assert inst.homs == candidates
+    assert inst.homs == candidates == report.counters["homs"]
+
+
+def test_check_and_direct_sweeps_count_the_same_homs():
+    """Each exhaustive sweep of the default suite counts the same homs
+    through `run_law`, the path `effectus check` takes, as through
+    `run_exhaustive_adjunction`, the path the exhaustive-exact workload
+    takes."""
+    sweeps = [s for s in default_suite(1) if s.bounds.get("exhaustive")]
+    assert sweeps
+    for spec in sweeps:
+        inst, which = INSTANCES[spec.instance], spec.law.split("-")[0]
+        checked = run_law(inst, spec).counters
+        direct = run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed).counters
+        assert checked == direct and direct["homs"] > 0, spec
 
 
 class _DropsLastHom:
@@ -1085,10 +1103,11 @@ def test_each_report_gets_a_fresh_kernel_memo(monkeypatch):
 
 
 def test_kernel_memo_closes_when_a_case_or_the_report_raises():
-    sizes = []
+    sizes, counts = [], []
 
     def boom(g):
         sizes.append(len(la._MEMO.get()))
+        counts.append(la.kernel_counts())
         _boom(g)
 
     exploding = _corrupt(VnChain, "quotient", boom)
@@ -1097,10 +1116,52 @@ def test_kernel_memo_closes_when_a_case_or_the_report_raises():
     assert report.witnesses[0]["detail"] == "exception: RuntimeError('boom')"
     # the crashed cases had decomposed matrices in the report's memo
     assert len(sizes) == 2 and min(sizes) > 0
+    # and the report counts every kernel call made before the last raise
+    assert report.counters == counts[-1] and counts[-1]["hermitian_eig.calls"] > 0
+    assert counts[0]["hermitian_eig.calls"] < counts[-1]["hermitian_eig.calls"]
     assert la._MEMO.get() is None
     with pytest.raises(KeyError):
         run_law(exploding, _spec("vn", "no-such-law"))
     assert la._MEMO.get() is None
+
+
+REUSED_KERNELS = ("hermitian_eig", "hermitian_eigvals", "gram_schmidt_columns")
+
+
+def _count_kernels_outside(monkeypatch) -> Counter:
+    """The reference count: each memoised kernel wrapped wherever an
+    effectus module binds it, counting its calls and its distinct inputs
+    as (shape, bytes) after np.asarray(a, dtype=complex)."""
+    counts, seen = Counter(), set()
+
+    def counted(name, kernel):
+        def wrapper(a):
+            a = np.asarray(a, dtype=complex)
+            counts[f"{name}.calls"] += 1
+            if (name, a.shape, a.tobytes()) not in seen:
+                seen.add((name, a.shape, a.tobytes()))
+                counts[f"{name}.distinct"] += 1
+            return kernel(a)
+        return wrapper
+
+    kernels = {getattr(la, name): name for name in REUSED_KERNELS}
+    for module in [m for k, m in sys.modules.items() if k.startswith("effectus")]:
+        for key, value in list(vars(module).items()):
+            if callable(value) and value in kernels:
+                monkeypatch.setattr(module, key, counted(kernels[value], value))
+    return counts
+
+
+@pytest.mark.parametrize("law", ["quotient-adjunction", "instrument", "sharpness"])
+def test_report_counts_its_kernel_calls(law, monkeypatch):
+    """A vn report's kernel counters are what wrappers outside count."""
+    counts = _count_kernels_outside(monkeypatch)
+    report = run_law(INSTANCES["vn"], _spec("vn", law, cases=4))
+    assert report.failures == 0
+    assert report.counters == counts
+    for name in ("hermitian_eig", "gram_schmidt_columns"):
+        assert counts[f"{name}.calls"] >= counts[f"{name}.distinct"] > 0
+    assert la.kernel_counts() == {}
 
 
 @pytest.mark.parametrize("seed", (1, 11))

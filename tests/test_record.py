@@ -1,0 +1,43 @@
+"""bench/record.py reads its counts from the law reports, so a renamed
+harness field or function fails here rather than at the next recording."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from effectus.harness import default_suite
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def record(monkeypatch):
+    # record.py puts the checkout's src/ and perfbench/ on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("record", ROOT / "bench" / "record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_reuse_sums_every_check_report(record):
+    out = record.kernel_reuse()
+    assert set(out) == {"reports", "largest_report_distinct", *record.REUSED_KERNELS}
+    assert out["reports"] == len(default_suite(1))
+    total = 0
+    for name in record.REUSED_KERNELS:
+        kernel = out[name]
+        assert set(kernel) == {"calls", "distinct", "repeated_share"}
+        assert kernel["calls"] >= kernel["distinct"] > 0
+        assert 0 <= kernel["repeated_share"] < 1
+        total += kernel["distinct"]
+    assert 0 < out["largest_report_distinct"] <= total
+
+
+def test_src_lines_counts_every_module(record):
+    out = record.src_lines()
+    assert set(out) == {"modules", "total"}
+    assert set(out["modules"]) == {p.name for p in (ROOT / "src" / "effectus").glob("*.py")}
+    assert out["total"] == sum(out["modules"].values()) > 0

@@ -13,6 +13,7 @@ maps compose with everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -47,8 +48,20 @@ class MatrixAlgebra:
     def vdim(self) -> int:
         return sum(n * n for n in self.block_dims)
 
+    @cached_property
+    def offsets(self) -> tuple:
+        """Where each block starts in the vectorization, then vdim."""
+        return tuple(accumulate((n * n for n in self.block_dims), initial=0))
+
+    @cached_property
+    def _unit(self) -> tuple:
+        """one() and its vectorization, read-only: the blocks view it."""
+        v = vec(self, [np.eye(n, dtype=complex) for n in self.block_dims])
+        v.flags.writeable = False
+        return unvec(self, v), v
+
     def one(self) -> tuple:
-        return tuple(np.eye(n, dtype=complex) for n in self.block_dims)
+        return self._unit[0]
 
     def zero_elt(self) -> tuple:
         return tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims)
@@ -66,12 +79,8 @@ def vec(A: MatrixAlgebra, elt) -> np.ndarray:
 
 
 def unvec(A: MatrixAlgebra, v: np.ndarray) -> tuple:
-    out = []
-    pos = 0
-    for n in A.block_dims:
-        out.append(np.asarray(v[pos:pos + n * n], dtype=complex).reshape(n, n))
-        pos += n * n
-    return tuple(out)
+    return tuple(np.asarray(v[s:e], dtype=complex).reshape(n, n)
+                 for n, s, e in zip(A.block_dims, A.offsets, A.offsets[1:]))
 
 
 def basis_elements(A: MatrixAlgebra):
@@ -93,15 +102,11 @@ def superop_from_fn(src: MatrixAlgebra, dst: MatrixAlgebra, fn) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _offsets(A: MatrixAlgebra) -> list:
-    return list(accumulate((n * n for n in A.block_dims), initial=0))
-
-
 def kraus_superop(src: MatrixAlgebra, dst: MatrixAlgebra, terms) -> np.ndarray:
     """Matrix of the element map b -> (sum of K b_j K^dagger over the terms
     (i, j, K))_i, as a chain arrow src -> dst stores it.  vec is a
     row-major reshape, so vec(K b K^dagger) = (K kron conj K) vec(b)."""
-    rows, cols = _offsets(src), _offsets(dst)
+    rows, cols = src.offsets, dst.offsets
     out = np.zeros((src.vdim, dst.vdim), dtype=complex)
     for i, j, K in terms:
         m, n = K.shape
@@ -163,16 +168,16 @@ def spectral_norm(elt) -> float:
 
 
 class _Corner:
-    """A corner pAp presented as its own algebra plus the embedding data."""
+    """A corner pAp, from the spectrum (w in {0, 1}, U) of p in each block,
+    presented as its own algebra plus the embedding data."""
 
     __slots__ = ("algebra", "isoms")
 
-    def __init__(self, parent: MatrixAlgebra, proj_blocks):
+    def __init__(self, parent: MatrixAlgebra, proj_specs):
         isoms = []
-        for i, pr in enumerate(proj_blocks):
-            V = la.gram_schmidt_columns(pr)
-            eig_rank = int((la.hermitian_eigvals(pr) > 0.5).sum())
-            if V.shape[1] != eig_rank:
+        for i, spec in enumerate(proj_specs):
+            V = la.gram_schmidt_columns(la.from_spectrum(spec))
+            if V.shape[1] != int((spec[0] > 0.5).sum()):
                 raise ValidationError("corner rank disagreement")
             if V.shape[1]:
                 isoms.append((i, V))
@@ -254,7 +259,8 @@ class VnChain(ChainInstance):
         return Arrow(X, Y, superop)
 
     def apply(self, f: Arrow, elt) -> tuple:
-        return unvec(f.src, f.data @ vec(f.dst, elt))
+        one, one_vec = f.dst._unit
+        return unvec(f.src, f.data @ (one_vec if elt is one else vec(f.dst, elt)))
 
     def identity(self, X) -> Arrow:
         return Arrow(X, X, np.eye(X.vdim, dtype=complex))
@@ -332,7 +338,7 @@ class VnChain(ChainInstance):
         three come from one spectrum per block of s."""
         s = self.ortho(X, p)
         specs = [la.hermitian_eig(b) for b in s]
-        corner = _Corner(X, [la.from_spectrum(la.support_spectrum(e)) for e in specs])
+        corner = _Corner(X, [la.support_spectrum(e) for e in specs])
         root_specs = [la.sqrt_spectrum(e) for e in specs]
         unit = Arrow(X, corner.algebra, kraus_superop(X, corner.algebra, [
             (i, c, la.from_spectrum(root_specs[i]) @ V)
@@ -360,7 +366,7 @@ class VnChain(ChainInstance):
         """The corner of the eigenvalue-1 projection of p; a map giving p
         and 1 the same image transposes through the embedding."""
         check_blocks(X, p)
-        corner = _Corner(X, [la.unit_proj(b) for b in p])
+        corner = _Corner(X, [la.unit_spectrum(la.hermitian_eig(b)) for b in p])
         embed = kraus_superop(X, corner.algebra, [
             (i, c, V) for c, (i, V) in enumerate(corner.isoms)])
 
@@ -422,7 +428,7 @@ class VnChain(ChainInstance):
         (ok, report) where the report carries the most negative eigenvalue
         and the (src block, dst block) pair it came from."""
         X, Y = f.src, f.dst
-        rows, cols = _offsets(X), _offsets(Y)
+        rows, cols = X.offsets, Y.offsets
         worst = None
         for j, n in enumerate(Y.block_dims):
             for i, m in enumerate(X.block_dims):

@@ -4,9 +4,11 @@ orthonormalization.
 
 Eigenvectors come from numpy.linalg.eigh and are given fixed phases and a
 fixed order, and nothing pivots on floating-point noise, so results are
-reproducible for a given LAPACK build.  The *_spectrum functions map one
-spectrum (w, U) to another, and from_spectrum assembles the matrix, so a
-block decomposed once yields its root, pseudoinverse and support.
+reproducible for a given LAPACK build; a 1 x 1 input skips numpy for what
+?heevd returns at n = 1, its real part and the vector 1.  The *_spectrum
+functions map one spectrum (w, U) to another, and from_spectrum assembles
+the matrix, so a block decomposed once yields its root, pseudoinverse,
+support and unit projection, and callers pass spectra, not projectors.
 
 The three kernels hermitian_eig, hermitian_eigvals and gram_schmidt_columns
 reuse their results inside a `reuse()` scope, which the harness opens once
@@ -92,14 +94,14 @@ def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 
 def _phases(V: np.ndarray) -> np.ndarray:
-    """Per column of V, the unit factor that makes the column's
+    """Per column of V (or of V, a vector), the unit factor that makes its
     largest-magnitude entry real positive; ties go to the lowest index."""
     if not V.size:
         return np.ones(V.shape[1], dtype=complex)
     mags = abs(V)
     top = mags.max(axis=0)
     idx = (mags >= top - 1e-12 * np.maximum(top, 1.0)).argmax(axis=0)
-    pivot = V[idx, np.arange(V.shape[1])]
+    pivot = V[idx, np.arange(V.shape[1])] if V.ndim == 2 else V[idx]
     # a complex divided by its hypot rounds as the scalar x.conj() / abs(x)
     return pivot.conj() / np.hypot(pivot.real, pivot.imag).astype(complex)
 
@@ -120,7 +122,8 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues, descending, of a Hermitian matrix: numpy.linalg.eigvalsh
     on its Hermitian part, for checks that need no eigenvectors."""
-    return np.linalg.eigvalsh(_hermitian_part(a))[::-1]
+    h = _hermitian_part(a)
+    return h.real[0] if len(h) == 1 else np.linalg.eigvalsh(h)[::-1]
 
 
 @_memoised
@@ -131,7 +134,10 @@ def hermitian_eig(a: np.ndarray):
     Returns (eigenvalues descending, unitary of eigenvector columns); the
     column phases are fixed and ties in the eigenvalues are broken by a
     lexicographic key on the vectors, so the output is deterministic."""
-    vals, V = np.linalg.eigh(_hermitian_part(a))
+    h = _hermitian_part(a)
+    if len(h) == 1:
+        return h.real[0], np.ones((1, 1), dtype=complex)
+    vals, V = np.linalg.eigh(h)
     V = V * _phases(V)
     keys = [(-round(float(x), 9), _vec_key(V[:, i])) for i, x in enumerate(vals)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -190,10 +196,15 @@ def support_proj(a: np.ndarray) -> np.ndarray:
     return from_spectrum(support_spectrum(hermitian_eig(a)))
 
 
+def unit_spectrum(spec):
+    """Spectrum of the projection onto eigenvalues within 1e-9 of 1."""
+    w, U = spec
+    return (abs(w - 1.0) <= HERM_TOL).astype(float), U
+
+
 def unit_proj(a: np.ndarray) -> np.ndarray:
     """Projection onto the eigenspaces with eigenvalue within 1e-9 of 1."""
-    w, U = hermitian_eig(a)
-    return from_spectrum(((abs(w - 1.0) <= HERM_TOL).astype(float), U))
+    return from_spectrum(unit_spectrum(hermitian_eig(a)))
 
 
 @_memoised
@@ -214,7 +225,7 @@ def gram_schmidt_columns(m: np.ndarray) -> np.ndarray:
         norm = float(np.sqrt((abs(v) ** 2).sum()))
         if norm > GS_THRESHOLD:
             v = v / norm
-            basis.append(v * _phases(v[:, None])[0])
+            basis.append(v * _phases(v))
     if not basis:
         return np.zeros((m.shape[0], 0), dtype=complex)
     return np.column_stack(basis)

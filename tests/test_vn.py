@@ -20,6 +20,7 @@ from effectus import (
 from effectus.vn import (
     MatrixAlgebra,
     VnChain,
+    _Corner,
     basis_elements,
     check_effect,
     elt_residual,
@@ -69,6 +70,31 @@ def test_vec_unvec_round_trip():
     assert v.shape == (5,)
     assert elt_residual(unvec(M2_M1, v), a) == 0.0
     assert sum(1 for _ in basis_elements(M2_M1)) == M2_M1.vdim == 5
+
+
+def test_the_unit_is_one_read_only_tuple():
+    for X in (M1, M2_M1, MatrixAlgebra(())):
+        one = X.one()
+        assert X.one() is one
+        assert one == () or elt_residual(one, elt(*(np.eye(n) for n in X.block_dims))) == 0.0
+        for b in one:
+            with pytest.raises(ValueError):
+                b[0, 0] = 2.0
+    # ortho builds a new element, so the unit stays 1
+    VN.ortho(M2, VN.ortho(M2, M2.one()))[0][0, 0] = 5.0
+    assert np.array_equal(M2.one()[0], np.eye(2))
+
+
+def test_apply_to_the_unit_is_apply_to_fresh_identities():
+    rng = random.Random(17)
+    for _ in range(30):
+        X = VN.rand_object(rng, {"max_blocks": 3, "max_block_dim": 3})
+        Y = VN.rand_object(rng, {"max_blocks": 3, "max_block_dim": 3})
+        f = VN.rand_arrow(rng, X, Y)
+        got = VN.apply(f, Y.one())
+        ref = VN.apply(f, tuple(np.eye(n, dtype=complex) for n in Y.block_dims))
+        assert len(got) == len(ref)
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
 
 def test_from_fn_is_the_linear_extension():
@@ -194,6 +220,21 @@ def test_corner_edges_are_empty_algebras():
     assert VN.quotient(M2, M2.one()).obj.block_dims == ()
     full = VN.comprehension(M2, M2.one())
     assert full.obj is M2  # dims match, so the corner is the algebra itself
+
+
+def test_corner_rank_must_match_its_spectrum():
+    """_Corner counts the ones of the spectrum it is given; a spectrum
+    whose vectors do not span that many dimensions is refused."""
+    twice = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # one vector, twice
+    with pytest.raises(ValidationError, match="corner rank disagreement"):
+        _Corner(M2, [(np.array([1.0, 1.0]), twice)])
+    zero_column = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValidationError, match="corner rank disagreement"):
+        _Corner(M2_M1, [(np.array([1.0, 1.0]), zero_column),
+                        (np.array([1.0]), np.eye(1, dtype=complex))])
+    corner = _Corner(M2_M1, [(np.array([1.0, 0.0]), np.eye(2, dtype=complex)),
+                             (np.array([1.0]), np.eye(1, dtype=complex))])
+    assert corner.algebra.block_dims == (1, 1)
 
 
 def test_multi_block_corner():

@@ -10,12 +10,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectus import ValidationError
 from effectus import vnlinalg as la
 from effectus.vnlinalg import (
+    GS_THRESHOLD,
+    _phases,
     dagger,
     _vec_key,
     gram_schmidt_columns,
@@ -108,6 +110,53 @@ def test_eig_input_validation():
         hermitian_eig(np.zeros((2, 3)))
     assert is_hermitian(np.eye(3))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# Inside HERM_TOL of Hermitian: |a - a^dagger| = 2 |im| <= 1e-9.
+@settings(max_examples=300, deadline=None)
+@given(re=st.floats(allow_nan=False, allow_infinity=False),
+       im=st.floats(-5e-10, 5e-10))
+@example(re=-0.0, im=0.0)
+@example(re=-0.0, im=-0.0)
+@example(re=5e-324, im=-5e-324)
+@example(re=-2.2250738585072014e-308, im=0.0)
+@example(re=1e300, im=1e-10)
+@example(re=1.7976931348623157e308, im=0.0)  # the Hermitian part overflows
+def test_order_one_closed_form_is_what_lapack_returns(re, im):
+    """A 1 x 1 input skips numpy: the kernels must give the bytes that
+    eigvalsh and eigh give on the Hermitian part."""
+    a = np.array([[complex(re, im)]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + dagger(a)) / 2
+        ref_w, ref_U = np.linalg.eigh(h)
+        got = hermitian_eigvals(a), *hermitian_eig(a)
+    for x, ref in zip(got, (np.linalg.eigvalsh(h), ref_w, ref_U)):
+        assert x.dtype == ref.dtype and x.shape == ref.shape
+        assert x.tobytes() == ref.tobytes()
+
+
+NON_FINITE = [
+    [[math.nan]],
+    [[math.inf]],
+    [[-math.inf]],
+    [[complex(1.0, math.nan)]],
+    [[1.0, math.nan], [math.nan, 1.0]],
+    [[1.0, complex(0.5, math.nan)], [0.5, 1.0]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]],
+]
+
+
+@pytest.mark.parametrize("kernel", [hermitian_eigvals, hermitian_eig])
+@pytest.mark.parametrize("a", NON_FINITE)
+def test_non_finite_input_is_not_hermitian(kernel, a):
+    """NaN compares false with the tolerance, and inf - inf is NaN, so
+    neither reaches a solver or the order-1 closed form."""
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            kernel(np.array(a, dtype=complex))
+        with reuse(), pytest.raises(ValidationError, match="not Hermitian"):
+            kernel(np.array(a, dtype=complex))
 
 
 def loop_eig(a):
@@ -252,6 +301,55 @@ def test_gram_schmidt_orthonormal_and_order_stable():
         b = gram_schmidt_columns(m)
         assert max_abs(dagger(b) @ b - np.eye(b.shape[1])) <= 1e-12
         assert b.shape[1] == np.linalg.matrix_rank(m, tol=1e-6)
+
+
+def gram_schmidt_reference(m):
+    """gram_schmidt_columns with each column's phase taken through the
+    2-D path of _phases, as one column of a matrix."""
+    m = np.asarray(m, dtype=complex)
+    basis = []
+    for j in range(m.shape[1]):
+        v = m[:, j].copy()
+        for _ in range(2):
+            for b in basis:
+                v = v - b * (b.conj() @ v)
+        norm = float(np.sqrt((abs(v) ** 2).sum()))
+        if norm > GS_THRESHOLD:
+            v = v / norm
+            basis.append(v * _phases(v[:, None])[0])
+    if not basis:
+        return np.zeros((m.shape[0], 0), dtype=complex)
+    return np.column_stack(basis)
+
+
+def _gs_inputs(rng):
+    """Random complex matrices: full rank, rank-deficient (a product
+    through fewer columns, repeated columns), with zero columns, with
+    columns near GS_THRESHOLD, and with no rows or no columns."""
+    def gauss(rows, cols, scale=1.0):
+        return np.array([[complex(rng.gauss(0, scale), rng.gauss(0, scale))
+                          for _ in range(cols)] for _ in range(rows)]).reshape(rows, cols)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        yield gauss(rows, cols)
+        k = rng.randint(1, max(1, min(rows, cols) - 1))
+        yield gauss(rows, k) @ gauss(k, cols)
+        m = gauss(rows, cols)
+        m[:, rng.randrange(cols)] = 0.0
+        m[:, rng.randrange(cols)] = m[:, rng.randrange(cols)]
+        yield m
+        m = gauss(rows, cols)
+        m[:, rng.randrange(cols)] *= GS_THRESHOLD * rng.choice((0.5, 1.0, 2.0))
+        yield m
+    yield np.zeros((3, 0), dtype=complex)
+    yield np.zeros((0, 3), dtype=complex)
+    yield np.zeros((4, 4), dtype=complex)
+
+
+def test_gram_schmidt_matches_the_reference_bit_for_bit():
+    for m in _gs_inputs(random.Random(113)):
+        got, ref = gram_schmidt_columns(m), gram_schmidt_reference(m)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_complement_spans_the_rest():

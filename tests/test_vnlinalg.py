@@ -326,9 +326,9 @@ def _gs_inputs(rng):
     """Random complex matrices: full rank, rank-deficient (a product
     through fewer columns, repeated columns), with zero columns, with
     columns near GS_THRESHOLD, and with no rows or no columns."""
-    def gauss(rows, cols, scale=1.0):
-        return np.array([[complex(rng.gauss(0, scale), rng.gauss(0, scale))
-                          for _ in range(cols)] for _ in range(rows)]).reshape(rows, cols)
+    def gauss(rows, cols):
+        return np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                          for _ in range(cols)] for _ in range(rows)])
     for _ in range(150):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         yield gauss(rows, cols)

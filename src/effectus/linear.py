@@ -49,6 +49,13 @@ def _check_residues(row, p: int) -> None:
             raise ValidationError(f"entry {x!r} not a reduced residue")
 
 
+def _over(X, p):
+    """p, refused unless it is a subspace of X (an F_p or complex space)."""
+    if p.space is not X and p.space != X:
+        raise ValidationError(f"predicate over {p.space!r}, not {X!r}")
+    return p
+
+
 def rref(rows, width: int, p: int):
     """Reduced row echelon form over F_p: returns (rows, pivot columns)."""
     mat = [list(r) for r in rows]
@@ -248,8 +255,8 @@ class FpChain(ChainInstance):
         """Each row of p reduced against q's echelon rows must vanish; q's
         rows are zero at each other's pivots, so the multiples are read
         off p's row at q's pivot columns."""
-        echelon = tuple(zip(q.pivots, q.rows))
-        for v in p.rows:
+        echelon = tuple(zip(q.pivots, _over(X, q).rows))
+        for v in _over(X, p).rows:
             rest = v
             for c, row in echelon:
                 if v[c]:
@@ -259,42 +266,42 @@ class FpChain(ChainInstance):
         return True
 
     def pred_residual(self, X, p, q) -> float:
-        return 0.0 if p.rows == q.rows else 1.0
+        return 0.0 if _over(X, p).rows == _over(X, q).rows else 1.0
 
     def subst(self, f: Arrow, q: FpSubspace) -> FpSubspace:
-        return _preimage(f.src, mat_mul(_coords_matrix(q), f.data, f.src.p))
+        return _preimage(f.src, mat_mul(_coords_matrix(_over(f.dst, q)), f.data, f.src.p))
 
     # ---- quotient / comprehension ----
 
     def quotient(self, X, p: FpSubspace) -> QuotientResult:
         """Coordinates along the complement basis; a map killing p is
         determined by its values on that basis."""
-        obj = FpSpace(X.p, X.dim - p.rank)
-        # the complement basis is the unit vectors at these coordinates, so
-        # f's values on it are f's columns there
+        obj = FpSpace(X.p, X.dim - _over(X, p).rank)
+        # f's values on the complement basis, the unit vectors at these
+        # coordinates, are its columns there: reduced, as in every fp arrow
         free = [c for c in range(X.dim) if c not in p.pivots]
 
         def transpose(f: Arrow) -> Arrow:
             for row in p.rows:
                 if any(mat_vec(f.data, row, X.p)):
                     raise HomConditionError(f"fp: {row!r} is not in the kernel")
-            return make_arrow((obj, f.dst, tuple([tuple([r[c] % X.p for c in free])
+            return make_arrow((obj, f.dst, tuple([tuple([r[c] for c in free])
                                                   for r in f.data])))
 
         return QuotientResult(obj, Arrow(X, obj, _coords_matrix(p)), transpose)
 
     def comprehension(self, X, p: FpSubspace) -> ComprehensionResult:
-        obj = FpSpace(X.p, p.rank)
+        obj = FpSpace(X.p, _over(X, p).rank)
         mat = tuple(tuple(p.rows[j][i] for j in range(p.rank))
                     for i in range(X.dim))
 
         proj = _coords_matrix(p)
 
         def transpose(f: Arrow) -> Arrow:
-            if any(any(row) for row in mat_mul(proj, f.data, X.p)):
+            if any(sum(map(mul, row, col)) % X.p for col in zip(*f.data) for row in proj):
                 raise HomConditionError("fp: image is not inside the subspace")
             # Echelon basis coordinates can be read off at the pivot columns.
-            return make_arrow((f.src, obj, tuple(f.data[c] for c in p.pivots)))
+            return make_arrow((f.src, obj, tuple([f.data[c] for c in p.pivots])))
 
         return ComprehensionResult(obj, Arrow(obj, X, mat), transpose)
 
@@ -348,7 +355,7 @@ class FpChain(ChainInstance):
             return (make_arrow((X, Y, mat)) for mat in product(rows, repeat=Y.dim))
         cols = [c for c in vectors
                 if hom_check(self, make_arrow((*ends, tuple(zip(c)))), *hom_objects)]
-        return (make_arrow((Y, X, tuple(tuple(c[i] for c in m) for i in range(X.dim))))
+        return (make_arrow((Y, X, tuple(zip(*m)) or ((),) * X.dim))
                 for m in product(cols, repeat=Y.dim))
 
     def iter_preds(self, X):
@@ -455,17 +462,18 @@ class HilbChain(ChainInstance):
         return Subspace(X, np.zeros((X.dim, 0), dtype=complex))
 
     def pred_leq(self, X, p: Subspace, q: Subspace) -> bool:
-        return la.max_abs(q.projector() @ p.basis - p.basis) <= self.eq_tol
+        basis = _over(X, p).basis
+        return la.max_abs(_over(X, q).projector() @ basis - basis) <= self.eq_tol
 
     def pred_residual(self, X, p, q) -> float:
-        return la.max_abs(p.projector() - q.projector())
+        return la.max_abs(_over(X, p).projector() - _over(X, q).projector())
 
     def ortho(self, X, p: Subspace) -> Subspace:
-        return Subspace(X, la.orthonormal_complement(p.basis, X.dim))
+        return Subspace(X, la.orthonormal_complement(_over(X, p).basis, X.dim))
 
     def subst(self, f: Arrow, q: Subspace) -> Subspace:
         """Preimage: kernel of (project off q) after f."""
-        off = np.eye(f.dst.dim, dtype=complex) - q.projector()
+        off = np.eye(f.dst.dim, dtype=complex) - _over(f.dst, q).projector()
         return Subspace(f.src, la.kernel_basis(off @ f.data))
 
     # ---- quotient / comprehension ----
@@ -473,7 +481,7 @@ class HilbChain(ChainInstance):
     def quotient(self, X, p: Subspace) -> QuotientResult:
         """Coordinates along an orthonormal basis w of the orthocomplement;
         a map killing p factors as f w."""
-        w = la.orthonormal_complement(p.basis, X.dim)
+        w = la.orthonormal_complement(_over(X, p).basis, X.dim)
         obj = HilbSpace(w.shape[1])
 
         def transpose(f: Arrow) -> Arrow:
@@ -484,7 +492,7 @@ class HilbChain(ChainInstance):
         return QuotientResult(obj, Arrow(X, obj, la.dagger(w)), transpose)
 
     def comprehension(self, X, p: Subspace) -> ComprehensionResult:
-        obj = HilbSpace(p.rank)
+        obj = HilbSpace(_over(X, p).rank)
 
         def transpose(f: Arrow) -> Arrow:
             coords = la.dagger(p.basis) @ f.data
@@ -495,7 +503,7 @@ class HilbChain(ChainInstance):
         return ComprehensionResult(obj, Arrow(obj, X, p.basis.copy()), transpose)
 
     def assert_closed_form(self, X, p: Subspace) -> Arrow:
-        return Arrow(X, X, p.projector())
+        return Arrow(X, X, _over(X, p).projector())
 
     # ---- sampling ----
 

@@ -71,6 +71,13 @@ class FiniteRing:
         return len(self.elements())
 
 
+def _element(R: FiniteRing, e):
+    """e, refused unless it is an element of R."""
+    if e not in R.position:
+        raise ValidationError(f"{e!r} is not an element of {R!r}")
+    return e
+
+
 @dataclass(frozen=True)
 class ZProductRing(FiniteRing):
     """Product of Z_m factors; elements are residue tuples.  An empty
@@ -110,7 +117,7 @@ class IdealRing(FiniteRing):
     unit: object
 
     def __post_init__(self):
-        R, e = self.parent, self.unit
+        R, e = self.parent, _element(self.parent, self.unit)
         if R.mul(e, e) != e:
             raise ValidationError(f"{e!r} is not idempotent in {R!r}")
         self._store(tuple(sorted({R.mul(e, x) for x in R.elements()}, key=atom_key)),
@@ -324,20 +331,20 @@ class RingChain(ChainInstance):
         return X.zero
 
     def pred_leq(self, X, p, q) -> bool:
-        return X.mul(p, q) == p
+        return X.mul(_element(X, p), _element(X, q)) == p
 
     def pred_residual(self, X, p, q) -> float:
-        return 0.0 if p == q else 1.0
+        return 0.0 if _element(X, p) == _element(X, q) else 1.0
 
     def ortho(self, X, p):
-        return X.sub(X.one, p)
+        return X.sub(X.one, _element(X, p))
 
     def iter_preds(self, X):
         return iter(idempotents(X))
 
     def subst(self, f: Arrow, q):
         X, Y = f.src, f.dst
-        return X.add(_image(f, q), X.sub(X.one, _image(f, Y.one)))
+        return X.add(_image(f, _element(Y, q)), X.sub(X.one, _image(f, Y.one)))
 
     # ---- quotient / comprehension ----
 
@@ -379,6 +386,7 @@ class RingChain(ChainInstance):
     # over it is read off the product of two tables over X.
 
     def assert_closed_form(self, X, p) -> Arrow:
+        _element(X, p)
         return Arrow(X, X, tuple(X.mul(p, x) for x in X.elements()))
 
     def instrument_closed_form(self, X, p) -> Arrow:

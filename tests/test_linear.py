@@ -301,6 +301,34 @@ def test_trivial_subspaces():
     assert FP.comprehension(F3_2, bot).obj == FpSpace(3, 0)
 
 
+# A predicate over another space than the one an operation is given:
+# another dimension, or the same dimension over another field.
+FOREIGN = {"fp-wider": (FP, F2_2, fp_span(FpSpace(2, 3), ((1, 1, 1),))),
+           "fp-field": (FP, F3_2, fp_span(F2_2, ((1, 0),))),
+           "hilb-wider": (HILB, HilbSpace(2), HILB.top(HilbSpace(3))),
+           "hilb-narrower": (HILB, HilbSpace(2), HILB.top(HilbSpace(1)))}
+PRED_OPS = {
+    "quotient": lambda inst, X, p: inst.quotient(X, p),
+    "comprehension": lambda inst, X, p: inst.comprehension(X, p),
+    "pred-leq-left": lambda inst, X, p: inst.pred_leq(X, p, inst.top(X)),
+    "pred-leq-right": lambda inst, X, p: inst.pred_leq(X, inst.bottom(X), p),
+    "pred-residual-left": lambda inst, X, p: inst.pred_residual(X, p, inst.top(X)),
+    "pred-residual-right": lambda inst, X, p: inst.pred_residual(X, inst.top(X), p),
+    "subst": lambda inst, X, p: inst.subst(inst.identity(X), p),
+}
+ORTHO_OPS = {"ortho": lambda inst, X, p: inst.ortho(X, p),
+             "assert": lambda inst, X, p: inst.assert_closed_form(X, p)}
+
+
+@pytest.mark.parametrize("inst, X, p, op", [
+    pytest.param(inst, X, p, op, id=f"{case}-{name}")
+    for case, (inst, X, p) in FOREIGN.items()
+    for name, op in {**PRED_OPS, **(ORTHO_OPS if inst is HILB else {})}.items()])
+def test_operations_reject_a_predicate_over_another_space(inst, X, p, op):
+    with pytest.raises(ValidationError):
+        op(inst, X, p)
+
+
 def test_subst_is_the_preimage():
     rng = random.Random(31)
     for _ in range(80):
@@ -367,6 +395,73 @@ def test_transposes_factor_uniquely_f3_rank_one(dim):
                 with pytest.raises(HomConditionError):
                     transpose(f)
         assert hits == FP.count_arrows(*ends)
+
+
+# The transposes and the comprehension homs as an earlier FpChain built
+# them: the quotient transpose reduced its entries again, the
+# comprehension transpose multiplied out P f, and the comprehension homs
+# were transposed index by index.
+
+def reference_transpose_quotient(X, P, f):
+    free = [c for c in range(X.dim) if c not in P.pivots]
+    for row in P.rows:
+        if any(mat_vec(f.data, row, X.p)):
+            raise HomConditionError(f"fp: {row!r} is not in the kernel")
+    return tuple([tuple([r[c] % X.p for c in free]) for r in f.data])
+
+
+def reference_transpose_comprehension(X, P, f):
+    if any(any(row) for row in mat_mul(_coords_matrix(P), f.data, X.p)):
+        raise HomConditionError("fp: image is not inside the subspace")
+    return tuple(f.data[c] for c in P.pivots)
+
+
+def reference_comprehension_homs(X, P, Y):
+    line = FpSpace(X.p, 1)
+    cols = [c for c in all_vectors(X)
+            if hom_check(FP, FP.arrow(line, X, tuple(zip(c))), truth(FP, line),
+                         PredObject(X, P))]
+    return [tuple(tuple(c[i] for c in m) for i in range(X.dim))
+            for m in itertools.product(cols, repeat=Y.dim)]
+
+
+def _transposes_as_the_reference(transpose, reference, ends, X, P, f) -> bool:
+    """Whether f has a transpose, after checking that `transpose` refuses
+    f exactly when `reference` does and otherwise builds its matrix."""
+    try:
+        expected = reference(X, P, f)
+    except HomConditionError:
+        with pytest.raises(HomConditionError):
+            transpose(f)
+        return False
+    g = transpose(f)
+    assert ((g.src, g.dst), g.data) == (ends, expected)
+    return True
+
+
+def test_transposes_and_homs_match_the_reference():
+    """At fields (2, 3) and max_dim 2, on every (X, P, Y) and every arrow
+    either way, hom or not, each transpose refuses exactly the arrows the
+    reference refuses and otherwise builds the reference's matrix; the
+    comprehension homs come in the reference's order, 0-dimensional X and
+    Y included."""
+    objs = list(FP.iter_objects({"fields": (2, 3), "max_dim": 2}))
+    outcomes, homs = [], 0
+    for X, Y in itertools.product(objs, repeat=2):
+        if X.p != Y.p:
+            continue
+        for P in FP.iter_preds(X):
+            q, c = FP.quotient(X, P), FP.comprehension(X, P)
+            outcomes += [_transposes_as_the_reference(
+                q.transpose, reference_transpose_quotient, (q.obj, Y), X, P, f)
+                for f in FP.iter_arrows(X, Y)]
+            outcomes += [_transposes_as_the_reference(
+                c.transpose, reference_transpose_comprehension, (Y, c.obj), X, P, f)
+                for f in FP.iter_arrows(Y, X)]
+            yielded = [f.data for f in FP.iter_homs(c, X, P, Y)]
+            assert yielded == reference_comprehension_homs(X, P, Y)
+            homs += len(yielded)
+    assert (outcomes.count(False), outcomes.count(True), homs) == (948, 446, 223)
 
 
 def test_round_trip_through_full_rank_predicate():
@@ -456,6 +551,41 @@ def test_equal_arrows_share_a_key():
         assert FP.compose(FP.identity(Y), f).data == key
         assert FP.compose(f, FP.identity(X)).data == key
         assert FP.arrow(X, Y, [list(r) for r in f.data]).data == key
+
+
+@st.composite
+def fp_constructions(draw):
+    """(X, P, Y, f, g, seed): spaces F_p^0 to F_p^3 for p in {2, 3, 5}, a
+    subspace P of X, arrows f: X -> Y and g: Y -> X, and a sampling seed."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    X, Y = FpSpace(p, draw(st.integers(0, 3))), FpSpace(p, draw(st.integers(0, 3)))
+
+    def matrix(A, B):
+        return draw(st.tuples(*[st.tuples(*[st.integers(0, p - 1)] * A.dim)] * B.dim))
+
+    return (X, fp_span(X, draw(residue_rows(p, X.dim))), Y, FP.arrow(X, Y, matrix(X, Y)),
+            FP.arrow(Y, X, matrix(Y, X)), draw(st.integers(0, 2**32)))
+
+
+@given(fp_constructions())
+@settings(max_examples=150, deadline=None)
+def test_every_fp_arrow_holds_reduced_residues(case):
+    """The quotient transpose copies f's entries without reducing them, so
+    every arrow FpChain builds must hold reduced residues: `arrow`, which
+    refuses anything else, accepts each one again."""
+    X, P, Y, f, g, seed = case
+    rng = random.Random(seed)
+    q, c = FP.quotient(X, P), FP.comprehension(X, P)
+    built = [FP.identity(X), FP.compose(g, f), FP.compose(f, g), q.unit, c.counit,
+             FP.rand_arrow(rng, X, Y, {}),
+             q.transpose(FP.rand_hom(rng, X, P, q, Y, {})),
+             c.transpose(FP.rand_hom(rng, X, P, c, Y, {}))]
+    built += itertools.islice(FP.iter_arrows(X, Y), 30)
+    for construction in (q, c):
+        homs = list(itertools.islice(FP.iter_homs(construction, X, P, Y), 30))
+        built += homs + [construction.transpose(h) for h in homs]
+    for h in built:
+        assert FP.arrow(h.src, h.dst, h.data).data == h.data
 
 
 @st.composite

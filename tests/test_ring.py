@@ -135,6 +135,30 @@ def test_arrow_validation_rejects_non_homs():
         RING.arrow(Z2, Z2, {(0,): (0,), (1,): (7,)})
 
 
+@pytest.mark.parametrize("e", [(1,), (5, 7)], ids=["short", "unreduced"])
+@pytest.mark.parametrize("op", [
+    lambda X, e: RING.quotient(X, e),
+    lambda X, e: RING.comprehension(X, e),
+    lambda X, e: RING.decompose(X, e),
+    lambda X, e: RING.assert_closed_form(X, e),
+    lambda X, e: RING.instrument_closed_form(X, e),
+    lambda X, e: RING.ortho(X, e),
+    lambda X, e: RING.pred_leq(X, e, X.one),
+    lambda X, e: RING.pred_leq(X, X.zero, e),
+    lambda X, e: RING.pred_residual(X, e, X.one),
+    lambda X, e: RING.pred_residual(X, X.one, e),
+    lambda X, e: RING.subst(RING.identity(X), e),
+    lambda X, e: IdealRing(X, e),
+], ids=["quotient", "comprehension", "decompose", "assert", "instrument", "ortho",
+        "pred-leq-left", "pred-leq-right", "pred-residual-left", "pred-residual-right",
+        "subst", "ideal"])
+def test_operations_reject_a_predicate_outside_the_ring(op, e):
+    """(1,) and (5, 7) are no elements of Z2 x Z3, though its arithmetic
+    would run on them, truncating or reducing."""
+    with pytest.raises(ValidationError):
+        op(Z2xZ3, e)
+
+
 # ---------------------------------------------------------------------------
 # Corners: comprehension and quotient.
 # ---------------------------------------------------------------------------

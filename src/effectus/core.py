@@ -182,6 +182,19 @@ class Law(NamedTuple):
     statement: str
     case: Callable
 
+    @classmethod
+    def on_fibre(cls, statement: str, check: Callable) -> Law:
+        """A law of one predicate p on one object X: each case draws X,
+        then p, and returns `check(inst, X, p, tol)`, naming X and p in
+        the detail of a violation."""
+        def case(inst, rng, bounds, tol):
+            X = inst.rand_object(rng, bounds)
+            p = inst.rand_pred(rng, X, bounds)
+            res, detail = check(inst, X, p, tol)
+            return res, detail if detail is None else {
+                **detail, "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
+        return cls(statement, case)
+
 
 # The laws every instance satisfies, and those of fibres with an
 # orthocomplement; the harness states and checks each by name.

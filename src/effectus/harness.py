@@ -109,8 +109,9 @@ def _arrow_key(inst, f):
 
 
 # ---------------------------------------------------------------------------
-# The shared laws, each a `Law`: its statement and its case function.
-# An instance states and checks the laws only it carries in `own_laws`.
+# The shared laws, each a `Law`: its statement and its case function, or
+# for a law of one fibre its check of a drawn (X, p).  An instance states
+# and checks the laws only it carries in `own_laws`.
 # ---------------------------------------------------------------------------
 
 
@@ -213,34 +214,26 @@ def _case_adjunction(which, inst, rng, bounds, tol):
         "f": inst.arrow_to_json(f)}
 
 
-def _case_factorization(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    p = inst.rand_pred(rng, X, bounds)
+def _check_factorization(inst, X, p, tol):
     composite = derive_assert(inst, X, p)
     closed = inst.assert_closed_form(X, p)
     res = inst.map_residual(composite, closed)
     return res, None if res <= tol else {
-        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
         "composite": inst.arrow_to_json(composite),
         "closed_form": inst.arrow_to_json(closed)}
 
 
-def _case_coincidence(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    p = inst.rand_pred(rng, X, bounds)
+def _check_coincidence(inst, X, p, tol):
     q = inst.quotient(X, inst.ortho(X, p))
     c = inst.comprehension(X, inst.ceil(X, p))
     same = inst.objects_equal(q.obj, c.obj)
     extra = inst.coincidence_residual(X, p, q, c)
     ok = same and extra <= tol
     return (extra if ok else max(extra, 0.0 if same else 1.0)), None if ok else {
-        "objects_equal": same, "carrier_residual": extra,
-        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
+        "objects_equal": same, "carrier_residual": extra}
 
 
-def _case_sharpness(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    p = inst.rand_pred(rng, X, bounds)
+def _check_sharpness(inst, X, p, tol):
     demorgan = inst.pred_residual(
         X, inst.floor(X, inst.ortho(X, p)),
         inst.ortho(X, inst.ceil(X, p)))
@@ -256,25 +249,21 @@ def _case_sharpness(inst, rng, bounds, tol):
           and (left_res <= tol) == sharp)
     return (demorgan if ok else max(demorgan, 1.0)), None if ok else {
         "demorgan": demorgan, "sharp": sharp,
-        "assert_idempotency_residual": idem, "left_composite_residual": left_res,
-        "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
+        "assert_idempotency_residual": idem, "left_composite_residual": left_res}
 
 
-def _case_instrument(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    p = inst.rand_pred(rng, X, bounds)
+def _check_instrument(inst, X, p, tol):
     derived = derive_instrument(inst, X, p)
     closed = inst.instrument_closed_form(X, p)
     r1 = inst.map_residual(derived, closed)
-    merged, free = side_effect(inst, derived)
+    free = side_effect(inst, derived)[1]
     predicted = inst.predicts_side_effect_free(X, p, tol)
     unit_res = inst.subunital_defect(closed)
     ok = r1 <= tol and free == predicted and unit_res <= tol
     res = max(r1, unit_res)
     return (max(res, 1.0) if free != predicted else res), None if ok else {
         "derived_vs_closed": r1, "side_effect_free": free,
-        "predicted_free": predicted, "X": inst.object_to_json(X),
-        "p": inst.pred_to_json(X, p)}
+        "predicted_free": predicted}
 
 
 LAWS = {
@@ -299,23 +288,23 @@ LAWS = {
         "into the comprehension carrier: transposing and composing with "
         "the inclusion are mutually inverse, and the mediating map is "
         "unique.", partial(_case_adjunction, "comprehension")),
-    "factorization": Law(
+    "factorization": Law.on_fibre(
         "The assert map built as comprehension-inclusion after "
-        "quotient-unit equals the instance's closed-form assert.", _case_factorization),
-    "coincidence": Law(
+        "quotient-unit equals the instance's closed-form assert.", _check_factorization),
+    "coincidence": Law.on_fibre(
         "The quotient carrier of the complement of p is the same object as "
-        "the comprehension carrier of the support of p.", _case_coincidence),
-    "sharpness": Law(
+        "the comprehension carrier of the support of p.", _check_coincidence),
+    "sharpness": Law.on_fibre(
         "floor(p-complement) equals ceil(p)-complement; the assert map is "
         "idempotent exactly for sharp p; the reverse composite "
         "(quotient-unit after comprehension-inclusion) is the identity on "
-        "the carrier exactly for sharp p.", _case_sharpness),
-    "instrument": Law(
+        "the carrier exactly for sharp p.", _check_sharpness),
+    "instrument": Law.on_fibre(
         "The two-branch measurement combining assert-p and "
         "assert-p-complement equals its closed form; merging the branches "
         "recovers the identity exactly when measurement is side-effect "
         "free, which holds always classically and probabilistically but "
-        "only for blockwise-scalar effects in the operator case.", _case_instrument),
+        "only for blockwise-scalar effects in the operator case.", _check_instrument),
 }
 # Then the laws that only one registered instance carries, in name order.
 LAWS.update(sorted((name, law) for inst in INSTANCES.values()

@@ -201,10 +201,11 @@ def _preimage(space: FpSpace, comp) -> FpSubspace:
     """The kernel of `comp`, a matrix with `space` as its source.
 
     Cached: substitution eliminates on the composite of the predicate's
-    quotient map with the arrow, and the exhaustive sweeps meet the same
-    composites again and again (2,310 distinct ones in 72,038
-    substitutions at the acceptance bounds).  The bound sits above that
-    count."""
+    quotient map with the arrow, and the law checks meet the same
+    composites again and again: `effectus check --seed 1` makes 1,016
+    calls on 101 distinct ones, and the acceptance sweeps run after it
+    in the same process bring that to 8,776 calls on 156.  The bound
+    sits above that count."""
     return FpSubspace(space, fp_kernel(comp, space.dim, space.p))
 
 

@@ -254,7 +254,8 @@ class Decomposition:
 def _hom_tables(Y: FiniteRing, X: FiniteRing) -> tuple:
     """enumerate_hom_tables(Y, X) as a tuple, cached: samplers and
     enumerations ask for the same hom sets over and over.  The bound
-    sits above the 3675 ring pairs the acceptance sweeps visit."""
+    sits above the 3,885 ring pairs that `effectus check --seed 1` and
+    the acceptance sweeps store when run in one process."""
     return tuple(enumerate_hom_tables(Y, X))
 
 
@@ -263,17 +264,14 @@ def _image(f: Arrow, y):
     return f.data[f.dst.position[y]]
 
 
-def _case_ring_decompose(inst, rng, bounds, tol):
-    X = inst.rand_object(rng, bounds)
-    e = inst.rand_pred(rng, X, bounds)
-    dec = inst.decompose(X, e)
+def _check_ring_decompose(inst, X, p, tol):
+    dec = inst.decompose(X, p)
     r1 = inst.map_residual(inst.compose(dec.split, dec.merge), inst.identity(X))
     r2 = inst.map_residual(inst.compose(dec.merge, dec.split),
                            inst.identity(dec.pair))
     res = max(r1, r2)
     return res, None if res <= tol else {
-        "split_then_merge": r1, "merge_then_split": r2,
-        "X": inst.object_to_json(X), "e": inst.pred_to_json(X, e)}
+        "split_then_merge": r1, "merge_then_split": r2}
 
 
 class RingChain(ChainInstance):
@@ -281,10 +279,10 @@ class RingChain(ChainInstance):
 
     name = "ring"
     description = "finite commutative rings, arrows opposite to ring maps"
-    own_laws = {"ring-decompose": Law(
+    own_laws = {"ring-decompose": Law.on_fibre(
         "An idempotent e splits a commutative ring into the product of its "
         "two corner ideals, with x -> (ex, (1-e)x) and addition as mutually "
-        "inverse ring maps.", _case_ring_decompose)}
+        "inverse ring maps.", _check_ring_decompose)}
     laws = ChainInstance.laws + tuple(own_laws)
     default_cases = 40
     default_sweep = {"max_order": 8}

@@ -133,14 +133,20 @@ def check_blocks(A: MatrixAlgebra, p) -> None:
             raise ValidationError(f"block shape {np.shape(b)} != ({n}, {n})")
 
 
+def _effect_spectrum(b, tol: float = la.HERM_TOL):
+    """The spectrum (w, U) of an effect block, refused unless w lies in [0, 1]."""
+    w, U = la.hermitian_eig(b)
+    if w.size and (float(w[-1]) < -tol or float(w[0]) > 1 + tol):
+        raise ValidationError(f"spectrum {w} leaves [0, 1]")
+    return w, U
+
+
 def check_effect(A: MatrixAlgebra, p, tol: float = 1e-9) -> None:
     check_blocks(A, p)
     for b in map(np.asarray, p):
         if not la.is_hermitian(b, tol):
             raise ValidationError("effect block is not Hermitian")
-        w = la.hermitian_eigvals(b)
-        if w.size and (float(w[-1]) < -tol or float(w[0]) > 1 + tol):
-            raise ValidationError(f"spectrum {w} leaves [0, 1]")
+        _effect_spectrum(b, tol)
 
 
 def op_norm(elt) -> float:
@@ -337,7 +343,7 @@ class VnChain(ChainInstance):
         conjugating with the pseudoinverse roots and compressing.  All
         three come from one spectrum per block of s."""
         s = self.ortho(X, p)
-        specs = [la.hermitian_eig(b) for b in s]
+        specs = [_effect_spectrum(b) for b in s]
         corner = _Corner(X, [la.support_spectrum(e) for e in specs])
         root_specs = [la.sqrt_spectrum(e) for e in specs]
         unit = Arrow(X, corner.algebra, kraus_superop(X, corner.algebra, [
@@ -366,7 +372,7 @@ class VnChain(ChainInstance):
         """The corner of the eigenvalue-1 projection of p; a map giving p
         and 1 the same image transposes through the embedding."""
         check_blocks(X, p)
-        corner = _Corner(X, [la.unit_spectrum(la.hermitian_eig(b)) for b in p])
+        corner = _Corner(X, [la.unit_spectrum(_effect_spectrum(b)) for b in p])
         embed = kraus_superop(X, corner.algebra, [
             (i, c, V) for c, (i, V) in enumerate(corner.isoms)])
 
@@ -385,8 +391,9 @@ class VnChain(ChainInstance):
 
     def assert_closed_form(self, X, p) -> Arrow:
         check_blocks(X, p)
-        return Arrow(X, X, kraus_superop(
-            X, X, [(i, i, la.op_sqrt(b)) for i, b in enumerate(p)]))
+        return Arrow(X, X, kraus_superop(X, X, [
+            (i, i, la.from_spectrum(la.sqrt_spectrum(_effect_spectrum(b))))
+            for i, b in enumerate(p)]))
 
     def instrument_closed_form(self, X, p) -> Arrow:
         return self.instrument_combine(

@@ -113,9 +113,10 @@ def _vec_key(v: np.ndarray):
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"square matrix required, got shape {a.shape}")
-    if not is_hermitian(a):
+    d = dagger(a)
+    if not max_abs(a - d) <= HERM_TOL:  # NaN entries fail too
         raise ValidationError("matrix is not Hermitian within tolerance")
-    return (a + dagger(a)) / 2
+    return (a + d) / 2
 
 
 @_memoised

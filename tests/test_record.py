@@ -1,4 +1,5 @@
-"""bench/record.py reads its counts from the law reports, so a renamed
+"""bench/record.py reads its counts from the law reports, and
+perfbench/tracing.py wraps effectus functions by name, so a renamed
 harness field or function fails here rather than at the next recording."""
 
 import importlib.util
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import effectus.cli  # noqa: F401  (the tracer wraps cli.main)
 from effectus.harness import default_suite
+from effectus.registry import INSTANCES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +44,27 @@ def test_src_lines_counts_every_module(record):
     assert set(out) == {"modules", "total"}
     assert set(out["modules"]) == {p.name for p in (ROOT / "src" / "effectus").glob("*.py")}
     assert out["total"] == sum(out["modules"].values()) > 0
+
+
+def test_tracer_installs_over_effectus_and_restores_it():
+    # The tracer is loaded as it is; install raises AttributeError for a
+    # name it wraps that effectus no longer has.
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [m for name, m in sys.modules.items()
+               if name == "effectus" or name.startswith("effectus.")]
+    targets += INSTANCES.values()
+    before = [dict(vars(t)) for t in targets]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = [(target, key) for target, key, _ in tracer._restore]
+    finally:
+        tracer.uninstall()
+    assert patched
+    for target, old in zip(targets, before):
+        now = vars(target)
+        assert now.keys() == old.keys(), target
+        assert all(now[k] is v for k, v in old.items()), target

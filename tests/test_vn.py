@@ -131,6 +131,23 @@ def test_effect_validation():
         VN.arrow(M2, M2, np.eye(3))
 
 
+# A predicate with an eigenvalue outside [0, 1] is not an effect; each
+# construction reads the spectrum it already decomposes and refuses it.
+@pytest.mark.parametrize("build", ["quotient", "comprehension", "assert_closed_form"])
+@pytest.mark.parametrize("value", [-0.5, 1.5, 2.0])
+@pytest.mark.parametrize("X, block", [
+    (M1, lambda v: [[v]]), (M2, lambda v: [[0.5, 0], [0, v]]),
+], ids=["M1", "M2"])
+def test_constructions_refuse_a_non_effect(build, value, X, block):
+    with pytest.raises(ValidationError):
+        getattr(VN, build)(X, elt(block(value)))
+
+
+@pytest.mark.parametrize("build", ["quotient", "comprehension", "assert_closed_form"])
+def test_constructions_accept_a_boundary_effect(build):
+    getattr(VN, build)(M2, elt([[0.0, 0], [0, 1.0]]))
+
+
 @pytest.mark.parametrize("p", [
     elt(np.eye(2) * 0.5),
     elt(np.eye(2) * 0.5, [[0.5]], [[0.5]]),

@@ -254,7 +254,7 @@ class Decomposition:
 def _hom_tables(Y: FiniteRing, X: FiniteRing) -> tuple:
     """enumerate_hom_tables(Y, X) as a tuple, cached: samplers and
     enumerations ask for the same hom sets over and over.  The bound
-    sits above the 3,885 ring pairs that `effectus check --seed 1` and
+    sits above the 3,884 ring pairs that `effectus check --seed 1` and
     the acceptance sweeps store when run in one process."""
     return tuple(enumerate_hom_tables(Y, X))
 

@@ -217,7 +217,7 @@ def test_exact_instances_match_golden_report():
 # quotient-adjunction cases draw, hashed together: a passing report of an
 # exact instance reads the same whatever maps it tested, so this digest
 # is what changes when the enumeration order or the draws change.
-ENUMERATED_AND_DRAWN_DIGEST = "1bc9acea6064e696"
+ENUMERATED_AND_DRAWN_DIGEST = "0bec74101cb21763"
 _ENUMERATED = (
     ("sets", FiniteSet((1, 2)), FiniteSet(("a", "b", "c"))),
     ("sets", FiniteSet(()), FiniteSet((1,))),
@@ -283,7 +283,7 @@ def test_enumerated_and_drawn_arrows_are_pinned():
 # What dist's seeded adjunction cases draw, in both directions: dist
 # enumerates nothing, so its draws are pinned apart, as JSON, which reads
 # the same however an image is stored.
-DIST_DRAWN_DIGEST = "f06a69ba2d1fa2b5"
+DIST_DRAWN_DIGEST = "e11ff519cf088567"
 
 
 def test_dist_draws_are_pinned():
@@ -829,7 +829,7 @@ def test_sampled_uniqueness_draws_every_sample():
     Y = inst.rand_object(rng, {}, like=X)
     built = inst.quotient(X, p)
     ends = built.ends(built.obj, Y)
-    assert harness._unique(inst, rng, {}, 0.0, built, ends)
+    assert harness._unique(inst, rng, {}, 0.0, built, ends) == (0.0, True)
     assert draws == [ends] * UNIQUE_SAMPLES
 
 

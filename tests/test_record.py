@@ -60,7 +60,7 @@ def test_tracer_installs_over_effectus_and_restores_it():
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        patched = [(target, key) for target, key, _ in tracer._restore]
+        patched = len(tracer._restore)
     finally:
         tracer.uninstall()
     assert patched

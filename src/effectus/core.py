@@ -370,6 +370,10 @@ class ChainInstance(ABC):
         """Number of arrows X -> Y, or None when not enumerable."""
         return None
 
+    def cancels(self, f: Arrow, epi: bool):
+        """Whether f is epi (if `epi`) or mono; None when it cannot tell."""
+        return None
+
     def comparable_objects(self, X, Y) -> bool:
         """Whether arrows between the two carriers exist at all (same
         base field and the like); used by exhaustive sweeps."""

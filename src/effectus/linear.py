@@ -37,10 +37,6 @@ from . import vnlinalg as la
 # ---------------------------------------------------------------------------
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
 def _check_residues(row, p: int) -> None:
     # bools are ints to Python but ambiguous as field elements, as in
     # core.atom_key
@@ -66,7 +62,7 @@ def rref(rows, width: int, p: int):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = _inv_mod(mat[r][c] % p, p)
+        inv = pow(mat[r][c] % p, p - 2, p)  # by Fermat
         mat[r] = [(x * inv) % p for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] % p:
@@ -502,6 +498,10 @@ class HilbChain(ChainInstance):
             return Arrow(f.src, obj, coords)
 
         return ComprehensionResult(obj, Arrow(obj, X, p.basis.copy()), transpose)
+
+    def cancels(self, f: Arrow, epi: bool) -> bool:
+        """Exact, as all linear maps mediate: g after f is g.data @ f.data."""
+        return la.full_rank(f.data, rows=epi)
 
     def assert_closed_form(self, X, p: Subspace) -> Arrow:
         return Arrow(X, X, _over(X, p).projector())

@@ -115,10 +115,6 @@ def kraus_superop(src: MatrixAlgebra, dst: MatrixAlgebra, terms) -> np.ndarray:
     return out
 
 
-def elt_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def elt_residual(a, b) -> float:
     return max((la.max_abs(x - y) for x, y in zip(a, b)), default=0.0)
 
@@ -321,7 +317,7 @@ class VnChain(ChainInstance):
 
     def ortho(self, X, p):
         check_blocks(X, p)
-        return elt_sub(X.one(), p)
+        return tuple(x - y for x, y in zip(X.one(), p))
 
     def ceil(self, X, p):
         check_blocks(X, p)
@@ -386,6 +382,13 @@ class VnChain(ChainInstance):
         # Compression is the adjoint of the embedding, superoperators included.
         counit = Arrow(corner.algebra, X, la.dagger(embed))
         return ComprehensionResult(corner.algebra, counit, transpose)
+
+    def cancels(self, f: Arrow, epi: bool) -> bool:
+        """g after f is f.data @ g.data.  Exact on the subunital CP maps:
+        composing with f commutes with L -> L(.^dagger)^dagger, so a nonzero
+        kernel holds a Hermiticity-preserving L, and as those maps have
+        interior among such L, two of them differ by L with one composite."""
+        return la.full_rank(f.data, rows=not epi)
 
     # ---- assert / instrument ----
 

@@ -23,6 +23,7 @@ The memo also counts each input's calls, for kernel_counts().
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -140,7 +141,9 @@ def hermitian_eig(a: np.ndarray):
         return h.real[0], np.ones((1, 1), dtype=complex)
     vals, V = np.linalg.eigh(h)
     V = V * _phases(V)
-    keys = [(-round(float(x), 9), _vec_key(V[:, i])) for i, x in enumerate(vals)]
+    keys = [-round(float(x), 9) for x in vals]
+    if len(set(keys)) < len(keys):  # a tie: break it by the vectors
+        keys = [(k, _vec_key(V[:, i])) for i, k in enumerate(keys)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return vals[order], V[:, order]
 
@@ -217,19 +220,20 @@ def gram_schmidt_columns(m: np.ndarray) -> np.ndarray:
     Index order (rather than norm pivoting) keeps the result stable under
     perturbations far smaller than the threshold, which is what makes
     independently computed carriers of the same subspace coincide."""
-    basis: list = []
+    basis: list = []  # (vector, its conjugate) pairs
     for j in range(m.shape[1]):
         v = m[:, j].copy()
         for _ in range(2):
-            for b in basis:
-                v = v - b * (b.conj() @ v)
-        norm = float(np.sqrt((abs(v) ** 2).sum()))
+            for b, c in basis:
+                v = v - b * (c @ v)
+        norm = math.sqrt((abs(v) ** 2).sum())
         if norm > GS_THRESHOLD:
             v = v / norm
-            basis.append(v * _phases(v))
+            v = v * _phases(v)
+            basis.append((v, v.conj()))
     if not basis:
         return np.zeros((m.shape[0], 0), dtype=complex)
-    return np.column_stack(basis)
+    return np.column_stack([b for b, _ in basis])
 
 
 def orthonormal_complement(u: np.ndarray, dim: int) -> np.ndarray:
@@ -255,6 +259,13 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of m."""
     rows = row_space_basis(m)
     return orthonormal_complement(rows, m.shape[1])
+
+
+def full_rank(m: np.ndarray, rows: bool) -> bool:
+    """Whether m has full row (`rows`) or column rank, a singular value at
+    or below RANK_CUTOFF times the largest counting as 0 (no entries: rank 0)."""
+    s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    return int((s > RANK_CUTOFF * s.max(initial=0.0)).sum()) == m.shape[0 if rows else 1]
 
 
 def complex_to_json(rows) -> list:

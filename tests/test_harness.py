@@ -35,7 +35,7 @@ from effectus.harness import (
     run_law,
     run_suite,
 )
-from effectus.linear import FpChain, FpSpace
+from effectus.linear import FpChain, FpSpace, HilbChain, HilbSpace
 from effectus.ring import Decomposition, RingChain, ZProductRing
 from effectus.vn import MatrixAlgebra, VnChain
 
@@ -800,19 +800,93 @@ class _JunkInQuotient:
         return QuotientResult(obj, unit, transpose)
 
 
+def _junk_atom(base, which):
+    return type(f"JunkInQuotient{base.__name__}", (_JunkInQuotient, base), {})()
+
+
+def _pad(data, axis):
+    """data with one more row (axis 0) or column (axis 1) of zeros."""
+    return np.pad(data, [(0, int(axis == 0)), (0, int(axis == 1))])
+
+
+def _junk_dimension(base, which):
+    """A `base` (hilb or vn) whose `which` carrier gains one dimension, a
+    1 x 1 block on vn, that the unit never reaches or the counit sends to
+    0, and where every transpose is 0: maps out of (into) the carrier
+    that differ only there have one composite, so composing with the
+    unit (counit) is not injective.  hilb data index the codomain along
+    axis 0 and vn data along axis 1, so `axis` indexes the carrier in the
+    unit's or counit's data, and the other axis in a transpose's."""
+    hilb, quotient = issubclass(base, HilbChain), which == "quotient"
+    axis = int(hilb != quotient)
+
+    def construct(self, X, p):
+        built = getattr(base, which)(self, X, p)
+        obj = (HilbSpace(built.obj.dim + 1) if hilb
+               else MatrixAlgebra(built.obj.block_dims + (1,)))
+
+        def transpose(f):
+            g = built.transpose(f)
+            ends = (obj, g.dst) if quotient else (g.src, obj)
+            return Arrow(*ends, _pad(g.data, 1 - axis))
+
+        canonical = built.unit if quotient else built.counit
+        return type(built)(obj, Arrow(*built.ends(X, obj), _pad(canonical.data, axis)),
+                           transpose)
+
+    return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
+
+
 # sets at max_size 3 has at most 4^4 candidates, so `unique` compares
-# them all; dist cannot enumerate, so it round-trips random maps.
-@pytest.mark.parametrize("base, bounds", [
-    (SetsChain, {"max_size": 3}), (DistChain, {}),
-], ids=["enumerated", "sampled"])
-def test_unique_clause_has_teeth(base, bounds):
+# them all; dist cannot enumerate, so it round-trips random maps; hilb
+# and vn decide by the rank of the unit or counit.
+@pytest.mark.parametrize("base, which, junk, bounds", [
+    (SetsChain, "quotient", _junk_atom, {"max_size": 3}),
+    (DistChain, "quotient", _junk_atom, {}),
+    *[(base, which, _junk_dimension, {}) for base in (HilbChain, VnChain)
+      for which in ("quotient", "comprehension")],
+], ids=["enumerated", "sampled", "hilb-quotient", "hilb-comprehension",
+        "vn-quotient", "vn-comprehension"])
+def test_unique_clause_has_teeth(base, which, junk, bounds):
     assert 4 ** 4 <= CASE_ENUM_BUDGET
-    corrupt = type(f"JunkInQuotient{base.__name__}", (_JunkInQuotient, base), {})()
-    spec = CaseSpec(base.name, "quotient-adjunction", 5, 40, bounds)
-    report = run_law(corrupt, spec)
+    spec = CaseSpec(base.name, f"{which}-adjunction", 5, 40, bounds)
+    report = run_law(junk(base, which), spec)
     assert report.failures >= 1 and report.errors == 0
     assert all(w["unique"] is False for w in report.witnesses)
     assert run_law(base(), spec).failures == 0
+
+
+class _CannotTell:
+    """`cancels` cannot tell, so `_unique` round-trips drawn maps."""
+
+    def cancels(self, f, epi):
+        return None
+
+
+@pytest.mark.parametrize("which", ["quotient", "comprehension"])
+@pytest.mark.parametrize("base", [HilbChain, VnChain], ids=["hilb", "vn"])
+def test_cancellation_agrees_with_sampled_round_trips(base, which):
+    """Over 100 seeded (X, p, Y) at the default bounds, the rank test
+    finds the unit epi (the counit mono) and draws nothing, and the
+    sampled round trips pass too; on the junk-dimension carrier both
+    say no."""
+    honest = base()
+    sampled = type(f"Sampled{base.__name__}", (_CannotTell, base), {})()
+    junk = _junk_dimension(base, which)
+    tol = float(honest.eq_tol)
+    for seed in range(100):
+        rng = random.Random(seed)
+        X = honest.rand_object(rng, {})
+        p = honest.rand_pred(rng, X, {})
+        Y = honest.rand_object(rng, {}, like=X)
+        for inst, verdict in ((honest, True), (junk, False)):
+            built = getattr(inst, which)(X, p)
+            ends = built.ends(built.obj, Y)
+            state = rng.getstate()
+            assert harness._unique(honest, rng, {}, tol, built, ends) == (
+                float(not verdict), verdict)
+            assert rng.getstate() == state
+            assert harness._unique(sampled, rng, {}, tol, built, ends)[1] is verdict
 
 
 def test_sampled_uniqueness_draws_every_sample():

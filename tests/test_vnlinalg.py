@@ -387,6 +387,30 @@ def test_kernel_matches_numpy_rank():
         assert np.linalg.matrix_rank(stacked, tol=1e-6) == r.shape[1]
 
 
+def test_full_rank_cuts_singular_values_relative_to_the_largest():
+    assert la.full_rank(np.zeros((0, 3)), rows=True)
+    assert not la.full_rank(np.zeros((0, 3)), rows=False)
+    assert la.full_rank(np.zeros((3, 0)), rows=False)
+    assert not la.full_rank(np.zeros((2, 2)), rows=True)
+    wide = np.ones((1, 3), dtype=complex)
+    assert la.full_rank(wide, rows=True) and not la.full_rank(wide, rows=False)
+    for scale in (1.0, 1e-12, 1e6):
+        above = np.diag([1.0, 2 * la.RANK_CUTOFF]) * scale
+        at = np.diag([1.0, la.RANK_CUTOFF]) * scale
+        assert la.full_rank(above, rows=True) and la.full_rank(above, rows=False)
+        assert not la.full_rank(at, rows=True) and not la.full_rank(at, rows=False)
+    rng = random.Random(131)
+    for _ in range(80):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                       for _ in range(cols)] for _ in range(rows)])
+        if rng.random() < 0.3:  # force rank deficiency
+            m[:, -1] = m[:, 0] * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        rank = np.linalg.matrix_rank(m)
+        assert la.full_rank(m, rows=True) == (rank == rows)
+        assert la.full_rank(m, rows=False) == (rank == cols)
+
+
 def test_spectral_norm_matches_numpy_two_norm():
     from effectus.vn import spectral_norm
 

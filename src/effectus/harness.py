@@ -186,10 +186,11 @@ def _case_truth_falsum(inst, rng, bounds, tol):
 def _unique(inst, rng, bounds, tol, built, ends) -> tuple[float, bool]:
     """Composing with the unit or counit is injective on mediating maps.
     `inst.cancels` decides it when it can tell whether the unit is epi or
-    the counit mono (a rank test on hilb and vn), drawing nothing, with
-    residual 0.0 or 1.0.  Otherwise each candidate must come back from its
-    own composite: all the maps when few, else UNIQUE_SAMPLES random ones;
-    returns the worst residual and whether every candidate came back."""
+    the counit mono (fp, hilb, vn; sets, nondet, dist on point images),
+    drawing nothing, with residual 0.0 or 1.0.  Otherwise (ring, or a
+    Kleisli unit or counit off points) each candidate must come back from
+    its own composite: all the maps when few, else UNIQUE_SAMPLES random
+    ones; returns the worst residual and whether every candidate came back."""
     epi = isinstance(built, QuotientResult)
     ok = inst.cancels(built.unit if epi else built.counit, epi)
     if ok is not None:

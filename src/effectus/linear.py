@@ -302,6 +302,10 @@ class FpChain(ChainInstance):
 
         return ComprehensionResult(obj, Arrow(obj, X, mat), transpose)
 
+    def cancels(self, f: Arrow, epi: bool) -> bool:
+        """Exact, as all linear maps mediate: epi when onto, mono when one-to-one."""
+        return len(rref(f.data, f.src.dim, f.src.p)[1]) == (f.dst.dim if epi else f.src.dim)
+
     # ---- sampling and enumeration ----
 
     def rand_object(self, rng, bounds, like=None) -> FpSpace:

@@ -158,6 +158,27 @@ def test_quotient_transpose_names_the_mass_over_the_cap(inst, image, message):
     assert inst.maps_equal(inst.compose(q.transpose(ok), q.unit), ok)
 
 
+# Arrows the cancellation test must not call epi (mono), each short of
+# its sufficient condition in one way; honest units and counits meet it
+# (tests/test_harness.py).  Each maps the atoms 1, 2, ... of its source to
+# the images given, over the target atoms given.
+@pytest.mark.parametrize("inst, atoms, images, epi", [
+    (NONDET, (1,), [frozenset({1, STAR})], True),
+    (DIST, (1,), [SubDist(())], True),
+    (DIST, ("a", "b"),
+     [SubDist((("a", Fraction(1, 2)), ("b", Fraction(1, 2)))), dirac("b")], True),
+    (SETS, ("a", "b"), ["a"], True),
+    (SETS, ("a",), ["a", "a"], False),
+    (SETS, ("a",), [STAR], False),
+], ids=["image-with-abort", "zero-mass", "two-atom-image", "unreached-atom",
+        "equal-images", "abort-image"])
+def test_cancels_cannot_tell_short_of_its_condition(inst, atoms, images, epi):
+    X = FiniteSet(tuple(range(1, len(images) + 1)))
+    f = inst.arrow(X, FiniteSet(atoms), dict(zip(X, images)))
+    assert inst.cancels(f, epi) is None
+    assert inst.cancels(inst.identity(X), epi) is True
+
+
 @pytest.mark.parametrize("inst", [SETS, NONDET, DIST], ids=["sets", "nondet", "dist"])
 def test_instrument_combine_builds_only_what_it_can_read(inst):
     # Both branches defined everywhere: a partial function cannot take

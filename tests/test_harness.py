@@ -913,12 +913,12 @@ class _CannotTell:
 
 
 @pytest.mark.parametrize("which", ["quotient", "comprehension"])
-@pytest.mark.parametrize("base, junk", [
+@pytest.mark.parametrize("base, make_junk", [
     (SetsChain, _junk_atom), (NondetChain, _junk_atom), (DistChain, _junk_atom),
     (FpChain, _junk_coordinate), (HilbChain, _junk_dimension),
     (VnChain, _junk_dimension),
 ], ids=["sets", "nondet", "dist", "fp", "hilb", "vn"])
-def test_cancellation_agrees_with_sampled_round_trips(base, junk, which):
+def test_cancellation_agrees_with_sampled_round_trips(base, make_junk, which):
     """Over 100 seeded (X, p, Y) at the default bounds, `cancels` finds
     the unit epi (the counit mono) and draws nothing, and the round trips
     pass too.  On the junk carrier the rank tests of fp, hilb and vn say
@@ -926,7 +926,7 @@ def test_cancellation_agrees_with_sampled_round_trips(base, junk, which):
     too, unless one map is all there is between the ends."""
     honest = base()
     sampled = type(f"Sampled{base.__name__}", (_CannotTell, base), {})()
-    junk = junk(base, which)
+    junk = make_junk(base, which)
     tol = float(honest.eq_tol)
     for seed in range(100):
         rng = random.Random(seed)

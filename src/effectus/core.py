@@ -324,14 +324,12 @@ class ChainInstance(ABC):
         raise UnsupportedError(f"{self.name}: no closed-form instrument")
 
     # ---- harness hooks --------------------------------------------
-    # Seeded samplers (rand_arrow also draws the maps whose round trips
-    # prove a mediating map unique); the hom sampler defaults to a random
-    # map through the construction the caller already built.  Exact
-    # instances may add the iter_*/count_* enumerators, for exhaustive
-    # checks and uniqueness over few candidates.  `iter_homs` yields
-    # exactly the homs, each once, in a fixed order: the exhaustive sweep
-    # round-trips each and counts them against the candidates, asking no
-    # `hom_check` itself.  `bounds` is a dict of instance size knobs.
+    # Seeded samplers; the hom sampler defaults to a random map through
+    # the construction the caller already built.  Exact instances may add
+    # the iter_*/count_* enumerators, for exhaustive checks.  `iter_homs`
+    # yields exactly the homs, each once, in a fixed order: the exhaustive
+    # sweep round-trips each and counts them against the candidates, asking
+    # no `hom_check` itself.  `bounds` is a dict of instance size knobs.
 
     def rand_object(self, rng, bounds, like=None):
         """Sample a carrier within bounds; `like` is an existing carrier
@@ -370,9 +368,10 @@ class ChainInstance(ABC):
         """Number of arrows X -> Y, or None when not enumerable."""
         return None
 
-    def cancels(self, f: Arrow, epi: bool):
-        """Whether f is epi (if `epi`) or mono; None when it cannot tell."""
-        return None
+    def cancels(self, f: Arrow, epi: bool) -> bool:
+        """Whether the instance's test shows f epi (if `epi`) or mono;
+        False when it has no test."""
+        return False
 
     def comparable_objects(self, X, Y) -> bool:
         """Whether arrows between the two carriers exist at all (same

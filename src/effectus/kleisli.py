@@ -348,15 +348,15 @@ class KleisliChain(ChainInstance):
         counit = Arrow(obj, X, tuple(self._eta(i, n) for i in kept))
         return ComprehensionResult(obj, counit, transpose)
 
-    def cancels(self, f: Arrow, epi: bool):
-        """Sufficient for all three monads, else None.  Epi: every target
-        atom j is some image w.d_j, w > 0 (not {j, *}), so (g after f)
-        reads w.g(j) there.  Mono: the images are distinct etas, so (f
-        after g) relabels g's images one-to-one."""
+    def cancels(self, f: Arrow, epi: bool) -> bool:
+        """A test sufficient for all three monads.  Epi: every target atom
+        j is some image w.d_j, w > 0 (not {j, *}), so (g after f) reads
+        w.g(j) there.  Mono: the images are distinct etas, so (f after g)
+        relabels g's images one-to-one."""
         n = len(f.dst.atoms)
         points = {i for d in f.data for i in self._support(d, n)
                   if d == self._scale(self._eta(i, n), self._mass(d, n) if epi else ONE, n)}
-        return len(points) == (n if epi else len(f.data)) or None
+        return len(points) == (n if epi else len(f.data))
 
     # ---- assert / instrument ----
     # tagged_double(X) lists every (1, x) before any (2, x), both in X's

@@ -379,6 +379,13 @@ class RingChain(ChainInstance):
         counit = Arrow(obj, X, tuple(X.mul(p, x) for x in X.elements()))
         return ComprehensionResult(obj, counit, transpose)
 
+    def cancels(self, f: Arrow, epi: bool) -> bool:
+        """A sufficient test on f's table.  Epi: (g after f) reads f's
+        table at g's entries, so a one-to-one table gives them back.
+        Mono: (f after g) reads g's table at f's entries, so a table
+        reaching every element of f.src gives all of g's table."""
+        return len(set(f.data)) == (len(f.data) if epi else len(f.src))
+
     # ---- assert / instrument / decomposition ----
     # PairRing(X, X) lists its pairs (a, b) in product order, so a table
     # over it is read off the product of two tables over X.

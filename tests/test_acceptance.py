@@ -265,18 +265,15 @@ def test_mediating_map_uniqueness():
     # enumerable instances: the sweeps fail on any second solution, so
     # zero failures over a nonempty sweep is a full enumeration proof
     for (name, which), report in _exhaustive_reports().items():
-        if name == "fp":
-            continue
         if report.failures or report.cases == 0:
             problems.append(f"{name} {which} enumeration")
 
-    # dist, fp, hilb and vn: `cancels`, which `effectus check` decides
-    # uniqueness by, finds the quotient unit epi and the comprehension
-    # counit mono; cross-checked by the defining equation, and a random map
-    # out of the quotient coming back from its composite with the unit, so
-    # no second map shares that composite
-    for name in ("dist", "fp", "hilb", "vn"):
-        inst = INSTANCES[name]
+    # every instance: `cancels`, which `effectus check` decides uniqueness
+    # by, finds the quotient unit epi and the comprehension counit mono;
+    # cross-checked by the defining equation, and a random map out of the
+    # quotient coming back from its composite with the unit, so no second
+    # map shares that composite
+    for name, inst in INSTANCES.items():
         rng = random.Random(15)
         tol = float(inst.eq_tol)
         for i in range(200):
@@ -297,8 +294,8 @@ def test_mediating_map_uniqueness():
                 problems.append(f"{name} case {i}: map not recovered from its composite")
                 break
     _verdict("mediating-map uniqueness", not problems,
-             "; ".join(problems) or "full enumeration (sets, nondet, ring) "
-             "+ cancels on 200 units and counits each of dist / fp / hilb / vn, "
+             "; ".join(problems) or "full enumeration (sets, nondet, fp, ring) "
+             f"+ cancels on 200 units and counits each of {' / '.join(INSTANCES)}, "
              "cross-checked by 200 round trips each from random maps")
 
 

@@ -21,13 +21,11 @@ from effectus.core import (
     Arrow, ChainError, ChainInstance, HomConditionError, Law, PredObject,
     ComprehensionResult, QuotientResult, atom_key, falsum, hom_check, truth)
 from effectus.kleisli import (
-    DistChain, FiniteSet, KleisliChain, NondetChain, SetsChain, SubDist)
+    DistChain, FiniteSet, NondetChain, SetsChain, SubDist)
 from effectus.harness import (
-    CASE_ENUM_BUDGET,
     DEFAULT_SEED,
     LAWS,
     MAX_WITNESSES,
-    UNIQUE_SAMPLES,
     CaseSpec,
     LawReport,
     applicable_laws,
@@ -37,7 +35,7 @@ from effectus.harness import (
     run_suite,
 )
 from effectus.linear import FpChain, FpSpace, HilbChain, HilbSpace
-from effectus.ring import Decomposition, RingChain, ZProductRing
+from effectus.ring import Decomposition, PairRing, RingChain, ZProductRing
 from effectus.vn import MatrixAlgebra, VnChain
 
 SETS, NONDET, DIST = SetsChain(), NondetChain(), DistChain()
@@ -884,20 +882,54 @@ def _junk_dimension(base, which):
     return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
 
 
-# The Kleisli `cancels` cannot tell on a junk atom, so sets at max_size 3,
-# with at most 4^4 candidates, compares them all, and dist, which cannot
-# enumerate, round-trips random maps; fp, hilb and vn decide by the rank
-# of the unit or counit.
+def _junk_factor(base, which):
+    """A ring `which` carrier times Z_2, a factor that the unit forgets
+    or the counit never reaches, and where every transpose is 0: maps
+    out of (into) the carrier that differ only there have one composite,
+    so composing with the unit (counit) is not injective."""
+    quotient = which == "quotient"
+
+    def construct(self, X, p):
+        built = getattr(base, which)(self, X, p)
+        obj = PairRing(built.obj, ZProductRing((2,)))
+
+        def forget(f):  # f's table, read at the first factor
+            return tuple(self.table(f)[a] for a, _ in obj.elements())
+
+        def pad(f):  # f's table, with 0 at the second factor
+            return tuple((a, (0,)) for a in f.data)
+
+        if quotient:
+            return QuotientResult(obj, Arrow(X, obj, forget(built.unit)),
+                                  lambda f: Arrow(obj, f.dst, pad(built.transpose(f))))
+        return ComprehensionResult(obj, Arrow(obj, X, pad(built.counit)),
+                                   lambda f: Arrow(f.src, obj, forget(built.transpose(f))))
+
+    return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
+
+
+def _untested(base, which):
+    """A `base` with no cancellation test of its own."""
+    return type(f"Untested{base.__name__}", (base,), {"cancels": ChainInstance.cancels})()
+
+
+# On each junk carrier the instance's `cancels` says False: sets at
+# max_size 3, an enumerable instance, and dist, which enumerates nothing,
+# by the Kleisli point test; fp, hilb and vn by the rank of the unit or
+# counit; ring by its table.  An instance without a test fails too.
 @pytest.mark.parametrize("base, which, junk, bounds", [
     (SetsChain, "quotient", _junk_atom, {"max_size": 3}),
     (DistChain, "quotient", _junk_atom, {}),
     (FpChain, "quotient", _junk_coordinate, {}),
-    *[(base, which, _junk_dimension, {}) for base in (HilbChain, VnChain)
+    *[(base, which, junk, {}) for base, junk in ((HilbChain, _junk_dimension),
+                                                 (VnChain, _junk_dimension),
+                                                 (RingChain, _junk_factor))
       for which in ("quotient", "comprehension")],
+    (RingChain, "quotient", _untested, {}),
 ], ids=["enumerated", "sampled", "fp-quotient", "hilb-quotient",
-        "hilb-comprehension", "vn-quotient", "vn-comprehension"])
+        "hilb-comprehension", "vn-quotient", "vn-comprehension",
+        "ring-quotient", "ring-comprehension", "untested"])
 def test_unique_clause_has_teeth(base, which, junk, bounds):
-    assert 4 ** 4 <= CASE_ENUM_BUDGET
     spec = CaseSpec(base.name, f"{which}-adjunction", 5, 40, bounds)
     report = run_law(junk(base, which), spec)
     assert report.failures >= 1 and report.errors == 0
@@ -905,66 +937,48 @@ def test_unique_clause_has_teeth(base, which, junk, bounds):
     assert run_law(base(), spec).failures == 0
 
 
-class _CannotTell:
-    """`cancels` cannot tell, so `_unique` round-trips drawn maps."""
-
-    def cancels(self, f, epi):
-        return None
+def _round_trips(inst, rng, built, ends, tol):
+    """Whether every candidate map between `ends` comes back from its
+    composite with the unit (counit): all the maps when they number at
+    most 2,000, else 12 drawn ones.  Two maps with one composite cannot
+    both come back from it."""
+    count = inst.count_arrows(*ends)
+    if count is not None and count <= 2000:
+        candidates = inst.iter_arrows(*ends)
+    else:
+        candidates = [inst.rand_arrow(rng, *ends, {}) for _ in range(12)]
+    return all(harness._round_trip(inst, g, lambda h: built.untranspose(inst, h),
+                                   built.transpose) <= tol for g in candidates)
 
 
 @pytest.mark.parametrize("which", ["quotient", "comprehension"])
 @pytest.mark.parametrize("base, make_junk", [
     (SetsChain, _junk_atom), (NondetChain, _junk_atom), (DistChain, _junk_atom),
     (FpChain, _junk_coordinate), (HilbChain, _junk_dimension),
-    (VnChain, _junk_dimension),
-], ids=["sets", "nondet", "dist", "fp", "hilb", "vn"])
+    (VnChain, _junk_dimension), (RingChain, _junk_factor),
+], ids=["sets", "nondet", "dist", "fp", "hilb", "vn", "ring"])
 def test_cancellation_agrees_with_sampled_round_trips(base, make_junk, which):
     """Over 100 seeded (X, p, Y) at the default bounds, `cancels` finds
-    the unit epi (the counit mono) and draws nothing, and the round trips
-    pass too.  On the junk carrier the rank tests of fp, hilb and vn say
-    False and the Kleisli test cannot tell (None); the round trips say no
-    too, unless one map is all there is between the ends."""
-    honest = base()
-    sampled = type(f"Sampled{base.__name__}", (_CannotTell, base), {})()
-    junk = make_junk(base, which)
+    the unit epi (the counit mono), and the round trips pass: the test is
+    sound.  On the junk carrier `cancels` says False, and so do the round
+    trips, unless the junk adds no candidate map: Y is empty or
+    0-dimensional, or no nonzero ring map joins the ring Y to Z_2."""
+    honest, junk = base(), make_junk(base, which)
+    epi = which == "quotient"
     tol = float(honest.eq_tol)
     for seed in range(100):
         rng = random.Random(seed)
         X = honest.rand_object(rng, {})
         p = honest.rand_pred(rng, X, {})
         Y = honest.rand_object(rng, {}, like=X)
+        counts = []
         for inst, verdict in ((honest, True), (junk, False)):
             built = getattr(inst, which)(X, p)
             ends = built.ends(built.obj, Y)
-            if verdict or not issubclass(base, KleisliChain):
-                state = rng.getstate()
-                assert harness._unique(honest, rng, {}, tol, built, ends) == (
-                    float(not verdict), verdict)
-                assert rng.getstate() == state
-            else:
-                epi = which == "quotient"
-                assert honest.cancels(built.unit if epi else built.counit, epi) is None
-            one_map = honest.count_arrows(*ends) == 1
-            assert harness._unique(sampled, rng, {}, tol, built, ends)[1] is (
-                verdict or one_map)
-
-
-def test_sampled_uniqueness_draws_every_sample():
-    draws = []
-
-    class CountingDist(_CannotTell, DistChain):
-        def rand_arrow(self, rng, X, Y, bounds):
-            draws.append((X, Y))
-            return super().rand_arrow(rng, X, Y, bounds)
-
-    inst, rng = CountingDist(), random.Random(5)
-    X = inst.rand_object(rng, {})
-    p = inst.rand_pred(rng, X, {})
-    Y = inst.rand_object(rng, {}, like=X)
-    built = inst.quotient(X, p)
-    ends = built.ends(built.obj, Y)
-    assert harness._unique(inst, rng, {}, 0.0, built, ends) == (0.0, True)
-    assert draws == [ends] * UNIQUE_SAMPLES
+            counts.append(honest.count_arrows(*ends))
+            assert honest.cancels(built.unit if epi else built.counit, epi) is verdict
+            adds_none = counts[-1] is not None and counts[-1] == counts[0]
+            assert _round_trips(honest, rng, built, ends, tol) is (verdict or adds_none)
 
 
 # The `iter_homs` of sets, nondet and fp ask hom_check for their factors,

@@ -172,10 +172,10 @@ def test_quotient_transpose_names_the_mass_over_the_cap(inst, image, message):
     (SETS, ("a",), [STAR], False),
 ], ids=["image-with-abort", "zero-mass", "two-atom-image", "unreached-atom",
         "equal-images", "abort-image"])
-def test_cancels_cannot_tell_short_of_its_condition(inst, atoms, images, epi):
+def test_cancels_false_short_of_its_condition(inst, atoms, images, epi):
     X = FiniteSet(tuple(range(1, len(images) + 1)))
     f = inst.arrow(X, FiniteSet(atoms), dict(zip(X, images)))
-    assert inst.cancels(f, epi) is None
+    assert inst.cancels(f, epi) is False
     assert inst.cancels(inst.identity(X), epi) is True
 
 

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -95,15 +96,13 @@ def _cmd_check(args) -> int:
     specs = default_suite(seed=seed, cases=args.cases,
                           instance=args.instance, law=args.law,
                           bounds=bounds)
-    if not args.output:
-        result = run_suite(specs)
-        print(_render(result, args.format))
-        return 0 if result["ok"] else 1
-    try:  # opened first, so a bad path fails before the suite runs
-        with open(args.output, "w") as fh:
+    try:  # -o opens first, so a bad path fails before the suite runs
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
             result = run_suite(specs)
             fh.write(_render(result, args.format) + "\n")
     except OSError as exc:
+        if not args.output:
+            raise
         raise SystemExit(f"effectus: cannot write {args.output}: {exc.strerror}")
     return 0 if result["ok"] else 1
 

@@ -12,7 +12,7 @@ import copy
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .core import (
     ChainError,
@@ -86,11 +86,20 @@ class LawReport:
 # ---------------------------------------------------------------------------
 
 
-def _raised(report, exc, **where) -> None:
-    # An exception counts in `errors` and as a failure; cases must report,
-    # not crash.
-    report.errors += 1
-    report.record(1.0, False, {"detail": f"exception: {exc!r}", **where})
+def _fold(report, cases) -> LawReport:
+    # The one case loop.  A case is (where, run); run() gives (residual,
+    # detail), detail None exactly when the case held, or None for a triple
+    # over the cap.  A raise counts in `errors`; a witness is where + detail.
+    for where, run in cases:
+        try:
+            outcome = run()
+        except Exception as exc:
+            report.errors += 1
+            outcome = 1.0, {"detail": f"exception: {exc!r}"}
+        if outcome is not None:
+            residual, detail = outcome
+            report.record(residual, detail is None, detail and {**where, **detail})
+    return report
 
 
 def _round_trip(inst, a, there, back) -> float:
@@ -187,7 +196,7 @@ def _case_adjunction(which, inst, rng, bounds, tol):
     Y = inst.rand_object(rng, bounds, like=X)
     built = getattr(inst, which)(X, p)
     f = inst.rand_hom(rng, X, p, built, Y, bounds)
-    r1 = inst.map_residual(built.untranspose(inst, built.transpose(f)), f)
+    r1 = _round_trip(inst, f, built.transpose, partial(built.untranspose, inst))
     # The mediating map is unique exactly when the unit is epi (counit mono).
     epi = isinstance(built, QuotientResult)
     unique = inst.cancels(built.unit if epi else built.counit, epi)
@@ -303,25 +312,45 @@ def applicable_laws(inst) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_triple(inst, built, which, report, X, p, Y, triple, cap):
+def _exhaustive_triple(inst, build, report, X, p, Y, triple, cap):
+    built = build()
     n_maps = inst.count_arrows(*built.ends(built.obj, Y))
     if n_maps > cap:
         report.skipped.append(triple)
         return
     untranspose = partial(built.untranspose, inst)
-    detail = None
     n_homs = 0
     for f in inst.iter_homs(built, X, p, Y):
         n_homs += 1
         if _round_trip(inst, f, built.transpose, untranspose):
             detail = {"unreached_hom": inst.arrow_to_json(f)}
             break
+    else:
+        detail = None if n_homs == n_maps else {"hom_count": n_homs, "candidate_count": n_maps}
     report.counters["homs"] += n_homs
-    if detail is None and n_homs != n_maps:
-        detail = {"hom_count": n_homs, "candidate_count": n_maps}
-    if detail is not None:
-        detail.update(triple, which=which)
-    report.record(0.0 if detail is None else 1.0, detail is None, detail)
+    return float(detail is not None), detail
+
+
+def _throw(exc):
+    raise exc
+
+
+def _sweep(inst, which, bounds, report):
+    # One case per triple, made as it runs; `cache` keeps no build that raised.
+    cap = bounds.get("enumeration_cap", ENUMERATION_CAP)
+    try:
+        objs = list(inst.iter_objects(bounds))
+        fibres = [(X, p) for X in objs for p in inst.iter_preds(X)]
+    except Exception as exc:
+        yield {"which": which}, partial(_throw, exc)
+        return
+    for X, p in fibres:
+        build = cache(partial(getattr(inst, which), X, p))
+        for Y in filter(partial(inst.comparable_objects, X), objs):
+            triple = {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
+                      "Y": inst.object_to_json(Y)}
+            yield {**triple, "which": which}, partial(
+                _exhaustive_triple, inst, build, report, X, p, Y, triple, cap)
 
 
 def run_exhaustive_adjunction(inst, which: str, bounds: dict,
@@ -341,25 +370,7 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     at its first triple, for every Y; a build that raises is tried again,
     and fails, at each of its triples."""
     report = LawReport(inst.name, f"{which}-adjunction", seed)
-    cap = bounds.get("enumeration_cap", ENUMERATION_CAP)
-    try:
-        objs = list(inst.iter_objects(bounds))
-        fibres = [(X, p) for X in objs for p in inst.iter_preds(X)]
-    except Exception as exc:
-        _raised(report, exc, which=which)
-        return report
-    for X, p in fibres:
-        built = None
-        for Y in filter(partial(inst.comparable_objects, X), objs):
-            triple = {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
-                      "Y": inst.object_to_json(Y)}
-            try:
-                if built is None:
-                    built = getattr(inst, which)(X, p)
-                _exhaustive_triple(inst, built, which, report, X, p, Y, triple, cap)
-            except Exception as exc:
-                _raised(report, exc, **triple, which=which)
-    return report
+    return _fold(report, _sweep(inst, which, bounds, report))
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +391,10 @@ def run_law(inst, spec: CaseSpec) -> LawReport:
             which = spec.law.split("-")[0]
             report = run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed)
         else:
-            case_fn = LAWS[spec.law].case
-            report = LawReport(inst.name, spec.law, spec.seed)
-            rng = random.Random(spec.seed)
-            tol = float(inst.eq_tol)
-            for i in range(spec.cases):
-                try:
-                    residual, detail = case_fn(inst, rng, spec.bounds, tol)
-                except Exception as exc:
-                    _raised(report, exc, case=i)
-                    continue
-                report.record(residual, detail is None, None if detail is None
-                              else {"case": i, "detail": "law violated", **detail})
+            run = partial(LAWS[spec.law].case, inst, random.Random(spec.seed),
+                          spec.bounds, float(inst.eq_tol))
+            cases = (({"case": i, "detail": "law violated"}, run) for i in range(spec.cases))
+            report = _fold(LawReport(inst.name, spec.law, spec.seed), cases)
         report.counters.update(kernel_counts())
     return report
 

@@ -120,8 +120,8 @@ def elt_residual(a, b) -> float:
 
 
 def check_blocks(A: MatrixAlgebra, p) -> None:
-    """Raise ValidationError unless p has one block of each of A's shapes:
-    the cheap half of check_effect, run by every operation on a predicate."""
+    """Raise ValidationError unless p has one block of each of A's shapes;
+    every operation on a predicate runs it."""
     if len(p) != len(A.block_dims):
         raise ValidationError("block count mismatch")
     for n, b in zip(A.block_dims, p):
@@ -135,14 +135,6 @@ def _effect_spectrum(b, tol: float = la.HERM_TOL):
     if w.size and (float(w[-1]) < -tol or float(w[0]) > 1 + tol):
         raise ValidationError(f"spectrum {w} leaves [0, 1]")
     return w, U
-
-
-def check_effect(A: MatrixAlgebra, p, tol: float = 1e-9) -> None:
-    check_blocks(A, p)
-    for b in map(np.asarray, p):
-        if not la.is_hermitian(b, tol):
-            raise ValidationError("effect block is not Hermitian")
-        _effect_spectrum(b, tol)
 
 
 def op_norm(elt) -> float:

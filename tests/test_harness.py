@@ -455,6 +455,39 @@ def test_quotient_sweep_builds_one_quotient_per_pair():
     assert built == pairs
 
 
+def _failing_build(which, fibre):
+    """A _CountingNondet whose `which` build raises over `fibre` alone."""
+
+    def construct(self, X, p):
+        if (X, p) == fibre:
+            self.built[which] += 1
+            raise RuntimeError("no build")
+        return getattr(_CountingNondet, which)(self, X, p)
+
+    return type("FailingBuildNondet", (_CountingNondet,), {which: construct})()
+
+
+@pytest.mark.parametrize("which", ("quotient", "comprehension"))
+def test_a_build_that_raises_fails_each_triple_of_its_fibre(which):
+    bounds = {"max_size": 2}
+    triples = _triples(NondetChain(), bounds)
+    fibre = triples[len(triples) // 2][:2]
+    inst = _failing_build(which, fibre)
+    report = run_exhaustive_adjunction(inst, which, bounds)
+    own = [t for t in triples if t[:2] == fibre]
+    pairs = {t[:2] for t in triples}
+    # the build is tried again, and fails, at each triple of its fibre
+    assert len(own) > 1 and inst.built[which] == len(pairs) - 1 + len(own)
+    assert report.cases == len(triples)
+    assert report.errors == report.failures == len(own)
+    X, p = fibre
+    where = {"X": inst.object_to_json(X), "p": inst.pred_to_json(X, p), "which": which}
+    assert len(report.witnesses) == min(len(own), MAX_WITNESSES)
+    for w, (_, _, Y) in zip(report.witnesses, own):
+        assert w == {**where, "Y": inst.object_to_json(Y),
+                     "detail": "exception: RuntimeError('no build')"}
+
+
 # ---------------------------------------------------------------------------
 # Tolerance handling.
 # ---------------------------------------------------------------------------
@@ -572,10 +605,16 @@ def _refuse(g):
 
 @pytest.mark.parametrize("which", DIRECTIONS)
 def test_refusing_transpose_fails_its_round_trip(which):
+    # a refused genuine hom is a law violation, not an error, on both paths
     corrupt = _corrupt(SetsChain, which, _refuse)
     report = run_exhaustive_adjunction(corrupt, which, {"max_size": 2})
     assert report.cases == report.failures == 44 and report.errors == 0
     assert {"unreached_hom", "X", "p", "Y", "which"} == set(report.witnesses[0])
+    report = run_law(corrupt, _spec("sets", f"{which}-adjunction", cases=20))
+    assert report.cases == report.failures == 20 and report.errors == 0
+    witness = report.witnesses[0]
+    assert (witness["detail"], witness["round_trip_from_hom"]) == ("law violated", 1.0)
+    assert {"case", "detail", "round_trip_from_hom", "unique", "X", "p", "f"} == set(witness)
 
 
 @pytest.mark.parametrize("name", ["dist", "hilb", "vn"])
@@ -926,7 +965,7 @@ def _untested(base, which):
                                                  (RingChain, _junk_factor))
       for which in ("quotient", "comprehension")],
     (RingChain, "quotient", _untested, {}),
-], ids=["enumerated", "sampled", "fp-quotient", "hilb-quotient",
+], ids=["sets-quotient", "dist-quotient", "fp-quotient", "hilb-quotient",
         "hilb-comprehension", "vn-quotient", "vn-comprehension",
         "ring-quotient", "ring-comprehension", "untested"])
 def test_unique_clause_has_teeth(base, which, junk, bounds):

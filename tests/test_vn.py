@@ -22,7 +22,7 @@ from effectus.vn import (
     VnChain,
     _Corner,
     basis_elements,
-    check_effect,
+    check_blocks,
     elt_residual,
     kraus_superop,
     op_norm,
@@ -118,15 +118,11 @@ def test_compose_runs_element_maps_in_reverse():
 
 
 def test_effect_validation():
-    check_effect(M2, elt([[0.5, 0], [0, 1.0]]))
+    check_blocks(M2, elt([[0.5, 0], [0, 1.0]]))
     with pytest.raises(ValidationError):
-        check_effect(M2, elt([[0, 1], [0, 0]]))  # not Hermitian
+        check_blocks(M2, elt([[1.0]]))  # wrong shape
     with pytest.raises(ValidationError):
-        check_effect(M2, elt([[2.0, 0], [0, 0]]))  # above 1
-    with pytest.raises(ValidationError):
-        check_effect(M2, elt([[1.0]]))  # wrong shape
-    with pytest.raises(ValidationError):
-        check_effect(M2_M1, (np.eye(2),))  # missing block
+        check_blocks(M2_M1, (np.eye(2),))  # missing block
     with pytest.raises(ValidationError):
         VN.arrow(M2, M2, np.eye(3))
 
@@ -424,7 +420,10 @@ def test_seq_product_canned():
     for _ in range(25):
         X = VN.rand_object(rng, {"max_blocks": 2, "max_block_dim": 3})
         a, c = VN.rand_pred(rng, X), VN.rand_pred(rng, X)
-        check_effect(X, seq_product(X, a, c))
+        for b in seq_product(X, a, c):
+            assert np.allclose(b, b.conj().T, rtol=0, atol=1e-9)
+            w = np.linalg.eigvalsh(b)
+            assert np.all(w >= -1e-9) and np.all(w <= 1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

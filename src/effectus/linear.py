@@ -407,15 +407,21 @@ class Subspace:
     __slots__ = ("space", "basis")
 
     def __init__(self, space: HilbSpace, columns: np.ndarray):
+        """The span of columns shaped (dim, k); a size-0 array spans 0."""
         columns = np.asarray(columns, dtype=complex)
         if columns.size == 0:
             columns = columns.reshape(space.dim, 0)
-        else:
-            columns = columns.reshape(space.dim, -1)
+        elif columns.ndim != 2 or len(columns) != space.dim:
+            raise ValidationError(f"columns shape {columns.shape} != ({space.dim}, k)")
         first = la.gram_schmidt_columns(columns)
-        proj = first @ la.dagger(first)
-        self.space = space
-        self.basis = la.gram_schmidt_columns(proj)
+        self.space, self.basis = space, la.gram_schmidt_columns(first @ la.dagger(first))
+
+    @classmethod
+    def of_projector(cls, space: HilbSpace, proj: np.ndarray) -> "Subspace":
+        """The subspace that `proj` projects onto, canonical in one sweep."""
+        sub = cls.__new__(cls)
+        sub.space, sub.basis = space, la.gram_schmidt_columns(proj)
+        return sub
 
     @property
     def rank(self) -> int:
@@ -439,7 +445,9 @@ class HilbChain(ChainInstance):
     hom_tol = 1e-6
 
     def arrow(self, X: HilbSpace, Y: HilbSpace, mat) -> Arrow:
-        mat = np.asarray(mat, dtype=complex).reshape(Y.dim, X.dim)
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (Y.dim, X.dim):
+            raise ValidationError(f"matrix shape {mat.shape} != ({Y.dim}, {X.dim})")
         return Arrow(X, Y, mat)
 
     def identity(self, X) -> Arrow:
@@ -457,10 +465,10 @@ class HilbChain(ChainInstance):
     # ---- fibre ----
 
     def top(self, X) -> Subspace:
-        return Subspace(X, np.eye(X.dim, dtype=complex))
+        return Subspace.of_projector(X, np.eye(X.dim, dtype=complex))
 
     def bottom(self, X) -> Subspace:
-        return Subspace(X, np.zeros((X.dim, 0), dtype=complex))
+        return Subspace.of_projector(X, np.zeros((X.dim, X.dim), dtype=complex))
 
     def pred_leq(self, X, p: Subspace, q: Subspace) -> bool:
         basis = _over(X, p).basis
@@ -470,19 +478,21 @@ class HilbChain(ChainInstance):
         return la.max_abs(_over(X, p).projector() - _over(X, q).projector())
 
     def ortho(self, X, p: Subspace) -> Subspace:
-        return Subspace(X, la.orthonormal_complement(_over(X, p).basis, X.dim))
+        return Subspace.of_projector(X, np.eye(X.dim, dtype=complex) - _over(X, p).projector())
 
     def subst(self, f: Arrow, q: Subspace) -> Subspace:
-        """Preimage: kernel of (project off q) after f."""
+        """Preimage: ker m for m = (project off q) f, the complement of range m^dagger."""
         off = np.eye(f.dst.dim, dtype=complex) - _over(f.dst, q).projector()
-        return Subspace(f.src, la.kernel_basis(off @ f.data))
+        rows = la.gram_schmidt_columns(la.dagger(off @ f.data))
+        return Subspace.of_projector(
+            f.src, np.eye(f.src.dim, dtype=complex) - rows @ la.dagger(rows))
 
     # ---- quotient / comprehension ----
 
     def quotient(self, X, p: Subspace) -> QuotientResult:
         """Coordinates along an orthonormal basis w of the orthocomplement;
         a map killing p factors as f w."""
-        w = la.orthonormal_complement(_over(X, p).basis, X.dim)
+        w = self.ortho(X, p).basis
         obj = HilbSpace(w.shape[1])
 
         def transpose(f: Arrow) -> Arrow:

@@ -236,29 +236,12 @@ def gram_schmidt_columns(m: np.ndarray) -> np.ndarray:
     return np.column_stack([b for b, _ in basis])
 
 
-def orthonormal_complement(u: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span."""
-    proj = u @ dagger(u) if u.size else np.zeros((dim, dim), dtype=complex)
-    return gram_schmidt_columns(np.eye(dim, dtype=complex) - proj)
-
-
 def rand_complex(rng, rows: int, cols: int) -> np.ndarray:
     """A rows x cols matrix of standard complex Gaussians from rng, drawn
     row by row, the real part of each entry before its imaginary part."""
     vals = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
             for _ in range(rows * cols)]
     return np.array(vals, dtype=complex).reshape(rows, cols)
-
-
-def row_space_basis(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the conjugated rows."""
-    return gram_schmidt_columns(dagger(m))
-
-
-def kernel_basis(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of m."""
-    rows = row_space_basis(m)
-    return orthonormal_complement(rows, m.shape[1])
 
 
 def full_rank(m: np.ndarray, rows: bool) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectus import linear
+from effectus import vnlinalg as la
 from effectus import (
     HomConditionError,
     PredObject,
@@ -724,6 +725,90 @@ def test_subst_kernel_dimension_matches_numpy_rank():
         assert pre.rank == X.dim - np.linalg.matrix_rank(off, tol=1e-9)
         if pre.rank:
             assert np.max(np.abs(off @ pre.basis)) <= 1e-9
+
+
+def test_complement_spans_the_rest():
+    rng = random.Random(113)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        k = rng.randint(0, dim)
+        u = la.gram_schmidt_columns(np.array(
+            [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
+             for _ in range(dim)]))
+        X = HilbSpace(dim)
+        c = HILB.ortho(X, Subspace(X, u)).basis
+        assert u.shape[1] + c.shape[1] == dim
+        if u.size and c.size:
+            assert la.max_abs(la.dagger(u) @ c) <= 1e-9
+        full = np.column_stack([u, c]) if u.size or c.size else np.zeros((dim, 0))
+        assert la.max_abs(full @ la.dagger(full) - np.eye(dim)) <= 1e-9
+
+
+def test_kernel_matches_numpy_rank():
+    """The preimage of 0 is the kernel, and its orthocomplement the span
+    of the conjugated rows."""
+    rng = random.Random(127)
+    for _ in range(80):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        m = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                       for _ in range(cols)] for _ in range(rows)])
+        if rng.random() < 0.3:  # force rank deficiency
+            m[:, -1] = m[:, 0] * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        X, Y = HilbSpace(cols), HilbSpace(rows)
+        kernel = HILB.subst(HILB.arrow(X, Y, m), HILB.bottom(Y))
+        k = kernel.basis
+        assert k.shape[1] == cols - np.linalg.matrix_rank(m, tol=1e-6)
+        if k.size:
+            assert la.max_abs(m @ k) <= 1e-6
+        r = HILB.ortho(X, kernel).basis
+        assert r.shape[1] + k.shape[1] == cols
+        stacked = np.column_stack([la.dagger(m), r])
+        assert np.linalg.matrix_rank(stacked, tol=1e-6) == r.shape[1]
+
+
+def _hilb_ops():
+    rng = random.Random(7)
+    X, Y = HilbSpace(3), HilbSpace(2)
+    p, q = HILB.rand_pred(rng, X, {}), HILB.rand_pred(rng, Y, {})
+    f = HILB.rand_arrow(rng, X, Y, {})
+    return {"top": (1, lambda: HILB.top(X)), "bottom": (1, lambda: HILB.bottom(X)),
+            "ortho": (1, lambda: HILB.ortho(X, p)), "subst": (2, lambda: HILB.subst(f, q)),
+            "quotient": (1, lambda: HILB.quotient(X, p)),
+            "rand_pred": (2, lambda: HILB.rand_pred(rng, X, {}))}
+
+
+@pytest.mark.parametrize("name", list(_hilb_ops()))
+def test_hilb_subspaces_are_one_sweep_of_their_projector(name):
+    """top, bottom and ortho sweep the projector they hold; subst first
+    sweeps its map's rows; a span of columns (rand_pred) sweeps them, then
+    their projector."""
+    sweeps, op = _hilb_ops()[name]
+    with la.reuse():
+        op()
+        assert la.kernel_counts()["gram_schmidt_columns.calls"] == sweeps
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HILB.arrow(HilbSpace(4), HilbSpace(1), np.eye(2)),
+    lambda: HILB.arrow(HilbSpace(2), HilbSpace(2), np.ones((1, 4))),
+    lambda: HILB.arrow(HilbSpace(2), HilbSpace(2), np.ones(3)),
+    lambda: HILB.arrow(HilbSpace(2), HilbSpace(1), np.ones(2)),
+    lambda: Subspace(HilbSpace(2), np.ones((4, 1))),
+    lambda: Subspace(HilbSpace(2), np.ones(2)),
+    lambda: Subspace(HilbSpace(2), np.ones((2, 1, 1))),
+], ids=["square-as-row", "row-as-square", "entry-count", "flat-row",
+        "tall-column", "flat-column", "three-axes"])
+def test_hilb_refuses_wrongly_shaped_matrices(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_hilb_size_zero_arrays_span_zero():
+    X = HilbSpace(2)
+    for empty in ([], np.zeros((0,)), np.zeros((2, 0)), np.zeros((0, 3))):
+        assert Subspace(X, empty).rank == 0
+    assert HILB.arrow(HilbSpace(0), X, np.zeros((2, 0))).data.shape == (2, 0)
 
 
 def test_hilb_transposes_round_trip():

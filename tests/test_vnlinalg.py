@@ -24,13 +24,10 @@ from effectus.vnlinalg import (
     hermitian_eig,
     hermitian_eigvals,
     is_hermitian,
-    kernel_basis,
     max_abs,
     op_pinv,
     op_sqrt,
-    orthonormal_complement,
     reuse,
-    row_space_basis,
     support_proj,
     unit_proj,
 )
@@ -350,41 +347,6 @@ def test_gram_schmidt_matches_the_reference_bit_for_bit():
     for m in _gs_inputs(random.Random(113)):
         got, ref = gram_schmidt_columns(m), gram_schmidt_reference(m)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-
-
-def test_complement_spans_the_rest():
-    rng = random.Random(113)
-    for _ in range(60):
-        dim = rng.randint(1, 5)
-        k = rng.randint(0, dim)
-        u = gram_schmidt_columns(np.array(
-            [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
-             for _ in range(dim)]))
-        c = orthonormal_complement(u, dim)
-        assert u.shape[1] + c.shape[1] == dim
-        if u.size and c.size:
-            assert max_abs(dagger(u) @ c) <= 1e-9
-        full = np.column_stack([u, c]) if u.size or c.size else np.zeros((dim, 0))
-        assert max_abs(full @ dagger(full) - np.eye(dim)) <= 1e-9
-
-
-def test_kernel_matches_numpy_rank():
-    rng = random.Random(127)
-    for _ in range(80):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                       for _ in range(cols)] for _ in range(rows)])
-        if rng.random() < 0.3:  # force rank deficiency
-            m[:, -1] = m[:, 0] * complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        k = kernel_basis(m)
-        assert k.shape[1] == cols - np.linalg.matrix_rank(m, tol=1e-6)
-        if k.size:
-            assert max_abs(m @ k) <= 1e-6
-        r = row_space_basis(m)
-        assert r.shape[1] + k.shape[1] == cols
-        stacked = np.column_stack([dagger(m), r])
-        assert np.linalg.matrix_rank(stacked, tol=1e-6) == r.shape[1]
 
 
 def test_full_rank_cuts_singular_values_relative_to_the_largest():

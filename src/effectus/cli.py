@@ -29,17 +29,25 @@ from .vn import MatrixAlgebra
 from .core import side_effect, derive_instrument
 
 
+def _seed(text) -> int:
+    """A base seed, an int of at least 0: random.Random(-s) draws as
+    random.Random(s), so a negative seed would run another seed's cases."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 0, got {text!r}")
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("EFFECTUS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(
-                f"effectus: EFFECTUS_SEED={env!r} is not an integer")
-    return DEFAULT_SEED
+    try:
+        return DEFAULT_SEED if env is None else _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise SystemExit(f"effectus: EFFECTUS_SEED {exc}")
 
 
 def _cmd_list_instances(args) -> int:
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--law", help="restrict to one law")
     check.add_argument("--cases", type=int, default=None,
                        help="cases per law (default: per-instance preset)")
-    check.add_argument("--seed", type=int, default=None,
+    check.add_argument("--seed", type=_seed, default=None,
                        help=f"base seed (default: EFFECTUS_SEED or {DEFAULT_SEED})")
     check.add_argument("--tolerance", type=float, default=None,
                        help="override the equality tolerance")

@@ -102,14 +102,6 @@ def _fold(report, cases) -> LawReport:
     return report
 
 
-def _round_trip(inst, a, there, back) -> float:
-    # How far back(there(a)) lands from a; 1.0 when a ChainError stops it.
-    try:
-        return inst.map_residual(back(there(a)), a)
-    except ChainError:
-        return 1.0
-
-
 def _arrow_key(inst, f):
     # No caller: perfbench/tracing.py counts this function's calls by
     # name, and cannot install over effectus without it.
@@ -196,7 +188,10 @@ def _case_adjunction(which, inst, rng, bounds, tol):
     Y = inst.rand_object(rng, bounds, like=X)
     built = getattr(inst, which)(X, p)
     f = inst.rand_hom(rng, X, p, built, Y, bounds)
-    r1 = _round_trip(inst, f, built.transpose, partial(built.untranspose, inst))
+    try:  # how far the round trip lands from f; 1.0 when a ChainError stops it
+        r1 = inst.map_residual(built.untranspose(inst, built.transpose(f)), f)
+    except ChainError:
+        r1 = 1.0
     # The mediating map is unique exactly when the unit is epi (counit mono).
     epi = isinstance(built, QuotientResult)
     unique = inst.cancels(built.unit if epi else built.counit, epi)
@@ -318,11 +313,15 @@ def _exhaustive_triple(inst, build, report, X, p, Y, triple, cap):
     if n_maps > cap:
         report.skipped.append(triple)
         return
-    untranspose = partial(built.untranspose, inst)
+    transpose, untranspose, residual = built.transpose, built.untranspose, inst.map_residual
     n_homs = 0
     for f in inst.iter_homs(built, X, p, Y):
         n_homs += 1
-        if _round_trip(inst, f, built.transpose, untranspose):
+        try:  # as in `_case_adjunction`; a raise from iter_homs is an error
+            missed = residual(untranspose(inst, transpose(f)), f)
+        except ChainError:
+            missed = 1.0
+        if missed:
             detail = {"unreached_hom": inst.arrow_to_json(f)}
             break
     else:

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cache, lru_cache, reduce
+from itertools import product, repeat
 from math import gcd, lcm
 from numbers import Rational
-from operator import le, mul, not_, sub
+from operator import le, mul, not_, or_, sub
 
 from .core import (
     STAR,
@@ -193,6 +193,13 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=64)
+def _unions(k):
+    """`NondetChain._extend`'s memo for one k: an image mask's union of k's
+    rows at its bits, kept as masks are met (at most 2 ** len(k) of them)."""
+    return cache(lambda s: reduce(or_, map(k.__getitem__, _bits(s)), 0))
 
 
 class KleisliChain(ChainInstance):
@@ -440,14 +447,16 @@ class NondetChain(KleisliChain):
         return 1 << j
 
     def _extend(self, data, k) -> tuple:
-        out = []
+        """The union of k's rows at each image's bits.  A one-bit image, as
+        every quotient unit image, reads its row; a wider one reads the memo
+        `_unions(k)`, as a comprehension's untranspose passes its counit's k."""
+        out, union = [], None
         for s in data:
-            t = 0
-            while s:
-                low = s & -s
-                t |= k[low.bit_length() - 1]
-                s ^= low
-            out.append(t)
+            if s & s - 1 == 0 < s:
+                out.append(k[s.bit_length() - 1])
+            else:
+                union = union or _unions(k)
+                out.append(union(s))
         return tuple(out)
 
     def _scale(self, d, w, n):
@@ -512,8 +521,8 @@ class NondetChain(KleisliChain):
                        if hom_check(self, make_arrow((_POINT, dst.base, (d,))),
                                     PredObject(_POINT, (v,)), dst)]
                    for v in set(src.pred)}
-        return (make_arrow((src.base, dst.base, data))
-                for data in product(*[allowed[v] for v in src.pred]))
+        return map(make_arrow, zip(repeat(src.base), repeat(dst.base),
+                                   product(*[allowed[v] for v in src.pred])))
 
     def _rand_image(self, rng, bounds, n, positions, cap) -> int:
         if not cap:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from itertools import combinations, product
 from operator import mul
 
@@ -97,8 +97,32 @@ def echelon_pivots(rows, width: int, p: int) -> tuple:
     return tuple(pivots)
 
 
+def mat_vec(a, v, p: int):
+    return tuple(sum(map(mul, row, v)) % p for row in a)
+
+
+class _Fixed(tuple):
+    """Rows of a matrix that many others multiply while it stays fixed, as
+    a construction's unit and counit do over a sweep's homs: its products
+    with vectors fill in as `mat_mul` asks, at most p ** k of each kind."""
+
+    def __new__(cls, rows, p: int):
+        m = super().__new__(cls, rows)
+        m.p = p
+        return m
+
+    @cached_property
+    def row_times(self):  # v -> v M
+        return cache(partial(mat_vec, tuple(zip(*self)), p=self.p))
+
+    @cached_property
+    def times_col(self):  # v -> M v
+        return cache(partial(mat_vec, tuple(self), p=self.p))
+
+
 def mat_mul(a, b, p: int, width: int | None = None):
-    """Product of F_p matrices given as row tuples.
+    """Product of F_p matrices given as row tuples, its rows read through
+    a `_Fixed` right factor's memo, or else its columns through a left one's.
 
     A zero-row ``b`` carries no column count, so a caller composing
     through a 0-dimensional space must pass the result ``width``.
@@ -107,12 +131,12 @@ def mat_mul(a, b, p: int, width: int | None = None):
         assert len(a[0]) == len(b)
     if not b:
         return tuple((0,) * (width or 0) for _ in a)
+    if type(b) is _Fixed:
+        return tuple(map(b.row_times, a))
+    if type(a) is _Fixed:  # zip(*b) drops the column count of ((),) rows
+        return tuple(zip(*map(a.times_col, zip(*b)))) or ((),) * len(a)
     cols = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
-
-
-def mat_vec(a, v, p: int):
-    return tuple(sum(map(mul, row, v)) % p for row in a)
 
 
 def fp_kernel(mat, width: int, p: int):
@@ -187,9 +211,9 @@ def _coords_matrix(P: FpSubspace):
     subspaces the acceptance sweeps visit."""
     p, d = P.space.p, P.space.dim
     row_at = dict(zip(P.pivots, P.rows))  # each echelon row by its pivot
-    return tuple(tuple(-row_at[i][c] % p if i in row_at else int(i == c)
-                       for i in range(d))
-                 for c in range(d) if c not in row_at)
+    return _Fixed((tuple(-row_at[i][c] % p if i in row_at else int(i == c)
+                         for i in range(d))
+                   for c in range(d) if c not in row_at), p)
 
 
 @lru_cache(maxsize=4096)
@@ -241,9 +265,7 @@ class FpChain(ChainInstance):
     # ---- fibre ----
 
     def top(self, X: FpSpace) -> FpSubspace:
-        rows = tuple(tuple(1 if i == j else 0 for j in range(X.dim))
-                     for i in range(X.dim))
-        return FpSubspace(X, rows)
+        return FpSubspace(X, self.identity(X).data)
 
     def bottom(self, X: FpSpace) -> FpSubspace:
         return FpSubspace(X, ())
@@ -289,9 +311,8 @@ class FpChain(ChainInstance):
 
     def comprehension(self, X, p: FpSubspace) -> ComprehensionResult:
         obj = FpSpace(X.p, _over(X, p).rank)
-        mat = tuple(tuple(p.rows[j][i] for j in range(p.rank))
-                    for i in range(X.dim))
-
+        # the counit matrix has p's rows as columns; one per fibre of a sweep
+        mat = _Fixed(tuple(zip(*p.rows)) or ((),) * X.dim, X.p)
         proj = _coords_matrix(p)
 
         def transpose(f: Arrow) -> Arrow:
@@ -408,7 +429,7 @@ class Subspace:
 
     def __init__(self, space: HilbSpace, columns: np.ndarray):
         """The span of columns shaped (dim, k); a size-0 array spans 0."""
-        columns = np.asarray(columns, dtype=complex)
+        columns = la.as_complex(columns)
         if columns.size == 0:
             columns = columns.reshape(space.dim, 0)
         elif columns.ndim != 2 or len(columns) != space.dim:
@@ -445,7 +466,7 @@ class HilbChain(ChainInstance):
     hom_tol = 1e-6
 
     def arrow(self, X: HilbSpace, Y: HilbSpace, mat) -> Arrow:
-        mat = np.asarray(mat, dtype=complex)
+        mat = la.as_complex(mat)
         if mat.shape != (Y.dim, X.dim):
             raise ValidationError(f"matrix shape {mat.shape} != ({Y.dim}, {X.dim})")
         return Arrow(X, Y, mat)

@@ -246,7 +246,7 @@ class VnChain(ChainInstance):
     # ---- category ----
 
     def arrow(self, X, Y, superop) -> Arrow:
-        superop = np.asarray(superop, dtype=complex)
+        superop = la.as_complex(superop)
         if superop.shape != (X.vdim, Y.vdim):
             raise ValidationError(
                 f"superoperator shape {superop.shape} != ({X.vdim}, {Y.vdim})")

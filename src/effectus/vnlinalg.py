@@ -90,8 +90,11 @@ def max_abs(a: np.ndarray) -> float:
     return float(abs(a).max()) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return max_abs(a - dagger(a)) <= tol
+def as_complex(a) -> np.ndarray:
+    try:  # numpy refuses ragged or non-numeric input with either error
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"not a complex array: {exc}") from None
 
 
 def _phases(V: np.ndarray) -> np.ndarray:

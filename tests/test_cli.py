@@ -132,6 +132,38 @@ def test_invalid_seed_env_is_usage_error(monkeypatch, capsys):
     assert "EFFECTUS_SEED" in capsys.readouterr().err
 
 
+# random.Random(-3) draws as random.Random(3), so seed -3 would report -3
+# and run seed 3's cases.
+@pytest.mark.parametrize("flag", [["--seed", "-3"], ["--seed=-3"]])
+def test_negative_seed_flag_is_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--instance", "sets"] + flag + FAST)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: must be an integer of at least 0, got '-3'" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("EFFECTUS_SEED", "-3")
+    assert main(["check", "--instance", "sets"] + FAST) == 2
+    captured = capsys.readouterr()
+    assert "EFFECTUS_SEED must be an integer of at least 0, got '-3'" in captured.err
+    assert captured.out == ""
+
+
+def test_seed_zero_is_accepted(tmp_path, monkeypatch):
+    monkeypatch.setenv("EFFECTUS_SEED", "0")
+    out = tmp_path / "r.json"
+    argv = ["check", "--instance", "sets", "--law", "kleisli-laws",
+            "--format", "json", "-o", str(out)] + FAST
+    assert main(argv) == 0
+    assert _reported_seeds(out)[1] == {0}
+    monkeypatch.delenv("EFFECTUS_SEED")
+    assert main(argv + ["--seed", "0"]) == 0
+    assert _reported_seeds(out)[1] == {0}
+
+
 # ---------------------------------------------------------------------------
 # check: output formats.
 # ---------------------------------------------------------------------------

@@ -291,10 +291,11 @@ def test_make_arrow_is_the_arrow_constructor():
 
 
 def test_process_wide_caches_are_bounded():
+    from effectus.kleisli import _unions
     from effectus.linear import _coords_matrix, _preimage
     from effectus.ring import _hom_tables
 
-    for cache in (_coords_matrix, _preimage, _hom_tables):
+    for cache in (_coords_matrix, _preimage, _hom_tables, _unions):
         assert cache.cache_info().maxsize is not None
 
 

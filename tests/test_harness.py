@@ -617,6 +617,27 @@ def test_refusing_transpose_fails_its_round_trip(which):
     assert {"case", "detail", "round_trip_from_hom", "unique", "X", "p", "f"} == set(witness)
 
 
+class _EnumerationRaises(NondetChain):
+    """A nondet whose `iter_homs` raises ChainError after its first hom."""
+
+    def iter_homs(self, built, X, p, Y):
+        for f in super().iter_homs(built, X, p, Y):
+            yield f
+            break
+        raise HomConditionError("enumeration refused")
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_a_chain_error_from_the_enumeration_is_an_error(which):
+    # the sweep catches ChainError around one hom's round trip only, so a
+    # raise from iter_homs itself is no unreached hom
+    report = run_exhaustive_adjunction(_EnumerationRaises(), which, {"max_size": 1})
+    assert report.cases == report.failures == report.errors == 21
+    assert [w["detail"] for w in report.witnesses] == [
+        "exception: HomConditionError('enumeration refused')"] * MAX_WITNESSES
+    assert report.counters["homs"] == 0
+
+
 @pytest.mark.parametrize("name", ["dist", "hilb", "vn"])
 def test_exhaustive_spec_on_a_non_enumerable_instance_reports(name):
     spec = CaseSpec(name, "quotient-adjunction", 0, 0, {"exhaustive": True})
@@ -986,8 +1007,14 @@ def _round_trips(inst, rng, built, ends, tol):
         candidates = inst.iter_arrows(*ends)
     else:
         candidates = [inst.rand_arrow(rng, *ends, {}) for _ in range(12)]
-    return all(harness._round_trip(inst, g, lambda h: built.untranspose(inst, h),
-                                   built.transpose) <= tol for g in candidates)
+
+    def residual(g):  # how far g comes back; 1.0 when a ChainError stops it
+        try:
+            return inst.map_residual(built.transpose(built.untranspose(inst, g)), g)
+        except ChainError:
+            return 1.0
+
+    return all(residual(g) <= tol for g in candidates)
 
 
 @pytest.mark.parametrize("which", ["quotient", "comprehension"])

@@ -5,7 +5,9 @@ agree on it.  Also what the construction refuses, the encoding boundary
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from effectus import STAR, HomConditionError, UnsupportedError, ValidationError
 from effectus.core import Arrow
+from effectus import kleisli
 from effectus.kleisli import (
     DistChain,
     FiniteSet,
@@ -390,3 +393,22 @@ def test_equal_arrows_share_a_key(inst):
         shuffled = list(inst.table(f).items())
         rng.shuffle(shuffled)
         assert inst.arrow(X, Y, dict(shuffled)).data == key
+
+
+def test_nondet_extension_matches_the_bit_loop():
+    # every image mask over n positions and *, through every k whose rows
+    # are masks over one atom and *: cold, then from the memo of wide masks
+    def bit_loop(s, k):
+        return reduce(or_, (row for i, row in enumerate(k) if s >> i & 1), 0)
+
+    kleisli._unions.cache_clear()
+    for n in range(5):
+        masks = tuple(range(1 << n + 1))
+        for k in product(range(4), repeat=n + 1):
+            expected = tuple(bit_loop(s, k) for s in masks)
+            assert NONDET._extend(masks, k) == expected
+            assert NONDET._extend(masks[::-1], k) == expected[::-1]
+    # one-bit images never reach the memo, and it keeps at most its maxsize
+    wide = [s for s in masks if s & s - 1 or not s]
+    assert kleisli._unions(k).cache_info().currsize == len(wide) == 32 - 5
+    assert kleisli._unions.cache_info().currsize == kleisli._unions.cache_info().maxsize

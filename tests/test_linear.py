@@ -33,7 +33,7 @@ from effectus.linear import (
     mat_vec,
     rref,
 )
-from effectus.vn import MatrixAlgebra
+from effectus.vn import MatrixAlgebra, VnChain
 
 FP = FpChain()
 HILB = HilbChain()
@@ -804,6 +804,19 @@ def test_hilb_refuses_wrongly_shaped_matrices(build):
         build()
 
 
+@pytest.mark.parametrize("entries", [[[1, 2], [3]], [[1], [2, 3]], [["a"]], [[object()]]],
+                         ids=["short-row", "long-row", "string", "object"])
+@pytest.mark.parametrize("build", [
+    lambda m: HILB.arrow(HilbSpace(2), HilbSpace(2), m),
+    lambda m: Subspace(HilbSpace(2), m),
+    lambda m: VnChain().arrow(MatrixAlgebra((1,)), MatrixAlgebra((1,)), m),
+], ids=["hilb-arrow", "subspace", "vn-arrow"])
+def test_ragged_or_non_numeric_matrices_are_refused(build, entries):
+    # numpy refuses these with its own ValueError or TypeError
+    with pytest.raises(ValidationError, match="not a complex array"):
+        build(entries)
+
+
 def test_hilb_size_zero_arrays_span_zero():
     X = HilbSpace(2)
     for empty in ([], np.zeros((0,)), np.zeros((2, 0)), np.zeros((0, 3))):
@@ -857,3 +870,24 @@ def test_coincidence_of_quotient_and_comprehension_carriers():
         c = HILB.comprehension(X, p)
         assert q.obj == c.obj
         assert HILB.coincidence_residual(X, p, q, c) <= 1e-9
+
+
+def test_fixed_matrix_products_match_the_plain_product():
+    # the quotient unit and the comprehension counit of every subspace at
+    # the acceptance bounds, as either factor, against the same rows in a
+    # plain tuple: with every vector at once, and with none, a 0-dimensional
+    # space on the other side
+    for p, d in itertools.product((2, 3), range(4)):
+        for P in FP.iter_preds(FpSpace(p, d)):
+            counit = FP.comprehension(FpSpace(p, d), P).counit.data
+            for fixed, (m, n) in ((_coords_matrix(P), (d - P.rank, d)),
+                                  (counit, (d, P.rank))):
+                plain = tuple(fixed)
+                assert type(plain) is tuple and plain == fixed
+                for a in (tuple(itertools.product(range(p), repeat=m)), ()):
+                    assert mat_mul(a, fixed, p, width=n) == mat_mul(a, plain, p, width=n)
+                columns = tuple(itertools.product(range(p), repeat=n))
+                for b, width in ((tuple(zip(*columns)), len(columns)), (((),) * n, 0)):
+                    product = mat_mul(fixed, b, p, width=width)
+                    assert product == mat_mul(plain, b, p, width=width)
+                    assert [len(row) for row in product] == [width] * m

@@ -23,11 +23,13 @@ the checkout holds:
   workload, at the bounds `perfbench/workloads.py` runs it with, the
   triples it ran (`cases`), the triples over the enumeration cap
   (`skipped`), the cases that raised (`errors`), the homs the sweep
-  walked (`homs`) and the time of its single run in this process
-  (`wall_s`; the sweeps run in list order, so the first sweep of each
-  instance starts with that instance's process-wide caches empty):
-  what the JSON reports leave out, and which sweep dominates the
-  workload;
+  walked (`homs`), and the times of its three runs in this process
+  (`runs`) with their median (`wall_s`).  The sweep list runs three
+  times over, in list order, so only the first run of each instance's
+  first sweep starts with that instance's process-wide caches empty,
+  and one stall moves one run, not the median; the counts must agree
+  across the runs.  This is what the JSON reports leave out, and which
+  sweep dominates the workload;
 * `kernel_reuse`: for each of the three memoised `vnlinalg` kernels
   (`hermitian_eig`, `hermitian_eigvals`, `gram_schmidt_columns`), over
   the law reports of `effectus check --seed 1` run in this process, its
@@ -59,6 +61,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 UNTRACED_RUNS = 3
+SWEEP_RUNS = 3
 TIER1_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -139,21 +142,32 @@ def import_checkout() -> None:
 
 
 def sweep_coverage() -> list:
-    """What each exhaustive-exact sweep covered and left out, and how long
-    its one run took, in this process on the checkout's `src/` with the
-    workload's own bounds."""
+    """What each exhaustive-exact sweep covered and left out, and the
+    median and runs of its time over SWEEP_RUNS passes of the sweep list,
+    in this process on the checkout's `src/` with the workload's own
+    bounds.  Exits unless every pass gives a sweep the same counts."""
     import_checkout()
     import workloads
     from effectus import harness
     from effectus.registry import INSTANCES
+    sweeps = workloads.exhaustive_sweeps("exhaustive-exact", SEED)
+    passes = []
+    for _ in range(SWEEP_RUNS):
+        runs = []
+        for name, which, bounds, seed in sweeps:
+            t0 = perf_counter()
+            report = harness.run_exhaustive_adjunction(INSTANCES[name], which, bounds, seed)
+            runs.append(({"instance": name, "law": report.law, "cases": report.cases,
+                          "skipped": len(report.skipped), "errors": report.errors,
+                          "homs": report.counters["homs"]},
+                         round(perf_counter() - t0, 3)))
+        passes.append(runs)
     out = []
-    for name, which, bounds, seed in workloads.exhaustive_sweeps("exhaustive-exact", SEED):
-        t0 = perf_counter()
-        report = harness.run_exhaustive_adjunction(INSTANCES[name], which, bounds, seed)
-        out.append({"instance": name, "law": report.law, "cases": report.cases,
-                    "skipped": len(report.skipped), "errors": report.errors,
-                    "homs": report.counters["homs"],
-                    "wall_s": round(perf_counter() - t0, 3)})
+    for runs in zip(*passes):
+        counts, walls = [c for c, _ in runs], [w for _, w in runs]
+        if any(c != counts[0] for c in counts):
+            raise SystemExit(f"record: a sweep's counts differ between runs: {counts}")
+        out.append({**counts[0], "wall_s": statistics.median(walls), "runs": walls})
     return out
 
 

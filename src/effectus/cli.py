@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=_seed, default=None,
                        help=f"base seed (default: EFFECTUS_SEED or {DEFAULT_SEED})")
     check.add_argument("--tolerance", type=float, default=None,
-                       help="override the equality tolerance")
+                       help="override the instance's one tolerance, for "
+                       "equality, order and vn's hom conditions")
     check.add_argument("--format", choices=("human", "json"), default="human")
     check.add_argument("-o", "--output", help="write the report to a file")
 

@@ -175,9 +175,9 @@ class ComprehensionResult:
 
 
 class Law(NamedTuple):
-    """A law as the harness states and checks it: `case(inst, rng, bounds,
-    tol)` runs ONE seeded case and returns (residual, detail), detail
-    being None exactly when the law held, else the witness detail."""
+    """A law as the harness states and checks it: `case(inst, rng, bounds)`
+    runs ONE seeded case and returns (residual, detail), detail being
+    None exactly when the law held, else the witness detail."""
 
     statement: str
     case: Callable
@@ -185,12 +185,12 @@ class Law(NamedTuple):
     @classmethod
     def on_fibre(cls, statement: str, check: Callable) -> Law:
         """A law of one predicate p on one object X: each case draws X,
-        then p, and returns `check(inst, X, p, tol)`, naming X and p in
-        the detail of a violation."""
-        def case(inst, rng, bounds, tol):
+        then p, and returns `check(inst, X, p)`, naming X and p in the
+        detail of a violation."""
+        def case(inst, rng, bounds):
             X = inst.rand_object(rng, bounds)
             p = inst.rand_pred(rng, X, bounds)
-            res, detail = check(inst, X, p, tol)
+            res, detail = check(inst, X, p)
             return res, detail if detail is None else {
                 **detail, "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
         return cls(statement, case)
@@ -209,7 +209,7 @@ class ChainInstance(ABC):
 
     name = "?"
     description = ""
-    eq_tol = 0.0          # residual accepted as equality
+    eq_tol = 0.0  # the instance's one tolerance: equality, order, vn's hom conditions
     laws = CHAIN_LAWS + ORTHO_LAWS + ("instrument",)  # the laws it carries
     own_laws = {}  # name -> Law of each law only it carries, also in `laws`
     # Sampled cases per law in the default suite, sized so the whole suite
@@ -378,7 +378,7 @@ class ChainInstance(ABC):
         base field and the like); used by exhaustive sweeps."""
         return True
 
-    def predicts_side_effect_free(self, X, p, tol) -> bool:
+    def predicts_side_effect_free(self, X, p) -> bool:
         """Whether measuring p should leave no trace, i.e. whether the
         instrument with its outcome forgotten is the identity.  True by
         default, as in the classical and probabilistic instances."""

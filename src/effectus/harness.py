@@ -115,7 +115,7 @@ def _arrow_key(inst, f):
 # ---------------------------------------------------------------------------
 
 
-def _case_kleisli(inst, rng, bounds, tol):
+def _case_kleisli(inst, rng, bounds):
     X = inst.rand_object(rng, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
     Z = inst.rand_object(rng, bounds, like=X)
@@ -128,11 +128,11 @@ def _case_kleisli(inst, rng, bounds, tol):
     r2 = inst.map_residual(inst.compose(f, inst.identity(X)), f)
     r3 = inst.map_residual(inst.compose(inst.identity(Y), f), f)
     res = max(r1, r2, r3)
-    return res, None if res <= tol else {
+    return res, None if res <= inst.eq_tol else {
         "assoc": r1, "id_right": r2, "id_left": r3, "f": inst.arrow_to_json(f)}
 
 
-def _case_subst(inst, rng, bounds, tol):
+def _case_subst(inst, rng, bounds):
     X = inst.rand_object(rng, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
     Z = inst.rand_object(rng, bounds, like=X)
@@ -146,12 +146,12 @@ def _case_subst(inst, rng, bounds, tol):
     r2 = inst.pred_residual(Y, inst.subst(inst.identity(Y), q), q)
     r3 = inst.pred_residual(X, inst.subst(f, inst.top(Y)), inst.top(X))
     res = max(r1, r2, r3)
-    return res, None if res <= tol else {
+    return res, None if res <= inst.eq_tol else {
         "functoriality": r1, "identity": r2, "unit": r3,
         "f": inst.arrow_to_json(f), "g": inst.arrow_to_json(g)}
 
 
-def _case_truth_falsum(inst, rng, bounds, tol):
+def _case_truth_falsum(inst, rng, bounds):
     X = inst.rand_object(rng, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
     f = inst.rand_arrow(rng, X, Y, bounds)
@@ -182,7 +182,7 @@ def _case_truth_falsum(inst, rng, bounds, tol):
         "p": inst.pred_to_json(X, p)}
 
 
-def _case_adjunction(which, inst, rng, bounds, tol):
+def _case_adjunction(which, inst, rng, bounds):
     X = inst.rand_object(rng, bounds)
     p = inst.rand_pred(rng, X, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
@@ -195,32 +195,32 @@ def _case_adjunction(which, inst, rng, bounds, tol):
     # The mediating map is unique exactly when the unit is epi (counit mono).
     epi = isinstance(built, QuotientResult)
     unique = inst.cancels(built.unit if epi else built.counit, epi)
-    return r1, None if r1 <= tol and unique else {
+    return r1, None if r1 <= inst.eq_tol and unique else {
         "round_trip_from_hom": r1, "unique": unique,
         "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
         "f": inst.arrow_to_json(f)}
 
 
-def _check_factorization(inst, X, p, tol):
+def _check_factorization(inst, X, p):
     composite = derive_assert(inst, X, p)
     closed = inst.assert_closed_form(X, p)
     res = inst.map_residual(composite, closed)
-    return res, None if res <= tol else {
+    return res, None if res <= inst.eq_tol else {
         "composite": inst.arrow_to_json(composite),
         "closed_form": inst.arrow_to_json(closed)}
 
 
-def _check_coincidence(inst, X, p, tol):
+def _check_coincidence(inst, X, p):
     q = inst.quotient(X, inst.ortho(X, p))
     c = inst.comprehension(X, inst.ceil(X, p))
     same = inst.objects_equal(q.obj, c.obj)
     extra = inst.coincidence_residual(X, p, q, c)
-    ok = same and extra <= tol
+    ok = same and extra <= inst.eq_tol
     return (extra if ok else max(extra, 0.0 if same else 1.0)), None if ok else {
         "objects_equal": same, "carrier_residual": extra}
 
 
-def _check_sharpness(inst, X, p, tol):
+def _check_sharpness(inst, X, p):
     demorgan = inst.pred_residual(
         X, inst.floor(X, inst.ortho(X, p)),
         inst.ortho(X, inst.ceil(X, p)))
@@ -231,22 +231,21 @@ def _check_sharpness(inst, X, p, tol):
     c = inst.comprehension(X, inst.ceil(X, p))
     left = inst.compose(q.unit, c.counit)
     left_res = inst.map_residual(left, inst.identity(c.obj))
-    ok = (demorgan <= tol
-          and (idem <= tol) == sharp
-          and (left_res <= tol) == sharp)
+    ok = (demorgan <= inst.eq_tol
+          and (idem <= inst.eq_tol) == (left_res <= inst.eq_tol) == sharp)
     return (demorgan if ok else max(demorgan, 1.0)), None if ok else {
         "demorgan": demorgan, "sharp": sharp,
         "assert_idempotency_residual": idem, "left_composite_residual": left_res}
 
 
-def _check_instrument(inst, X, p, tol):
+def _check_instrument(inst, X, p):
     derived = derive_instrument(inst, X, p)
     closed = inst.instrument_closed_form(X, p)
     r1 = inst.map_residual(derived, closed)
     free = side_effect(inst, derived)[1]
-    predicted = inst.predicts_side_effect_free(X, p, tol)
+    predicted = inst.predicts_side_effect_free(X, p)
     unit_res = inst.subunital_defect(closed)
-    ok = r1 <= tol and free == predicted and unit_res <= tol
+    ok = r1 <= inst.eq_tol and free == predicted and unit_res <= inst.eq_tol
     res = max(r1, unit_res)
     return (max(res, 1.0) if free != predicted else res), None if ok else {
         "derived_vs_closed": r1, "side_effect_free": free,
@@ -390,8 +389,7 @@ def run_law(inst, spec: CaseSpec) -> LawReport:
             which = spec.law.split("-")[0]
             report = run_exhaustive_adjunction(inst, which, spec.bounds, spec.seed)
         else:
-            run = partial(LAWS[spec.law].case, inst, random.Random(spec.seed),
-                          spec.bounds, float(inst.eq_tol))
+            run = partial(LAWS[spec.law].case, inst, random.Random(spec.seed), spec.bounds)
             cases = (({"case": i, "detail": "law violated"}, run) for i in range(spec.cases))
             report = _fold(LawReport(inst.name, spec.law, spec.seed), cases)
         report.counters.update(kernel_counts())

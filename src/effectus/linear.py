@@ -207,7 +207,8 @@ def _coords_matrix(P: FpSubspace):
     the coordinate of v at a free c is v[c] - sum of row[c] * v[pivot].
 
     Cached: `subst` asks for it on every substitution along a reused
-    predicate, and subspaces are immutable.  The bound sits above the 61
+    predicate, and `pred_leq` on every inclusion in one, through its memo
+    of products; subspaces are immutable.  The bound sits above the 61
     subspaces the acceptance sweeps visit."""
     p, d = P.space.p, P.space.dim
     row_at = dict(zip(P.pivots, P.rows))  # each echelon row by its pivot
@@ -271,18 +272,9 @@ class FpChain(ChainInstance):
         return FpSubspace(X, ())
 
     def pred_leq(self, X, p: FpSubspace, q: FpSubspace) -> bool:
-        """Each row of p reduced against q's echelon rows must vanish; q's
-        rows are zero at each other's pivots, so the multiples are read
-        off p's row at q's pivot columns."""
-        echelon = tuple(zip(q.pivots, _over(X, q).rows))
-        for v in _over(X, p).rows:
-            rest = v
-            for c, row in echelon:
-                if v[c]:
-                    rest = tuple(x - v[c] * y for x, y in zip(rest, row))
-            if any(x % X.p for x in rest):
-                return False
-        return True
+        """p lies in q exactly when q's quotient map kills each row of p."""
+        kills = _coords_matrix(_over(X, q)).times_col
+        return not any(map(any, map(kills, _over(X, p).rows)))
 
     def pred_residual(self, X, p, q) -> float:
         return 0.0 if _over(X, p).rows == _over(X, q).rows else 1.0
@@ -463,7 +455,6 @@ class HilbChain(ChainInstance):
     description = "complex inner-product spaces and linear maps"
     laws = CHAIN_LAWS + ORTHO_LAWS
     eq_tol = 1e-9
-    hom_tol = 1e-6
 
     def arrow(self, X: HilbSpace, Y: HilbSpace, mat) -> Arrow:
         mat = la.as_complex(mat)
@@ -509,6 +500,8 @@ class HilbChain(ChainInstance):
             f.src, np.eye(f.src.dim, dtype=complex) - rows @ la.dagger(rows))
 
     # ---- quotient / comprehension ----
+    # The transposes decide their hom conditions at the Gram-Schmidt
+    # cutoff, below which `subst` and `Subspace` already drop a direction.
 
     def quotient(self, X, p: Subspace) -> QuotientResult:
         """Coordinates along an orthonormal basis w of the orthocomplement;
@@ -517,7 +510,7 @@ class HilbChain(ChainInstance):
         obj = HilbSpace(w.shape[1])
 
         def transpose(f: Arrow) -> Arrow:
-            if p.rank and la.max_abs(f.data @ p.basis) > self.hom_tol:
+            if p.rank and la.max_abs(f.data @ p.basis) > la.GS_THRESHOLD:
                 raise HomConditionError("hilb: subspace is not inside the kernel")
             return Arrow(obj, f.dst, f.data @ w)
 
@@ -528,7 +521,7 @@ class HilbChain(ChainInstance):
 
         def transpose(f: Arrow) -> Arrow:
             coords = la.dagger(p.basis) @ f.data
-            if la.max_abs(f.data - p.basis @ coords) > self.hom_tol:
+            if la.max_abs(f.data - p.basis @ coords) > la.GS_THRESHOLD:
                 raise HomConditionError("hilb: image is not inside the subspace")
             return Arrow(f.src, obj, coords)
 
@@ -558,8 +551,6 @@ class HilbChain(ChainInstance):
         # the collapse basis and the inclusion basis are the same columns.
         if q.unit.data.shape != la.dagger(c.counit.data).shape:
             return 1.0
-        if q.unit.data.size == 0:
-            return 0.0
         return la.max_abs(q.unit.data - la.dagger(c.counit.data))
 
     # ---- serialization ----

@@ -264,13 +264,13 @@ def _image(f: Arrow, y):
     return f.data[f.dst.position[y]]
 
 
-def _check_ring_decompose(inst, X, p, tol):
+def _check_ring_decompose(inst, X, p):
     dec = inst.decompose(X, p)
     r1 = inst.map_residual(inst.compose(dec.split, dec.merge), inst.identity(X))
     r2 = inst.map_residual(inst.compose(dec.merge, dec.split),
                            inst.identity(dec.pair))
     res = max(r1, r2)
-    return res, None if res <= tol else {
+    return res, None if res <= inst.eq_tol else {
         "split_then_merge": r1, "merge_then_split": r2}
 
 

@@ -129,10 +129,10 @@ def check_blocks(A: MatrixAlgebra, p) -> None:
             raise ValidationError(f"block shape {np.shape(b)} != ({n}, {n})")
 
 
-def _effect_spectrum(b, tol: float = la.HERM_TOL):
+def _effect_spectrum(b):
     """The spectrum (w, U) of an effect block, refused unless w lies in [0, 1]."""
     w, U = la.hermitian_eig(b)
-    if w.size and (float(w[-1]) < -tol or float(w[0]) > 1 + tol):
+    if w.size and (float(w[-1]) < -la.HERM_TOL or float(w[0]) > 1 + la.HERM_TOL):
         raise ValidationError(f"spectrum {w} leaves [0, 1]")
     return w, U
 
@@ -183,7 +183,7 @@ class _Corner:
             self.algebra = MatrixAlgebra(dims, (parent, self.isoms))
 
 
-def _case_cp_sanity(inst, rng, bounds, tol):
+def _case_cp_sanity(inst, rng, bounds):
     X = inst.rand_object(rng, bounds)
     p = inst.rand_pred(rng, X, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
@@ -202,13 +202,13 @@ def _case_cp_sanity(inst, rng, bounds, tol):
     bad = {}
     worst = 0.0
     for label, arrow in canonical.items():
-        ok_cp, report = inst.cp_check(arrow, tol)
+        ok_cp, report = inst.cp_check(arrow)
         sub = inst.subunital_defect(arrow)
         min_eig = report.get("min_eig")
         if min_eig is not None:
             worst = max(worst, -min_eig)
         worst = max(worst, sub)
-        if not ok_cp or sub > tol:
+        if not ok_cp or sub > inst.eq_tol:
             bad[label] = {"cp": report, "subunital_defect": sub}
     cpred = inst.rand_pred(rng, Y, bounds)
     dpred = inst.rand_pred(rng, Y, bounds)
@@ -221,7 +221,7 @@ def _case_cp_sanity(inst, rng, bounds, tol):
     rhs = (spectral_norm(inst.apply(fq, cc))
            * spectral_norm(inst.apply(fq, dd)))
     cs_residual = max(0.0, lhs - rhs)
-    ok = not bad and cs_residual <= tol
+    ok = not bad and cs_residual <= inst.eq_tol
     return max(worst, cs_residual, 1.0 if bad else 0.0), None if ok else {
         "non_cp_maps": bad, "cauchy_schwarz_residual": cs_residual,
         "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p)}
@@ -234,7 +234,6 @@ class VnChain(ChainInstance):
     name = "vn"
     description = "matrix algebras and completely positive subunital maps"
     eq_tol = 1e-9
-    hom_tol = 1e-6
     own_laws = {"cp-sanity": Law(
         "All canonical operator-algebra maps are completely positive "
         "(blockwise Choi matrices positive semidefinite) and subunital, "
@@ -345,7 +344,7 @@ class VnChain(ChainInstance):
             img_one = self.apply(f, f.dst.one())
             for sb, ub in zip(s, img_one):
                 w = la.hermitian_eigvals(((sb - ub) + la.dagger(sb - ub)) / 2)
-                if w.size and float(w[-1]) < -self.hom_tol:
+                if w.size and float(w[-1]) < -self.eq_tol:
                     raise HomConditionError(
                         f"vn: image of 1 exceeds the complement by {-float(w[-1]):.3g}")
             if compress is None:
@@ -366,7 +365,7 @@ class VnChain(ChainInstance):
 
         def transpose(f: Arrow) -> Arrow:
             gap = elt_residual(self.apply(f, p), self.apply(f, X.one()))
-            if gap > self.hom_tol:
+            if gap > self.eq_tol:
                 raise HomConditionError(
                     f"vn: predicate and 1 have images {gap:.3g} apart")
             return Arrow(f.src, corner.algebra, f.data @ embed)
@@ -420,12 +419,12 @@ class VnChain(ChainInstance):
             worst = max(worst, la.max_abs(b - t * np.eye(n)))
         return worst
 
-    def predicts_side_effect_free(self, X, p, tol) -> bool:
-        return self.block_scalar_defect(X, p) <= tol
+    def predicts_side_effect_free(self, X, p) -> bool:
+        return self.block_scalar_defect(X, p) <= self.eq_tol
 
     # ---- complete positivity ----
 
-    def cp_check(self, f: Arrow, tol: float = 1e-9):
+    def cp_check(self, f: Arrow):
         """Blockwise Choi test of the underlying element map.  Returns
         (ok, report) where the report carries the most negative eigenvalue
         and the (src block, dst block) pair it came from."""
@@ -439,7 +438,7 @@ class VnChain(ChainInstance):
                 blk = f.data[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
                 choi = blk.reshape(m, m, n, n).transpose(2, 0, 3, 1).reshape(n * m, n * m)
                 defect = la.max_abs(choi - la.dagger(choi))
-                if defect > tol:
+                if defect > self.eq_tol:
                     return False, {"src_block": i, "dst_block": j,
                                    "min_eig": None, "herm_defect": defect}
                 w = la.hermitian_eigvals((choi + la.dagger(choi)) / 2)
@@ -448,7 +447,7 @@ class VnChain(ChainInstance):
                     worst = (low, i, j)
         if worst is None:
             return True, {"min_eig": 0.0, "src_block": None, "dst_block": None}
-        ok = worst[0] >= -tol
+        ok = worst[0] >= -self.eq_tol
         return ok, {"min_eig": worst[0], "src_block": worst[1], "dst_block": worst[2]}
 
     def subunital_defect(self, f: Arrow) -> float:

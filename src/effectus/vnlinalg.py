@@ -91,10 +91,14 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def as_complex(a) -> np.ndarray:
-    try:  # numpy refuses ragged or non-numeric input with either error
-        return np.asarray(a, dtype=complex)
+    """a as a complex array, refused unless its entries are finite numbers."""
+    try:  # numpy refuses ragged input with either error
+        raw = np.asarray(a)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"not a complex array: {exc}") from None
+    if raw.dtype.kind not in "biufc" or not np.isfinite(raw).all():
+        raise ValidationError(f"not a complex array of finite numbers: {raw.dtype} entries")
+    return raw.astype(complex, copy=False)
 
 
 def _phases(V: np.ndarray) -> np.ndarray:

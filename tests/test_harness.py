@@ -155,8 +155,8 @@ def test_exact_follows_the_equality_tolerance():
 def test_renamed_vn_keeps_side_effect_prediction():
     inst = _RenamedVn()
     X = MatrixAlgebra((2,))
-    assert inst.predicts_side_effect_free(X, (0.3 * np.eye(2),), 1e-9)
-    assert not inst.predicts_side_effect_free(X, (np.diag([0.8, 0.3]),), 1e-9)
+    assert inst.predicts_side_effect_free(X, (0.3 * np.eye(2),))
+    assert not inst.predicts_side_effect_free(X, (np.diag([0.8, 0.3]),))
     report = run_law(inst, _spec("vn-renamed", "instrument", cases=6))
     assert report.cases == 6 and report.failures == 0
 
@@ -1301,7 +1301,7 @@ def test_crashing_law_is_reported_not_raised():
 def test_each_report_gets_a_fresh_kernel_memo(monkeypatch):
     seen = []
 
-    def probe(inst, rng, bounds, tol):
+    def probe(inst, rng, bounds):
         memo = la._MEMO.get()
         seen.append((memo, len(memo)))
         la.hermitian_eig(np.eye(2))

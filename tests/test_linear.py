@@ -817,6 +817,19 @@ def test_ragged_or_non_numeric_matrices_are_refused(build, entries):
         build(entries)
 
 
+@pytest.mark.parametrize("entry", [None, float("inf"), float("nan"), "1"],
+                         ids=["none", "inf", "nan", "string"])
+@pytest.mark.parametrize("build", [
+    lambda e: HILB.arrow(HilbSpace(1), HilbSpace(1), [[e]]),
+    lambda e: Subspace(HilbSpace(2), [[e], [1]]),
+    lambda e: VnChain().arrow(MatrixAlgebra((1,)), MatrixAlgebra((1,)), [[e]]),
+], ids=["hilb-arrow", "subspace", "vn-arrow"])
+def test_entries_that_are_not_finite_numbers_are_refused(build, entry):
+    # numpy would read None as nan, keep inf and nan, and parse "1"
+    with pytest.raises(ValidationError, match="finite numbers"):
+        build(entry)
+
+
 def test_hilb_size_zero_arrays_span_zero():
     X = HilbSpace(2)
     for empty in ([], np.zeros((0,)), np.zeros((2, 0)), np.zeros((0, 3))):

@@ -3,6 +3,7 @@ perfbench/tracing.py wraps effectus functions by name, so a renamed
 harness field or function fails here rather than at the next recording."""
 
 import importlib.util
+import statistics
 import sys
 from pathlib import Path
 
@@ -37,6 +38,44 @@ def test_kernel_reuse_sums_every_check_report(record):
         assert 0 <= kernel["repeated_share"] < 1
         total += kernel["distinct"]
     assert 0 < out["largest_report_distinct"] <= total
+
+
+@pytest.fixture
+def smoke_sweeps(record, monkeypatch):
+    # the small sweeps of the workload's smoke run keep this test fast
+    record.import_checkout()
+    import workloads
+    monkeypatch.setattr(workloads, "EXHAUSTIVE_BOUNDS", workloads.SMOKE_EXHAUSTIVE_BOUNDS)
+    return workloads.exhaustive_sweeps("exhaustive-exact", record.SEED)
+
+
+def test_sweep_coverage_times_each_sweep_three_times(record, smoke_sweeps):
+    out = record.sweep_coverage()
+    assert [(r["instance"], r["law"]) for r in out] == [
+        (name, f"{which}-adjunction") for name, which, _, _ in smoke_sweeps]
+    for row in out:
+        assert set(row) == {"instance", "law", "cases", "skipped", "errors", "homs",
+                            "wall_s", "runs"}
+        assert len(row["runs"]) == record.SWEEP_RUNS == 3
+        assert row["wall_s"] == statistics.median(row["runs"])
+        assert row["cases"] > 0 and row["homs"] > 0
+        assert row["skipped"] == row["errors"] == 0
+
+
+def test_sweep_coverage_refuses_counts_that_differ_between_runs(
+        record, smoke_sweeps, monkeypatch):
+    from effectus import harness
+    honest, calls = harness.run_exhaustive_adjunction, []
+
+    def drifting(*args):
+        report = honest(*args)
+        calls.append(None)
+        report.counters["homs"] += len(calls) > len(smoke_sweeps)
+        return report
+
+    monkeypatch.setattr(harness, "run_exhaustive_adjunction", drifting)
+    with pytest.raises(SystemExit, match="differ between runs"):
+        record.sweep_coverage()
 
 
 def test_src_lines_counts_every_module(record):

@@ -4,6 +4,7 @@ numpy.linalg appears only as an oracle; the package's own spectral
 routines are what is under test.
 """
 
+import copy
 import math
 import random
 
@@ -15,6 +16,7 @@ from effectus import (
     ValidationError,
     derive_assert,
     derive_instrument,
+    hom_check,
     side_effect,
 )
 from effectus.vn import (
@@ -298,6 +300,32 @@ def test_transpose_hom_conditions_reject():
         VN.transpose_quotient(M2, p, VN.identity(M2))
     with pytest.raises(HomConditionError):
         VN.transpose_comprehension(M2, p, VN.identity(M2))
+
+
+def _maps_with_hom_defect(delta):
+    """(which, X, p, Y, f) whose hom condition fails by delta: f(1)
+    exceeds 1 - p by delta (quotient), f(p) and f(1) lie delta apart
+    (comprehension)."""
+    yield "quotient", M1, elt([[0.5]]), M1, VN.arrow(M1, M1, [[0.5 + delta]])
+    yield ("comprehension", M2, elt(np.diag([1.0, 0.0])), M1,
+           VN.arrow(M1, M2, [[1, 0, 0, delta]]))
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-7, 1e-5])
+def test_transposes_accept_exactly_the_homs(delta):
+    # the copy is what `--tolerance 1e-6` runs the laws on
+    loose = copy.copy(VN)
+    loose.eq_tol = 1e-6
+    for inst in (VN, loose):
+        for which, X, p, Y, f in _maps_with_hom_defect(delta):
+            built = getattr(inst, which)(X, p)
+            says = hom_check(inst, f, *built.hom_objects(inst, X, p, Y))
+            try:
+                built.transpose(f)
+                accepts = True
+            except HomConditionError:
+                accepts = False
+            assert says == accepts == (delta <= inst.eq_tol), (which, inst.eq_tol)
 
 
 def test_transpose_round_trips():

@@ -24,7 +24,8 @@ the checkout holds:
   triples it ran (`cases`), the triples over the enumeration cap
   (`skipped`), the cases that raised (`errors`), the homs the sweep
   walked (`homs`), and the times of its three runs in this process
-  (`runs`) with their median (`wall_s`).  The sweep list runs three
+  (`runs`) with their median (`wall_s`) and least (`min_s`), which a
+  stall spanning two passes does not move.  The sweep list runs three
   times over, in list order, so only the first run of each instance's
   first sweep starts with that instance's process-wide caches empty,
   and one stall moves one run, not the median; the counts must agree
@@ -36,9 +37,17 @@ the checkout holds:
   `calls` and the `distinct` inputs summed over the reports, the share
   of calls that repeat an input their report already decomposed, and
   the largest number of distinct inputs one report holds: the repeated
-  work a per-report memo saves.
+  work a per-report memo saves;
+* `startup`: two start-ups, each in STARTUP_RUNS fresh interpreters on
+  the checkout's `src/`, after one unmeasured start: `import_s`, the
+  time of `import effectus` plus its registry, timed inside the
+  interpreter, and `check_sets_s`, the wall time of the whole process
+  `effectus check --instance sets --format json`, timed from outside;
+  each with its `runs`, their `median` and quartiles, and
+  `numpy_linalg_loaded`, whether the run left `numpy.linalg` imported
+  (the same in every run, or the recording exits).
 
-Both read the `counters` that each `LawReport` keeps of its own work
+`sweep_coverage` and `kernel_reuse` read the `counters` that each `LawReport` keeps of its own work
 and leaves out of its JSON; nothing in `src/` is wrapped or patched.
 
 Nothing under `perfbench/` is changed.  The exit code is 0 only when
@@ -63,6 +72,7 @@ SEED = 1
 UNTRACED_RUNS = 3
 SWEEP_RUNS = 3
 TIER1_RUNS = 3
+STARTUP_RUNS = 7
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -167,7 +177,53 @@ def sweep_coverage() -> list:
         counts, walls = [c for c, _ in runs], [w for _, w in runs]
         if any(c != counts[0] for c in counts):
             raise SystemExit(f"record: a sweep's counts differ between runs: {counts}")
-        out.append({**counts[0], "wall_s": statistics.median(walls), "runs": walls})
+        out.append({**counts[0], "wall_s": statistics.median(walls), "min_s": min(walls),
+                    "runs": walls})
+    return out
+
+
+# Each prints its last line as `<seconds or -> <numpy.linalg imported>`:
+# the import times itself, the check is timed from outside its process.
+STARTUP_CODE = {
+    "import_s": (
+        "import sys, time\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "t = time.perf_counter()\n"
+        "import effectus\n"
+        "from effectus.registry import INSTANCES\n"
+        "t = time.perf_counter() - t\n"
+        "print(t, 'numpy.linalg' in sys.modules)\n"),
+    "check_sets_s": (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from effectus.cli import main\n"
+        "code = main(['check', '--instance', 'sets', '--format', 'json'])\n"
+        "print('-', 'numpy.linalg' in sys.modules)\n"
+        "sys.exit(code)\n"),
+}
+
+
+def startup() -> dict:
+    """Fresh-interpreter times of importing effectus and of a `sets`
+    check, with whether each left numpy.linalg imported."""
+    out = {}
+    for key, code in STARTUP_CODE.items():
+        walls, loaded = [], set()
+        for i in range(STARTUP_RUNS + 1):
+            t0 = perf_counter()
+            done = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                                  cwd=ROOT, capture_output=True, text=True, check=False)
+            wall = perf_counter() - t0
+            if done.returncode:
+                sys.stderr.write(done.stderr)
+                raise SystemExit(f"record: startup {key} exited {done.returncode}")
+            inside, flag = done.stdout.splitlines()[-1].split()
+            if i:  # the first start warms the file and bytecode caches
+                walls.append(round(wall if inside == "-" else float(inside), 4))
+                loaded.add(flag == "True")
+        if len(loaded) != 1:
+            raise SystemExit(f"record: startup {key} loaded numpy.linalg in some runs only")
+        out[key] = {**summary(walls), "numpy_linalg_loaded": loaded.pop()}
     return out
 
 
@@ -220,6 +276,8 @@ def main(argv=None) -> int:
     out["sweep_coverage"] = sweep_coverage()
     print("record: kernel reuse", file=sys.stderr, flush=True)
     out["kernel_reuse"] = kernel_reuse()
+    print("record: startup", file=sys.stderr, flush=True)
+    out["startup"] = startup()
     print("record: tier-1", file=sys.stderr, flush=True)
     out["tier1"] = record_tier1()
     ok &= not any(out["tier1"]["exit_code"]) and not any(out["tier1"]["failed"])

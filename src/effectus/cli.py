@@ -13,8 +13,6 @@ import os
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from .kleisli import FiniteSet, fuzzy
 from .harness import (
     DEFAULT_SEED,
@@ -27,6 +25,7 @@ from .registry import INSTANCES
 from .ring import ZProductRing, canonical_moduli, IdealRing
 from .vn import MatrixAlgebra
 from .core import side_effect, derive_instrument
+from .vnlinalg import np
 
 
 def _seed(text) -> int:

@@ -15,8 +15,6 @@ from functools import cache, cached_property, lru_cache, partial
 from itertools import combinations, product
 from operator import mul
 
-import numpy as np
-
 from .core import (
     CHAIN_LAWS,
     ORTHO_LAWS,
@@ -31,6 +29,7 @@ from .core import (
     make_arrow,
 )
 from . import vnlinalg as la
+from .vnlinalg import np
 
 # ---------------------------------------------------------------------------
 # F_p machinery: vectors are int tuples, matrices are tuples of row tuples.

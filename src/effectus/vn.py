@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-import numpy as np
-
 from .core import (
     Arrow,
     ChainInstance,
@@ -29,6 +27,7 @@ from .core import (
     check_size,
 )
 from . import vnlinalg as la
+from .vnlinalg import np
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,19 +19,39 @@ too), so a caller that writes to one raises instead of corrupting a later
 hit.  The kernels are deterministic functions of those bytes, so a hit is
 bit-identical to a recomputation.  Outside a scope nothing is stored.
 The memo also counts each input's calls, for kernel_counts().
+numpy is bound by _lazy, so importing effectus loads none; the first hilb
+or vn computation does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import wraps
 
-import numpy as np
-
 from .core import ValidationError
+
+
+def _lazy(name: str):
+    """The module `name`, imported on its first attribute read: the module
+    itself when it is already imported, and ModuleNotFoundError now, as
+    `import` raises it, when there is no such module."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
 
 HERM_TOL = 1e-9
 RANK_CUTOFF = 1e-9

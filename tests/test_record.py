@@ -55,9 +55,10 @@ def test_sweep_coverage_times_each_sweep_three_times(record, smoke_sweeps):
         (name, f"{which}-adjunction") for name, which, _, _ in smoke_sweeps]
     for row in out:
         assert set(row) == {"instance", "law", "cases", "skipped", "errors", "homs",
-                            "wall_s", "runs"}
+                            "wall_s", "min_s", "runs"}
         assert len(row["runs"]) == record.SWEEP_RUNS == 3
         assert row["wall_s"] == statistics.median(row["runs"])
+        assert row["min_s"] == min(row["runs"]) <= row["wall_s"]
         assert row["cases"] > 0 and row["homs"] > 0
         assert row["skipped"] == row["errors"] == 0
 
@@ -76,6 +77,18 @@ def test_sweep_coverage_refuses_counts_that_differ_between_runs(
     monkeypatch.setattr(harness, "run_exhaustive_adjunction", drifting)
     with pytest.raises(SystemExit, match="differ between runs"):
         record.sweep_coverage()
+
+
+def test_startup_times_fresh_interpreters_that_load_no_numpy(record, monkeypatch):
+    monkeypatch.setattr(record, "STARTUP_RUNS", 2)
+    out = record.startup()
+    assert set(out) == {"import_s", "check_sets_s"}
+    for row in out.values():
+        assert set(row) == {"runs", "median", "q1", "q3", "numpy_linalg_loaded"}
+        assert len(row["runs"]) == 2 and all(t > 0 for t in row["runs"])
+        assert row["q1"] <= row["median"] <= row["q3"]
+        assert row["numpy_linalg_loaded"] is False
+    assert out["import_s"]["median"] < out["check_sets_s"]["median"]
 
 
 def test_src_lines_counts_every_module(record):

@@ -5,8 +5,12 @@ fixed column order; these tests check that contract, and the spectral
 functions built on it, against numpy.linalg.
 """
 
+import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,3 +503,81 @@ def test_reuse_scope_closes_on_exception_and_nests():
         with reuse():
             assert la._MEMO.get() == {}
         assert la._MEMO.get() is outer and len(outer) == 1
+
+
+# ---------------------------------------------------------------------------
+# numpy is imported on first use.
+# ---------------------------------------------------------------------------
+
+
+def test_lazy_refuses_a_missing_module_at_the_call():
+    name = "effectus_no_such_module"
+    with pytest.raises(ModuleNotFoundError, match=name) as exc:
+        la._lazy(name)
+    assert exc.value.name == name and name not in sys.modules
+
+
+def test_lazy_returns_an_imported_module_itself():
+    # so a process that imports numpy first shares one numpy with effectus
+    assert la._lazy("numpy") is np is la.np
+    assert la._lazy("json") is json
+
+
+def test_lazy_imports_on_first_attribute_read(tmp_path, monkeypatch):
+    (tmp_path / "lazy_probe.py").write_text("import sys\nsys.lazy_probe_ran = True\nVALUE = 3\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        probe = la._lazy("lazy_probe")
+        assert sys.modules["lazy_probe"] is probe
+        assert not hasattr(sys, "lazy_probe_ran")
+        assert probe.VALUE == 3 and sys.lazy_probe_ran
+        assert sys.modules["lazy_probe"] is probe
+    finally:
+        sys.modules.pop("lazy_probe", None)
+        monkeypatch.delattr(sys, "lazy_probe_ran", raising=False)
+
+
+# Exact work first (mode "exact"), then one vn report; mode "numpy-first"
+# imports numpy before effectus and runs the vn report alone.
+_FRESH_RUN = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "numpy-first":
+    import numpy
+import effectus, effectus.registry
+from effectus import cli, harness
+from effectus.registry import INSTANCES
+exact_loaded = None
+if sys.argv[2] == "exact":
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["list-instances"]) == 0
+        assert cli.main(["check", "--instance", "sets", "--cases", "2",
+                         "--format", "json"]) == 0
+    bounds = {"nondet": {"max_size": 2}, "fp": {"fields": (2,), "max_dim": 2},
+              "ring": {"max_order": 6}}
+    for name, b in bounds.items():
+        for which in ("quotient", "comprehension"):
+            report = harness.run_exhaustive_adjunction(INSTANCES[name], which, b, 1)
+            assert report.cases and not report.failures
+    exact_loaded = "numpy.linalg" in sys.modules
+spec = next(s for s in harness.default_suite(1, cases=2) if s.instance == "vn")
+report = harness.run_law(INSTANCES["vn"], spec).to_jsonable()
+print(json.dumps({"exact_loaded": exact_loaded,
+                  "vn_loaded": "numpy.linalg" in sys.modules, "report": report}))
+"""
+
+
+def _fresh_run(mode):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(src), mode],
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_exact_work_loads_no_numpy_and_vn_loads_it():
+    lazy, eager = _fresh_run("exact"), _fresh_run("numpy-first")
+    assert lazy["exact_loaded"] is False
+    assert lazy["vn_loaded"] is True and eager["vn_loaded"] is True
+    assert lazy["report"] == eager["report"]
+    assert lazy["report"]["instance"] == "vn" and lazy["report"]["cases"] == 2

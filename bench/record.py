@@ -47,8 +47,9 @@ the checkout holds:
   `numpy_linalg_loaded`, whether the run left `numpy.linalg` imported
   (the same in every run, or the recording exits).
 
-`sweep_coverage` and `kernel_reuse` read the `counters` that each `LawReport` keeps of its own work
-and leaves out of its JSON; nothing in `src/` is wrapped or patched.
+`sweep_coverage` and `kernel_reuse` read the `counters` that each
+`LawReport` keeps of its own work and leaves out of its JSON; nothing in
+`src/` is wrapped or patched.
 
 Nothing under `perfbench/` is changed.  The exit code is 0 only when
 every run passed its correctness gate, every run of a workload gave the

@@ -25,11 +25,12 @@ the checkout holds:
   (`skipped`), the cases that raised (`errors`), the homs the sweep
   walked (`homs`), and the times of its three runs in this process
   (`runs`) with their median (`wall_s`) and least (`min_s`), which a
-  stall spanning two passes does not move.  The sweep list runs three
-  times over, in list order, so only the first run of each instance's
-  first sweep starts with that instance's process-wide caches empty,
-  and one stall moves one run, not the median; the counts must agree
-  across the runs.  This is what the JSON reports leave out, and which
+  stall spanning two passes does not move, and `min_s` per hom in
+  microseconds (`us_per_hom`, null for a sweep with no hom).  The sweep
+  list runs three times over, in list order, so only the first run of
+  each instance's first sweep starts with that instance's process-wide
+  caches empty, and one stall moves one run, not the median; the counts
+  must agree across the runs.  This is what the JSON reports leave out, and which
   sweep dominates the workload;
 * `kernel_reuse`: for each of the three memoised `vnlinalg` kernels
   (`hermitian_eig`, `hermitian_eigvals`, `gram_schmidt_columns`), over
@@ -179,7 +180,8 @@ def sweep_coverage() -> list:
         if any(c != counts[0] for c in counts):
             raise SystemExit(f"record: a sweep's counts differ between runs: {counts}")
         out.append({**counts[0], "wall_s": statistics.median(walls), "min_s": min(walls),
-                    "runs": walls})
+                    "us_per_hom": round(min(walls) / counts[0]["homs"] * 1e6, 3)
+                    if counts[0]["homs"] else None, "runs": walls})
     return out
 
 

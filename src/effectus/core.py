@@ -10,12 +10,12 @@ predicate poset over every object and four pieces of structure:
   * a comprehension construction with its counit arrow, right adjoint
     to truth.
 
-Each construction carries its own transpose (the universal property),
-closed over what building it computed, so a transpose never rebuilds
-the construction it belongs to, and its direction: `ends(A, Y)` orders
-the endpoints of an arrow between A (the carrier, or X for a hom) and
-another object Y, `hom_objects` names the predicated objects a hom
-joins, and `untranspose` sends a mediating map back to its hom.
+Each construction carries its own transpose (the universal property)
+and untranspose (its inverse, through the unit or counit), closed over
+what building it computed, so neither rebuilds the construction, and
+its direction: `ends(A, Y)` orders the endpoints of an arrow between A
+(the carrier, or X for a hom) and another object Y, and `hom_objects`
+names the predicated objects a hom joins.
 
 On top of those hooks this module derives assert maps (comprehension
 counit after quotient unit), instruments (both asserts combined into one
@@ -32,6 +32,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
 
@@ -130,6 +131,13 @@ class Arrow(NamedTuple):
 make_arrow = partial(tuple.__new__, Arrow)
 
 
+def picker(positions):
+    """data -> the tuple of data's entries at `positions`, in one C call."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
 @dataclass(frozen=True, eq=False)
 class QuotientResult:
     """Quotient object X/p, left adjoint to falsum, with its unit arrow
@@ -140,6 +148,7 @@ class QuotientResult:
     obj: Any
     unit: Arrow
     transpose: Callable[[Arrow], Arrow]
+    untranspose: Callable[[Arrow], Arrow]  # g -> g after the unit
 
     @staticmethod
     def ends(A, Y):
@@ -147,9 +156,6 @@ class QuotientResult:
 
     def hom_objects(self, inst, X, p, Y):
         return PredObject(X, p), falsum(inst, Y)
-
-    def untranspose(self, inst, g: Arrow) -> Arrow:
-        return inst.compose(g, self.unit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +168,7 @@ class ComprehensionResult:
     obj: Any
     counit: Arrow
     transpose: Callable[[Arrow], Arrow]
+    untranspose: Callable[[Arrow], Arrow]  # g -> the counit after g
 
     @staticmethod
     def ends(A, Y):
@@ -169,9 +176,6 @@ class ComprehensionResult:
 
     def hom_objects(self, inst, X, p, Y):
         return truth(inst, Y), PredObject(X, p)
-
-    def untranspose(self, inst, g: Arrow) -> Arrow:
-        return inst.compose(self.counit, g)
 
 
 class Law(NamedTuple):
@@ -255,6 +259,16 @@ class ChainInstance(ABC):
                 f"{self.name}: cannot compose, middle objects differ: "
                 f"{f.dst!r} vs {g.src!r}"
             )
+
+    def precompose(self, f: Arrow) -> Callable[[Arrow], Arrow]:
+        """g -> g after f, for one f (a quotient's unit) and many g.  An
+        instance may read f once for the g that start at f's very target,
+        as `compose` checks no further for them, and pass the rest to it."""
+        return lambda g: self.compose(g, f)
+
+    def postcompose(self, f: Arrow) -> Callable[[Arrow], Arrow]:
+        """g -> f after g, for one f (a comprehension's counit), likewise."""
+        return lambda g: self.compose(f, g)
 
     # ---- fibres ---------------------------------------------------
 
@@ -346,7 +360,7 @@ class ChainInstance(ABC):
         """A hom between `built.hom_objects(self, X, p, Y)`, `built` being
         X's quotient or comprehension by p: a random mediating map
         untransposed, a hom by the universal property."""
-        return built.untranspose(self, self.rand_arrow(rng, *built.ends(built.obj, Y), bounds))
+        return built.untranspose(self.rand_arrow(rng, *built.ends(built.obj, Y), bounds))
 
     def iter_homs(self, built, X, p, Y) -> Iterator:
         """Exactly the homs between `built.hom_objects(self, X, p, Y)`,

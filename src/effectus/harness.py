@@ -189,7 +189,7 @@ def _case_adjunction(which, inst, rng, bounds):
     built = getattr(inst, which)(X, p)
     f = inst.rand_hom(rng, X, p, built, Y, bounds)
     try:  # how far the round trip lands from f; 1.0 when a ChainError stops it
-        r1 = inst.map_residual(built.untranspose(inst, built.transpose(f)), f)
+        r1 = inst.map_residual(built.untranspose(built.transpose(f)), f)
     except ChainError:
         r1 = 1.0
     # The mediating map is unique exactly when the unit is epi (counit mono).
@@ -317,7 +317,7 @@ def _exhaustive_triple(inst, build, report, X, p, Y, triple, cap):
     for f in inst.iter_homs(built, X, p, Y):
         n_homs += 1
         try:  # as in `_case_adjunction`; a raise from iter_homs is an error
-            missed = residual(untranspose(inst, transpose(f)), f)
+            missed = residual(untranspose(transpose(f)), f)
         except ChainError:
             missed = 1.0
         if missed:

@@ -61,6 +61,7 @@ from .core import (
     atom_to_json,
     hom_check,
     make_arrow,
+    picker,
 )
 
 ZERO = Fraction(0)
@@ -197,8 +198,8 @@ def _bits(mask: int):
 
 @lru_cache(maxsize=64)
 def _unions(k):
-    """`NondetChain._extend`'s memo for one k: an image mask's union of k's
-    rows at its bits, kept as masks are met (at most 2 ** len(k) of them)."""
+    """The memo of `NondetChain._extend` and `postcompose` for one k: a mask's
+    union of k's rows at its bits, kept as masks are met (2 ** len(k) at most)."""
     return cache(lambda s: reduce(or_, map(k.__getitem__, _bits(s)), 0))
 
 
@@ -225,7 +226,12 @@ class KleisliChain(ChainInstance):
     `_expectation(Y, q)` (image -> value of q under it, abort counting 1),
     with the boundary `pred(X, spec)` (the atoms where the predicate holds,
     or for dist a mapping atom -> value) and its decoder `pred_table(X, p)`.
-    Only the possibilistic monads enumerate arrows, from their `_images(n)`."""
+    Only the possibilistic monads enumerate arrows, from their `_images(n)`,
+    and replace `_fits(images, caps, n)` (each image's mass at most its
+    cap), `precompose` and `postcompose` with faster ones."""
+
+    def _fits(self, images, caps, n) -> bool:
+        return all(map(le, map(self._mass, images, repeat(n)), caps))
 
     # ---- the encoding boundary ----
 
@@ -311,26 +317,28 @@ class KleisliChain(ChainInstance):
         kept = [i for i, w in enumerate(keep) if w]
         obj = FiniteSet(tuple(X.atoms[i] for i in kept))
         m = len(obj)
-        unit = [self._abort(m)] * len(X)
+        data = [self._abort(m)] * len(X)
         for j, i in enumerate(kept):
-            unit[i] = self._scale(self._eta(j, m), keep[i], m)
+            data[i] = self._scale(self._eta(j, m), keep[i], m)
+        unit = Arrow(X, obj, tuple(data))
         # no image has mass over 1, so only these positions can fail, and
-        # only these kept ones (none for sets and nondet) need rescaling
+        # only dist's kept positions can need rescaling
         capped = [i for i, w in enumerate(keep) if w != 1]
-        rescaled = [(j, i, 1 / keep[i]) for j, i in enumerate(kept) if keep[i] != 1]
+        caps, at_capped, at_kept = [keep[i] for i in capped], picker(capped), picker(kept)
+        inverse = [1 / keep[i] for i in kept] if set(capped) & set(kept) else None
 
         def transpose(f: Arrow) -> Arrow:
             n, data = len(f.dst.atoms), f.data
-            for i in capped:
-                if self._mass(data[i], n) > keep[i]:
-                    raise HomConditionError(f"{self.name}: mass {self._mass(data[i], n)} "
-                                            f"at {X.atoms[i]!r} exceeds 1 - p = {keep[i]}")
-            out = [data[i] for i in kept]
-            for j, i, w in rescaled:
-                out[j] = self._scale(data[i], w, n)
-            return make_arrow((obj, f.dst, tuple(out)))
+            if not self._fits(at_capped(data), caps, n):
+                i = next(i for i in capped if self._mass(data[i], n) > keep[i])
+                raise HomConditionError(f"{self.name}: mass {self._mass(data[i], n)} "
+                                        f"at {X.atoms[i]!r} exceeds 1 - p = {keep[i]}")
+            out = at_kept(data)
+            if inverse:
+                out = tuple(map(self._scale, out, inverse, repeat(n)))
+            return make_arrow((obj, f.dst, out))
 
-        return QuotientResult(obj, Arrow(X, obj, tuple(unit)), transpose)
+        return QuotientResult(obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """A map out of truth lands in p exactly when all its mass sits
@@ -353,7 +361,7 @@ class KleisliChain(ChainInstance):
             return make_arrow((f.src, obj, data))
 
         counit = Arrow(obj, X, tuple(self._eta(i, n) for i in kept))
-        return ComprehensionResult(obj, counit, transpose)
+        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """A test sufficient for all three monads.  Epi: every target atom
@@ -447,9 +455,8 @@ class NondetChain(KleisliChain):
         return 1 << j
 
     def _extend(self, data, k) -> tuple:
-        """The union of k's rows at each image's bits.  A one-bit image, as
-        every quotient unit image, reads its row; a wider one reads the memo
-        `_unions(k)`, as a comprehension's untranspose passes its counit's k."""
+        """The union of k's rows at each image's bits.  A one-bit image
+        reads its row; a wider one reads the memo `_unions(k)`."""
         out, union = [], None
         for s in data:
             if s & s - 1 == 0 < s:
@@ -459,6 +466,24 @@ class NondetChain(KleisliChain):
                 out.append(union(s))
         return tuple(out)
 
+    def _fits(self, images, caps, n) -> bool:
+        return images.count(1 << n) == len(images)  # every cap is 0: abort alone
+
+    def precompose(self, f: Arrow):
+        """When each image of f has one bit, as a quotient unit's do, each
+        reads one row of g or abort, all picked at once."""
+        if not all(s & s - 1 == 0 < s for s in f.data):
+            return super().precompose(f)
+        rows = picker([s.bit_length() - 1 for s in f.data])
+        return lambda g: (make_arrow((f.src, g.dst, rows(g.data + (1 << len(g.dst.atoms),))))
+                          if g.src is f.dst else self.compose(g, f))
+
+    def postcompose(self, f: Arrow):
+        """Each image of g read through f's memo of unions, `_unions`."""
+        union = _unions(f.data + (1 << len(f.dst.atoms),))
+        return lambda g: (make_arrow((g.src, f.dst, tuple(map(union, g.data))))
+                          if g.dst is f.src else self.compose(f, g))
+
     def _scale(self, d, w, n):
         return d if w else self._abort(n)
 
@@ -467,7 +492,7 @@ class NondetChain(KleisliChain):
         return (s | t) & (star - 1) or star
 
     def _mass(self, d, n) -> int:
-        return int(d != self._abort(n))
+        return int(d != 1 << n)
 
     def _support(self, s, n):
         return _bits(s & ~(1 << n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import mul
 
 from .core import (
@@ -27,6 +27,7 @@ from .core import (
     check_size,
     hom_check,
     make_arrow,
+    picker,
 )
 from . import vnlinalg as la
 from .vnlinalg import np
@@ -101,9 +102,9 @@ def mat_vec(a, v, p: int):
 
 
 class _Fixed(tuple):
-    """Rows of a matrix that many others multiply while it stays fixed, as
-    a construction's unit and counit do over a sweep's homs: its products
-    with vectors fill in as `mat_mul` asks, at most p ** k of each kind."""
+    """Rows of a matrix M that many others multiply while it stays fixed,
+    as a predicate's quotient map and a construction's counit do: its
+    products with vectors fill in as they are asked for, at most p ** k."""
 
     def __new__(cls, rows, p: int):
         m = super().__new__(cls, rows)
@@ -111,17 +112,17 @@ class _Fixed(tuple):
         return m
 
     @cached_property
-    def row_times(self):  # v -> v M
-        return cache(partial(mat_vec, tuple(zip(*self)), p=self.p))
-
-    @cached_property
     def times_col(self):  # v -> M v
         return cache(partial(mat_vec, tuple(self), p=self.p))
 
+    def after(self, b, width: int):
+        """M b, b's columns read through M's memo; b has `width` columns."""
+        cols = zip(*b) if b else repeat((), width)
+        return tuple(zip(*map(self.times_col, cols))) or ((),) * len(self)
+
 
 def mat_mul(a, b, p: int, width: int | None = None):
-    """Product of F_p matrices given as row tuples, its rows read through
-    a `_Fixed` right factor's memo, or else its columns through a left one's.
+    """Product of F_p matrices given as row tuples.
 
     A zero-row ``b`` carries no column count, so a caller composing
     through a 0-dimensional space must pass the result ``width``.
@@ -130,10 +131,6 @@ def mat_mul(a, b, p: int, width: int | None = None):
         assert len(a[0]) == len(b)
     if not b:
         return tuple((0,) * (width or 0) for _ in a)
-    if type(b) is _Fixed:
-        return tuple(map(b.row_times, a))
-    if type(a) is _Fixed:  # zip(*b) drops the column count of ((),) rows
-        return tuple(zip(*map(a.times_col, zip(*b)))) or ((),) * len(a)
     cols = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
 
@@ -262,6 +259,18 @@ class FpChain(ChainInstance):
         return make_arrow((f.src, g.dst,
                            mat_mul(g.data, f.data, f.src.p, width=f.src.dim)))
 
+    def precompose(self, f: Arrow):
+        """g's rows read through f's row action, memoised."""
+        times = cache(partial(mat_vec, tuple(zip(*f.data)) or ((),) * f.src.dim, p=f.src.p))
+        return lambda g: (make_arrow((f.src, g.dst, tuple(map(times, g.data))))
+                          if g.src is f.dst else self.compose(g, f))
+
+    def postcompose(self, f: Arrow):
+        """g's columns read through f's column action, memoised."""
+        fixed = _Fixed(f.data, f.src.p)
+        return lambda g: (make_arrow((g.src, f.dst, fixed.after(g.data, g.src.dim)))
+                          if g.dst is f.src else self.compose(f, g))
+
     # ---- fibre ----
 
     def top(self, X: FpSpace) -> FpSubspace:
@@ -279,7 +288,7 @@ class FpChain(ChainInstance):
         return 0.0 if _over(X, p).rows == _over(X, q).rows else 1.0
 
     def subst(self, f: Arrow, q: FpSubspace) -> FpSubspace:
-        return _preimage(f.src, mat_mul(_coords_matrix(_over(f.dst, q)), f.data, f.src.p))
+        return _preimage(f.src, _coords_matrix(_over(f.dst, q)).after(f.data, f.src.dim))
 
     # ---- quotient / comprehension ----
 
@@ -287,32 +296,34 @@ class FpChain(ChainInstance):
         """Coordinates along the complement basis; a map killing p is
         determined by its values on that basis."""
         obj = FpSpace(X.p, X.dim - _over(X, p).rank)
+        unit = Arrow(X, obj, _coords_matrix(p))
         # f's values on the complement basis, the unit vectors at these
         # coordinates, are its columns there: reduced, as in every fp arrow
-        free = [c for c in range(X.dim) if c not in p.pivots]
+        at_free = picker([c for c in range(X.dim) if c not in p.pivots])
+        kills = cache(lambda r: not any(mat_vec(p.rows, r, X.p)))  # does this row of f kill p?
 
         def transpose(f: Arrow) -> Arrow:
-            for row in p.rows:
-                if any(mat_vec(f.data, row, X.p)):
-                    raise HomConditionError(f"fp: {row!r} is not in the kernel")
-            return make_arrow((obj, f.dst, tuple([tuple([r[c] for c in free])
-                                                  for r in f.data])))
+            if not all(map(kills, f.data)):
+                row = next(row for row in p.rows if any(mat_vec(f.data, row, X.p)))
+                raise HomConditionError(f"fp: {row!r} is not in the kernel")
+            return make_arrow((obj, f.dst, tuple(map(at_free, f.data))))
 
-        return QuotientResult(obj, Arrow(X, obj, _coords_matrix(p)), transpose)
+        return QuotientResult(obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p: FpSubspace) -> ComprehensionResult:
         obj = FpSpace(X.p, _over(X, p).rank)
-        # the counit matrix has p's rows as columns; one per fibre of a sweep
-        mat = _Fixed(tuple(zip(*p.rows)) or ((),) * X.dim, X.p)
-        proj = _coords_matrix(p)
+        # the counit matrix has p's rows as columns
+        counit = Arrow(obj, X, tuple(zip(*p.rows)) or ((),) * X.dim)
+        inside = _coords_matrix(p).times_col  # p's quotient map, column by column
+        # Echelon basis coordinates can be read off at the pivot columns.
+        at_pivots = picker(p.pivots)
 
         def transpose(f: Arrow) -> Arrow:
-            if any(sum(map(mul, row, col)) % X.p for col in zip(*f.data) for row in proj):
+            if any(map(any, map(inside, zip(*f.data)))):
                 raise HomConditionError("fp: image is not inside the subspace")
-            # Echelon basis coordinates can be read off at the pivot columns.
-            return make_arrow((f.src, obj, tuple([f.data[c] for c in p.pivots])))
+            return make_arrow((f.src, obj, at_pivots(f.data)))
 
-        return ComprehensionResult(obj, Arrow(obj, X, mat), transpose)
+        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """Exact, as all linear maps mediate: epi when onto, mono when one-to-one."""
@@ -372,15 +383,17 @@ class FpChain(ChainInstance):
                 for m in product(cols, repeat=Y.dim))
 
     def iter_preds(self, X):
-        """All subspaces, via deduplicated spans of vector subsets."""
-        vecs = [v for v in product(range(X.p), repeat=X.dim) if any(v)]
-        seen = set()
-        for k in range(0, X.dim + 1):
-            for chosen in combinations(vecs, k):
-                rows = rref(chosen, X.dim, X.p)[0]
-                if rows not in seen:
-                    seen.add(rows)
-                    yield FpSubspace(X, rows)
+        """Every subspace once, by rank and then by its reduced echelon rows
+        read last to first: the order in which spans of ever more vectors meet them."""
+        forms = []
+        for r in range(X.dim + 1):
+            for pivots in combinations(range(X.dim), r):
+                # a row is 1 at its pivot, free right of it off the pivots, else 0
+                rows = [product(*[range(X.p) if c > pc and c not in pivots else (int(c == pc),)
+                                  for c in range(X.dim)]) for pc in pivots]
+                forms += product(*rows)
+        for rows in sorted(forms, key=lambda rows: (len(rows), rows[::-1])):
+            yield FpSubspace(X, rows)
 
     # ---- serialization ----
 
@@ -513,7 +526,8 @@ class HilbChain(ChainInstance):
                 raise HomConditionError("hilb: subspace is not inside the kernel")
             return Arrow(obj, f.dst, f.data @ w)
 
-        return QuotientResult(obj, Arrow(X, obj, la.dagger(w)), transpose)
+        unit = Arrow(X, obj, la.dagger(w))
+        return QuotientResult(obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p: Subspace) -> ComprehensionResult:
         obj = HilbSpace(_over(X, p).rank)
@@ -524,7 +538,8 @@ class HilbChain(ChainInstance):
                 raise HomConditionError("hilb: image is not inside the subspace")
             return Arrow(f.src, obj, coords)
 
-        return ComprehensionResult(obj, Arrow(obj, X, p.basis.copy()), transpose)
+        counit = Arrow(obj, X, p.basis.copy())
+        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """Exact, as all linear maps mediate: g after f is g.data @ f.data."""

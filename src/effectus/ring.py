@@ -360,7 +360,7 @@ class RingChain(ChainInstance):
             return make_arrow((obj, f.dst, f.data))
 
         unit = Arrow(X, obj, obj.elements())
-        return QuotientResult(obj, unit, transpose)
+        return QuotientResult(obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """The corner of p; a ring map giving p and 1 the same image
@@ -377,7 +377,7 @@ class RingChain(ChainInstance):
             return make_arrow((f.src, obj, tuple(f.data[i] for i in kept)))
 
         counit = Arrow(obj, X, tuple(X.mul(p, x) for x in X.elements()))
-        return ComprehensionResult(obj, counit, transpose)
+        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """A sufficient test on f's table.  Epi: (g after f) reads f's

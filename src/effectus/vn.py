@@ -352,7 +352,7 @@ class VnChain(ChainInstance):
                     for c, (i, V) in enumerate(corner.isoms)])
             return Arrow(corner.algebra, f.dst, compress @ f.data)
 
-        return QuotientResult(corner.algebra, unit, transpose)
+        return QuotientResult(corner.algebra, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """The corner of the eigenvalue-1 projection of p; a map giving p
@@ -371,7 +371,7 @@ class VnChain(ChainInstance):
 
         # Compression is the adjoint of the embedding, superoperators included.
         counit = Arrow(corner.algebra, X, la.dagger(embed))
-        return ComprehensionResult(corner.algebra, counit, transpose)
+        return ComprehensionResult(corner.algebra, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """g after f is f.data @ g.data.  Exact on the subunital CP maps:

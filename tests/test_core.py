@@ -307,3 +307,7 @@ def test_nondet_restriction_memo_is_bounded():
     # bits 0 and 2 move to 0 and 1, * from bit 3 to bit 2; bit 1 is outside
     assert [restrict(s) for s in (0b0101, 0b1000, 0b0010)] == [0b011, 0b100, None]
     assert restrict.cache_info().currsize == 3
+    # keyed by type too: 1.0 is refused where the memo holds 1's result
+    assert restrict(1) == 0b001
+    with pytest.raises(TypeError):
+        restrict(1.0)

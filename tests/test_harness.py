@@ -2,8 +2,10 @@
 mutation detection, and the default suite's composition."""
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -18,7 +20,7 @@ from effectus import INSTANCES, STAR
 from effectus import harness
 from effectus import vnlinalg as la
 from effectus.core import (
-    Arrow, ChainError, ChainInstance, HomConditionError, Law, PredObject,
+    Arrow, ChainError, ChainInstance, CompositionError, HomConditionError, Law, PredObject,
     ComprehensionResult, QuotientResult, atom_key, falsum, hom_check, truth)
 from effectus.kleisli import (
     DistChain, FiniteSet, NondetChain, SetsChain, SubDist)
@@ -364,8 +366,70 @@ def test_homs_not_drawn_through_the_construction_come_back(name, which):
             f = inst.compose(inst.assert_closed_form(X, inst.floor(X, p)),
                              inst.rand_arrow(rng, Y, X, bounds))
         assert hom_check(inst, f, *built.hom_objects(inst, X, p, Y)), seed
-        back = built.untranspose(inst, built.transpose(f))
+        back = built.untranspose(built.transpose(f))
         assert inst.map_residual(back, f) <= inst.eq_tol, seed
+
+
+def _composite(inst, built, g):
+    """g after the unit, or the counit after g, as `compose` makes it."""
+    if isinstance(built, QuotientResult):
+        return inst.compose(g, built.unit)
+    return inst.compose(built.counit, g)
+
+
+@pytest.mark.parametrize("which", ("quotient", "comprehension"))
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_carried_untranspose_is_the_composite(name, which):
+    """Each construction carries its untranspose, which is the composite
+    with its unit or counit: on 40 seeded mediating maps g at the
+    instance's default sizes, and for sets and nondet on every g of
+    every triple at max_size 2."""
+    inst, bounds = INSTANCES[name], {}
+    for seed in range(40):
+        rng = random.Random(seed)
+        X = inst.rand_object(rng, bounds)
+        p = inst.rand_pred(rng, X, bounds)
+        Y = inst.rand_object(rng, bounds, like=X)
+        built = getattr(inst, which)(X, p)
+        g = inst.rand_arrow(rng, *built.ends(built.obj, Y), bounds)
+        back = built.untranspose(g)
+        assert inst.map_residual(back, _composite(inst, built, g)) <= inst.eq_tol, seed
+    if name in ("sets", "nondet"):
+        objects = list(inst.iter_objects({"max_size": 2}))
+        for X in objects:
+            for p in inst.iter_preds(X):
+                built = getattr(inst, which)(X, p)
+                for Y in objects:
+                    for g in inst.iter_arrows(*built.ends(built.obj, Y)):
+                        back = built.untranspose(g)
+                        assert inst.map_residual(back, _composite(inst, built, g)) == 0
+
+
+@pytest.mark.parametrize("which", ("quotient", "comprehension"))
+@pytest.mark.parametrize("name", ["sets", "nondet", "fp"])
+def test_carried_untranspose_checks_the_carrier(name, which):
+    """An untranspose that reads its unit or counit once composes a g
+    whose carrier is an equal copy of the construction's as `compose`
+    does, and refuses a g from another object as `compose` does."""
+    inst = INSTANCES[name]
+    objects = list(inst.iter_objects({"max_size": 2, "fields": (2,), "max_dim": 2}))
+    for X in objects:
+        for p in inst.iter_preds(X):
+            built = getattr(inst, which)(X, p)
+            for Y in objects:
+                for g in itertools.islice(inst.iter_arrows(*built.ends(built.obj, Y)), 5):
+                    ends = [copy.deepcopy(end) if end is built.obj else end
+                            for end in (g.src, g.dst)]
+                    copied = Arrow(*ends, g.data)
+                    assert inst.map_residual(built.untranspose(copied),
+                                             _composite(inst, built, g)) == 0
+                other = next(Z for Z in objects if Z != built.obj)
+                g = next(inst.iter_arrows(*built.ends(other, Y)), None)
+                if g is not None and g.data:
+                    with pytest.raises(CompositionError):
+                        built.untranspose(g)
+                    with pytest.raises(CompositionError):
+                        _composite(inst, built, g)
 
 
 def test_vn_quotient_hom_is_completely_positive():
@@ -597,6 +661,24 @@ def test_corrupted_transpose_detected_exhaustively(which):
     assert not result["ok"]
     assert result["reports"][0]["witnesses"][0]["which"] == which
     assert run_suite([spec])["ok"]
+
+
+class _MovedUnitImage(NondetChain):
+    """A quotient unit that sends the first atom it keeps to the second
+    one's image, when it keeps two; the transpose, which takes no
+    scaling, stays honest."""
+
+    def _scale(self, d, w, n):
+        return 2 if (d, w) == (1, 1) and n > 1 else super()._scale(d, w, n)
+
+
+def test_untranspose_reads_the_unit_it_carries():
+    # the carried untranspose picks the rows of g at the unit's images, so
+    # a moved image shows in the round trip, as a law violation
+    report = run_exhaustive_adjunction(_MovedUnitImage(), "quotient", {"max_size": 2})
+    assert report.failures >= 1 and report.errors == 0
+    assert "unreached_hom" in report.witnesses[0]
+    assert run_exhaustive_adjunction(NONDET, "quotient", {"max_size": 2}).failures == 0
 
 
 def _refuse(g):
@@ -857,7 +939,7 @@ class _JunkInQuotient:
             return Arrow(obj, f.dst, q.transpose(f).data + (self._abort(len(f.dst)),))
 
         unit = Arrow(X, obj, self._extend(q.unit.data, widen))
-        return QuotientResult(obj, unit, transpose)
+        return QuotientResult(obj, unit, transpose, self.precompose(unit))
 
 
 class _JunkInComprehension:
@@ -876,7 +958,7 @@ class _JunkInComprehension:
             return Arrow(f.src, obj, self._extend(c.transpose(f).data, widen))
 
         counit = Arrow(obj, X, c.counit.data + (self._abort(len(X)),))
-        return ComprehensionResult(obj, counit, transpose)
+        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
 
 
 def _junk_atom(base, which):
@@ -902,9 +984,9 @@ def _junk_coordinate(base, which):
 
         if quotient:
             unit = Arrow(X, obj, built.unit.data + ((0,) * X.dim,))
-            return QuotientResult(obj, unit, transpose)
+            return QuotientResult(obj, unit, transpose, self.precompose(unit))
         counit = Arrow(obj, X, tuple(r + (0,) for r in built.counit.data))
-        return ComprehensionResult(obj, counit, transpose)
+        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
 
     return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
 
@@ -935,9 +1017,10 @@ def _junk_dimension(base, which):
             ends = (obj, g.dst) if quotient else (g.src, obj)
             return Arrow(*ends, _pad(g.data, 1 - axis))
 
-        canonical = built.unit if quotient else built.counit
-        return type(built)(obj, Arrow(*built.ends(X, obj), _pad(canonical.data, axis)),
-                           transpose)
+        honest = built.unit if quotient else built.counit
+        canonical = Arrow(*built.ends(X, obj), _pad(honest.data, axis))
+        carry = self.precompose if quotient else self.postcompose
+        return type(built)(obj, canonical, transpose, carry(canonical))
 
     return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
 
@@ -960,10 +1043,13 @@ def _junk_factor(base, which):
             return tuple((a, (0,)) for a in f.data)
 
         if quotient:
-            return QuotientResult(obj, Arrow(X, obj, forget(built.unit)),
-                                  lambda f: Arrow(obj, f.dst, pad(built.transpose(f))))
-        return ComprehensionResult(obj, Arrow(obj, X, pad(built.counit)),
-                                   lambda f: Arrow(f.src, obj, forget(built.transpose(f))))
+            unit = Arrow(X, obj, forget(built.unit))
+            return QuotientResult(obj, unit, lambda f: Arrow(obj, f.dst, pad(built.transpose(f))),
+                                  self.precompose(unit))
+        counit = Arrow(obj, X, pad(built.counit))
+        return ComprehensionResult(obj, counit,
+                                   lambda f: Arrow(f.src, obj, forget(built.transpose(f))),
+                                   self.postcompose(counit))
 
     return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
 
@@ -1010,7 +1096,7 @@ def _round_trips(inst, rng, built, ends, tol):
 
     def residual(g):  # how far g comes back; 1.0 when a ChainError stops it
         try:
-            return inst.map_residual(built.transpose(built.untranspose(inst, g)), g)
+            return inst.map_residual(built.transpose(built.untranspose(g)), g)
         except ChainError:
             return 1.0
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from effectus import linear
 from effectus import vnlinalg as la
 from effectus import (
+    Arrow,
     HomConditionError,
     PredObject,
     ValidationError,
@@ -648,6 +649,29 @@ def test_iter_preds_counts_subspaces():
     assert sum(1 for _ in FP.iter_preds(F3_2)) == 6
 
 
+def _first_spans(p, d):
+    """The reduced echelon rows of each subspace of F_p^d in the order
+    in which row-reducing every set of nonzero vectors, smaller sets
+    first and each size in `combinations` order, first meets them: the
+    enumeration `iter_preds` made before it built the forms directly.
+    It stops once it has met as many subspaces as `_every_subspace`
+    counts, after which it could meet no new one."""
+    total = sum(1 for _ in _every_subspace(p, d))
+    vectors = [v for v in itertools.product(range(p), repeat=d) if any(v)]
+    seen = {}
+    for k in range(d + 1):
+        for chosen in itertools.combinations(vectors, k):
+            seen.setdefault(rref(chosen, d, p)[0], None)
+            if len(seen) == total:
+                return list(seen)
+    return list(seen)
+
+
+@pytest.mark.parametrize("p, d", list(itertools.product((2, 3, 5), range(4))))
+def test_iter_preds_keeps_the_order_of_the_span_enumeration(p, d):
+    assert [P.rows for P in FP.iter_preds(FpSpace(p, d))] == _first_spans(p, d)
+
+
 # ---------------------------------------------------------------------------
 # Hilbert chain.
 # ---------------------------------------------------------------------------
@@ -887,20 +911,23 @@ def test_coincidence_of_quotient_and_comprehension_carriers():
 
 def test_fixed_matrix_products_match_the_plain_product():
     # the quotient unit and the comprehension counit of every subspace at
-    # the acceptance bounds, as either factor, against the same rows in a
-    # plain tuple: with every vector at once, and with none, a 0-dimensional
-    # space on the other side
+    # the acceptance bounds, after a map made of every row vector at once
+    # and before one made of every column vector, and after and before a
+    # map through a 0-dimensional space, against `mat_mul`
     for p, d in itertools.product((2, 3), range(4)):
-        for P in FP.iter_preds(FpSpace(p, d)):
-            counit = FP.comprehension(FpSpace(p, d), P).counit.data
-            for fixed, (m, n) in ((_coords_matrix(P), (d - P.rank, d)),
-                                  (counit, (d, P.rank))):
-                plain = tuple(fixed)
-                assert type(plain) is tuple and plain == fixed
-                for a in (tuple(itertools.product(range(p), repeat=m)), ()):
-                    assert mat_mul(a, fixed, p, width=n) == mat_mul(a, plain, p, width=n)
+        X = FpSpace(p, d)
+        for P in FP.iter_preds(X):
+            for f in (FP.quotient(X, P).unit, FP.comprehension(X, P).counit):
+                m, n = f.dst.dim, f.src.dim
+                rows = tuple(itertools.product(range(p), repeat=m))
+                for g in (Arrow(f.dst, FpSpace(p, len(rows)), rows),
+                          Arrow(f.dst, FpSpace(p, 0), ())):
+                    after = FP.precompose(f)(g)
+                    assert (after.src, after.dst) == (f.src, g.dst)
+                    assert after.data == mat_mul(g.data, f.data, p, width=n)
                 columns = tuple(itertools.product(range(p), repeat=n))
-                for b, width in ((tuple(zip(*columns)), len(columns)), (((),) * n, 0)):
-                    product = mat_mul(fixed, b, p, width=width)
-                    assert product == mat_mul(plain, b, p, width=width)
-                    assert [len(row) for row in product] == [width] * m
+                for h in (Arrow(FpSpace(p, len(columns)), f.src, tuple(zip(*columns))),
+                          Arrow(FpSpace(p, 0), f.src, ((),) * n)):
+                    before = FP.postcompose(f)(h)
+                    assert (before.src, before.dst) == (h.src, f.dst)
+                    assert before.data == mat_mul(f.data, h.data, p, width=h.src.dim)

@@ -55,10 +55,11 @@ def test_sweep_coverage_times_each_sweep_three_times(record, smoke_sweeps):
         (name, f"{which}-adjunction") for name, which, _, _ in smoke_sweeps]
     for row in out:
         assert set(row) == {"instance", "law", "cases", "skipped", "errors", "homs",
-                            "wall_s", "min_s", "runs"}
+                            "wall_s", "min_s", "us_per_hom", "runs"}
         assert len(row["runs"]) == record.SWEEP_RUNS == 3
         assert row["wall_s"] == statistics.median(row["runs"])
         assert row["min_s"] == min(row["runs"]) <= row["wall_s"]
+        assert row["us_per_hom"] == round(row["min_s"] / row["homs"] * 1e6, 3)
         assert row["cases"] > 0 and row["homs"] > 0
         assert row["skipped"] == row["errors"] == 0
 

@@ -10,12 +10,12 @@ predicate poset over every object and four pieces of structure:
   * a comprehension construction with its counit arrow, right adjoint
     to truth.
 
-Each construction carries its own transpose (the universal property)
-and untranspose (its inverse, through the unit or counit), closed over
-what building it computed, so neither rebuilds the construction, and
-its direction: `ends(A, Y)` orders the endpoints of an arrow between A
-(the carrier, or X for a hom) and another object Y, and `hom_objects`
-names the predicated objects a hom joins.
+Each construction carries its universal property as two maps of data
+at a far end Y, closed over what building it computed: the transpose
+and its inverse through the unit or counit, which its `transpose` and
+`untranspose`, here alone, wrap into arrows.  `ends(A, Y)` orders the
+endpoints of an arrow between A (the carrier, or X for a hom) and
+another object Y, and `hom_objects` names the predicated objects a hom joins.
 
 On top of those hooks this module derives assert maps (comprehension
 counit after quotient unit), instruments (both asserts combined into one
@@ -126,8 +126,8 @@ class Arrow(NamedTuple):
 
 
 # Arrow(src, dst, data) as one C call, without the Python-level __new__
-# of a NamedTuple: the exact instances' iter_arrows, compose and carried
-# transposes build three arrows per candidate of an exhaustive sweep.
+# of a NamedTuple, for the exact instances' iter_arrows and compose and
+# the constructions' transposes.
 make_arrow = partial(tuple.__new__, Arrow)
 
 
@@ -142,13 +142,14 @@ def picker(positions):
 class QuotientResult:
     """Quotient object X/p, left adjoint to falsum, with its unit arrow
     X -> X/p and its universal property: `transpose` sends f: X -> Y
-    collapsing p (a hom (X,p) -> falsum Y) to the mediating arrow
-    X/p -> Y, and raises HomConditionError otherwise."""
+    collapsing p (a hom (X,p) -> falsum Y) to the mediating arrow X/p -> Y,
+    else raises HomConditionError, and `untranspose` sends g to g after the unit."""
 
+    inst: Any
     obj: Any
     unit: Arrow
-    transpose: Callable[[Arrow], Arrow]
-    untranspose: Callable[[Arrow], Arrow]  # g -> g after the unit
+    transpose_data: Callable  # (f.data, Y) -> the mediating map's data
+    untranspose_data: Callable  # (g.data, Y) -> the data of g after the unit
 
     @staticmethod
     def ends(A, Y):
@@ -157,18 +158,27 @@ class QuotientResult:
     def hom_objects(self, inst, X, p, Y):
         return PredObject(X, p), falsum(inst, Y)
 
+    def transpose(self, f: Arrow) -> Arrow:
+        return make_arrow((self.obj, f.dst, self.transpose_data(f.data, f.dst)))
+
+    def untranspose(self, g: Arrow) -> Arrow:
+        self.inst.check_composable(g, self.unit)
+        return make_arrow((self.unit.src, g.dst, self.untranspose_data(g.data, g.dst)))
+
 
 @dataclass(frozen=True, eq=False)
 class ComprehensionResult:
     """Comprehension object {X|p}, right adjoint to truth, with its counit
     arrow {X|p} -> X and its universal property: `transpose` sends
-    f: Y -> X landing where p holds (a hom truth Y -> (X,p)) to the
-    mediating arrow Y -> {X|p}, and raises HomConditionError otherwise."""
+    f: Y -> X landing where p holds (a hom truth Y -> (X,p)) to the mediating
+    arrow Y -> {X|p}, else raises HomConditionError, and `untranspose` sends g
+    to the counit after g."""
 
+    inst: Any
     obj: Any
     counit: Arrow
-    transpose: Callable[[Arrow], Arrow]
-    untranspose: Callable[[Arrow], Arrow]  # g -> the counit after g
+    transpose_data: Callable  # (f.data, Y) -> the mediating map's data
+    untranspose_data: Callable  # (g.data, Y) -> the data of the counit after g
 
     @staticmethod
     def ends(A, Y):
@@ -176,6 +186,13 @@ class ComprehensionResult:
 
     def hom_objects(self, inst, X, p, Y):
         return truth(inst, Y), PredObject(X, p)
+
+    def transpose(self, f: Arrow) -> Arrow:
+        return make_arrow((f.src, self.obj, self.transpose_data(f.data, f.src)))
+
+    def untranspose(self, g: Arrow) -> Arrow:
+        self.inst.check_composable(self.counit, g)
+        return make_arrow((g.src, self.counit.dst, self.untranspose_data(g.data, g.src)))
 
 
 class Law(NamedTuple):
@@ -260,15 +277,14 @@ class ChainInstance(ABC):
                 f"{f.dst!r} vs {g.src!r}"
             )
 
-    def precompose(self, f: Arrow) -> Callable[[Arrow], Arrow]:
-        """g -> g after f, for one f (a quotient's unit) and many g.  An
-        instance may read f once for the g that start at f's very target,
-        as `compose` checks no further for them, and pass the rest to it."""
-        return lambda g: self.compose(g, f)
+    def precompose(self, f: Arrow) -> Callable:
+        """(d, Y) -> the data of g after f, for one unit f and many g: f.dst -> Y
+        of data d, whose start the construction checks: read f once."""
+        return lambda d, Y: self.compose(make_arrow((f.dst, Y, d)), f).data
 
-    def postcompose(self, f: Arrow) -> Callable[[Arrow], Arrow]:
-        """g -> f after g, for one f (a comprehension's counit), likewise."""
-        return lambda g: self.compose(f, g)
+    def postcompose(self, f: Arrow) -> Callable:
+        """(d, Y) -> the data of f after g: Y -> f.src, for one counit f, likewise."""
+        return lambda d, Y: self.compose(f, make_arrow((Y, f.src, d))).data
 
     # ---- fibres ---------------------------------------------------
 
@@ -341,9 +357,9 @@ class ChainInstance(ABC):
     # Seeded samplers; the hom sampler defaults to a random map through
     # the construction the caller already built.  Exact instances may add
     # the iter_*/count_* enumerators, for exhaustive checks.  `iter_homs`
-    # yields exactly the homs, each once, in a fixed order: the exhaustive
-    # sweep round-trips each and counts them against the candidates, asking
-    # no `hom_check` itself.  `bounds` is a dict of instance size knobs.
+    # yields exactly the homs' data, each once, in a fixed order: the sweep
+    # round-trips each and counts them against the candidates, asking no
+    # `hom_check` itself.  `bounds` is a dict of instance size knobs.
 
     def rand_object(self, rng, bounds, like=None):
         """Sample a carrier within bounds; `like` is an existing carrier
@@ -363,11 +379,11 @@ class ChainInstance(ABC):
         return built.untranspose(self.rand_arrow(rng, *built.ends(built.obj, Y), bounds))
 
     def iter_homs(self, built, X, p, Y) -> Iterator:
-        """Exactly the homs between `built.hom_objects(self, X, p, Y)`,
-        each once, in a fixed order; by default the arrows between X and
-        Y that pass hom_check."""
-        objects = built.hom_objects(self, X, p, Y)
-        return (f for f in self.iter_arrows(*built.ends(X, Y)) if hom_check(self, f, *objects))
+        """The data of exactly the homs between `built.hom_objects(self,
+        X, p, Y)`, each once, in a fixed order; by default of the arrows
+        between X and Y that pass hom_check."""
+        objs = built.hom_objects(self, X, p, Y)
+        return (f.data for f in self.iter_arrows(*built.ends(X, Y)) if hom_check(self, f, *objs))
 
     def iter_preds(self, X) -> Iterator:
         raise UnsupportedError(f"{self.name}: fibre not enumerable")

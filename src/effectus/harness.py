@@ -21,6 +21,7 @@ from .core import (
     falsum,
     hom_check,
     Law,
+    make_arrow,
     QuotientResult,
     side_effect,
     truth,
@@ -312,16 +313,16 @@ def _exhaustive_triple(inst, build, report, X, p, Y, triple, cap):
     if n_maps > cap:
         report.skipped.append(triple)
         return
-    transpose, untranspose, residual = built.transpose, built.untranspose, inst.map_residual
+    transpose, untranspose = built.transpose_data, built.untranspose_data
     n_homs = 0
-    for f in inst.iter_homs(built, X, p, Y):
+    for d in inst.iter_homs(built, X, p, Y):
         n_homs += 1
         try:  # as in `_case_adjunction`; a raise from iter_homs is an error
-            missed = residual(untranspose(transpose(f)), f)
+            missed = untranspose(transpose(d, Y), Y) != d
         except ChainError:
-            missed = 1.0
+            missed = True
         if missed:
-            detail = {"unreached_hom": inst.arrow_to_json(f)}
+            detail = {"unreached_hom": inst.arrow_to_json(make_arrow((*built.ends(X, Y), d)))}
             break
     else:
         detail = None if n_homs == n_maps else {"hom_count": n_homs, "candidate_count": n_maps}
@@ -359,7 +360,9 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     yields (exactly the homs, each once) has untranspose(transpose(f))
     == f, so transpose is injective on the homs; and the homs are as
     many as the mediating-map candidates, so transpose is a bijection
-    onto them with untranspose as its inverse.  A ChainError on the way
+    onto them with untranspose as its inverse.  The round trip runs on
+    data, the triple fixing every end: data `==` is what `map_residual`
+    decides on every instance that enumerates.  A ChainError on the way
     fails the round trip.  Any other exception counts in `errors`, with
     a witness naming the triple, or only the direction when the instance
     cannot enumerate its objects and predicates at all.  A triple runs

@@ -327,18 +327,16 @@ class KleisliChain(ChainInstance):
         caps, at_capped, at_kept = [keep[i] for i in capped], picker(capped), picker(kept)
         inverse = [1 / keep[i] for i in kept] if set(capped) & set(kept) else None
 
-        def transpose(f: Arrow) -> Arrow:
-            n, data = len(f.dst.atoms), f.data
+        def transpose(data, Y) -> tuple:
+            n = len(Y.atoms)
             if not self._fits(at_capped(data), caps, n):
                 i = next(i for i in capped if self._mass(data[i], n) > keep[i])
                 raise HomConditionError(f"{self.name}: mass {self._mass(data[i], n)} "
                                         f"at {X.atoms[i]!r} exceeds 1 - p = {keep[i]}")
             out = at_kept(data)
-            if inverse:
-                out = tuple(map(self._scale, out, inverse, repeat(n)))
-            return make_arrow((obj, f.dst, out))
+            return tuple(map(self._scale, out, inverse, repeat(n))) if inverse else out
 
-        return QuotientResult(obj, unit, transpose, self.precompose(unit))
+        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """A map out of truth lands in p exactly when all its mass sits
@@ -351,17 +349,17 @@ class KleisliChain(ChainInstance):
         obj = FiniteSet(tuple(X.atoms[i] for i in kept))
         restrict = self._restriction(kept, n)
 
-        def transpose(f: Arrow) -> Arrow:
-            data = tuple(map(restrict, f.data))
-            if None in data:
-                j = data.index(None)
-                x = X.atoms[next(i for i in self._support(f.data[j], n) if i not in kept)]
-                raise HomConditionError(f"{self.name}: image of {f.src.atoms[j]!r} reaches "
+        def transpose(data, Y) -> tuple:
+            out = tuple(map(restrict, data))
+            if None in out:
+                j = out.index(None)
+                x = X.atoms[next(i for i in self._support(data[j], n) if i not in kept)]
+                raise HomConditionError(f"{self.name}: image of {Y.atoms[j]!r} reaches "
                                         f"{x!r}, outside the comprehension carrier")
-            return make_arrow((f.src, obj, data))
+            return out
 
         counit = Arrow(obj, X, tuple(self._eta(i, n) for i in kept))
-        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
+        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """A test sufficient for all three monads.  Epi: every target atom
@@ -475,14 +473,12 @@ class NondetChain(KleisliChain):
         if not all(s & s - 1 == 0 < s for s in f.data):
             return super().precompose(f)
         rows = picker([s.bit_length() - 1 for s in f.data])
-        return lambda g: (make_arrow((f.src, g.dst, rows(g.data + (1 << len(g.dst.atoms),))))
-                          if g.src is f.dst else self.compose(g, f))
+        return lambda d, Y: rows(d + (1 << len(Y.atoms),))
 
     def postcompose(self, f: Arrow):
         """Each image of g read through f's memo of unions, `_unions`."""
         union = _unions(f.data + (1 << len(f.dst.atoms),))
-        return lambda g: (make_arrow((g.src, f.dst, tuple(map(union, g.data))))
-                          if g.dst is f.src else self.compose(f, g))
+        return lambda d, Y: tuple(map(union, d))
 
     def _scale(self, d, w, n):
         return d if w else self._abort(n)
@@ -536,18 +532,17 @@ class NondetChain(KleisliChain):
 
     def iter_homs(self, built, X, p, Y):
         """The hom condition holds atom by atom of the source, at each
-        atom on its predicate value alone, so the homs are the product
-        over the source atoms of the images allowed at each: an image d
-        is allowed at value v when the one-atom map onto d is a hom from
-        (point, v) to the target predicated object."""
+        atom on its predicate value alone, so the homs' data are the
+        product over the source atoms of the images allowed at each: an
+        image d is allowed at value v when the one-atom map onto d is a
+        hom from (point, v) to the target predicated object."""
         src, dst = built.hom_objects(self, X, p, Y)
         images = self._images(len(dst.base))
         allowed = {v: [d for d in images
                        if hom_check(self, make_arrow((_POINT, dst.base, (d,))),
                                     PredObject(_POINT, (v,)), dst)]
                    for v in set(src.pred)}
-        return map(make_arrow, zip(repeat(src.base), repeat(dst.base),
-                                   product(*[allowed[v] for v in src.pred])))
+        return product(*[allowed[v] for v in src.pred])
 
     def _rand_image(self, rng, bounds, n, positions, cap) -> int:
         if not cap:

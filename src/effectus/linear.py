@@ -262,14 +262,12 @@ class FpChain(ChainInstance):
     def precompose(self, f: Arrow):
         """g's rows read through f's row action, memoised."""
         times = cache(partial(mat_vec, tuple(zip(*f.data)) or ((),) * f.src.dim, p=f.src.p))
-        return lambda g: (make_arrow((f.src, g.dst, tuple(map(times, g.data))))
-                          if g.src is f.dst else self.compose(g, f))
+        return lambda d, Y: tuple(map(times, d))
 
     def postcompose(self, f: Arrow):
         """g's columns read through f's column action, memoised."""
         fixed = _Fixed(f.data, f.src.p)
-        return lambda g: (make_arrow((g.src, f.dst, fixed.after(g.data, g.src.dim)))
-                          if g.dst is f.src else self.compose(f, g))
+        return lambda d, Y: fixed.after(d, Y.dim)
 
     # ---- fibre ----
 
@@ -302,13 +300,13 @@ class FpChain(ChainInstance):
         at_free = picker([c for c in range(X.dim) if c not in p.pivots])
         kills = cache(lambda r: not any(mat_vec(p.rows, r, X.p)))  # does this row of f kill p?
 
-        def transpose(f: Arrow) -> Arrow:
-            if not all(map(kills, f.data)):
-                row = next(row for row in p.rows if any(mat_vec(f.data, row, X.p)))
+        def transpose(data, Y) -> tuple:
+            if not all(map(kills, data)):
+                row = next(row for row in p.rows if any(mat_vec(data, row, X.p)))
                 raise HomConditionError(f"fp: {row!r} is not in the kernel")
-            return make_arrow((obj, f.dst, tuple(map(at_free, f.data))))
+            return tuple(map(at_free, data))
 
-        return QuotientResult(obj, unit, transpose, self.precompose(unit))
+        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p: FpSubspace) -> ComprehensionResult:
         obj = FpSpace(X.p, _over(X, p).rank)
@@ -318,12 +316,12 @@ class FpChain(ChainInstance):
         # Echelon basis coordinates can be read off at the pivot columns.
         at_pivots = picker(p.pivots)
 
-        def transpose(f: Arrow) -> Arrow:
-            if any(map(any, map(inside, zip(*f.data)))):
+        def transpose(data, Y) -> tuple:
+            if any(map(any, map(inside, zip(*data)))):
                 raise HomConditionError("fp: image is not inside the subspace")
-            return make_arrow((f.src, obj, at_pivots(f.data)))
+            return at_pivots(data)
 
-        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
+        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """Exact, as all linear maps mediate: epi when onto, mono when one-to-one."""
@@ -365,22 +363,22 @@ class FpChain(ChainInstance):
 
     def iter_homs(self, built, X, p, Y):
         """A map kills p exactly when each of its rows does, and lands in
-        p exactly when each of its columns does, so the homs are the
-        matrices made of allowed rows (quotient) or columns
+        p exactly when each of its columns does, so the homs' data are
+        the matrices made of allowed rows (quotient) or columns
         (comprehension): a vector is allowed when the map between X and
         F_p^1 it makes is a hom."""
-        line = FpSpace(X.p, 1)
-        ends = built.ends(X, line)
-        hom_objects = built.hom_objects(self, X, p, line)
-        vectors = product(range(X.p), repeat=X.dim)
+        vectors = self._allowed(built, X, p)
         if isinstance(built, QuotientResult):
-            rows = [r for r in vectors
-                    if hom_check(self, make_arrow((*ends, (r,))), *hom_objects)]
-            return (make_arrow((X, Y, mat)) for mat in product(rows, repeat=Y.dim))
-        cols = [c for c in vectors
-                if hom_check(self, make_arrow((*ends, tuple(zip(c)))), *hom_objects)]
-        return (make_arrow((Y, X, tuple(zip(*m)) or ((),) * X.dim))
-                for m in product(cols, repeat=Y.dim))
+            return product(vectors, repeat=Y.dim)
+        return (tuple(zip(*m)) or ((),) * X.dim for m in product(vectors, repeat=Y.dim))
+
+    @lru_cache(maxsize=16)
+    def _allowed(self, built, X, p) -> tuple:
+        """The vectors `iter_homs` allows, once per construction: a sweep keeps it for each Y."""
+        line, row = FpSpace(X.p, 1), isinstance(built, QuotientResult)
+        ends, objects = built.ends(X, line), built.hom_objects(self, X, p, line)
+        return tuple(v for v in product(range(X.p), repeat=X.dim) if hom_check(
+            self, make_arrow((*ends, (v,) if row else tuple(zip(v)))), *objects))
 
     def iter_preds(self, X):
         """Every subspace once, by rank and then by its reduced echelon rows
@@ -521,25 +519,25 @@ class HilbChain(ChainInstance):
         w = self.ortho(X, p).basis
         obj = HilbSpace(w.shape[1])
 
-        def transpose(f: Arrow) -> Arrow:
-            if p.rank and la.max_abs(f.data @ p.basis) > la.GS_THRESHOLD:
+        def transpose(data, Y):
+            if p.rank and la.max_abs(data @ p.basis) > la.GS_THRESHOLD:
                 raise HomConditionError("hilb: subspace is not inside the kernel")
-            return Arrow(obj, f.dst, f.data @ w)
+            return data @ w
 
         unit = Arrow(X, obj, la.dagger(w))
-        return QuotientResult(obj, unit, transpose, self.precompose(unit))
+        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p: Subspace) -> ComprehensionResult:
         obj = HilbSpace(_over(X, p).rank)
 
-        def transpose(f: Arrow) -> Arrow:
-            coords = la.dagger(p.basis) @ f.data
-            if la.max_abs(f.data - p.basis @ coords) > la.GS_THRESHOLD:
+        def transpose(data, Y):
+            coords = la.dagger(p.basis) @ data
+            if la.max_abs(data - p.basis @ coords) > la.GS_THRESHOLD:
                 raise HomConditionError("hilb: image is not inside the subspace")
-            return Arrow(f.src, obj, coords)
+            return coords
 
         counit = Arrow(obj, X, p.basis.copy())
-        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
+        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """Exact, as all linear maps mediate: g after f is g.data @ f.data."""

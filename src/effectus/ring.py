@@ -34,6 +34,7 @@ from .core import (
     atom_to_json,
     check_size,
     make_arrow,
+    picker,
 )
 
 
@@ -259,11 +260,6 @@ def _hom_tables(Y: FiniteRing, X: FiniteRing) -> tuple:
     return tuple(enumerate_hom_tables(Y, X))
 
 
-def _image(f: Arrow, y):
-    """The element of f.src that f's table gives y, an element of f.dst."""
-    return f.data[f.dst.position[y]]
-
-
 def _check_ring_decompose(inst, X, p):
     dec = inst.decompose(X, p)
     r1 = inst.map_residual(inst.compose(dec.split, dec.merge), inst.identity(X))
@@ -341,8 +337,9 @@ class RingChain(ChainInstance):
         return iter(idempotents(X))
 
     def subst(self, f: Arrow, q):
-        X, Y = f.src, f.dst
-        return X.add(_image(f, _element(Y, q)), X.sub(X.one, _image(f, Y.one)))
+        # the elements of f.src that f's table gives q and 1 of f.dst
+        X, Y, pos = f.src, f.dst, f.dst.position
+        return X.add(f.data[pos[_element(Y, q)]], X.sub(X.one, f.data[pos[Y.one]]))
 
     # ---- quotient / comprehension ----
 
@@ -351,33 +348,33 @@ class RingChain(ChainInstance):
         to p lands in it and transposes to the same table."""
         obj = IdealRing(X, self.ortho(X, p))
 
-        def transpose(f: Arrow) -> Arrow:
-            img_one = _image(f, f.dst.one)
+        def transpose(data, Y) -> tuple:
+            img_one = data[Y.position[Y.one]]
             if X.mul(p, img_one) != X.zero:
                 raise HomConditionError(
                     f"ring: image of 1 is {img_one!r}, not orthogonal to {p!r}"
                 )
-            return make_arrow((obj, f.dst, f.data))
+            return data
 
         unit = Arrow(X, obj, obj.elements())
-        return QuotientResult(obj, unit, transpose, self.precompose(unit))
+        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """The corner of p; a ring map giving p and 1 the same image
         transposes to its restriction to the corner."""
         obj = IdealRing(X, p)
-        kept = [X.position[c] for c in obj.elements()]
+        at_kept, pos = picker([X.position[c] for c in obj.elements()]), X.position
 
-        def transpose(f: Arrow) -> Arrow:
-            img_one, img_p = _image(f, X.one), _image(f, p)
+        def transpose(data, Y) -> tuple:
+            img_one, img_p = data[pos[X.one]], data[pos[p]]
             if img_p != img_one:
                 raise HomConditionError(
                     f"ring: {p!r} and 1 have distinct images {img_p!r}, {img_one!r}"
                 )
-            return make_arrow((f.src, obj, tuple(f.data[i] for i in kept)))
+            return at_kept(data)
 
         counit = Arrow(obj, X, tuple(X.mul(p, x) for x in X.elements()))
-        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
+        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """A sufficient test on f's table.  Epi: (g after f) reads f's

@@ -338,9 +338,9 @@ class VnChain(ChainInstance):
 
         compress = None  # built at the first transpose, once
 
-        def transpose(f: Arrow) -> Arrow:
+        def transpose(data, Y):
             nonlocal compress
-            img_one = self.apply(f, f.dst.one())
+            img_one = self.apply(Arrow(X, Y, data), Y.one())
             for sb, ub in zip(s, img_one):
                 w = la.hermitian_eigvals(((sb - ub) + la.dagger(sb - ub)) / 2)
                 if w.size and float(w[-1]) < -self.eq_tol:
@@ -350,9 +350,9 @@ class VnChain(ChainInstance):
                 compress = kraus_superop(corner.algebra, X, [
                     (c, i, la.dagger(V) @ la.from_spectrum(la.pinv_spectrum(root_specs[i])))
                     for c, (i, V) in enumerate(corner.isoms)])
-            return Arrow(corner.algebra, f.dst, compress @ f.data)
+            return compress @ data
 
-        return QuotientResult(corner.algebra, unit, transpose, self.precompose(unit))
+        return QuotientResult(self, corner.algebra, unit, transpose, self.precompose(unit))
 
     def comprehension(self, X, p) -> ComprehensionResult:
         """The corner of the eigenvalue-1 projection of p; a map giving p
@@ -362,16 +362,17 @@ class VnChain(ChainInstance):
         embed = kraus_superop(X, corner.algebra, [
             (i, c, V) for c, (i, V) in enumerate(corner.isoms)])
 
-        def transpose(f: Arrow) -> Arrow:
+        def transpose(data, Y):
+            f = Arrow(Y, X, data)
             gap = elt_residual(self.apply(f, p), self.apply(f, X.one()))
             if gap > self.eq_tol:
                 raise HomConditionError(
                     f"vn: predicate and 1 have images {gap:.3g} apart")
-            return Arrow(f.src, corner.algebra, f.data @ embed)
+            return data @ embed
 
         # Compression is the adjoint of the embedding, superoperators included.
         counit = Arrow(corner.algebra, X, la.dagger(embed))
-        return ComprehensionResult(corner.algebra, counit, transpose, self.postcompose(counit))
+        return ComprehensionResult(self, counit.src, counit, transpose, self.postcompose(counit))
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """g after f is f.data @ g.data.  Exact on the subunital CP maps:

@@ -503,7 +503,7 @@ def test_ring_decomposition():
 
 
 # Each corruption overrides a construction and damages the transpose it
-# carries.
+# carries: the arrow it wraps its data into, or for vn the data itself.
 
 
 def _halved(g):
@@ -516,29 +516,32 @@ def _aborting(g):
     return SETS.arrow(g.src, g.dst, {x: STAR for x in g.src})
 
 
-def _skewed(g):
-    data = np.array(g.data, dtype=complex)
+def _skewed(data):
+    data = np.array(data, dtype=complex)
     if data.size:
         data[0, 0] += 0.05
-    return Arrow(g.src, g.dst, data)
+    return data
 
 
 class _HalvedDistTranspose(DistChain):
     def quotient(self, X, p):
         q = super().quotient(X, p)
-        return dataclasses.replace(q, transpose=lambda f: _halved(q.transpose(f)))
+        return dataclasses.replace(
+            q, transpose_data=lambda d, Y: _halved(q.transpose(Arrow(X, Y, d))).data)
 
 
 class _AbortingSetsTranspose(type(INSTANCES["sets"])):
     def quotient(self, X, p):
         q = super().quotient(X, p)
-        return dataclasses.replace(q, transpose=lambda f: _aborting(q.transpose(f)))
+        return dataclasses.replace(
+            q, transpose_data=lambda d, Y: _aborting(q.transpose(Arrow(X, Y, d))).data)
 
 
 class _SkewVnTranspose(VnChain):
     def comprehension(self, X, p):
         c = super().comprehension(X, p)
-        return dataclasses.replace(c, transpose=lambda f: _skewed(c.transpose(f)))
+        return dataclasses.replace(
+            c, transpose_data=lambda d, Y: _skewed(c.transpose_data(d, Y)))
 
 
 def test_cli_contract(tmp_path, monkeypatch, capsys):

@@ -431,6 +431,33 @@ def test_carried_untranspose_checks_the_carrier(name, which):
                     _composite(inst, built, g)
 
 
+def _same_data(inst, a, b) -> bool:
+    return np.array_equal(a, b) if not inst.exact else a == b
+
+
+@pytest.mark.parametrize("which", ("quotient", "comprehension"))
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_carried_transposes_wrap_their_data(name, which):
+    """`transpose` and `untranspose` wrap the data maps a construction
+    carries into arrows with exactly the ends `ends` gives, the carrier
+    or X on one side and Y on the other: on 40 seeded homs and mediating
+    maps at each instance's default sizes."""
+    inst, bounds = INSTANCES[name], {}
+    for seed in range(40):
+        rng = random.Random(seed)
+        X = inst.rand_object(rng, bounds)
+        p = inst.rand_pred(rng, X, bounds)
+        Y = inst.rand_object(rng, bounds, like=X)
+        built = getattr(inst, which)(X, p)
+        f = inst.rand_hom(rng, X, p, built, Y, bounds)
+        g = inst.rand_arrow(rng, *built.ends(built.obj, Y), bounds)
+        for arrow, ends, data in (
+                (built.transpose(f), built.ends(built.obj, Y), built.transpose_data(f.data, Y)),
+                (built.untranspose(g), built.ends(X, Y), built.untranspose_data(g.data, Y))):
+            assert arrow.src is ends[0] and arrow.dst is ends[1], seed
+            assert _same_data(inst, arrow.data, data), seed
+
+
 def test_vn_quotient_hom_is_completely_positive():
     inst = INSTANCES["vn"]
     X, _, _, f = _quotient_hom_draw(inst, 3, {"max_blocks": 1, "max_block_dim": 2})
@@ -584,13 +611,13 @@ class _ScaledDistTranspose(DistChain):
     def quotient(self, X, p):
         q = super().quotient(X, p)
 
-        def transpose(f):
-            g = q.transpose(f)
+        def transpose(d, Y):
+            g = q.transpose(Arrow(X, Y, d))
             return self.arrow(g.src, g.dst,
-                              {x: SubDist(tuple((a, w / self.factor) for a, w in d.weights))
-                               for x, d in self.table(g).items()})
+                              {x: SubDist(tuple((a, w / self.factor) for a, w in e.weights))
+                               for x, e in self.table(g).items()}).data
 
-        return dataclasses.replace(q, transpose=transpose)
+        return dataclasses.replace(q, transpose_data=transpose)
 
 
 @pytest.mark.parametrize("bounds", [{}, {"tolerance": 0.0}],
@@ -620,11 +647,13 @@ def _abort_everywhere(g):
 
 def _corrupt(base, which, damage):
     """An instance of `base` whose `which` construction carries a transpose
-    passed through `damage`; the other direction stays honest."""
+    passed through `damage`, which takes and gives an arrow; the other
+    direction stays honest."""
 
     def construct(self, X, p):
         r = getattr(base, which)(self, X, p)
-        return dataclasses.replace(r, transpose=lambda f: damage(r.transpose(f)))
+        return dataclasses.replace(r, transpose_data=lambda d, Y: damage(
+            r.transpose(Arrow(*r.ends(X, Y), d))).data)
 
     return type(f"Corrupt{base.__name__}", (base,), {which: construct})()
 
@@ -678,6 +707,36 @@ def test_untranspose_reads_the_unit_it_carries():
     assert report.failures >= 1 and report.errors == 0
     assert "unreached_hom" in report.witnesses[0]
     assert run_exhaustive_adjunction(NONDET, "quotient", {"max_size": 2}).failures == 0
+
+
+def _moved_first_entry(which):
+    """An FpChain whose `which` construction carries a unit (counit) with
+    its first entry moved by 1, and the untranspose built from it; the
+    transpose stays honest."""
+    quotient = which == "quotient"
+
+    def construct(self, X, p):
+        built = getattr(FpChain, which)(self, X, p)
+        honest = built.unit if quotient else built.counit
+        if not (honest.data and honest.data[0]):
+            return built
+        (first, *row), *rows = honest.data
+        moved = Arrow(honest.src, honest.dst, (((first + 1) % X.p, *row), *rows))
+        carry = self.precompose if quotient else self.postcompose
+        return type(built)(self, built.obj, moved, built.transpose_data, carry(moved))
+
+    return type(f"MovedFirstEntry{which.title()}", (FpChain,), {which: construct})()
+
+
+@pytest.mark.parametrize("which", DIRECTIONS)
+def test_fp_untranspose_reads_the_unit_it_carries(which):
+    # the sweep round-trips data through the untranspose the construction
+    # carries, so a unit or counit off in one entry shows as a law violation
+    bounds = {"fields": (2,), "max_dim": 2}
+    report = run_exhaustive_adjunction(_moved_first_entry(which), which, bounds)
+    assert report.failures >= 1 and report.errors == 0
+    assert "unreached_hom" in report.witnesses[0]
+    assert run_exhaustive_adjunction(INSTANCES["fp"], which, bounds).failures == 0
 
 
 def _refuse(g):
@@ -738,13 +797,13 @@ def _never_rejects(which):
     def construct(self, X, p):
         r = getattr(SetsChain, which)(self, X, p)
 
-        def transpose(f):
+        def transpose(d, Y):
             try:
-                return r.transpose(f)
+                return r.transpose_data(d, Y)
             except ChainError:
-                return f
+                return d
 
-        return dataclasses.replace(r, transpose=transpose)
+        return dataclasses.replace(r, transpose_data=transpose)
 
     return type(f"NeverRejects{which.title()}", (SetsChain,), {which: construct})()
 
@@ -934,11 +993,11 @@ class _JunkInQuotient:
         obj = FiniteSet(q.obj.atoms + (("junk",),))
         widen = tuple(self._eta(j, m + 1) for j in range(m)) + (self._abort(m + 1),)
 
-        def transpose(f):
-            return Arrow(obj, f.dst, q.transpose(f).data + (self._abort(len(f.dst)),))
+        def transpose(d, Y):
+            return q.transpose_data(d, Y) + (self._abort(len(Y)),)
 
         unit = Arrow(X, obj, self._extend(q.unit.data, widen))
-        return QuotientResult(obj, unit, transpose, self.precompose(unit))
+        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
 
 
 class _JunkInComprehension:
@@ -953,11 +1012,11 @@ class _JunkInComprehension:
         obj = FiniteSet(c.obj.atoms + (("junk",),))
         widen = tuple(self._eta(j, m + 1) for j in range(m)) + (self._abort(m + 1),)
 
-        def transpose(f):
-            return Arrow(f.src, obj, self._extend(c.transpose(f).data, widen))
+        def transpose(d, Y):
+            return self._extend(c.transpose_data(d, Y), widen)
 
         counit = Arrow(obj, X, c.counit.data + (self._abort(len(X)),))
-        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
+        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
 
 
 def _junk_atom(base, which):
@@ -975,17 +1034,17 @@ def _junk_coordinate(base, which):
         built = getattr(base, which)(self, X, p)
         obj = FpSpace(X.p, built.obj.dim + 1)
 
-        def transpose(f):
-            g = built.transpose(f)
+        def transpose(d, Y):
+            g = built.transpose_data(d, Y)
             if quotient:
-                return Arrow(obj, g.dst, tuple(r + (0,) for r in g.data))
-            return Arrow(g.src, obj, g.data + ((0,) * g.src.dim,))
+                return tuple(r + (0,) for r in g)
+            return g + ((0,) * Y.dim,)
 
         if quotient:
             unit = Arrow(X, obj, built.unit.data + ((0,) * X.dim,))
-            return QuotientResult(obj, unit, transpose, self.precompose(unit))
+            return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
         counit = Arrow(obj, X, tuple(r + (0,) for r in built.counit.data))
-        return ComprehensionResult(obj, counit, transpose, self.postcompose(counit))
+        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
 
     return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
 
@@ -1011,15 +1070,13 @@ def _junk_dimension(base, which):
         obj = (HilbSpace(built.obj.dim + 1) if hilb
                else MatrixAlgebra(built.obj.block_dims + (1,)))
 
-        def transpose(f):
-            g = built.transpose(f)
-            ends = (obj, g.dst) if quotient else (g.src, obj)
-            return Arrow(*ends, _pad(g.data, 1 - axis))
+        def transpose(d, Y):
+            return _pad(built.transpose_data(d, Y), 1 - axis)
 
         honest = built.unit if quotient else built.counit
         canonical = Arrow(*built.ends(X, obj), _pad(honest.data, axis))
         carry = self.precompose if quotient else self.postcompose
-        return type(built)(obj, canonical, transpose, carry(canonical))
+        return type(built)(self, obj, canonical, transpose, carry(canonical))
 
     return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
 
@@ -1035,19 +1092,20 @@ def _junk_factor(base, which):
         built = getattr(base, which)(self, X, p)
         obj = PairRing(built.obj, ZProductRing((2,)))
 
-        def forget(f):  # f's table, read at the first factor
-            return tuple(self.table(f)[a] for a, _ in obj.elements())
+        def forget(data):  # a table over built.obj, read at the first factor
+            table = dict(zip(built.obj.elements(), data))
+            return tuple(table[a] for a, _ in obj.elements())
 
-        def pad(f):  # f's table, with 0 at the second factor
-            return tuple((a, (0,)) for a in f.data)
+        def pad(data):  # a table into built.obj, with 0 at the second factor
+            return tuple((a, (0,)) for a in data)
 
         if quotient:
-            unit = Arrow(X, obj, forget(built.unit))
-            return QuotientResult(obj, unit, lambda f: Arrow(obj, f.dst, pad(built.transpose(f))),
+            unit = Arrow(X, obj, forget(built.unit.data))
+            return QuotientResult(self, obj, unit, lambda d, Y: pad(built.transpose_data(d, Y)),
                                   self.precompose(unit))
-        counit = Arrow(obj, X, pad(built.counit))
-        return ComprehensionResult(obj, counit,
-                                   lambda f: Arrow(f.src, obj, forget(built.transpose(f))),
+        counit = Arrow(obj, X, pad(built.counit.data))
+        return ComprehensionResult(self, obj, counit,
+                                   lambda d, Y: forget(built.transpose_data(d, Y)),
                                    self.postcompose(counit))
 
     return type(f"JunkIn{which.title()}{base.__name__}", (base,), {which: construct})()
@@ -1214,7 +1272,7 @@ def test_iter_homs_agrees_with_the_filter(name, which):
     assert len(triples) == filtered
     for built, X, p, Y in triples:
         objects = built.hom_objects(inst, X, p, Y)
-        yielded = [f.data for f in inst.iter_homs(built, X, p, Y)]
+        yielded = list(inst.iter_homs(built, X, p, Y))
         assert len(set(yielded)) == len(yielded)
         assert sorted(yielded) == sorted(
             f.data for f in inst.iter_arrows(*built.ends(X, Y)) if hom_check(inst, f, *objects))
@@ -1232,13 +1290,13 @@ ACCEPTANCE_OBJECTS = {"sets": ({"max_size": 4}, 210), "nondet": ({"max_size": 4}
 def test_iter_homs_yields_each_hom_once(name, which):
     """The sweep counts the homs `iter_homs` yields against the candidates,
     trusting that none comes twice: on every acceptance triple with at most
-    ENUMERATION_CAP homs, no two yielded arrows are equal."""
+    ENUMERATION_CAP homs, no two yielded homs have equal data."""
     inst = INSTANCES[name]
     bounds, count = ACCEPTANCE_OBJECTS[name]
     triples = _filtered_triples(inst, which, bounds, math.inf)
     assert len(triples) == count
     for built, X, p, Y in triples:
-        yielded = [f.data for f in inst.iter_homs(built, X, p, Y)]
+        yielded = list(inst.iter_homs(built, X, p, Y))
         assert len(set(yielded)) == len(yielded)
 
 
@@ -1297,7 +1355,7 @@ class _NonHomForLastHom:
     def iter_homs(self, built, X, p, Y):
         homs = list(super().iter_homs(built, X, p, Y))
         objects = built.hom_objects(self, X, p, Y)
-        non_homs = [f for f in self.iter_arrows(*built.ends(X, Y))
+        non_homs = [f.data for f in self.iter_arrows(*built.ends(X, Y))
                     if not hom_check(self, f, *objects)]
         return homs[:-1] + non_homs[:1] if non_homs else homs
 

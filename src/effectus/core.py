@@ -10,12 +10,12 @@ predicate poset over every object and four pieces of structure:
   * a comprehension construction with its counit arrow, right adjoint
     to truth.
 
-Each construction carries its universal property as two maps of data
-at a far end Y, closed over what building it computed: the transpose
-and its inverse through the unit or counit, which its `transpose` and
-`untranspose`, here alone, wrap into arrows.  `ends(A, Y)` orders the
-endpoints of an arrow between A (the carrier, or X for a hom) and
-another object Y, and `hom_objects` names the predicated objects a hom joins.
+Both are one `Construction`, told apart by `epi`, which carries its
+universal property as two maps of data at a far end Y, closed over what
+building it computed: the transpose and its inverse through the unit or
+counit, which `transpose` and `untranspose`, here alone, wrap into
+arrows.  `ends(A, Y)` orders the ends of an arrow between A (the carrier,
+or X for a hom) and Y, and `hom_objects` names the objects a hom joins.
 
 On top of those hooks this module derives assert maps (comprehension
 counit after quotient unit), instruments (both asserts combined into one
@@ -30,7 +30,7 @@ carrier to the domain's) keep that reversal inside ``data``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple
@@ -139,60 +139,44 @@ def picker(positions):
 
 
 @dataclass(frozen=True, eq=False)
-class QuotientResult:
-    """Quotient object X/p, left adjoint to falsum, with its unit arrow
-    X -> X/p and its universal property: `transpose` sends f: X -> Y
-    collapsing p (a hom (X,p) -> falsum Y) to the mediating arrow X/p -> Y,
-    else raises HomConditionError, and `untranspose` sends g to g after the unit."""
+class Construction:
+    """A quotient X/p, left adjoint to falsum, if `epi`, else a comprehension
+    {X|p}, right adjoint to truth.  `arrow` is the unit X -> X/p, which must
+    be epi, or the counit {X|p} -> X, which must be mono.  `transpose` sends
+    a hom between `hom_objects` (f: X -> Y collapsing p, or f: Y -> X landing
+    where p holds) to the mediating arrow between the carrier and Y, else
+    raises HomConditionError; `untranspose` composes g with `arrow`.  A
+    missing `untranspose_data` is built once from `arrow` by `inst.precompose`
+    or `postcompose`.  `dataclasses.replace` carries the stored one, so a
+    replace that changes `arrow` must pass `untranspose_data=None`."""
 
     inst: Any
     obj: Any
-    unit: Arrow
+    arrow: Arrow
     transpose_data: Callable  # (f.data, Y) -> the mediating map's data
-    untranspose_data: Callable  # (g.data, Y) -> the data of g after the unit
+    untranspose_data: Callable = None  # (g.data, Y) -> the data of g composed with arrow
+    epi: bool = field(kw_only=True)
 
-    @staticmethod
-    def ends(A, Y):
-        return A, Y
+    def __post_init__(self):
+        if self.untranspose_data is None:
+            carry = self.inst.precompose if self.epi else self.inst.postcompose
+            object.__setattr__(self, "untranspose_data", carry(self.arrow))
 
-    def hom_objects(self, inst, X, p, Y):
-        return PredObject(X, p), falsum(inst, Y)
+    def ends(self, A, Y):
+        return (A, Y) if self.epi else (Y, A)
+
+    def hom_objects(self, X, p, Y):
+        return self.ends(PredObject(X, p), (falsum if self.epi else truth)(self.inst, Y))
 
     def transpose(self, f: Arrow) -> Arrow:
-        return make_arrow((self.obj, f.dst, self.transpose_data(f.data, f.dst)))
+        Y = f.dst if self.epi else f.src
+        return make_arrow((*self.ends(self.obj, Y), self.transpose_data(f.data, Y)))
 
     def untranspose(self, g: Arrow) -> Arrow:
-        self.inst.check_composable(g, self.unit)
-        return make_arrow((self.unit.src, g.dst, self.untranspose_data(g.data, g.dst)))
-
-
-@dataclass(frozen=True, eq=False)
-class ComprehensionResult:
-    """Comprehension object {X|p}, right adjoint to truth, with its counit
-    arrow {X|p} -> X and its universal property: `transpose` sends
-    f: Y -> X landing where p holds (a hom truth Y -> (X,p)) to the mediating
-    arrow Y -> {X|p}, else raises HomConditionError, and `untranspose` sends g
-    to the counit after g."""
-
-    inst: Any
-    obj: Any
-    counit: Arrow
-    transpose_data: Callable  # (f.data, Y) -> the mediating map's data
-    untranspose_data: Callable  # (g.data, Y) -> the data of the counit after g
-
-    @staticmethod
-    def ends(A, Y):
-        return Y, A
-
-    def hom_objects(self, inst, X, p, Y):
-        return truth(inst, Y), PredObject(X, p)
-
-    def transpose(self, f: Arrow) -> Arrow:
-        return make_arrow((f.src, self.obj, self.transpose_data(f.data, f.src)))
-
-    def untranspose(self, g: Arrow) -> Arrow:
-        self.inst.check_composable(self.counit, g)
-        return make_arrow((g.src, self.counit.dst, self.untranspose_data(g.data, g.src)))
+        first, then = self.ends(self.arrow, g)
+        self.inst.check_composable(then, first)
+        Y = g.dst if self.epi else g.src
+        return make_arrow((first.src, then.dst, self.untranspose_data(g.data, Y)))
 
 
 class Law(NamedTuple):
@@ -326,11 +310,11 @@ class ChainInstance(ABC):
     # ---- quotient and comprehension -------------------------------
 
     @abstractmethod
-    def quotient(self, X, p) -> QuotientResult:
+    def quotient(self, X, p) -> Construction:
         ...
 
     @abstractmethod
-    def comprehension(self, X, p) -> ComprehensionResult:
+    def comprehension(self, X, p) -> Construction:
         ...
 
     def transpose_quotient(self, X, p, f: Arrow) -> Arrow:
@@ -373,16 +357,16 @@ class ChainInstance(ABC):
         raise UnsupportedError(f"{self.name}: no arrow sampler")
 
     def rand_hom(self, rng, X, p, built, Y, bounds) -> Arrow:
-        """A hom between `built.hom_objects(self, X, p, Y)`, `built` being
-        X's quotient or comprehension by p: a random mediating map
-        untransposed, a hom by the universal property."""
+        """A hom between `built.hom_objects(X, p, Y)`, `built` being the
+        Construction of X's quotient or comprehension by p: a random
+        mediating map untransposed, a hom by the universal property."""
         return built.untranspose(self.rand_arrow(rng, *built.ends(built.obj, Y), bounds))
 
     def iter_homs(self, built, X, p, Y) -> Iterator:
-        """The data of exactly the homs between `built.hom_objects(self,
-        X, p, Y)`, each once, in a fixed order; by default of the arrows
-        between X and Y that pass hom_check."""
-        objs = built.hom_objects(self, X, p, Y)
+        """The data of exactly the homs between `built.hom_objects(X, p,
+        Y)`, `built` a Construction as in `rand_hom`, each once, in a fixed
+        order; by default of the arrows between X and Y that pass hom_check."""
+        objs = built.hom_objects(X, p, Y)
         return (f.data for f in self.iter_arrows(*built.ends(X, Y)) if hom_check(self, f, *objs))
 
     def iter_preds(self, X) -> Iterator:
@@ -419,10 +403,9 @@ class ChainInstance(ABC):
         arrows are subunital by construction."""
         return 0.0
 
-    def coincidence_residual(self, X, p, q: QuotientResult,
-                             c: ComprehensionResult) -> float:
-        """Extra carrier-level agreement beyond objects_equal, for
-        instances whose canonical carriers hide a chosen basis."""
+    def coincidence_residual(self, X, p, q: Construction, c: Construction) -> float:
+        """Extra agreement of the quotient q and comprehension c beyond
+        objects_equal, for instances whose carriers hide a chosen basis."""
         return 0.0
 
     # ---- serialization --------------------------------------------
@@ -469,7 +452,7 @@ def derive_assert(inst: ChainInstance, X, p) -> Arrow:
             f"{inst.name}: quotient of the complement and comprehension of "
             f"the support produced different objects"
         )
-    return inst.compose(c.counit, q.unit)
+    return inst.compose(c.arrow, q.arrow)
 
 
 def derive_instrument(inst: ChainInstance, X, p) -> Arrow:

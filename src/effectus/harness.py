@@ -22,7 +22,6 @@ from .core import (
     hom_check,
     Law,
     make_arrow,
-    QuotientResult,
     side_effect,
     truth,
 )
@@ -174,7 +173,7 @@ def _case_truth_falsum(inst, rng, bounds):
             accepts = True
         except ChainError:
             accepts = False
-        says = None if built is None else hom_check(inst, h, *built.hom_objects(inst, X, p, Y))
+        says = None if built is None else hom_check(inst, h, *built.hom_objects(X, p, Y))
         detail[f"{which}_hom_check"] = says
         detail[f"{which}_transpose_accepts"] = accepts
         ok = ok and says == accepts
@@ -194,8 +193,7 @@ def _case_adjunction(which, inst, rng, bounds):
     except ChainError:
         r1 = 1.0
     # The mediating map is unique exactly when the unit is epi (counit mono).
-    epi = isinstance(built, QuotientResult)
-    unique = inst.cancels(built.unit if epi else built.counit, epi)
+    unique = inst.cancels(built.arrow, built.epi)
     return r1, None if r1 <= inst.eq_tol and unique else {
         "round_trip_from_hom": r1, "unique": unique,
         "X": inst.object_to_json(X), "p": inst.pred_to_json(X, p),
@@ -230,7 +228,7 @@ def _check_sharpness(inst, X, p):
     idem = inst.map_residual(inst.compose(asrt, asrt), asrt)
     q = inst.quotient(X, inst.ortho(X, p))
     c = inst.comprehension(X, inst.ceil(X, p))
-    left = inst.compose(q.unit, c.counit)
+    left = inst.compose(q.arrow, c.arrow)
     left_res = inst.map_residual(left, inst.identity(c.obj))
     ok = (demorgan <= inst.eq_tol
           and (idem <= inst.eq_tol) == (left_res <= inst.eq_tol) == sharp)

@@ -52,10 +52,9 @@ from .core import (
     STAR,
     Arrow,
     ChainInstance,
-    ComprehensionResult,
+    Construction,
     HomConditionError,
     PredObject,
-    QuotientResult,
     ValidationError,
     atom_key,
     atom_to_json,
@@ -306,7 +305,7 @@ class KleisliChain(ChainInstance):
 
     # ---- quotient / comprehension ----
 
-    def quotient(self, X, p) -> QuotientResult:
+    def quotient(self, X, p) -> Construction:
         """The carrier is the atoms where p < 1, and the unit keeps each
         atom x with weight 1 - p(x) and aborts otherwise.  The transpose
         divides that weight back out: it requires f to put mass at most
@@ -336,9 +335,9 @@ class KleisliChain(ChainInstance):
             out = at_kept(data)
             return tuple(map(self._scale, out, inverse, repeat(n))) if inverse else out
 
-        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
+        return Construction(self, obj, unit, transpose, epi=True)
 
-    def comprehension(self, X, p) -> ComprehensionResult:
+    def comprehension(self, X, p) -> Construction:
         """A map out of truth lands in p exactly when all its mass sits
         where p = 1, so the carrier is those atoms, the counit their
         inclusion, and the transpose the same images re-indexed onto the
@@ -359,7 +358,7 @@ class KleisliChain(ChainInstance):
             return out
 
         counit = Arrow(obj, X, tuple(self._eta(i, n) for i in kept))
-        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
+        return Construction(self, obj, counit, transpose, epi=False)
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """A test sufficient for all three monads.  Epi: every target atom
@@ -415,7 +414,7 @@ class KleisliChain(ChainInstance):
         construction did not make: for the quotient, mass at most 1 - p(x)
         at each x; for the comprehension, support inside the carrier,
         where p = 1."""
-        if isinstance(built, QuotientResult):
+        if built.epi:
             _check_pred(X, p)
             n = len(Y)
             return Arrow(X, Y, tuple(self._rand_image(rng, bounds, n, range(n), 1 - v)
@@ -468,10 +467,8 @@ class NondetChain(KleisliChain):
         return images.count(1 << n) == len(images)  # every cap is 0: abort alone
 
     def precompose(self, f: Arrow):
-        """When each image of f has one bit, as a quotient unit's do, each
+        """Each image of f must have one bit, as a quotient unit's do: each
         reads one row of g or abort, all picked at once."""
-        if not all(s & s - 1 == 0 < s for s in f.data):
-            return super().precompose(f)
         rows = picker([s.bit_length() - 1 for s in f.data])
         return lambda d, Y: rows(d + (1 << len(Y.atoms),))
 
@@ -536,7 +533,7 @@ class NondetChain(KleisliChain):
         product over the source atoms of the images allowed at each: an
         image d is allowed at value v when the one-atom map onto d is a
         hom from (point, v) to the target predicated object."""
-        src, dst = built.hom_objects(self, X, p, Y)
+        src, dst = built.hom_objects(X, p, Y)
         images = self._images(len(dst.base))
         allowed = {v: [d for d in images
                        if hom_check(self, make_arrow((_POINT, dst.base, (d,))),

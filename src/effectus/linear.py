@@ -20,9 +20,8 @@ from .core import (
     ORTHO_LAWS,
     Arrow,
     ChainInstance,
-    ComprehensionResult,
+    Construction,
     HomConditionError,
-    QuotientResult,
     ValidationError,
     check_size,
     hom_check,
@@ -290,11 +289,10 @@ class FpChain(ChainInstance):
 
     # ---- quotient / comprehension ----
 
-    def quotient(self, X, p: FpSubspace) -> QuotientResult:
+    def quotient(self, X, p: FpSubspace) -> Construction:
         """Coordinates along the complement basis; a map killing p is
         determined by its values on that basis."""
         obj = FpSpace(X.p, X.dim - _over(X, p).rank)
-        unit = Arrow(X, obj, _coords_matrix(p))
         # f's values on the complement basis, the unit vectors at these
         # coordinates, are its columns there: reduced, as in every fp arrow
         at_free = picker([c for c in range(X.dim) if c not in p.pivots])
@@ -306,9 +304,9 @@ class FpChain(ChainInstance):
                 raise HomConditionError(f"fp: {row!r} is not in the kernel")
             return tuple(map(at_free, data))
 
-        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
+        return Construction(self, obj, Arrow(X, obj, _coords_matrix(p)), transpose, epi=True)
 
-    def comprehension(self, X, p: FpSubspace) -> ComprehensionResult:
+    def comprehension(self, X, p: FpSubspace) -> Construction:
         obj = FpSpace(X.p, _over(X, p).rank)
         # the counit matrix has p's rows as columns
         counit = Arrow(obj, X, tuple(zip(*p.rows)) or ((),) * X.dim)
@@ -321,7 +319,7 @@ class FpChain(ChainInstance):
                 raise HomConditionError("fp: image is not inside the subspace")
             return at_pivots(data)
 
-        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
+        return Construction(self, obj, counit, transpose, epi=False)
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """Exact, as all linear maps mediate: epi when onto, mono when one-to-one."""
@@ -368,15 +366,15 @@ class FpChain(ChainInstance):
         (comprehension): a vector is allowed when the map between X and
         F_p^1 it makes is a hom."""
         vectors = self._allowed(built, X, p)
-        if isinstance(built, QuotientResult):
+        if built.epi:
             return product(vectors, repeat=Y.dim)
         return (tuple(zip(*m)) or ((),) * X.dim for m in product(vectors, repeat=Y.dim))
 
     @lru_cache(maxsize=16)
     def _allowed(self, built, X, p) -> tuple:
         """The vectors `iter_homs` allows, once per construction: a sweep keeps it for each Y."""
-        line, row = FpSpace(X.p, 1), isinstance(built, QuotientResult)
-        ends, objects = built.ends(X, line), built.hom_objects(self, X, p, line)
+        line, row = FpSpace(X.p, 1), built.epi
+        ends, objects = built.ends(X, line), built.hom_objects(X, p, line)
         return tuple(v for v in product(range(X.p), repeat=X.dim) if hom_check(
             self, make_arrow((*ends, (v,) if row else tuple(zip(v)))), *objects))
 
@@ -513,7 +511,7 @@ class HilbChain(ChainInstance):
     # The transposes decide their hom conditions at the Gram-Schmidt
     # cutoff, below which `subst` and `Subspace` already drop a direction.
 
-    def quotient(self, X, p: Subspace) -> QuotientResult:
+    def quotient(self, X, p: Subspace) -> Construction:
         """Coordinates along an orthonormal basis w of the orthocomplement;
         a map killing p factors as f w."""
         w = self.ortho(X, p).basis
@@ -524,10 +522,9 @@ class HilbChain(ChainInstance):
                 raise HomConditionError("hilb: subspace is not inside the kernel")
             return data @ w
 
-        unit = Arrow(X, obj, la.dagger(w))
-        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
+        return Construction(self, obj, Arrow(X, obj, la.dagger(w)), transpose, epi=True)
 
-    def comprehension(self, X, p: Subspace) -> ComprehensionResult:
+    def comprehension(self, X, p: Subspace) -> Construction:
         obj = HilbSpace(_over(X, p).rank)
 
         def transpose(data, Y):
@@ -536,8 +533,7 @@ class HilbChain(ChainInstance):
                 raise HomConditionError("hilb: image is not inside the subspace")
             return coords
 
-        counit = Arrow(obj, X, p.basis.copy())
-        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
+        return Construction(self, obj, Arrow(obj, X, p.basis.copy()), transpose, epi=False)
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """Exact, as all linear maps mediate: g after f is g.data @ f.data."""
@@ -561,9 +557,9 @@ class HilbChain(ChainInstance):
     def coincidence_residual(self, X, p, q, c) -> float:
         # The two carriers are plain coordinate spaces; agreement means
         # the collapse basis and the inclusion basis are the same columns.
-        if q.unit.data.shape != la.dagger(c.counit.data).shape:
+        if q.arrow.data.shape != la.dagger(c.arrow.data).shape:
             return 1.0
-        return la.max_abs(q.unit.data - la.dagger(c.counit.data))
+        return la.max_abs(q.arrow.data - la.dagger(c.arrow.data))
 
     # ---- serialization ----
 

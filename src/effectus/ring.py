@@ -25,10 +25,9 @@ from operator import add, mod, mul, neg
 from .core import (
     Arrow,
     ChainInstance,
-    ComprehensionResult,
+    Construction,
     HomConditionError,
     Law,
-    QuotientResult,
     ValidationError,
     atom_key,
     atom_to_json,
@@ -343,7 +342,7 @@ class RingChain(ChainInstance):
 
     # ---- quotient / comprehension ----
 
-    def quotient(self, X, p) -> QuotientResult:
+    def quotient(self, X, p) -> Construction:
         """The corner of the complement; a ring map sending 1 orthogonal
         to p lands in it and transposes to the same table."""
         obj = IdealRing(X, self.ortho(X, p))
@@ -356,10 +355,9 @@ class RingChain(ChainInstance):
                 )
             return data
 
-        unit = Arrow(X, obj, obj.elements())
-        return QuotientResult(self, obj, unit, transpose, self.precompose(unit))
+        return Construction(self, obj, Arrow(X, obj, obj.elements()), transpose, epi=True)
 
-    def comprehension(self, X, p) -> ComprehensionResult:
+    def comprehension(self, X, p) -> Construction:
         """The corner of p; a ring map giving p and 1 the same image
         transposes to its restriction to the corner."""
         obj = IdealRing(X, p)
@@ -374,7 +372,7 @@ class RingChain(ChainInstance):
             return at_kept(data)
 
         counit = Arrow(obj, X, tuple(X.mul(p, x) for x in X.elements()))
-        return ComprehensionResult(self, obj, counit, transpose, self.postcompose(counit))
+        return Construction(self, obj, counit, transpose, epi=False)
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """A sufficient test on f's table.  Epi: (g after f) reads f's

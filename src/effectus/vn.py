@@ -19,10 +19,9 @@ from itertools import accumulate
 from .core import (
     Arrow,
     ChainInstance,
-    ComprehensionResult,
+    Construction,
     HomConditionError,
     Law,
-    QuotientResult,
     ValidationError,
     check_size,
 )
@@ -191,8 +190,8 @@ def _case_cp_sanity(inst, rng, bounds):
     fq = inst.rand_hom(rng, X, p, q, Y, bounds)
     fc = inst.rand_hom(rng, X, p, c, Y, bounds)
     canonical = {
-        "quotient_unit": q.unit,
-        "comprehension_counit": c.counit,
+        "quotient_unit": q.arrow,
+        "comprehension_counit": c.arrow,
         "assert": inst.assert_closed_form(X, p),
         "instrument": inst.instrument_closed_form(X, p),
         "quotient_transpose": q.transpose(fq),
@@ -323,7 +322,7 @@ class VnChain(ChainInstance):
 
     # ---- quotient / comprehension ----
 
-    def quotient(self, X, p) -> QuotientResult:
+    def quotient(self, X, p) -> Construction:
         """The corner of the support of s = 1 - p, with unit
         a -> sqrt(s) a sqrt(s).  A map f with f(1) <= s transposes by
         conjugating with the pseudoinverse roots and compressing.  All
@@ -352,9 +351,9 @@ class VnChain(ChainInstance):
                     for c, (i, V) in enumerate(corner.isoms)])
             return compress @ data
 
-        return QuotientResult(self, corner.algebra, unit, transpose, self.precompose(unit))
+        return Construction(self, corner.algebra, unit, transpose, epi=True)
 
-    def comprehension(self, X, p) -> ComprehensionResult:
+    def comprehension(self, X, p) -> Construction:
         """The corner of the eigenvalue-1 projection of p; a map giving p
         and 1 the same image transposes through the embedding."""
         check_blocks(X, p)
@@ -372,7 +371,7 @@ class VnChain(ChainInstance):
 
         # Compression is the adjoint of the embedding, superoperators included.
         counit = Arrow(corner.algebra, X, la.dagger(embed))
-        return ComprehensionResult(self, counit.src, counit, transpose, self.postcompose(counit))
+        return Construction(self, counit.src, counit, transpose, epi=False)
 
     def cancels(self, f: Arrow, epi: bool) -> bool:
         """g after f is f.data @ g.data.  Exact on the subunital CP maps:
@@ -506,7 +505,7 @@ class VnChain(ChainInstance):
     def rand_hom(self, rng, X, p, built, Y, bounds) -> Arrow:
         """For the quotient, a random map after assert(1 - p), drawn
         without the unit; for the comprehension, the default."""
-        if not isinstance(built, QuotientResult):
+        if not built.epi:
             return super().rand_hom(rng, X, p, built, Y, bounds)
         f0 = self.rand_arrow(rng, X, Y)
         return self.compose(f0, self.assert_closed_form(X, self.ortho(X, p)))

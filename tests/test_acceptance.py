@@ -282,15 +282,15 @@ def test_mediating_map_uniqueness():
             Y = inst.rand_object(rng, {}, like=X)
             q = inst.quotient(X, p)
             c = inst.comprehension(X, p)
-            if not (inst.cancels(q.unit, True) and inst.cancels(c.counit, False)):
+            if not (inst.cancels(q.arrow, True) and inst.cancels(c.arrow, False)):
                 problems.append(f"{name} case {i}: unit not epi or counit not mono")
                 break
             f = inst.rand_hom(rng, X, p, q, Y, {})
-            if inst.map_residual(inst.compose(q.transpose(f), q.unit), f) > tol:
+            if inst.map_residual(inst.compose(q.transpose(f), q.arrow), f) > tol:
                 problems.append(f"{name} case {i}: defining equation")
                 break
             g = inst.rand_arrow(rng, q.obj, Y, {})
-            if inst.map_residual(q.transpose(inst.compose(g, q.unit)), g) > tol:
+            if inst.map_residual(q.transpose(inst.compose(g, q.arrow)), g) > tol:
                 problems.append(f"{name} case {i}: map not recovered from its composite")
                 break
     _verdict("mediating-map uniqueness", not problems,

@@ -93,22 +93,22 @@ def test_quotient_drops_the_predicate():
     X = FiniteSet((1, 2, 3))
     q = SETS.quotient(X, SETS.pred(X, (1,)))
     assert q.obj == FiniteSet((2, 3))
-    assert SETS.table(q.unit) == {1: STAR, 2: 2, 3: 3}
+    assert SETS.table(q.arrow) == {1: STAR, 2: 2, 3: 3}
 
 
 def test_quotient_edges():
     X = FiniteSet((1, 2))
-    assert SETS.table(SETS.quotient(X, SETS.pred(X, ())).unit) == {1: 1, 2: 2}
+    assert SETS.table(SETS.quotient(X, SETS.pred(X, ())).arrow) == {1: 1, 2: 2}
     full = SETS.quotient(X, SETS.pred(X, X))
     assert full.obj == FiniteSet(())
-    assert SETS.table(full.unit) == {1: STAR, 2: STAR}
+    assert SETS.table(full.arrow) == {1: STAR, 2: STAR}
 
 
 def test_comprehension_is_inclusion():
     X = FiniteSet((1, 2))
     c = SETS.comprehension(X, SETS.pred(X, (1,)))
     assert c.obj == FiniteSet((1,))
-    assert SETS.table(c.counit) == {1: 1}
+    assert SETS.table(c.arrow) == {1: 1}
 
 
 def test_comprehension_factorization_is_restriction():
@@ -118,7 +118,7 @@ def test_comprehension_factorization_is_restriction():
     g = SETS.transpose_comprehension(X, SETS.pred(X, (1,)), f)
     assert SETS.table(g) == {"z": 1}
     c = SETS.comprehension(X, SETS.pred(X, (1,)))
-    assert SETS.maps_equal(SETS.compose(c.counit, g), f)
+    assert SETS.maps_equal(SETS.compose(c.arrow, g), f)
 
 
 @given(set_with_pred())
@@ -142,7 +142,7 @@ def test_nondet_quotient_transpose_restricts():
     f = NONDET.arrow(X, Y, {1: frozenset({STAR}), 2: frozenset({"a"})})
     g = NONDET.transpose_quotient(X, P, f)
     assert NONDET.table(g) == {2: frozenset({"a"})}
-    back = NONDET.compose(g, NONDET.quotient(X, P).unit)
+    back = NONDET.compose(g, NONDET.quotient(X, P).arrow)
     assert NONDET.maps_equal(back, f)
 
 
@@ -152,7 +152,7 @@ def test_nondet_untranspose_extends_by_star():
     P = NONDET.pred(X, (1,))
     carrier = NONDET.quotient(X, P).obj
     g = NONDET.arrow(carrier, Y, {2: frozenset({"a", "b"})})
-    f = NONDET.compose(g, NONDET.quotient(X, P).unit)
+    f = NONDET.compose(g, NONDET.quotient(X, P).arrow)
     assert NONDET.table(f) == {1: frozenset({STAR}), 2: frozenset({"a", "b"})}
 
 
@@ -183,10 +183,10 @@ def test_transpose_round_trips_on_sampled_homs(inst):
         p = inst.rand_pred(rng, X, bounds)
         f = inst.rand_hom(rng, X, p, inst.quotient(X, p), Y, bounds)
         g = inst.transpose_quotient(X, p, f)
-        assert inst.maps_equal(inst.compose(g, inst.quotient(X, p).unit), f)
+        assert inst.maps_equal(inst.compose(g, inst.quotient(X, p).arrow), f)
         h = inst.rand_hom(rng, X, p, inst.comprehension(X, p), Y, bounds)
         k = inst.transpose_comprehension(X, p, h)
-        counit = inst.comprehension(X, p).counit
+        counit = inst.comprehension(X, p).arrow
         assert inst.maps_equal(inst.compose(counit, k), h)
 
 

@@ -123,7 +123,7 @@ def test_comprehension_keeps_certainty():
     p = fuzzy(X, {"x": HALF, "y": Fraction(1)})
     c = DIST.comprehension(X, p)
     assert c.obj == fs("y")
-    assert DIST.table(c.counit)["y"].weights == (("y", Fraction(1)),)
+    assert DIST.table(c.arrow)["y"].weights == (("y", Fraction(1)),)
 
 
 def test_quotient_keeps_uncertainty():
@@ -131,8 +131,8 @@ def test_quotient_keeps_uncertainty():
     p = fuzzy(X, {"x": HALF, "y": Fraction(1)})
     q = DIST.quotient(X, p)
     assert q.obj == fs("x")
-    assert DIST.table(q.unit)["x"].weights == (("x", HALF),)
-    assert DIST.table(q.unit)["y"].weights == ()
+    assert DIST.table(q.arrow)["x"].weights == (("x", HALF),)
+    assert DIST.table(q.arrow)["y"].weights == ()
 
 
 def test_quotient_transpose_divides_out_the_abort():
@@ -141,7 +141,7 @@ def test_quotient_transpose_divides_out_the_abort():
     f = DIST.arrow(X, Y, {"x": SubDist((("y", Fraction(1, 4)),))})
     g = DIST.transpose_quotient(X, p, f)
     assert DIST.table(g)["x"].weights == (("y", HALF),)
-    assert DIST.maps_equal(DIST.compose(g, DIST.quotient(X, p).unit), f)
+    assert DIST.maps_equal(DIST.compose(g, DIST.quotient(X, p).arrow), f)
 
 
 def test_quotient_untranspose_scales_and_pads():
@@ -149,7 +149,7 @@ def test_quotient_untranspose_scales_and_pads():
     p = fuzzy(X, {"x": HALF})
     carrier = DIST.quotient(X, p).obj
     g = DIST.arrow(carrier, Y, {"x": dirac("y")})
-    f = DIST.compose(g, DIST.quotient(X, p).unit)
+    f = DIST.compose(g, DIST.quotient(X, p).arrow)
     assert DIST.table(f)["x"].weights == (("y", HALF),)
     assert DIST.table(f)["x"].mass == HALF
 
@@ -177,7 +177,7 @@ def test_certain_predicate_quotients_to_the_empty_carrier():
     p = fuzzy(X, {"x": Fraction(1)})
     q = DIST.quotient(X, p)
     assert q.obj == FiniteSet(())
-    assert DIST.table(q.unit)["x"].weights == ()
+    assert DIST.table(q.arrow)["x"].weights == ()
 
 
 @given(space_with_pred(), st.randoms(use_true_random=False))
@@ -188,10 +188,10 @@ def test_round_trips_on_generated_homs(case, rnd):
     bounds = {"max_den": 16}
     f = DIST.rand_hom(rnd, X, p, DIST.quotient(X, p), Y, bounds)
     g = DIST.transpose_quotient(X, p, f)
-    assert DIST.maps_equal(DIST.compose(g, DIST.quotient(X, p).unit), f)
+    assert DIST.maps_equal(DIST.compose(g, DIST.quotient(X, p).arrow), f)
     h = DIST.rand_hom(rnd, X, p, DIST.comprehension(X, p), Y, bounds)
     k = DIST.transpose_comprehension(X, p, h)
-    counit = DIST.comprehension(X, p).counit
+    counit = DIST.comprehension(X, p).arrow
     assert DIST.maps_equal(DIST.compose(counit, k), h)
 
 
@@ -223,12 +223,12 @@ def test_left_composite_is_identity_exactly_for_sharp():
     sharp = fuzzy(X, {"x": Fraction(1), "y": Fraction(0)})
     c = DIST.comprehension(X, DIST.ceil(X, sharp))
     q = DIST.quotient(X, DIST.ortho(X, sharp))
-    left = DIST.compose(q.unit, c.counit)
+    left = DIST.compose(q.arrow, c.arrow)
     assert DIST.maps_equal(left, DIST.identity(c.obj))
     unsharp = fuzzy(X, {"x": HALF, "y": Fraction(0)})
     c2 = DIST.comprehension(X, DIST.ceil(X, unsharp))
     q2 = DIST.quotient(X, DIST.ortho(X, unsharp))
-    left2 = DIST.compose(q2.unit, c2.counit)
+    left2 = DIST.compose(q2.arrow, c2.arrow)
     assert not DIST.maps_equal(left2, DIST.identity(c2.obj))
 
 
@@ -457,7 +457,7 @@ def test_integer_images_match_the_fraction_reference(data):
     unit = [(ZERO,) * len(kept)] * len(X)
     for j, i in enumerate(kept):
         unit[i] = _ref_scale(_ref_eta(j, len(kept)), keep[i])
-    _assert_matches(built.unit, unit)
+    _assert_matches(built.arrow, unit)
     capped = DIST.arrow(X, Y, {x: SubDist(tuple((y, w * k) for y, w in d.weights))
                                for (x, d), k in zip(DIST.table(f).items(), keep)})
     for h in (capped, f):
@@ -472,7 +472,7 @@ def test_integer_images_match_the_fraction_reference(data):
     # support inside the carrier (homs) or anywhere
     built = DIST.comprehension(X, p)
     inside = [i for i, v in enumerate(p) if v == 1]
-    _assert_matches(built.counit, [_ref_eta(i, len(X)) for i in inside])
+    _assert_matches(built.arrow, [_ref_eta(i, len(X)) for i in inside])
     homs = DIST.arrow(Z, X, DIST.table(data.draw(kernels(Z, built.obj))))
     for h in (homs, data.draw(kernels(Z, X))):
         rows = _rows(h)

@@ -74,9 +74,9 @@ def test_partial_functions_agree_across_monads(name):
         p = pred(X, P)
         q, c = SETS.quotient(X, P), SETS.comprehension(X, P)
         assert inst.quotient(X, p).obj == q.obj
-        assert same(q.unit, inst.quotient(X, p).unit)
+        assert same(q.arrow, inst.quotient(X, p).arrow)
         assert inst.comprehension(X, p).obj == c.obj
-        assert same(c.counit, inst.comprehension(X, p).counit)
+        assert same(c.arrow, inst.comprehension(X, p).arrow)
         assert same(SETS.transpose_quotient(X, P, fq),
                     inst.transpose_quotient(X, p, e(fq)))
         assert same(SETS.transpose_comprehension(X, P, fc),
@@ -120,7 +120,7 @@ def test_wide_nondet_carriers():
         assert all(image <= frozenset(NONDET.pred_table(X, P)) | {STAR}
                    for image in NONDET.table(f).values())
         assert NONDET.table(g) == NONDET.table(f)
-        assert NONDET.maps_equal(NONDET.compose(c.counit, g), f)
+        assert NONDET.maps_equal(NONDET.compose(c.arrow, g), f)
         assert NONDET.maps_equal(NONDET.compose(NONDET.identity(X), f), f)
     outside = NONDET.arrow(Y, X, {"y": frozenset({0, 1}), "z": frozenset({STAR})})
     with pytest.raises(HomConditionError):
@@ -157,8 +157,8 @@ def test_quotient_transpose_names_the_mass_over_the_cap(inst, image, message):
         q.transpose(bad)
     assert str(info.value) == message
     # at the cap itself the map is a hom, and its transpose composes back
-    ok = inst.compose(inst.arrow(q.obj, Y, {a: inst.table(bad)[2] for a in q.obj}), q.unit)
-    assert inst.maps_equal(inst.compose(q.transpose(ok), q.unit), ok)
+    ok = inst.compose(inst.arrow(q.obj, Y, {a: inst.table(bad)[2] for a in q.obj}), q.arrow)
+    assert inst.maps_equal(inst.compose(q.transpose(ok), q.arrow), ok)
 
 
 # Arrows the cancellation test must not call epi (mono), each short of

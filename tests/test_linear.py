@@ -280,18 +280,18 @@ def test_quotient_drops_the_pivot_coordinate():
     P = fp_span(F2_2, ((1, 0),))
     q = FP.quotient(F2_2, P)
     assert q.obj == FpSpace(2, 1)
-    assert q.unit.data == ((0, 1),)
+    assert q.arrow.data == ((0, 1),)
     for a, b in all_vectors(F2_2):
-        assert mat_vec(q.unit.data, (a, b), 2) == (b,)
+        assert mat_vec(q.arrow.data, (a, b), 2) == (b,)
 
 
 def test_comprehension_includes_the_basis():
     P = fp_span(F3_2, ((1, 1),))
     c = FP.comprehension(F3_2, P)
     assert c.obj == FpSpace(3, 1)
-    assert c.counit.data == ((1,), (1,))
+    assert c.arrow.data == ((1,), (1,))
     for t in range(3):
-        assert mat_vec(c.counit.data, (t,), 3) == (t, t)
+        assert mat_vec(c.arrow.data, (t,), 3) == (t, t)
 
 
 def test_trivial_subspaces():
@@ -354,7 +354,7 @@ def test_transposes_factor_uniquely_small_exhaustive():
         if hom_check(FP, f, PredObject(X, P), falsum(FP, Y)):
             g = FP.transpose_quotient(X, P, f)
             mediating = [h for h in FP.iter_arrows(q.obj, Y)
-                         if FP.compose(h, q.unit).data == f.data]
+                         if FP.compose(h, q.arrow).data == f.data]
             assert mediating == [g] or [m.data for m in mediating] == [g.data]
             hits += 1
         else:
@@ -366,7 +366,7 @@ def test_transposes_factor_uniquely_small_exhaustive():
         if hom_check(FP, f, truth(FP, Y), PredObject(X, P)):
             g = FP.transpose_comprehension(X, P, f)
             mediating = [h.data for h in FP.iter_arrows(Y, c.obj)
-                         if FP.compose(c.counit, h).data == f.data]
+                         if FP.compose(c.arrow, h).data == f.data]
             assert mediating == [g.data]
         else:
             with pytest.raises(HomConditionError):
@@ -384,9 +384,9 @@ def test_transposes_factor_uniquely_f3_rank_one(dim):
     q, c = FP.quotient(X, P), FP.comprehension(X, P)
     for transpose, homs, hom_objs, ends, back in (
             (q.transpose, (X, Y), (PredObject(X, P), falsum(FP, Y)), (q.obj, Y),
-             lambda h: FP.compose(h, q.unit)),
+             lambda h: FP.compose(h, q.arrow)),
             (c.transpose, (Y, X), (truth(FP, Y), PredObject(X, P)), (Y, c.obj),
-             lambda h: FP.compose(c.counit, h))):
+             lambda h: FP.compose(c.arrow, h))):
         hits = 0
         for f in FP.iter_arrows(*homs):
             if hom_check(FP, f, *hom_objs):
@@ -476,7 +476,7 @@ def test_round_trip_through_full_rank_predicate():
     f = FP.rand_hom(rng, X, P, FP.quotient(X, P), Y, {})
     assert f.data == ((0, 0), (0, 0))
     g = FP.transpose_quotient(X, P, f)
-    assert FP.map_residual(FP.compose(g, FP.quotient(X, P).unit), f) == 0.0
+    assert FP.map_residual(FP.compose(g, FP.quotient(X, P).arrow), f) == 0.0
     assert hom_check(FP, f, PredObject(X, P), falsum(FP, Y))
 
 
@@ -578,7 +578,7 @@ def test_every_fp_arrow_holds_reduced_residues(case):
     X, P, Y, f, g, seed = case
     rng = random.Random(seed)
     q, c = FP.quotient(X, P), FP.comprehension(X, P)
-    built = [FP.identity(X), FP.compose(g, f), FP.compose(f, g), q.unit, c.counit,
+    built = [FP.identity(X), FP.compose(g, f), FP.compose(f, g), q.arrow, c.arrow,
              FP.rand_arrow(rng, X, Y, {}),
              q.transpose(FP.rand_hom(rng, X, P, q, Y, {})),
              c.transpose(FP.rand_hom(rng, X, P, c, Y, {}))]
@@ -872,11 +872,11 @@ def test_hilb_transposes_round_trip():
         f = HILB.rand_hom(rng, X, p, HILB.quotient(X, p), Y, {})
         g = HILB.transpose_quotient(X, p, f)
         worst = max(worst, HILB.map_residual(
-            HILB.compose(g, HILB.quotient(X, p).unit), f))
+            HILB.compose(g, HILB.quotient(X, p).arrow), f))
         h = HILB.rand_hom(rng, X, p, HILB.comprehension(X, p), Y, {})
         k = HILB.transpose_comprehension(X, p, h)
         worst = max(worst, HILB.map_residual(
-            HILB.compose(HILB.comprehension(X, p).counit, k), h))
+            HILB.compose(HILB.comprehension(X, p).arrow, k), h))
     assert worst <= 1e-9
 
 
@@ -918,7 +918,7 @@ def test_fixed_matrix_products_match_the_plain_product():
     for p, d in itertools.product((2, 3), range(4)):
         X = FpSpace(p, d)
         for P in FP.iter_preds(X):
-            for f in (FP.quotient(X, P).unit, FP.comprehension(X, P).counit):
+            for f in (FP.quotient(X, P).arrow, FP.comprehension(X, P).arrow):
                 m, n = f.dst.dim, f.src.dim
                 rows = tuple(itertools.product(range(p), repeat=m))
                 for g in (Arrow(f.dst, FpSpace(p, len(rows)), rows),

@@ -170,8 +170,8 @@ def test_comprehension_corner_canned():
     assert c.obj.one == (3,)
     assert canonical_moduli(c.obj) == (2,)
     # the counit multiplies by the idempotent
-    assert RING.table(c.counit)[(5,)] == (3,)
-    assert RING.table(c.counit)[(2,)] == (0,)
+    assert RING.table(c.arrow)[(5,)] == (3,)
+    assert RING.table(c.arrow)[(2,)] == (0,)
 
 
 def test_quotient_corner_canned():
@@ -180,13 +180,13 @@ def test_quotient_corner_canned():
     assert q.obj.one == (4,)
     assert canonical_moduli(q.obj) == (3,)
     # the unit includes the complement ideal back into the ring
-    assert all(RING.table(q.unit)[x] == x for x in q.obj.elements())
+    assert all(RING.table(q.arrow)[x] == x for x in q.obj.elements())
 
 
 def test_trivial_corners():
     c = RING.comprehension(Z6, Z6.one)
     assert set(c.obj.elements()) == set(Z6.elements())
-    assert all(RING.table(c.counit)[x] == x for x in Z6.elements())
+    assert all(RING.table(c.arrow)[x] == x for x in Z6.elements())
     q = RING.quotient(Z6, Z6.one)
     assert q.obj.elements() == (Z6.zero,)
 
@@ -203,7 +203,7 @@ def test_transposes_are_bijections_of_hom_sets(R):
                     g = RING.transpose_quotient(R, p, f)
                     mediating = [
                         h for h in RING.iter_arrows(q.obj, S)
-                        if RING.compose(h, q.unit).data == f.data
+                        if RING.compose(h, q.arrow).data == f.data
                     ]
                     assert len(mediating) == 1
                     assert mediating[0].data == g.data
@@ -216,7 +216,7 @@ def test_transposes_are_bijections_of_hom_sets(R):
                     g = RING.transpose_comprehension(R, p, f)
                     mediating = [
                         h for h in RING.iter_arrows(S, c.obj)
-                        if RING.compose(c.counit, h).data == f.data
+                        if RING.compose(c.arrow, h).data == f.data
                     ]
                     assert len(mediating) == 1
                     assert mediating[0].data == g.data

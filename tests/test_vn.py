@@ -218,14 +218,14 @@ def test_comprehension_corner_canned():
     c = VN.comprehension(M2, p)
     assert c.obj.block_dims == (1,)
     a = elt([[1.0, 2.0], [3.0, 4.0]])
-    assert elt_residual(VN.apply(c.counit, a), elt([[1.0]])) <= 1e-12
+    assert elt_residual(VN.apply(c.arrow, a), elt([[1.0]])) <= 1e-12
 
 
 def test_quotient_corner_canned():
     p = elt(np.diag([1.0, 0.5]))
     q = VN.quotient(M2, p)
     assert q.obj.block_dims == (1,)
-    got = VN.apply(q.unit, elt([[1.0]]))
+    got = VN.apply(q.arrow, elt([[1.0]]))
     assert elt_residual(got, elt(np.diag([0.0, 0.5]))) <= 1e-12
 
 
@@ -257,7 +257,7 @@ def test_multi_block_corner():
     c = VN.comprehension(M2_M1, p)
     assert c.obj.block_dims == (1, 1)
     a = elt([[1.0, 2.0], [3.0, 4.0]], [[7.0]])
-    assert elt_residual(VN.apply(c.counit, a), elt([[1.0]], [[7.0]])) <= 1e-12
+    assert elt_residual(VN.apply(c.arrow, a), elt([[1.0]], [[7.0]])) <= 1e-12
 
 
 def test_objects_equal_tracks_the_isometry():
@@ -285,12 +285,12 @@ def test_left_composite_identity_iff_projection():
     sharp = elt(np.diag([1.0, 0.0]))
     c = VN.comprehension(M2, VN.ceil(M2, sharp))
     q = VN.quotient(M2, VN.ortho(M2, sharp))
-    left = VN.compose(q.unit, c.counit)
+    left = VN.compose(q.arrow, c.arrow)
     assert VN.map_residual(left, VN.identity(c.obj)) <= 1e-9
     fuzzy = elt(np.diag([1.0, 0.5]))
     c2 = VN.comprehension(M2, VN.ceil(M2, fuzzy))
     q2 = VN.quotient(M2, VN.ortho(M2, fuzzy))
-    left2 = VN.compose(q2.unit, c2.counit)
+    left2 = VN.compose(q2.arrow, c2.arrow)
     assert VN.map_residual(left2, VN.identity(c2.obj)) > 1e-3
 
 
@@ -319,7 +319,7 @@ def test_transposes_accept_exactly_the_homs(delta):
     for inst in (VN, loose):
         for which, X, p, Y, f in _maps_with_hom_defect(delta):
             built = getattr(inst, which)(X, p)
-            says = hom_check(inst, f, *built.hom_objects(inst, X, p, Y))
+            says = hom_check(inst, f, *built.hom_objects(X, p, Y))
             try:
                 built.transpose(f)
                 accepts = True
@@ -338,11 +338,11 @@ def test_transpose_round_trips():
         f = VN.rand_hom(rng, X, p, VN.quotient(X, p), Y, None)
         g = VN.transpose_quotient(X, p, f)
         worst = max(worst, VN.map_residual(
-            VN.compose(g, VN.quotient(X, p).unit), f))
+            VN.compose(g, VN.quotient(X, p).arrow), f))
         h = VN.rand_hom(rng, X, p, VN.comprehension(X, p), Y, None)
         k = VN.transpose_comprehension(X, p, h)
         worst = max(worst, VN.map_residual(
-            VN.compose(VN.comprehension(X, p).counit, k), h))
+            VN.compose(VN.comprehension(X, p).arrow, k), h))
     assert worst <= 1e-9
 
 
@@ -587,7 +587,7 @@ def test_kronecker_superoperators_equal_the_generic_path():
         roots = [la.op_sqrt(b) for b in VN.ortho(X, p)]
         unit = superop_from_fn(
             X, q.obj, lambda b: conjugate(roots, embed(X, q.obj, b)))
-        assert la.max_abs(q.unit.data - unit) <= 1e-12
+        assert la.max_abs(q.arrow.data - unit) <= 1e-12
         f = VN.rand_hom(rng, X, p, q, Y, None)
         pinv_roots = [la.op_pinv(r) for r in roots]
         transpose = superop_from_fn(q.obj, Y, lambda b: compress(
@@ -596,7 +596,7 @@ def test_kronecker_superoperators_equal_the_generic_path():
 
         c = VN.comprehension(X, p)
         counit = superop_from_fn(c.obj, X, lambda a: compress(c.obj, a))
-        assert la.max_abs(c.counit.data - counit) <= 1e-12
+        assert la.max_abs(c.arrow.data - counit) <= 1e-12
         h = VN.rand_hom(rng, X, p, c, Y, None)
         transpose = superop_from_fn(
             Y, c.obj, lambda b: VN.apply(h, embed(X, c.obj, b)))

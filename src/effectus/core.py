@@ -145,22 +145,21 @@ class Construction:
     be epi, or the counit {X|p} -> X, which must be mono.  `transpose` sends
     a hom between `hom_objects` (f: X -> Y collapsing p, or f: Y -> X landing
     where p holds) to the mediating arrow between the carrier and Y, else
-    raises HomConditionError; `untranspose` composes g with `arrow`.  A
-    missing `untranspose_data` is built once from `arrow` by `inst.precompose`
-    or `postcompose`.  `dataclasses.replace` carries the stored one, so a
-    replace that changes `arrow` must pass `untranspose_data=None`."""
+    raises HomConditionError; `untranspose` composes g with `arrow`, whose
+    `untranspose_data` is built once from `arrow` by `inst.precompose` or
+    `postcompose`."""
 
     inst: Any
     obj: Any
     arrow: Arrow
     transpose_data: Callable  # (f.data, Y) -> the mediating map's data
-    untranspose_data: Callable = None  # (g.data, Y) -> the data of g composed with arrow
     epi: bool = field(kw_only=True)
+    # (g.data, Y) -> the data of g composed with arrow
+    untranspose_data: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.untranspose_data is None:
-            carry = self.inst.precompose if self.epi else self.inst.postcompose
-            object.__setattr__(self, "untranspose_data", carry(self.arrow))
+        carry = self.inst.precompose if self.epi else self.inst.postcompose
+        object.__setattr__(self, "untranspose_data", carry(self.arrow))
 
     def ends(self, A, Y):
         return (A, Y) if self.epi else (Y, A)

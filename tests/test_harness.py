@@ -721,7 +721,7 @@ def _moved_first_entry(which):
             return built
         (first, *row), *rows = honest.data
         moved = Arrow(honest.src, honest.dst, (((first + 1) % X.p, *row), *rows))
-        return dataclasses.replace(built, arrow=moved, untranspose_data=None)
+        return dataclasses.replace(built, arrow=moved)
 
     return type(f"MovedFirstEntry{which.title()}", (FpChain,), {which: construct})()
 
@@ -985,7 +985,8 @@ TEETH = [
      lambda w: w["merge_then_split"] == 1.0),
     # the hom check of one side of `hom_objects` says yes where the
     # transpose refuses
-    *[("truth-falsum", base, corruption, witnessed)
+    *[pytest.param("truth-falsum", base, corruption, witnessed,
+                   id=f"truth-falsum-{base.name}-{corruption.__name__.strip('_')}")
       for base in (FpChain, HilbChain, RingChain, VnChain)
       for corruption, witnessed in (
           (_BottomIsTop, lambda w: w["quotient_hom_check"]
@@ -994,20 +995,15 @@ TEETH = [
            and not w["comprehension_transpose_accepts"]))],
     # every predicate of these is sharp, so a ceiling that is p itself
     # does not bite, but the top one does
-    *[("coincidence", base, _CeilIsTop, lambda w: w["objects_equal"] is False)
+    *[pytest.param("coincidence", base, _CeilIsTop, lambda w: w["objects_equal"] is False,
+                   id=f"coincidence-{base.name}-CeilIsTop")
       for base in (SetsChain, NondetChain, HilbChain, RingChain)],
 ]
 
 
-def _teeth_ids(rows):
-    """A row is named by its law, and also by its instance and corruption
-    when that corruption serves several rows."""
-    uses = Counter(corruption for _, _, corruption, _ in rows)
-    return [f"{law}-{base.name}-{corruption.__name__.strip('_')}" if uses[corruption] > 1
-            else law for law, base, corruption, _ in rows]
-
-
-@pytest.mark.parametrize("law, base, corruption, witnessed", TEETH, ids=_teeth_ids(TEETH))
+# a plain row is named by its law; a pytest.param row carries its own id
+@pytest.mark.parametrize("law, base, corruption, witnessed", TEETH,
+                         ids=[row[0] for row in TEETH])
 def test_every_law_has_teeth(law, base, corruption, witnessed):
     corrupt = type(f"{corruption.__name__}{base.__name__}", (corruption, base), {})()
     spec = CaseSpec(base.name, law, 5, 40)

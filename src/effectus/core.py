@@ -239,19 +239,24 @@ class ChainInstance(ABC):
         """g after f; raises CompositionError if f.dst != g.src."""
 
     def map_residual(self, f: Arrow, g: Arrow) -> float:
-        """Worst deviation between two parallel arrows (0.0 when equal);
-        by default 0.0 or 1.0, for data compared exactly."""
-        same = ((f.src is g.src or f.src == g.src) and (f.dst is g.dst or f.dst == g.dst)
-                and f.data == g.data)
-        return 0.0 if same else 1.0
+        """Worst deviation between f and g: 1.0 unless parallel, else `data_residual`."""
+        if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
+            return 1.0
+        return self.data_residual(f.data, g.data)
+
+    def data_residual(self, d, e) -> float:
+        """Worst deviation between the data of two parallel arrows (0.0
+        when equal); by default 0.0 or 1.0, for data compared exactly."""
+        return 0.0 if d == e else 1.0
 
     def objects_equal(self, A, B) -> bool:
-        return A == B
+        return A is B or A == B
 
     def maps_equal(self, f: Arrow, g: Arrow) -> bool:
+        # the ends test stands apart, so no tolerance makes non-parallel maps equal
         if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
             return False
-        return self.map_residual(f, g) <= self.eq_tol
+        return self.data_residual(f.data, g.data) <= self.eq_tol
 
     def check_composable(self, g: Arrow, f: Arrow) -> None:
         if not self.objects_equal(f.dst, g.src):
@@ -334,7 +339,9 @@ class ChainInstance(ABC):
         raise UnsupportedError(f"{self.name}: no closed-form assert")
 
     def instrument_closed_form(self, X, p) -> Arrow:
-        raise UnsupportedError(f"{self.name}: no closed-form instrument")
+        """By default the closed-form asserts of p and of its complement, combined."""
+        return self.instrument_combine(X, self.assert_closed_form(X, p),
+                                       self.assert_closed_form(X, self.ortho(X, p)))
 
     # ---- harness hooks --------------------------------------------
     # Seeded samplers; the hom sampler defaults to a random map through
@@ -433,8 +440,7 @@ def falsum(inst: ChainInstance, X) -> PredObject:
 def hom_check(inst: ChainInstance, f: Arrow, src: PredObject, dst: PredObject) -> bool:
     """True iff f is an arrow of predicated objects src -> dst, i.e.
     src.pred is below the substitution of dst.pred along f."""
-    if not ((f.src is src.base or inst.objects_equal(f.src, src.base))
-            and (f.dst is dst.base or inst.objects_equal(f.dst, dst.base))):
+    if not (inst.objects_equal(f.src, src.base) and inst.objects_equal(f.dst, dst.base)):
         raise CompositionError(
             f"{inst.name}: arrow endpoints do not match the predicated objects"
         )

@@ -139,10 +139,10 @@ def _case_subst(inst, rng, bounds):
     f = inst.rand_arrow(rng, X, Y, bounds)
     g = inst.rand_arrow(rng, Y, Z, bounds)
     r = inst.rand_pred(rng, Z, bounds)
+    q = inst.rand_pred(rng, Y, bounds)
     lhs = inst.subst(f, inst.subst(g, r))
     rhs = inst.subst(inst.compose(g, f), r)
     r1 = inst.pred_residual(X, lhs, rhs)
-    q = inst.rand_pred(rng, Y, bounds)
     r2 = inst.pred_residual(Y, inst.subst(inst.identity(Y), q), q)
     r3 = inst.pred_residual(X, inst.subst(f, inst.top(Y)), inst.top(X))
     res = max(r1, r2, r3)
@@ -155,12 +155,12 @@ def _case_truth_falsum(inst, rng, bounds):
     X = inst.rand_object(rng, bounds)
     Y = inst.rand_object(rng, bounds, like=X)
     f = inst.rand_arrow(rng, X, Y, bounds)
+    p = inst.rand_pred(rng, X, bounds)
+    g = inst.rand_arrow(rng, Y, X, bounds)
     detail = {"truth_hom": hom_check(inst, f, truth(inst, X), truth(inst, Y)),
               "falsum_hom": hom_check(inst, f, falsum(inst, X), falsum(inst, Y)),
               "mixed_hom": hom_check(inst, f, falsum(inst, X), truth(inst, Y))}
     ok = all(detail.values())
-    p = inst.rand_pred(rng, X, bounds)
-    g = inst.rand_arrow(rng, Y, X, bounds)
     # The substitution-based hom check and the transpose precondition must
     # agree on whether f collapses p, and dually on whether g, a map into
     # X, lands inside p.  A construction that raises rejects the map and
@@ -359,7 +359,7 @@ def run_exhaustive_adjunction(inst, which: str, bounds: dict,
     == f, so transpose is injective on the homs; and the homs are as
     many as the mediating-map candidates, so transpose is a bijection
     onto them with untranspose as its inverse.  The round trip runs on
-    data, the triple fixing every end: data `==` is what `map_residual`
+    data, the triple fixing every end: data `==` is what `data_residual`
     decides on every instance that enumerates.  A ChainError on the way
     fails the round trip.  Any other exception counts in `errors`, with
     a witness naming the triple, or only the direction when the instance

@@ -261,13 +261,9 @@ class KleisliChain(ChainInstance):
         return Arrow(X, X, tuple(self._eta(i, n) for i in range(n)))
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
-        if f.dst is not g.src:
-            self.check_composable(g, f)
+        self.check_composable(g, f)
         k = g.data + (self._abort(len(g.dst.atoms)),)
         return make_arrow((f.src, g.dst, self._extend(f.data, k)))
-
-    def objects_equal(self, A, B) -> bool:
-        return A is B or A == B
 
     # ---- fibre and substitution ----
 
@@ -699,11 +695,9 @@ class DistChain(KleisliChain):
             raise ValidationError(f"dist: combined mass {Fraction(sum(row), D * E)} exceeds 1")
         return _canonical(row + [D * E - sum(row)])
 
-    def map_residual(self, f: Arrow, g: Arrow) -> float:
-        if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
-            return 1.0
+    def data_residual(self, fd, gd) -> float:
         gap, den = 0, 1  # the largest weight difference so far, gap / den
-        for d, e in zip(f.data, g.data):
+        for d, e in zip(fd, gd):
             if d != e:
                 D, E = sum(d), sum(e)
                 top = max(abs(a * E - b * D) for a, b in zip(d[:-1], e))

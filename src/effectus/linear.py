@@ -253,8 +253,7 @@ class FpChain(ChainInstance):
         return Arrow(X, X, mat)
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
-        if f.dst is not g.src:
-            self.check_composable(g, f)
+        self.check_composable(g, f)
         return make_arrow((f.src, g.dst,
                            mat_mul(g.data, f.data, f.src.p, width=f.src.dim)))
 
@@ -477,10 +476,8 @@ class HilbChain(ChainInstance):
         self.check_composable(g, f)
         return Arrow(f.src, g.dst, g.data @ f.data)
 
-    def map_residual(self, f: Arrow, g: Arrow) -> float:
-        if f.src != g.src or f.dst != g.dst:
-            return 1.0
-        return la.max_abs(f.data - g.data)
+    def data_residual(self, d, e) -> float:
+        return la.max_abs(d - e)
 
     # ---- fibre ----
 

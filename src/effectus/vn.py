@@ -189,6 +189,8 @@ def _case_cp_sanity(inst, rng, bounds):
     c = inst.comprehension(X, p)
     fq = inst.rand_hom(rng, X, p, q, Y, bounds)
     fc = inst.rand_hom(rng, X, p, c, Y, bounds)
+    cpred = inst.rand_pred(rng, Y, bounds)
+    dpred = inst.rand_pred(rng, Y, bounds)
     canonical = {
         "quotient_unit": q.arrow,
         "comprehension_counit": c.arrow,
@@ -208,8 +210,6 @@ def _case_cp_sanity(inst, rng, bounds):
         worst = max(worst, sub)
         if not ok_cp or sub > inst.eq_tol:
             bad[label] = {"cp": report, "subunital_defect": sub}
-    cpred = inst.rand_pred(rng, Y, bounds)
-    dpred = inst.rand_pred(rng, Y, bounds)
     # Cauchy-Schwarz for cP maps, c* d = cd since effects are self-adjoint;
     # cd is generally non-Hermitian, hence the singular-value norm
     cd = tuple(cb @ db for cb, db in zip(cpred, dpred))
@@ -260,10 +260,8 @@ class VnChain(ChainInstance):
         self.check_composable(g, f)
         return Arrow(f.src, g.dst, f.data @ g.data)
 
-    def map_residual(self, f: Arrow, g: Arrow) -> float:
-        if not (self.objects_equal(f.src, g.src) and self.objects_equal(f.dst, g.dst)):
-            return 1.0
-        return la.max_abs(f.data - g.data)
+    def data_residual(self, d, e) -> float:
+        return la.max_abs(d - e)
 
     def objects_equal(self, A, B) -> bool:
         if A is B:
@@ -387,12 +385,6 @@ class VnChain(ChainInstance):
         return Arrow(X, X, kraus_superop(X, X, [
             (i, i, la.from_spectrum(la.sqrt_spectrum(_effect_spectrum(b))))
             for i, b in enumerate(p)]))
-
-    def instrument_closed_form(self, X, p) -> Arrow:
-        return self.instrument_combine(
-            X,
-            self.assert_closed_form(X, p),
-            self.assert_closed_form(X, self.ortho(X, p)))
 
     def instrument_combine(self, X, branch_pass: Arrow, branch_fail: Arrow) -> Arrow:
         """Both branches side by side, refused unless together they map

@@ -1,6 +1,7 @@
 """Shared chain machinery: partial-map composition, truth/falsum,
 hom checking, and the derived assert / instrument / side-effect maps."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -90,6 +91,23 @@ def test_composition_associates(name):
         lhs = inst.compose(h, inst.compose(g, f))
         rhs = inst.compose(inst.compose(h, g), f)
         assert inst.maps_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_arrows_with_other_ends_differ_at_any_tolerance(name):
+    # ChainInstance alone compares the ends; an instance compares data
+    inst = INSTANCES[name]
+    assert type(inst).map_residual is ChainInstance.map_residual
+    assert type(inst).maps_equal is ChainInstance.maps_equal
+    rng = random.Random(0)
+    X = inst.rand_object(rng, BOUNDS)
+    Y = next(Y for Y in iter(lambda: inst.rand_object(rng, BOUNDS, like=X), None)
+             if not inst.objects_equal(X, Y))
+    loose = copy.copy(inst)
+    loose.eq_tol = 1.0
+    for each in (inst, loose):
+        assert each.map_residual(each.identity(X), each.identity(Y)) == 1.0
+        assert not each.maps_equal(each.identity(X), each.identity(Y))
 
 
 def test_composing_mismatched_endpoints_raises():

@@ -833,12 +833,11 @@ def test_corruption_in_one_direction_leaves_the_other_passing(which):
 KLEISLI = {"sets": SetsChain, "nondet": NondetChain, "dist": DistChain}
 
 
-class _TruthToFalsum:
-    """Substitutes falsum for truth along every arrow out of a non-empty
-    carrier."""
+class _SubstTruthToFalsum:
+    """Substitutes falsum for truth, which differ on a non-empty carrier."""
 
     def subst(self, f, q):
-        if len(f.src) and q == self.top(f.dst):
+        if self.preds_equal(f.dst, q, self.top(f.dst)):
             return self.bottom(f.src)
         return super().subst(f, q)
 
@@ -867,7 +866,7 @@ def _hom_check_disagrees(w):
 
 
 @pytest.mark.parametrize("corruption, law, witnessed", [
-    (_TruthToFalsum, "subst-functor", _truth_to_falsum_witnessed),
+    (_SubstTruthToFalsum, "subst-functor", _truth_to_falsum_witnessed),
     (_EverythingBelow, "truth-falsum", _hom_check_disagrees),
 ], ids=["subst-truth-to-falsum", "pred-leq-always"])
 @pytest.mark.parametrize("name", sorted(KLEISLI))
@@ -882,6 +881,34 @@ def test_corrupted_predicate_layer_is_detected(name, corruption, law, witnessed)
     assert run_law(base(), spec).failures == 0
 
 
+class _SubstRaises:
+    def subst(self, f, q):
+        raise HomConditionError("no substitution")
+
+
+class _OrderRaises:
+    def pred_leq(self, X, p, q):
+        raise HomConditionError("no order")
+
+
+# A case draws every value that needs no construction before its first
+# call that can raise, so a case that raises leaves the seeded draws of
+# the cases after it as the honest case leaves them.
+@pytest.mark.parametrize("law, damaged", [
+    ("subst-functor", type("SubstRaisesDist", (_SubstRaises, DistChain), {})()),
+    ("truth-falsum", type("OrderRaisesDist", (_OrderRaises, DistChain), {})()),
+    ("cp-sanity", _corrupt(VnChain, "quotient", _refuse)),
+], ids=["subst-raises", "order-raises", "vn-transpose-refuses"])
+def test_a_case_that_raises_draws_what_the_honest_case_draws(law, damaged):
+    honest = INSTANCES[damaged.name]
+    for seed in range(20):
+        kept, broken = random.Random(seed), random.Random(seed)
+        LAWS[law].case(honest, kept, FAST)
+        with pytest.raises(ChainError):
+            LAWS[law].case(damaged, broken, FAST)
+        assert broken.getstate() == kept.getstate(), seed
+
+
 # Every law has teeth: one corruption per law that the law catches.
 
 
@@ -892,6 +919,14 @@ class _IdentityAbortsFirst:
         data = super().identity(X).data
         return Arrow(X, X, tuple(self._abort(len(X)) if i == 0 else d
                                  for i, d in enumerate(data)))
+
+
+class _IdentityIsAnotherMap:
+    """The identity is a fixed random endomap, drawn by the instance's
+    own sampler."""
+
+    def identity(self, X):
+        return self.rand_arrow(random.Random(0), X, X, {})
 
 
 class _AssertIsIdentity:
@@ -993,6 +1028,14 @@ TEETH = [
            and not w["quotient_transpose_accepts"]),
           (_TopIsBottom, lambda w: w["comprehension_hom_check"]
            and not w["comprehension_transpose_accepts"]))],
+    # only through each instance's own hooks: its sampler, its fibre
+    *[pytest.param(law, base, corruption, witnessed,
+                   id=f"{law}-{base.name}-{corruption.__name__.strip('_')}")
+      for base in (FpChain, HilbChain, RingChain, VnChain)
+      for law, corruption, witnessed in (
+          ("kleisli-laws", _IdentityIsAnotherMap,
+           lambda w: max(w["id_right"], w["id_left"]) > 1e-9),
+          ("subst-functor", _SubstTruthToFalsum, lambda w: w["unit"] == 1.0))],
     # every predicate of these is sharp, so a ceiling that is p itself
     # does not bite, but the top one does
     *[pytest.param("coincidence", base, _CeilIsTop, lambda w: w["objects_equal"] is False,

@@ -179,16 +179,13 @@ def _check_pred(X: FiniteSet, p) -> None:
         raise ValidationError(f"a predicate over {X!r} is a tuple of {len(X)} values")
 
 
-# The one-atom carrier over which `NondetChain.iter_homs` asks which
-# images the hom condition allows at an atom.
-_POINT = FiniteSet((0,))
-
-
 # ---- the construction -----------------------------------------------
 
 
 def _bits(mask: int):
     """Positions of the set bits of mask, lowest first."""
+    if mask < 0:  # infinitely many set bits
+        raise ValidationError(f"image mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -502,7 +499,7 @@ class NondetChain(KleisliChain):
         outside = (1 << n + 1) - 1 - sum(runs.values())
         runs = tuple(runs.items())
 
-        @lru_cache(maxsize=256, typed=True)
+        @lru_cache(maxsize=256)
         def restrict(s):
             if s & outside:
                 return None
@@ -530,12 +527,15 @@ class NondetChain(KleisliChain):
         image d is allowed at value v when the one-atom map onto d is a
         hom from (point, v) to the target predicated object."""
         src, dst = built.hom_objects(X, p, Y)
-        images = self._images(len(dst.base))
-        allowed = {v: [d for d in images
-                       if hom_check(self, make_arrow((_POINT, dst.base, (d,))),
-                                    PredObject(_POINT, (v,)), dst)]
-                   for v in set(src.pred)}
-        return product(*[allowed[v] for v in src.pred])
+        return product(*[self._allowed(dst, v) for v in src.pred])
+
+    @lru_cache(maxsize=128)
+    def _allowed(self, dst, v) -> tuple:
+        """The images `iter_homs` allows at value v, asked over a one-atom
+        source once per target: a sweep meets the same few over and over."""
+        point = FiniteSet((0,))
+        return tuple(d for d in self._images(len(dst.base)) if hom_check(
+            self, make_arrow((point, dst.base, (d,))), PredObject(point, (v,)), dst))
 
     def _rand_image(self, rng, bounds, n, positions, cap) -> int:
         if not cap:

@@ -315,6 +315,16 @@ class RingChain(ChainInstance):
         pos, data = f.dst.position, f.data
         return make_arrow((f.src, g.dst, tuple(data[pos[y]] for y in g.data)))
 
+    def precompose(self, f: Arrow):
+        """Each entry of g read through f's element table."""
+        image = self.table(f).__getitem__
+        return lambda d, Y: tuple(map(image, d))
+
+    def postcompose(self, f: Arrow):
+        """g's table read at f's entries, all picked at once."""
+        at = picker([f.src.position[x] for x in f.data])
+        return lambda d, Y: at(d)
+
     # ---- fibre: idempotents ----
 
     def top(self, X):

@@ -309,11 +309,11 @@ def test_make_arrow_is_the_arrow_constructor():
 
 
 def test_process_wide_caches_are_bounded():
-    from effectus.kleisli import _unions
+    from effectus.kleisli import NondetChain, _unions
     from effectus.linear import _coords_matrix, _preimage
     from effectus.ring import _hom_tables
 
-    for cache in (_coords_matrix, _preimage, _hom_tables, _unions):
+    for cache in (_coords_matrix, _preimage, _hom_tables, _unions, NondetChain._allowed):
         assert cache.cache_info().maxsize is not None
 
 
@@ -325,7 +325,20 @@ def test_nondet_restriction_memo_is_bounded():
     # bits 0 and 2 move to 0 and 1, * from bit 3 to bit 2; bit 1 is outside
     assert [restrict(s) for s in (0b0101, 0b1000, 0b0010)] == [0b011, 0b100, None]
     assert restrict.cache_info().currsize == 3
-    # keyed by type too: 1.0 is refused where the memo holds 1's result
+    # an untyped lru_cache keys an exact int bare and wraps any other
+    # argument, so 1.0 misses 1's entry and is refused where it is held
     assert restrict(1) == 0b001
     with pytest.raises(TypeError):
         restrict(1.0)
+
+
+def test_nondet_comprehension_refuses_a_float_image():
+    """The comprehension transpose reads images through the restriction
+    memo; a float image is refused even once the memo holds its int."""
+    from effectus.kleisli import NondetChain
+
+    X, Y = FiniteSet((1, 2)), FiniteSet((0,))
+    built = NondetChain().comprehension(X, (True, False))
+    assert built.transpose_data((1,), Y) == (1,)
+    with pytest.raises(TypeError):
+        built.transpose_data((1.0,), Y)

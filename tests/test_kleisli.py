@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectus import STAR, HomConditionError, UnsupportedError, ValidationError
-from effectus.core import Arrow
+from effectus.core import Arrow, make_arrow
 from effectus import kleisli
 from effectus.kleisli import (
     DistChain,
@@ -105,6 +105,19 @@ def test_subset_predicate_outside_the_carrier_is_rejected(inst):
         inst.comprehension(X, P)
     with pytest.raises(ValidationError):
         inst.transpose_comprehension(X, P, f)
+
+
+def test_negative_nondet_mask_is_refused():
+    """A mask below 0 has infinitely many set bits: reading its atoms,
+    support or unions refuses it rather than counting them."""
+    X, Y = FiniteSet(("x",)), FiniteSet((1, 2))
+    f = make_arrow((X, Y, (-3,)))
+    with pytest.raises(ValidationError, match="negative"):
+        NONDET.arrow_to_json(f)
+    with pytest.raises(ValidationError, match="negative"):
+        NONDET.cancels(f, epi=True)
+    with pytest.raises(ValidationError, match="negative"):
+        NONDET.compose(NONDET.identity(Y), f)
 
 
 def test_wide_nondet_carriers():

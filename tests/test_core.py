@@ -326,7 +326,7 @@ def test_nondet_restriction_memo_is_bounded():
     assert [restrict(s) for s in (0b0101, 0b1000, 0b0010)] == [0b011, 0b100, None]
     assert restrict.cache_info().currsize == 3
     # an untyped lru_cache keys an exact int bare and wraps any other
-    # argument, so 1.0 misses 1's entry and is refused where it is held
+    # argument, so 1.0 misses 1's entry and is refused though it is held
     assert restrict(1) == 0b001
     with pytest.raises(TypeError):
         restrict(1.0)
